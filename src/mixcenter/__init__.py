@@ -35,7 +35,6 @@ from .discrete_mix import (
     CenterSet,
     Coupling,
     FeasibilityResult,
-    center_two_excluded,
     enumerate_centers,
     exchangeable_permute,
     feasible_center,

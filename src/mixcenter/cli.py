@@ -526,8 +526,6 @@ def _repro_checks(seed):
         expected[v] = expected.get(v, Fraction(0)) + Fraction(1, 3) * p
     check("ex01_symmetrized_mixture", sym.marginal(0) == expected,
           "(2nu+gamma)/3", "(2nu+gamma)/3")
-    check("ex01_center_two_excluded", discrete_mix.center_two_excluded(),
-          True, True)
 
     lo, hi = center_bounds.jm_center_bounds(
         center_bounds.JmBoundsInput((Cauchy(), Cauchy()), (0.1, 0.1))

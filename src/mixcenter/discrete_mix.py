@@ -2,11 +2,12 @@
 
 Feasibility of a prescribed sum value C for finitely supported marginals
 is a transportation problem restricted to the slice of support tuples
-whose coordinates add to C. It is decided by a dense phase-1 simplex with
-Bland's rule (instances are tiny; determinism and certificates matter more
-than speed), with an exact-rational mode for small instances. Feasible
-instances return the coupling found; infeasible ones a separating dual
-vector (Farkas certificate).
+whose coordinates add to C. It is decided by a phase-1 LP: HiGHS's dual
+simplex on a sparse constraint matrix in floats, or a rational simplex in
+exact mode for small instances. Solver output is checked before it is
+reported: feasible instances return the coupling found, validated against
+the marginals; infeasible ones a separating dual vector (Farkas
+certificate), verified against every slice column.
 """
 from __future__ import annotations
 
@@ -16,9 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from .center_bounds import JmBoundsInput, jm_center_bounds
-from .distributions import FiniteDiscrete, PowerTwoGeometric
+from .distributions import FiniteDiscrete
 from .errors import DomainError, SizeError
 
 VARIABLE_GUARD = 1_000_000
@@ -124,65 +127,40 @@ def exchangeable_permute(coupling: Coupling, rng=None) -> Coupling:
 
 
 # ----------------------------------------------------------------------
-# phase-1 simplex with Bland's rule
+# phase-1 feasibility LP: HiGHS for floats, a rational simplex for --exact
 
-def _phase1_float(A: np.ndarray, b: np.ndarray, tol: float):
-    """Minimize the total artificial mass for Ax = b, x >= 0.
+# HiGHS rejects feasibility tolerances below 1e-10 (it warns and falls back
+# to 1e-7, which would blur the borderline band at tol=1e-9)
+HIGHS_TOL = 1e-10
 
-    Returns (objective, x, y) where y is the dual vector read off the
-    artificial columns (Farkas certificate when the objective is > 0).
+
+def _phase1_float(A, b: np.ndarray):
+    """Minimize the total artificial mass for Ax = b, x >= 0 with HiGHS.
+
+    Solves min sum(a) subject to [A | I] [x; a] = b, x, a >= 0, and
+    returns (objective, x, y) with y the equality duals: a Farkas
+    certificate when the objective is > 0. ``A`` is a sparse COO array.
     """
     m, k = A.shape
-    T = np.zeros((m + 1, k + m + 1))
-    T[:m, :k] = A
-    T[:m, k:k + m] = np.eye(m)
-    T[:m, -1] = b
-    # objective row holds z_j - c_j for the max(-sum a) formulation
-    T[m, :k] = -A.sum(axis=0)
-    T[m, -1] = -b.sum()
-    basis = list(range(k, k + m))
-    piv_tol = 1e-11
-    for _ in range(20000):
-        enter = -1
-        for j in range(k + m):
-            if T[m, j] < -tol:
-                enter = j
-                break  # Bland: first improving column
-        if enter < 0:
-            break
-        col = T[:m, enter]
-        best = np.inf
-        leave = -1
-        for i in range(m):
-            if col[i] <= piv_tol:
-                continue
-            ratio = T[i, -1] / col[i]
-            if leave < 0 or ratio < best - 1e-15 or (
-                abs(ratio - best) <= 1e-15 and basis[i] < basis[leave]
-            ):
-                best = ratio
-                leave = i
-        if leave < 0:
-            raise DomainError("phase-1 problem is unbounded; inputs are inconsistent")
-        T[leave, :] /= T[leave, enter]
-        for i in range(m + 1):
-            if i != leave and T[i, enter] != 0.0:
-                T[i, :] -= T[i, enter] * T[leave, :]
-        basis[leave] = enter
-    else:
-        raise DomainError("simplex iteration guard exceeded")
-    objective = -T[m, -1]
-    x = np.zeros(k)
-    for i, var in enumerate(basis):
-        if var < k:
-            x[var] = T[i, -1]
-    # reduced cost of artificial j is y_j + 1 in this formulation
-    y = T[m, k:k + m] - 1.0
-    return objective, x, -y
+    A_eq = sparse.csc_array((
+        np.concatenate([A.data, np.ones(m)]),
+        (np.concatenate([A.row, np.arange(m)]), np.concatenate([A.col, k + np.arange(m)])),
+    ), shape=(m, k + m))
+    cost = np.concatenate([np.zeros(k), np.ones(m)])
+    res = linprog(cost, A_eq=A_eq, b_eq=b, bounds=(0, None), method="highs-ds",
+                  options={"primal_feasibility_tolerance": HIGHS_TOL,
+                           "dual_feasibility_tolerance": HIGHS_TOL})
+    if res.status != 0:
+        raise DomainError(f"phase-1 LP failed (HiGHS status {res.status}): {res.message}")
+    return res.fun, res.x[:k], res.eqlin.marginals
 
 
-def _phase1_exact(A_rows, b, tol: Fraction):
-    """Exact-rational variant of the phase-1 simplex (lists of Fractions)."""
+def _phase1_exact(A_rows, b):
+    """Phase-1 simplex in exact rationals with Bland's rule.
+
+    Same formulation and return as ``_phase1_float`` on lists of
+    Fractions; the reference the float path is tested against.
+    """
     m = len(A_rows)
     k = len(A_rows[0]) if m else 0
     zero, one = Fraction(0), Fraction(1)
@@ -272,8 +250,9 @@ def feasible_center(marginals, center: float, tol: float = 1e-9,
     Builds variables only on support tuples whose coordinate sum matches
     ``center`` within ``tol`` and solves the transportation feasibility
     problem. Feasible instances return a certificate coupling (marginal
-    residuals <= tol); infeasible ones the phase-1 dual. A phase-1 residual
-    inside (tol, 10 tol] yields the "borderline" verdict.
+    residuals <= tol); infeasible ones the phase-1 dual, after checking that
+    it is a Farkas certificate (DomainError if the solver's dual is not). A
+    phase-1 residual inside (tol, 10 tol] yields the "borderline" verdict.
     """
     marginals = list(marginals)
     if any(not isinstance(m, FiniteDiscrete) for m in marginals):
@@ -282,49 +261,49 @@ def feasible_center(marginals, center: float, tol: float = 1e-9,
     if n < 2:
         raise DomainError("need at least two marginals")
     tuples = _slice_tuples(marginals, center, tol)
-    rows = []
-    b = []
-    index = {}
+    index, b = {}, []
     for i, m in enumerate(marginals):
         for v, p in zip(m.values, m.probs):
-            index[(i, float(v))] = len(rows)
-            rows.append((i, float(v)))
+            index[(i, float(v))] = len(b)
             b.append(float(p))
     if not tuples:
+        # no column to match: y = 1 on every row is a Farkas certificate
         return FeasibilityResult(
-            verdict="infeasible", center=center, dual=None,
+            verdict="infeasible", center=center, dual=[1.0] * len(b),
             residual=float(sum(b)) / n, candidates=0,
         )
+    # cells[j, i] is the marginal constraint hit by coordinate i of tuple j
+    cells = np.array([[index[(i, float(v))] for i, v in enumerate(tup)] for tup in tuples])
     if exact:
         if len(tuples) > EXACT_VARIABLE_GUARD:
             raise SizeError(
                 f"exact mode is guarded at {EXACT_VARIABLE_GUARD} variables"
             )
-        A_rows = [[Fraction(0)] * len(tuples) for _ in rows]
-        for jcol, tup in enumerate(tuples):
-            for i, v in enumerate(tup):
-                A_rows[index[(i, float(v))]][jcol] += 1
+        A_rows = [[Fraction(0)] * len(tuples) for _ in b]
+        for jcol, row in enumerate(cells):
+            for r in row:
+                A_rows[r][jcol] += 1
         # recover the intended rational probabilities from their float form
-        b_exact = [Fraction(x).limit_denominator(10 ** 12) for x in b]
+        b = [Fraction(x).limit_denominator(10 ** 12) for x in b]
         start = 0
         for m in marginals:
-            share = sum(b_exact[start:start + len(m.values)])
+            share = sum(b[start:start + len(m.values)])
             if share != 1:
                 raise DomainError(
                     "exact mode needs probabilities that reconstruct to "
                     f"rationals summing to 1 (marginal total {share})"
                 )
             start += len(m.values)
-        objective, x, y = _phase1_exact(A_rows, b_exact, Fraction(0))
+        objective, x, y = _phase1_exact(A_rows, b)
         resid = float(objective)
         feasible = objective == 0
         borderline = False
     else:
-        A = np.zeros((len(rows), len(tuples)))
-        for jcol, tup in enumerate(tuples):
-            for i, v in enumerate(tup):
-                A[index[(i, float(v))], jcol] += 1.0
-        objective, x, y = _phase1_float(A, np.array(b), tol=1e-13)
+        A = sparse.coo_array(
+            (np.ones(cells.size), (cells.ravel(), np.repeat(np.arange(len(tuples)), n))),
+            shape=(len(b), len(tuples)),
+        )
+        objective, x, y = _phase1_float(A, np.array(b))
         resid = float(objective)
         feasible = resid <= tol
         borderline = tol < resid <= 10 * tol
@@ -345,11 +324,29 @@ def feasible_center(marginals, center: float, tol: float = 1e-9,
             verdict="feasible", center=center, coupling=coupling,
             residual=resid, candidates=len(tuples),
         )
+    if not borderline:
+        _check_farkas(y, cells, b, 0 if exact else tol)
     verdict = "borderline" if borderline else "infeasible"
     return FeasibilityResult(
         verdict=verdict, center=center,
         dual=[float(v) for v in y], residual=resid, candidates=len(tuples),
     )
+
+
+def _check_farkas(y, cells, b, tol):
+    """Raise DomainError unless the dual y certifies infeasibility.
+
+    A Farkas certificate has y.A <= tol on every slice column (the sum of
+    y over the rows a tuple hits) and y.b > tol. Exact duals are checked
+    in rationals, float duals in floats.
+    """
+    y = np.asarray(y)
+    worst = y[cells].sum(axis=1).max()
+    gain = sum(yi * bi for yi, bi in zip(y, b))
+    if not worst <= tol:
+        raise DomainError(f"solver dual is not a certificate: y.A reaches {float(worst)!r}")
+    if not gain > tol:
+        raise DomainError(f"solver dual is not a certificate: y.b = {float(gain)!r}")
 
 
 @dataclass
@@ -429,27 +426,3 @@ def zero_one_couplings(truncation: int = 20):
                      total_mass=1 - residual, residual=residual)
     return mix_x, mix_y
 
-
-def center_two_excluded(truncation: int = 40) -> bool:
-    """Check the argument ruling out the candidate sum 2 for the mixture
-    law (2 nu + gamma)/3 built from the zero/one couplings.
-
-    No two support values can add to 1: every support value other than 1
-    is even, so a pair summing to the odd value 1 would need the atom 1
-    plus the value 0, which is not in the support (verified by enumeration
-    on the truncated atoms and by parity for the tails). Together with
-    P(X1 = 1) < 1 this caps the probability of the sum 2 below 1.
-    """
-    nu = PowerTwoGeometric("positive", truncation)
-    gamma = PowerTwoGeometric("negative", truncation)
-    atoms = [v for v, _ in nu.pmf_fractions()] + [v for v, _ in gamma.pmf_fractions()]
-    if 0 in atoms:
-        return False
-    support = set(atoms)
-    for a in support:
-        if (1 - a) in support:
-            return False
-    if any(a != 1 and a % 2 != 0 for a in support):
-        return False  # parity argument needs all non-1 atoms even
-    p_one = Fraction(1, 2) * Fraction(2, 3)  # mixture weight 2/3 on nu
-    return p_one > 0

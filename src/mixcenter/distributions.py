@@ -386,6 +386,9 @@ class PowerTwoGeometric:
         kmax = max(self.truncation, int(math.ceil(-math.log2(min(1 - hi, lo)))) + 4)
         return self.truncated(kmax)._avg_quantile(lo, hi)
 
+    def survival_integral(self, a, b):
+        return _power_two_survival_integral(self, a, b, float(self.sign == "positive"))
+
     def sample(self, rng, size):
         z = rng.geometric(0.5, size) - 1  # P(z=k) = 2^-(k+1), k >= 0
         if self.sign == "positive":
@@ -394,6 +397,22 @@ class PowerTwoGeometric:
 
     def to_spec(self):
         return {"kind": self.kind, "truncation_K": self.truncation}
+
+
+def _power_two_survival_integral(model, a, b, positive_weight):
+    """Integral of 1 - F over [a, b] for a law on signed powers of two.
+
+    The truncated view keeps every atom up to 2^kmax > max(|a|, |b|), so
+    the atoms it drops lie outside [a, b]: the negative ones below a count
+    in F, and the positive ones above b (total ``positive_weight *
+    2^-(kmax+1)``) are survival on the whole interval. The result is exact
+    up to float rounding.
+    """
+    if not (abs(a) < 2.0 ** 1000 and abs(b) < 2.0 ** 1000):
+        raise DomainError("survival integral needs finite endpoints below 2^1000")
+    kmax = math.frexp(max(abs(a), abs(b), 1.0))[1]
+    view = model.truncated(kmax)
+    return view.survival_integral(a, b) + positive_weight * 2.0 ** -(kmax + 1) * (b - a)
 
 
 class CountableMixture:
@@ -421,6 +440,10 @@ class CountableMixture:
     def _avg_quantile(self, lo, hi):
         kmax = int(math.ceil(-math.log2(min(1 - hi, lo)))) + 6
         return self.truncated(kmax)._avg_quantile(lo, hi)
+
+    def survival_integral(self, a, b):
+        positive = sum(w for w, comp in self.components if comp.sign == "positive")
+        return _power_two_survival_integral(self, a, b, float(positive))
 
     def cdf(self, x):
         return self.truncated(60).cdf(x)

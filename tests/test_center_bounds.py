@@ -222,6 +222,15 @@ class TestDualBound:
         assert res.grid_resolution > 0
         assert res.grid_size == 256
 
+    def test_power_two_mixture_centers_not_excluded(self):
+        # (2 nu + gamma)/3 has the 3-centers 0 and 1/3 (the zero/one
+        # couplings), so the bound there cannot drop below 1
+        mix = CountableMixture([(Fraction(2, 3), PowerTwoGeometric("positive")),
+                                (Fraction(1, 3), PowerTwoGeometric("negative"))])
+        for c in (0.0, 1.0 / 3):
+            assert dual_bound(mix, 3, c).value >= 1.0 - 1e-9
+        assert dual_bound(mix, 3, 5.0).value < 1.0
+
     def test_duality_consistency_n10(self):
         hi = math.log(9) / PI - 1e-6
         for c in np.linspace(-hi, hi, 21):

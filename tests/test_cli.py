@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -98,6 +99,14 @@ class TestDual:
         assert code == 0
         assert payload["excludes_center"] is True
 
+    def test_power_two_marginal(self, capsys, tmp_path):
+        path = tmp_path / "nu.json"
+        path.write_text(json.dumps({"kind": "ex01_nu", "truncation_K": 12}))
+        code, payload = run_json(capsys, "dual", "--n", "3", "--c", "2.0",
+                                 "--marginal", str(path))
+        assert code == 0
+        assert payload["value"] == pytest.approx(1.0)
+
 
 class TestFeasibleCenters:
     def test_feasible(self, capsys, triple_spec):
@@ -158,7 +167,7 @@ class TestSampleVerify:
         for out in (a, b):
             run_cli(capsys, "sample", "--n", "3", "--c", "0.1", "--count", "200",
                     "--seed", "5", "--t-grid", "512", "--out", out)
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
     def test_c_zero_engine(self, capsys, tmp_path):
         out = str(tmp_path / "zero.csv")
@@ -212,7 +221,7 @@ class TestEx01:
         fx, fy = str(tmp_path / "x.json"), str(tmp_path / "y.json")
         code, _ = run_cli(capsys, "ex01", "--K", "4", "--out-x", fx, "--out-y", fy)
         assert code == 0
-        mix_x = json.loads(open(fx).read())
+        mix_x = json.loads(Path(fx).read_text())
         assert {sum(r) for r in mix_x["support"]} == {0.0}
 
 

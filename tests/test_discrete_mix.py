@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mixcenter import discrete_mix
 from mixcenter.discrete_mix import (
     Coupling,
-    center_two_excluded,
     enumerate_centers,
     exchangeable_permute,
     feasible_center,
@@ -134,6 +136,58 @@ class TestFeasibleCenter:
                 == feasible_center(marginals, center, exact=True).feasible
             )
 
+    def test_uniform_k25_triple_feasible(self):
+        # 469 slice columns; the float path used to stop at an iteration guard
+        k = 25
+        m = FiniteDiscrete([(float(v), 1.0 / k) for v in range(k)])
+        res = feasible_center([m, m, m], 36.0)
+        assert res.verdict == "feasible"
+        res.coupling.validate(marginals=[m, m, m], center=36.0)
+
+    def test_bogus_dual_rejected(self, monkeypatch):
+        bern = FiniteDiscrete([(0.0, 0.7), (1.0, 0.3)])
+        honest = feasible_center([bern, bern], 1.0)
+        assert honest.verdict == "infeasible"
+        for bogus in ([1.0, 1.0, 1.0, 1.0],       # y.A = 2 on every column
+                      [0.0, 0.0, 0.0, 0.0]):      # y.b = 0
+            monkeypatch.setattr(discrete_mix, "_phase1_float",
+                                lambda A, b, y=bogus: (honest.residual, np.zeros(A.shape[1]),
+                                                       np.array(y)))
+            with pytest.raises(DomainError, match="certificate"):
+                feasible_center([bern, bern], 1.0)
+
+    def test_infeasible_duals_are_certificates(self):
+        m = two_point_third()
+        for c in (0.0, 1.0, 3.0, 0.5):   # 0.5: empty slice, no columns
+            for exact in (False, True):
+                res = feasible_center([m, m, m], c, exact=exact)
+                assert res.verdict == "infeasible" and res.dual is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_float_exact_brute_force_agree(self, data):
+        n = data.draw(st.integers(2, 3), label="n")
+        marginals = []
+        for _ in range(n):
+            vals = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4,
+                                      unique=True), label="values")
+            weights = data.draw(st.lists(st.integers(1, 8), min_size=len(vals),
+                                         max_size=len(vals)), label="weights")
+            # dyadic probabilities: exact in floats and in the rational mode
+            total = 2 ** max(1, (sum(weights) - 1).bit_length())
+            weights[-1] += total - sum(weights)
+            marginals.append(FiniteDiscrete([(float(v), w / total)
+                                             for v, w in zip(vals, weights)]))
+        center = float(sum(data.draw(st.sampled_from(list(m.values)), label="atom")
+                           for m in marginals))
+        fast = feasible_center(marginals, center)
+        ref = feasible_center(marginals, center, exact=True)
+        assert fast.verdict == ref.verdict
+        if n == 2:
+            assert fast.feasible == brute_force_pair_feasible(*marginals, center)
+        if fast.feasible:
+            fast.coupling.validate(marginals=marginals, center=center)
+
     def test_size_guard(self):
         big = FiniteDiscrete([(float(v), 1.0 / 200) for v in range(200)])
         with pytest.raises(SizeError):
@@ -210,9 +264,6 @@ class TestZeroOneCouplings:
             expected[v] = expected.get(v, Fraction(0)) + Fraction(1, 3) * p
         for i in range(3):
             assert sym.marginal(i) == expected
-
-    def test_center_two_exclusion_argument(self):
-        assert center_two_excluded()
 
 
 class TestExchangeablePermute:

@@ -288,6 +288,46 @@ class TestPowerTwoGeometric:
         assert PowerTwoGeometric("positive").mean_status == "+inf"
         assert PowerTwoGeometric("negative").mean_status == "-inf"
 
+    WINDOWS = [(-3.5, 7.25), (0.3, 0.9), (1.0, 2.0), (-100.0, -2.0), (-9.0, -3.0),
+               (-5.0, 1000.5), (-1e6, 1e6), (2.0 ** 40 - 1, 2.0 ** 41 + 3)]
+
+    @staticmethod
+    def brute_survival(components, a, b, kmax=200):
+        """Sum of p * (clip(v, a, b) - a) over the atoms, in Fractions.
+
+        The atoms beyond index kmax lie above b (positive law, full length
+        b - a each) or below a (negative law, nothing).
+        """
+        a, b = Fraction(a), Fraction(b)
+        total = Fraction(0)
+        for w, law in components:
+            for v, p in law.pmf_fractions(kmax):
+                total += w * p * (min(max(v, a), b) - a)
+            if law.sign == "positive":
+                total += w * Fraction(1, 2 ** (kmax + 1)) * (b - a)
+        return total
+
+    @pytest.mark.parametrize("sign", ["positive", "negative"])
+    def test_survival_integral_exact(self, sign):
+        law = PowerTwoGeometric(sign, 3)
+        for a, b in self.WINDOWS:
+            want = self.brute_survival([(1, law)], a, b)
+            assert_allclose(law.survival_integral(a, b), float(want),
+                            rtol=1e-13, atol=1e-300)
+
+    def test_mixture_survival_integral_exact(self):
+        parts = [(Fraction(2, 3), PowerTwoGeometric("positive")),
+                 (Fraction(1, 3), PowerTwoGeometric("negative"))]
+        mix = CountableMixture(parts)
+        for a, b in self.WINDOWS:
+            want = self.brute_survival(parts, a, b)
+            assert_allclose(mix.survival_integral(a, b), float(want), rtol=1e-13)
+
+    def test_survival_integral_needs_finite_ends(self):
+        for b in (math.inf, math.nan, 1e308):
+            with pytest.raises(DomainError):
+                PowerTwoGeometric("positive").survival_integral(0.0, b)
+
 
 class TestAtomUniform:
     def test_mean_consistent_with_cdf(self):
