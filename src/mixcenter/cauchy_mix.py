@@ -36,11 +36,25 @@ from scipy.optimize import brentq
 
 from .distributions import AtomUniform, GenericDensity
 from .errors import ConstructionError, DomainError
-from .rearrangement import discretize, ra_flatten
+# ra_flatten is not called here, but perfbench/layers.py traces it under
+# this module's name
+from .rearrangement import discretize, ra_flatten, ra_flatten_stack, shuffle_columns  # noqa: F401
 from .seeding import substream
 
 PI = math.pi
 _EPS = np.finfo(float).eps
+# entries (cells * m * n) of one block of coupling cells built together:
+# large enough to amortize the per-sweep numpy calls, small enough that the
+# block's temporaries stay a few MB
+_CELL_BLOCK_ENTRIES = 1 << 18
+
+
+def _as_arrays(t, y):
+    """(both scalar, t, y): the arguments broadcast to 1-d float arrays."""
+    scalar = np.ndim(t) == 0 and np.ndim(y) == 0
+    t, y = np.broadcast_arrays(np.atleast_1d(np.asarray(t, dtype=float)),
+                               np.atleast_1d(np.asarray(y, dtype=float)))
+    return scalar, t, y
 
 
 def _atan_diff(u, el):
@@ -268,7 +282,8 @@ def _uniform_block_rows(n, count, rng):
 
 def _permute_rows(values, rng):
     n = values.shape[1]
-    perm = rng.permuted(np.broadcast_to(np.arange(n), values.shape).copy(), axis=1)
+    perm = np.broadcast_to(np.arange(n), values.shape).copy()
+    rng.permuted(perm, axis=1, out=perm)
     return np.take_along_axis(values, perm, axis=1)
 
 
@@ -338,6 +353,39 @@ class _CellCoupling:
     ra_spread: float
 
 
+def _raise_at(t, bad, message, value=None):
+    """Raise ConstructionError at the first t where ``bad`` holds; the
+    message formats that element of ``value`` when one is given."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        text = message if value is None else message.format(float(value[i]))
+        raise ConstructionError(f"{text} at t={float(t[i])}")
+
+
+def _fold_residuals(raw, lo, cut, target, t_hat):
+    """Fold each row's residual from ``target`` into one coordinate.
+
+    ``raw`` is a (cells, m, n) stack whose cell k is supported on
+    [lo[k], cut[k]]. In every row the whole residual goes to the coordinate
+    with the most room on both sides after the shift (the first such one);
+    raises if some row has no coordinate that stays inside the support.
+    """
+    dev = raw.sum(axis=2) - target
+    shifted = raw - dev[:, :, None]
+    margin = np.minimum(shifted - lo[:, None, None], cut[:, None, None] - shifted)
+    j = margin.argmax(axis=2)[:, :, None]
+    stuck = np.take_along_axis(margin, j, axis=2)[:, :, 0] < 0.0
+    if stuck.any():
+        k, r = np.unravel_index(np.argmax(stuck), stuck.shape)
+        raise ConstructionError(
+            f"coupling residual {dev[k, r]} cannot be folded into any coordinate "
+            f"at t={t_hat[k]}"
+        )
+    corrected = raw.copy()
+    np.put_along_axis(corrected, j, np.take_along_axis(shifted, j, axis=2), axis=2)
+    return corrected
+
+
 class ConstructiveMixer:
     """Sampler for 0 < c <= log(n-1)/pi via the slice decomposition."""
 
@@ -360,78 +408,148 @@ class ConstructiveMixer:
         self._cells = {}
         self._build()
 
-    # ----- scalar slice machinery -------------------------------------
+    # ----- slice machinery (scalars or arrays of t) -------------------
+
+    def _clip_window(self, t, y):
+        """Window [el, u] of the level-``y`` clipped density over
+        [c-t, c+(n-1)t], and the mask where it is non-empty. The kernel's
+        inverse density is evaluated only at levels strictly inside
+        (0, peak)."""
+        n, c, kern = self.n, self.c, self.kernel
+        el, u = c - t, c + (n - 1) * t
+        clipped = y > 0.0
+        live = ~clipped | (y < kern.peak())
+        inner = clipped & live
+        if inner.any():
+            r = np.atleast_1d(kern.inverse_pdf(y[inner]))
+            el[inner] = np.maximum(el[inner], -r)
+            u[inner] = np.minimum(u[inner], r)
+            live[inner] = el[inner] < u[inner]
+        return el, u, live
 
     def imbalance(self, t, y):
         """Centered first moment of the density clipped at level ``y`` over
-        the window [c-t, c+(n-1)t]. The clip level h(t) is its root in y."""
-        n, c, kern = self.n, self.c, self.kernel
-        lo, hi = c - t, c + (n - 1) * t
-        if y > 0.0:
-            if y >= kern.peak():
-                return 0.0
-            r = kern.inverse_pdf(y)
-            el, u = max(lo, -r), min(hi, r)
-            if el >= u:
-                return 0.0
-        else:
-            el, u = lo, hi
-        lin = 0.5 * (u - el) * (u + el - 2.0 * c)
-        return kern.centered_moment(el, u, c) - y * lin
+        the window [c-t, c+(n-1)t]. The clip level h(t) is its root in y.
+        ``t`` and ``y`` broadcast; two scalars give a float."""
+        c = self.c
+        scalar, t, y = _as_arrays(t, y)
+        el, u, live = self._clip_window(t, y)
+        out = np.zeros(t.shape)
+        if live.any():
+            el, u = el[live], u[live]
+            lin = 0.5 * (u - el) * (u + el - 2.0 * c)
+            out[live] = self.kernel.centered_moment(el, u, c) - y[live] * lin
+        return float(out[0]) if scalar else out
 
     def _imbalance_dy(self, t, y):
-        n, c, kern = self.n, self.c, self.kernel
-        lo, hi = c - t, c + (n - 1) * t
-        if y > 0.0:
-            if y >= kern.peak():
-                return 0.0
-            r = kern.inverse_pdf(y)
-            el, u = max(lo, -r), min(hi, r)
-            if el >= u:
-                return 0.0
-        else:
-            el, u = lo, hi
-        return -0.5 * (u - el) * (u + el - 2.0 * c)
+        """Partial derivative of the imbalance in y, at arrays t and y."""
+        el, u, live = self._clip_window(t, y)
+        return np.where(live, -0.5 * (u - el) * (u + el - 2.0 * self.c), 0.0)
 
     def _imbalance_dt(self, t, y):
+        """Partial derivative of the imbalance in t, at arrays t and y."""
         n, c, kern = self.n, self.c, self.kernel
-        a = max(kern.pdf(c + (n - 1) * t) - y, 0.0)
-        b = max(kern.pdf(c - t) - y, 0.0)
+        a = np.maximum(kern.pdf(c + (n - 1) * t) - y, 0.0)
+        b = np.maximum(kern.pdf(c - t) - y, 0.0)
         return t * ((n - 1) ** 2 * a - b)
 
     def clip_level(self, t):
-        """Solve for the clip level h(t) (root of the imbalance in y)."""
-        kern = self.kernel
-        ymax = float(kern.pdf(self.c + t))
-        a0 = self.imbalance(t, 0.0)
-        if a0 <= 0.0:
-            if a0 < -1e-10:
-                raise ConstructionError(
-                    f"imbalance at zero level is {a0:.3e} < 0 at t={t}; "
-                    "center outside the admissible interval or numeric defect"
-                )
-            return 0.0
-        if self.imbalance(t, ymax) >= 0.0:
-            return ymax
-        y = brentq(lambda yy: self.imbalance(t, yy), 0.0, ymax, xtol=1e-300, rtol=8.9e-16)
+        """Solve for the clip level h(t) (root of the imbalance in y).
+
+        Works on a scalar or an array of t. Each element runs its own Brent
+        iteration (a lock-step port of scipy's ``brentq``: same steps,
+        ``xtol=1e-300``, ``rtol=8.9e-16``, at most 100 iterations), then at
+        most six Newton steps until the residual is within ``root_tol``.
+        """
+        scalar = np.ndim(t) == 0
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        ymax = self.kernel.pdf(self.c + t)
+        a0 = self.imbalance(t, np.zeros_like(t))
+        _raise_at(t, a0 < -1e-10, "imbalance at zero level is {:.3e} < 0 (center outside "
+                  "the admissible interval or numeric defect)", a0)
+        y = np.zeros_like(t)
+        pos = np.nonzero(a0 > 0.0)[0]
+        a_max = self.imbalance(t[pos], ymax[pos])
+        y[pos] = ymax[pos]
+        below = a_max < 0.0
+        solve = pos[below]
+        if solve.size:
+            y[solve] = self._brent_levels(t[solve], ymax[solve], a0[solve], a_max[below])
+            self._polish_levels(t, y, ymax, solve)
+        return float(y[0]) if scalar else y
+
+    def _brent_levels(self, t, ymax, f_lo, f_hi, xtol=1e-300, rtol=8.9e-16, maxiter=100):
+        """Roots in y of the imbalance on [0, ymax], one Brent state per t."""
+        root = np.empty_like(t)
+        idx = np.arange(t.size)
+        xpre, xcur = np.zeros_like(t), ymax.copy()
+        fpre, fcur = f_lo.copy(), f_hi.copy()
+        xblk, fblk = np.zeros_like(t), np.zeros_like(t)
+        spre, scur = np.zeros_like(t), np.zeros_like(t)
+        for _ in range(maxiter):
+            flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+            xblk = np.where(flip, xpre, xblk)
+            fblk = np.where(flip, fpre, fblk)
+            spre = np.where(flip, xcur - xpre, spre)
+            scur = np.where(flip, xcur - xpre, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            # keep the better end in xcur: (pre, cur, blk) <- (cur, blk, cur)
+            xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                                np.where(swap, xcur, xblk))
+            fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                                np.where(swap, fcur, fblk))
+            delta = (xtol + rtol * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0) | (np.abs(sbis) < delta)
+            if done.any():
+                root[idx[done]] = xcur[done]
+                keep = ~done
+                idx, t, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                    a[keep] for a in (idx, t, xpre, xcur, xblk, fpre, fcur, fblk,
+                                      spre, scur, delta, sbis))
+                if idx.size == 0:
+                    return root
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                interp = -fcur * (xcur - xpre) / (fcur - fpre)
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                extrap = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                stry = np.where(xpre == xblk, interp, extrap)
+                short = 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
+                good = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) & short
+            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = np.where(np.abs(scur) > delta, xcur + scur,
+                            xcur + np.where(sbis > 0, delta, -delta))
+            fcur = self.imbalance(t, xcur)
+        raise ConstructionError(
+            f"clip level did not converge in {maxiter} iterations at t={t[0]}"
+        )
+
+    def _polish_levels(self, t, y, ymax, idx):
+        """Newton steps on y[idx] in place until the residual is within
+        ``root_tol``, the slope vanishes, or six steps are taken."""
         for _ in range(6):
-            resid = self.imbalance(t, y)
-            if abs(resid) <= self.config.root_tol:
-                break
-            d = self._imbalance_dy(t, y)
-            if d == 0.0:
-                break
-            y = min(max(y - resid / d, 0.0), ymax)
-        return y
+            resid = self.imbalance(t[idx], y[idx])
+            open_ = ~(np.abs(resid) <= self.config.root_tol)
+            idx, resid = idx[open_], resid[open_]
+            if idx.size == 0:
+                return
+            d = self._imbalance_dy(t[idx], y[idx])
+            open_ = d != 0.0
+            idx, resid, d = idx[open_], resid[open_], d[open_]
+            y[idx] = np.minimum(np.maximum(y[idx] - resid / d, 0.0), ymax[idx])
 
     def clip_level_slope(self, t, level=None):
         """h'(t) by the implicit-function formula with closed-form partials."""
         if level is None:
             level = self.level_at(t)
+        scalar, t, level = _as_arrays(t, level)
         d_y = self._imbalance_dy(t, level)
-        if d_y == 0.0:
-            return 0.0
-        return -self._imbalance_dt(t, level) / d_y
+        out = np.zeros(t.shape)
+        nz = d_y != 0.0
+        out[nz] = -self._imbalance_dt(t[nz], level[nz]) / d_y[nz]
+        return float(out[0]) if scalar else out
 
     def edge_density_balance(self, t):
         """(n-1)^2 f(c+(n-1)t) - f(c-t); its sign changes at most once and
@@ -442,26 +560,38 @@ class ConstructiveMixer:
         return float(out) if out.ndim == 0 else out
 
     def slice_weights(self, t, level=None) -> SliceWeights:
+        """Weights of the slice law at ``t``; an array of t gives array fields."""
         n, c, kern = self.n, self.c, self.kernel
         if level is None:
             level = self.clip_level(t)
-        w_lo = float(kern.pdf(c - t)) - level
-        w_hi = (n - 1) * max(float(kern.pdf(c + (n - 1) * t)) - level, 0.0)
-        cut = min(c + (n - 1) * t, float(kern.inverse_pdf(level)) if level > 0 else math.inf)
-        w_unif = -self.clip_level_slope(t, level) * (cut - (c - t))
-        self._check_slice(t, level, w_lo, w_hi, cut, w_unif)
-        return SliceWeights(t=t, level=level, w_lo=w_lo, w_hi=w_hi, cut=cut, w_unif=w_unif)
+        scalar, t, level = _as_arrays(t, level)
+        lo = c - t
+        w_lo = kern.pdf(lo) - level
+        w_hi = (n - 1) * np.maximum(kern.pdf(c + (n - 1) * t) - level, 0.0)
+        cut = self._cut(t, level)
+        w_unif = -self.clip_level_slope(t, level) * (cut - lo)
+        self._check_slice(t, w_lo, w_hi, cut, w_unif)
+        fields = (t, level, w_lo, w_hi, cut, w_unif)
+        if scalar:
+            fields = tuple(float(f[0]) for f in fields)
+        return SliceWeights(*fields)
 
-    def _check_slice(self, t, level, w_lo, w_hi, cut, w_unif):
+    def _cut(self, t, level):
+        """Right end of the uniform piece, min(c+(n-1)t, inverse_pdf(level));
+        the inverse density is evaluated only at positive levels."""
+        cut = self.c + (self.n - 1) * t
+        pos = level > 0
+        if pos.any():
+            cut[pos] = np.minimum(cut[pos], np.atleast_1d(self.kernel.inverse_pdf(level[pos])))
+        return cut
+
+    def _check_slice(self, t, w_lo, w_hi, cut, w_unif):
         c, n = self.c, self.n
-        if w_lo <= 0.0:
-            raise ConstructionError(f"low-atom weight {w_lo} <= 0 at t={t}")
-        if w_hi < 0.0 or w_unif < -1e-15:
-            raise ConstructionError(f"negative slice weight at t={t}")
-        if cut < c + t - 1e-9 * max(1.0, t):
-            raise ConstructionError(f"uniform cut {cut} below c+t at t={t}")
-        if w_unif > 0.0 and w_lo < (n - 1) * w_hi - 1e-12:
-            raise ConstructionError(f"atom imbalance w_lo < (n-1)w_hi at t={t}")
+        _raise_at(t, w_lo <= 0.0, "low-atom weight {} <= 0", w_lo)
+        _raise_at(t, (w_hi < 0.0) | (w_unif < -1e-15), "negative slice weight")
+        _raise_at(t, cut < c + t - 1e-9 * np.maximum(1.0, t), "uniform cut {} below c+t", cut)
+        _raise_at(t, (w_unif > 0.0) & (w_lo < (n - 1) * w_hi - 1e-12),
+                  "atom imbalance w_lo < (n-1)w_hi")
 
     def slice_mean(self, t, level=None):
         """Mean of the slice law (must equal c)."""
@@ -472,12 +602,13 @@ class ConstructiveMixer:
 
     def truncated_mass(self, t, level=None):
         """Mixing-measure mass on (0, t]: closed form F(cut)-F(c-t) - h*(cut-(c-t))."""
-        c, n, kern = self.c, self.n, self.kernel
         if level is None:
             level = self.clip_level(t)
-        cut = min(c + (n - 1) * t, float(kern.inverse_pdf(level)) if level > 0 else math.inf)
-        lo = c - t
-        return float(kern.cdf_diff(lo, cut)) - level * (cut - lo)
+        scalar, t, level = _as_arrays(t, level)
+        cut = self._cut(t, level)
+        lo = self.c - t
+        out = np.atleast_1d(self.kernel.cdf_diff(lo, cut)) - level * (cut - lo)
+        return float(out[0]) if scalar else out
 
     # ----- tabulation ---------------------------------------------------
 
@@ -491,16 +622,14 @@ class ConstructiveMixer:
             t_max *= 2.0
         else:
             raise ConstructionError("could not reach the requested mixing-measure mass")
-        knots = list(np.geomspace(cfg.t_min, t_max, cfg.t_grid))
-        levels = [self.clip_level(t) for t in knots]
+        knots = np.geomspace(cfg.t_min, t_max, cfg.t_grid)
+        levels = self.clip_level(knots)
         # the high-atom positive part switches where pdf(c+(n-1)t) crosses the
         # level; pin a knot at each detected crossing so the kink is resolved
         kern, n, c = self.kernel, self.n, self.c
-        kink_arg = [float(kern.pdf(c + (n - 1) * t)) - lv for t, lv in zip(knots, levels)]
+        kink_arg = kern.pdf(c + (n - 1) * knots) - levels
         inserts = []
-        for i in range(len(knots) - 1):
-            if kink_arg[i] * kink_arg[i + 1] >= 0.0:
-                continue
+        for i in np.nonzero(~(kink_arg[:-1] * kink_arg[1:] >= 0.0))[0]:
             # at tiny t both quantities agree to second order and the sign is
             # numerical noise; only resolve crossings that are clearly real
             noise_floor = 1e-10 * max(levels[i], levels[i + 1], 1e-30)
@@ -515,15 +644,14 @@ class ConstructiveMixer:
             )
             inserts.append(t_star)
         for t_star in inserts:
-            lv = self.clip_level(t_star)
             idx = int(np.searchsorted(knots, t_star))
             if 0 < idx < len(knots):
                 rel = min(abs(t_star - knots[idx - 1]), abs(knots[idx] - t_star))
                 if rel > 1e-12 * t_star:
-                    knots.insert(idx, t_star)
-                    levels.insert(idx, lv)
-        self.knots = np.array(knots)
-        self.levels = np.array(levels)
+                    knots = np.insert(knots, idx, t_star)
+                    levels = np.insert(levels, idx, self.clip_level(t_star))
+        self.knots = knots
+        self.levels = levels
         self._level_interp = PchipInterpolator(np.log(self.knots), self.levels)
 
         w = self.weights_at(self.knots, self.levels)
@@ -531,9 +659,7 @@ class ConstructiveMixer:
         # the cumulative mixing mass has a closed form (the truncated
         # reassembly mass), so the cdf is tabulated exactly at the knots;
         # the trapezoid of the rates is kept as an independent cross-check
-        cdf = np.array(
-            [self.truncated_mass(t, lv) for t, lv in zip(self.knots, self.levels)]
-        )
+        cdf = self.truncated_mass(self.knots, self.levels)
         self.raw_mass = float(cdf[-1])
         self.mass_deficit = 1.0 - self.raw_mass
         if not -1e-9 <= self.mass_deficit <= cfg.tail_eps + 1e-6:
@@ -599,60 +725,61 @@ class ConstructiveMixer:
     # ----- sampling -----------------------------------------------------
 
     def cell_coupling(self, idx) -> _CellCoupling:
-        cell = self._cells.get(idx)
-        if cell is not None:
-            return cell
+        """The (cached) coupling cell between knots ``idx`` and ``idx + 1``."""
+        if idx not in self._cells:
+            self._build_cells([idx])
+        return self._cells[idx]
+
+    def _build_cells(self, ids):
+        """Build the coupling cells ``ids``, a block of them at a time.
+
+        Each cell couples its slice at the geometric knot midpoint: the
+        atom-plus-uniform part is discretized, every column gets its own
+        shuffle from the cell's ``coupling`` substream, the block's matrices
+        are rearranged together, and each row's residual is folded into the
+        coordinate with the most room. A cell does not depend on which other
+        cells share its block.
+        """
         cfg = self.config
-        n, c = self.n, self.c
-        t_hat = math.sqrt(self.knots[idx] * self.knots[min(idx + 1, len(self.knots) - 1)])
-        level = self.clip_level(t_hat)
-        w = self.slice_weights(t_hat, level)
-        lo = c - t_hat
-        width = w.cut - lo
-        denom = w.w_lo - (n - 1) * w.w_hi + w.w_unif
-        if denom <= 0.0 or w.w_unif <= 0.0:
-            raise ConstructionError(f"degenerate atom-plus-uniform slice at t={t_hat}")
-        atom_weight = min(max((w.w_lo - (n - 1) * w.w_hi) / denom, 0.0), 1.0)
-        if atom_weight > 1.0 - 2.0 / n + 1e-9:
-            raise ConstructionError(
-                f"atom weight {atom_weight} violates the mean inequality margin at t={t_hat}"
-            )
-        # mean-inequality precondition: n * t >= width (cut <= c+(n-1)t)
-        if n * t_hat < width - 1e-9 * max(1.0, width):
-            raise ConstructionError(f"slice width {width} exceeds n*t at t={t_hat}")
-        model = AtomUniform(lo, w.cut, atom_weight)
-        column = discretize(model, cfg.ra_grid_m)
-        mat = np.column_stack([column] * n)
-        rng = substream(cfg.seed, "coupling", str(idx))
-        flat = ra_flatten(mat, max_sweeps=64, rng=rng)
-        corrected = flat.matrix.copy()
-        sums = corrected.sum(axis=1)
-        target = n * c
-        for r in range(corrected.shape[0]):
-            dev = sums[r] - target
-            shifted = corrected[r] - dev
-            # fold the residual into the coordinate with the most room; the
-            # shifted value must stay inside the slice support [lo, cut]
-            margin = np.minimum(shifted - lo, w.cut - shifted)
-            j = int(np.argmax(margin))
-            if margin[j] < 0.0:
-                raise ConstructionError(
-                    f"coupling residual {dev} cannot be folded into any coordinate at t={t_hat}"
+        n, c, m = self.n, self.c, cfg.ra_grid_m
+        per_block = max(1, _CELL_BLOCK_ENTRIES // (m * n))
+        for start in range(0, len(ids), per_block):
+            block = np.asarray(ids[start:start + per_block], dtype=int)
+            upper = np.minimum(block + 1, len(self.knots) - 1)
+            t_hat = np.sqrt(self.knots[block] * self.knots[upper])
+            w = self.slice_weights(t_hat)
+            lo = c - t_hat
+            width = w.cut - lo
+            denom = w.w_lo - (n - 1) * w.w_hi + w.w_unif
+            _raise_at(t_hat, (denom <= 0.0) | (w.w_unif <= 0.0),
+                      "degenerate atom-plus-uniform slice")
+            atom_weight = np.minimum(np.maximum((w.w_lo - (n - 1) * w.w_hi) / denom, 0.0), 1.0)
+            _raise_at(t_hat, atom_weight > 1.0 - 2.0 / n + 1e-9,
+                      "atom weight {} violates the mean inequality margin", atom_weight)
+            # mean-inequality precondition: n * t >= width (cut <= c+(n-1)t)
+            _raise_at(t_hat, n * t_hat < width - 1e-9 * np.maximum(1.0, width),
+                      "slice width {} exceeds n*t", width)
+            stack = np.empty((block.size, m, n))
+            for k, idx in enumerate(block):
+                model = AtomUniform(lo[k], w.cut[k], atom_weight[k])
+                stack[k] = discretize(model, m)[:, None]
+                shuffle_columns(stack[k], substream(cfg.seed, "coupling", str(idx)))
+            flats = ra_flatten_stack(stack, max_sweeps=64)
+            corrected = _fold_residuals(np.stack([f.matrix for f in flats]), lo, w.cut,
+                                        n * c, t_hat)
+            bound = n * width / m
+            # each cell gets its own arrays, so no cached cell pins the block
+            for k, idx in enumerate(block):
+                self._cells[int(idx)] = _CellCoupling(
+                    t_hat=float(t_hat[k]),
+                    lo=float(lo[k]),
+                    cut=float(w.cut[k]),
+                    atom_weight=float(atom_weight[k]),
+                    raw_matrix=flats[k].matrix.copy(),
+                    corrected_matrix=corrected[k].copy(),
+                    bound=float(bound[k]),
+                    ra_spread=flats[k].spread,
                 )
-            corrected[r, j] = shifted[j]
-        bound = n * width / cfg.ra_grid_m
-        cell = _CellCoupling(
-            t_hat=t_hat,
-            lo=lo,
-            cut=w.cut,
-            atom_weight=atom_weight,
-            raw_matrix=flat.matrix,
-            corrected_matrix=corrected,
-            bound=bound,
-            ra_spread=flat.spread,
-        )
-        self._cells[idx] = cell
-        return cell
 
     def sample_slice_mix(self, t, rng):
         """One n-tuple from the slice coupling at ``t`` (sum n*c)."""
@@ -690,12 +817,7 @@ class ConstructiveMixer:
                 0,
                 len(self.knots) - 2,
             )
-            for cell_id in np.unique(cells):
-                cell = self.cell_coupling(int(cell_id))
-                sel = idx2[cells == cell_id]
-                values[sel] = cell.corrected_matrix[row_idx[sel]]
-                out_t[sel] = cell.t_hat
-                bound[sel] = cell.bound
+            self._fill_from_cells(idx2, cells, row_idx, values, out_t, bound)
             values[idx2] = _permute_rows(values[idx2], rng)
 
         return SampleBatch(
@@ -705,6 +827,21 @@ class ConstructiveMixer:
             row_bound=bound,
             target_sum=n * c,
         )
+
+    def _fill_from_cells(self, rows, cells, row_idx, values, out_t, bound):
+        """Fill ``rows`` from their cells (built first where missing): the
+        cell-coupling row ``row_idx``, the cell's t and its row bound."""
+        counts = np.bincount(cells)
+        ids = np.nonzero(counts)[0]
+        self._build_cells([int(i) for i in ids if int(i) not in self._cells])
+        grouped = rows[np.argsort(cells, kind="stable")]
+        stops = np.cumsum(counts[ids])
+        for cell_id, start, stop in zip(ids, stops - counts[ids], stops):
+            cell = self._cells[int(cell_id)]
+            sel = grouped[start:stop]
+            values[sel] = cell.corrected_matrix[row_idx[sel]]
+            out_t[sel] = cell.t_hat
+            bound[sel] = cell.bound
 
     def sample(self, count, rng) -> SampleBatch:
         """``count`` rows with standard-Cauchy coordinates summing to n*c."""

@@ -137,6 +137,21 @@ SCHEMAS = {
             "schema": {"type": "string"},
             "all_pass": {"type": "boolean"},
             "checks": {"type": "array"},
+            "sum_stats": {
+                "type": "object",
+                "required": ["mean_dev", "max_abs_dev", "per_branch"],
+                "properties": {
+                    "mean_dev": {"type": "number"},
+                    "max_abs_dev": {"type": "number"},
+                    "per_branch": {
+                        "type": "object",
+                        "additionalProperties": {
+                            "type": "object",
+                            "required": ["count", "mean_dev", "max_abs_dev"],
+                        },
+                    },
+                },
+            },
         },
     },
     "mixcenter.ex01/1": {
@@ -304,26 +319,30 @@ def _cmd_centers(args):
     return 0
 
 
+# rows formatted per write: bounds the temporary Python objects of tolist()
+_CSV_CHUNK_ROWS = 8192
+
+
 def _write_csv(path, values, ts, branch):
+    """Write ``x1..xn, t, branch, row_sum`` rows: doubles as ``%.17g``,
+    ``branch`` as an integer, CRLF line ends (the csv module's dialect)."""
     n = values.shape[1]
     header = [f"x{j + 1}" for j in range(n)] + ["t", "branch", "row_sum"]
+    row = ",".join(["%.17g"] * (n + 1) + ["%d", "%.17g"]) + "\r\n"
+    sums = values.sum(axis=1)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        sums = values.sum(axis=1)
-        for i in range(values.shape[0]):
-            row = [f"{v:.17g}" for v in values[i]]
-            row += [f"{ts[i]:.17g}", str(int(branch[i])), f"{sums[i]:.17g}"]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, values.shape[0], _CSV_CHUNK_ROWS):
+            rows = slice(start, start + _CSV_CHUNK_ROWS)
+            chunk = np.column_stack([values[rows], ts[rows], branch[rows], sums[rows]])
+            fh.write("".join([row % tuple(r) for r in chunk.tolist()]))
 
 
 def _read_csv(path):
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader]
+        header = fh.readline().strip().split(",")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     n = sum(1 for name in header if name.startswith("x"))
-    data = np.array([[float(v) for v in row] for row in rows])
     values = data[:, :n]
     ts = data[:, header.index("t")]
     branch = data[:, header.index("branch")].astype(int)
@@ -442,6 +461,11 @@ def _cmd_verify(args):
             for name, ok, meas, thr in checks
         ],
         "config": meta,
+        "sum_stats": {
+            "mean_dev": stats.mean_dev,
+            "max_abs_dev": stats.max_abs_dev,
+            "per_branch": {str(lab): entry for lab, entry in stats.per_branch.items()},
+        },
     }
     if args.format == "csv":
         writer = csv.writer(sys.stdout)

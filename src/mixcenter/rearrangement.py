@@ -26,11 +26,16 @@ def discretize(model, m: int) -> np.ndarray:
     return np.asarray(q, dtype=float)
 
 
-def default_spread_tol(matrix: np.ndarray) -> float:
-    """Attainable discretization floor: twice the summed column ranges over m."""
-    m = matrix.shape[0]
-    ranges = matrix.max(axis=0) - matrix.min(axis=0)
-    return 2.0 * float(ranges.sum()) / m
+def default_spread_tol(matrix: np.ndarray):
+    """Attainable discretization floor: twice the summed column ranges over m.
+
+    ``matrix`` is one (m, n) matrix or a (cells, m, n) stack; a stack gets
+    one floor per cell.
+    """
+    m = matrix.shape[-2]
+    ranges = matrix.max(axis=-2) - matrix.min(axis=-2)
+    out = 2.0 * ranges.sum(axis=-1) / m
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -44,6 +49,13 @@ class FlattenResult:
         return self.matrix.sum(axis=1)
 
 
+def shuffle_columns(matrix: np.ndarray, rng) -> None:
+    """Apply an independent ``rng.permutation`` to each column, in place."""
+    m, n = matrix.shape
+    for j in range(n):
+        matrix[:, j] = matrix[rng.permutation(m), j]
+
+
 def ra_flatten(matrix, max_sweeps: int = 100, spread_tol: float = None,
                rng=None) -> FlattenResult:
     """Iteratively re-sort each column antitonically to the rest of the row.
@@ -54,44 +66,70 @@ def ra_flatten(matrix, max_sweeps: int = 100, spread_tol: float = None,
     for cross-platform determinism. The matrix with the best spread seen
     is returned, so reported sweep spreads are non-increasing. An optional
     ``rng`` applies independent initial shuffles per column; the identity
-    start can be a poor local optimum.
+    start can be a poor local optimum. This is the one-cell case of
+    ``ra_flatten_stack``.
     """
     cur = np.array(matrix, dtype=float, copy=True)
     if cur.ndim != 2:
         raise DomainError("matrix must be two-dimensional")
-    m, n = cur.shape
-    if n == 1:
+    if cur.shape[1] == 1:
         return FlattenResult(cur, 0.0, [0.0], True)
-    if spread_tol is None:
-        spread_tol = default_spread_tol(cur)
     if rng is not None:
-        for j in range(n):
-            cur[:, j] = cur[rng.permutation(m), j]
+        shuffle_columns(cur, rng)
+    return ra_flatten_stack(cur[None], max_sweeps, spread_tol)[0]
 
-    sums = cur.sum(axis=1)
+
+def ra_flatten_stack(stack, max_sweeps: int = 100, spread_tol: float = None) -> list:
+    """``ra_flatten`` on every cell of a (cells, m, n) stack, in lock step.
+
+    Each cell keeps its own stopping rule (floor reached, or two sweeps
+    without improvement), its own best-so-far matrix and its own sweep
+    count, so the result for a cell does not depend on the other cells.
+    ``spread_tol`` is one floor for all cells, or by default each cell's
+    ``default_spread_tol``. The stack is flattened as given (no shuffles)
+    and not modified; returns one ``FlattenResult`` per cell.
+    """
+    cur = np.array(stack, dtype=float, copy=True)
+    if cur.ndim != 3:
+        raise DomainError("stack must be three-dimensional")
+    cells, m, n = cur.shape
+    tol = default_spread_tol(cur) if spread_tol is None else np.full(cells, float(spread_tol))
+
+    sums = cur.sum(axis=2)
     best = cur.copy()
-    best_spread = float(sums.max() - sums.min())
-    sweep_spreads = [best_spread]
-    stall = 0
+    best_spread = sums.max(axis=1) - sums.min(axis=1)
+    sweep_spreads = [[float(s)] for s in best_spread]
+    stall = np.zeros(cells, dtype=int)
+    # live cells, compacted: positions ``live`` of the stack, state in cur/sums
+    live = np.nonzero(best_spread > tol)[0]
+    cur, sums = cur[live], sums[live]
+    rows = np.arange(live.size)[:, None]
     for _ in range(max_sweeps):
-        if best_spread <= spread_tol:
+        if live.size == 0:
             break
         for j in range(n):
-            rest = sums - cur[:, j]
-            order = np.argsort(rest, kind="stable")
-            newcol = np.empty(m)
-            newcol[order] = np.sort(cur[:, j])[::-1]
-            sums += newcol - cur[:, j]
-            cur[:, j] = newcol
-        spread = float(sums.max() - sums.min())
-        if spread < best_spread - 1e-15:
-            best, best_spread, stall = cur.copy(), spread, 0
-        else:
-            stall += 1
-        sweep_spreads.append(best_spread)
-        if stall >= 2:
-            break
-    return FlattenResult(best, best_spread, sweep_spreads, best_spread <= spread_tol)
+            col = cur[:, :, j]
+            order = np.argsort(sums - col, axis=1, kind="stable")
+            newcol = np.empty_like(col)
+            newcol[rows, order] = np.sort(col, axis=1)[:, ::-1]
+            sums += newcol - col
+            cur[:, :, j] = newcol
+        spread = sums.max(axis=1) - sums.min(axis=1)
+        better = spread < best_spread[live] - 1e-15
+        best[live[better]] = cur[better]
+        best_spread[live[better]] = spread[better]
+        stall[live] = np.where(better, 0, stall[live] + 1)
+        for k in live:
+            sweep_spreads[k].append(float(best_spread[k]))
+        keep = (stall[live] < 2) & (best_spread[live] > tol[live])
+        if not keep.all():
+            live, cur, sums = live[keep], cur[keep], sums[keep]
+            rows = rows[: live.size]
+    return [
+        FlattenResult(best[k], float(best_spread[k]), sweep_spreads[k],
+                      bool(best_spread[k] <= tol[k]))
+        for k in range(cells)
+    ]
 
 
 def sample_rows(matrix: np.ndarray, count: int, rng) -> np.ndarray:

@@ -179,11 +179,11 @@ def _constructive_suite(mixer: ConstructiveMixer) -> list:
     res.append(InvariantResult("clip_level_bounds", over <= 1e-15 and under >= 0.0,
                                worst, 1e-15))
 
-    resid = max(abs(mixer.imbalance(t, lv)) for t, lv in zip(knots, levels))
+    resid = float(np.max(np.abs(mixer.imbalance(knots, levels))))
     res.append(InvariantResult("root_residual", resid <= cfg.root_tol, resid,
                                cfg.root_tol))
 
-    a0 = min(mixer.imbalance(t, 0.0) for t in knots)
+    a0 = float(np.min(mixer.imbalance(knots, 0.0)))
     res.append(InvariantResult("zero_level_nonnegative", a0 >= -1e-10, a0, -1e-10))
 
     changes, wrong = _sign_changes(mixer.edge_density_balance(knots))

@@ -1,10 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+from mixcenter import cauchy_mix
 from mixcenter.cauchy_mix import (
     CauchyKernel,
     ConstructiveMixer,
@@ -91,6 +95,129 @@ class TestClipLevel:
             fd = (mixer.clip_level(t + h) - mixer.clip_level(t - h)) / (2 * h)
             an = mixer.clip_level_slope(t, mixer.clip_level(t))
             assert_allclose(an, fd, rtol=5e-4, atol=1e-14)
+
+
+def _scalar_window(mixer, t, y):
+    """Clipped window [el, u] at one (t, y) in Python scalars, or None
+    where it is empty."""
+    n, c, kern = mixer.n, mixer.c, mixer.kernel
+    lo, hi = c - t, c + (n - 1) * t
+    if y <= 0.0:
+        return lo, hi
+    if y >= kern.peak():
+        return None
+    r = kern.inverse_pdf(y)
+    el, u = max(lo, -r), min(hi, r)
+    return (el, u) if el < u else None
+
+
+def _scalar_imbalance(mixer, t, y):
+    """Imbalance at one (t, y): the reference for the array form."""
+    window = _scalar_window(mixer, t, y)
+    if window is None:
+        return 0.0
+    el, u = window
+    c = mixer.c
+    lin = 0.5 * (u - el) * (u + el - 2.0 * c)
+    return mixer.kernel.centered_moment(el, u, c) - y * lin
+
+
+def _scalar_level(mixer, t):
+    """Clip level at one t by scipy's brentq plus the Newton polish: the
+    reference the array solver must match bit for bit."""
+    t = float(t)
+    ymax = float(mixer.kernel.pdf(mixer.c + t))
+    if _scalar_imbalance(mixer, t, 0.0) <= 0.0:
+        return 0.0
+    if _scalar_imbalance(mixer, t, ymax) >= 0.0:
+        return ymax
+    y = brentq(lambda yy: _scalar_imbalance(mixer, t, yy), 0.0, ymax,
+               xtol=1e-300, rtol=8.9e-16)
+    for _ in range(6):
+        resid = _scalar_imbalance(mixer, t, y)
+        if abs(resid) <= mixer.config.root_tol:
+            break
+        window = _scalar_window(mixer, t, y)
+        if window is None:
+            break
+        el, u = window
+        d = -0.5 * (u - el) * (u + el - 2.0 * mixer.c)
+        if d == 0.0:
+            break
+        y = min(max(y - resid / d, 0.0), ymax)
+    return y
+
+
+class TestArrayClipLevel:
+    @pytest.mark.parametrize(
+        "n,c",
+        [(3, 0.15), (10, math.log(9) / PI), (5, 0.3), (4, 1e-9), (3, LOG2_PI)],
+        ids=["n3", "n10-endpoint", "n5", "n4-tiny", "n3-endpoint"],
+    )
+    def test_matches_scalar_brentq_bit_for_bit(self, n, c):
+        mx = ConstructiveMixer(MixerConfig(n=n, c=c, t_grid=512, seed=1))
+        want = np.array([_scalar_level(mx, t) for t in mx.knots])
+        assert mx.levels.tobytes() == want.tobytes()
+        assert mx.clip_level(mx.knots).tobytes() == want.tobytes()
+        mids = np.sqrt(mx.knots[:-1] * mx.knots[1:])[::3]
+        want = np.array([_scalar_level(mx, t) for t in mids])
+        assert mx.clip_level(mids).tobytes() == want.tobytes()
+        assert mx.clip_level(float(mids[5])) == want[5]
+
+    def test_imbalance_array_matches_scalar(self, mixer):
+        ts = np.geomspace(1e-5, 1e5, 40)
+        ys = np.concatenate([[0.0, -1.0, 1.0], mixer.kernel.pdf(mixer.c + ts[3:]) * 0.5])
+        want = [_scalar_imbalance(mixer, t, y) for t, y in zip(ts, ys)]
+        assert mixer.imbalance(ts, ys).tobytes() == np.array(want).tobytes()
+
+    def test_nonconvergence_raises(self, mixer):
+        from mixcenter.errors import ConstructionError
+
+        with pytest.raises(ConstructionError, match="did not converge"):
+            mixer._brent_levels(np.array([1.0]), np.array([0.1]), np.array([1.0]),
+                                np.array([-1.0]), maxiter=2)
+
+
+def _fold_rows(raw, lo, cut, target):
+    """Row-by-row residual fold: the reference for the stacked fold."""
+    corrected = raw.copy()
+    sums = corrected.sum(axis=1)
+    for r in range(corrected.shape[0]):
+        shifted = corrected[r] - (sums[r] - target)
+        margin = np.minimum(shifted - lo, cut - shifted)
+        j = int(np.argmax(margin))
+        assert margin[j] >= 0.0
+        corrected[r, j] = shifted[j]
+    return corrected
+
+
+@st.composite
+def _centers(draw):
+    n = draw(st.integers(3, 12))
+    frac = draw(st.floats(1e-6, 1.0))
+    return n, frac * math.log(n - 1) / PI
+
+
+class TestBatchedCells:
+    @settings(max_examples=6, deadline=None)
+    @given(nc=_centers(), entries=st.sampled_from([1, 700, 1 << 18]))
+    def test_batched_cells_equal_single_builds(self, nc, entries):
+        n, c = nc
+        cfg = MixerConfig(n=n, c=c, t_grid=512, ra_grid_m=32, seed=3)
+        batched = ConstructiveMixer(cfg)
+        with mock.patch.object(cauchy_mix, "_CELL_BLOCK_ENTRIES", entries):
+            batched.sample(400, substream(3, "cells"))
+        assert batched._cells
+        single = ConstructiveMixer(cfg)
+        target = n * batched.c
+        for idx, cell in batched._cells.items():
+            ref = single.cell_coupling(idx)
+            for name in ("t_hat", "lo", "cut", "atom_weight", "bound", "ra_spread"):
+                assert getattr(cell, name) == getattr(ref, name)
+            assert cell.raw_matrix.tobytes() == ref.raw_matrix.tobytes()
+            assert cell.corrected_matrix.tobytes() == ref.corrected_matrix.tobytes()
+            folded = _fold_rows(cell.raw_matrix, cell.lo, cell.cut, target)
+            assert cell.corrected_matrix.tobytes() == folded.tobytes()
 
 
 class TestSliceWeights:

@@ -4,8 +4,10 @@ import math
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+from mixcenter import cli
 from mixcenter.cli import SCHEMAS, main
 
 
@@ -147,6 +149,18 @@ class TestSampleVerify:
         code, payload = run_json(capsys, "verify", out)
         assert code == 0
         assert payload["all_pass"] is True
+        # per-branch row-sum deviations, recomputed from the CSV
+        values, _, branch, _ = cli._read_csv(out)
+        devs = values.sum(axis=1) - 3 * 0.15
+        stats = payload["sum_stats"]
+        assert stats["max_abs_dev"] == float(np.abs(devs).max())
+        assert set(stats["per_branch"]) == {"1", "2"}
+        for label, entry in stats["per_branch"].items():
+            sel = devs[branch == int(label)]
+            assert entry["count"] == sel.size
+            assert entry["max_abs_dev"] == float(np.abs(sel).max())
+            assert entry["mean_dev"] == float(sel.mean())
+        assert sum(e["count"] for e in stats["per_branch"].values()) == 8000
 
     def test_csv_round_trips_doubles(self, capsys, tmp_path):
         out = str(tmp_path / "rows.csv")
@@ -206,6 +220,52 @@ class TestSampleVerify:
         assert code == 0
         header = text.splitlines()[0]
         assert header == "name,passed,measured,threshold"
+
+
+def _reference_csv(path, values, ts, branch):
+    """The csv-module writer whose bytes ``_write_csv`` must reproduce."""
+    n = values.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j + 1}" for j in range(n)] + ["t", "branch", "row_sum"])
+        sums = values.sum(axis=1)
+        for i in range(values.shape[0]):
+            row = [f"{v:.17g}" for v in values[i]]
+            row += [f"{ts[i]:.17g}", str(int(branch[i])), f"{sums[i]:.17g}"]
+            writer.writerow(row)
+
+
+class TestCsvIo:
+    @pytest.mark.parametrize("count", [1, cli._CSV_CHUNK_ROWS + 37])
+    def test_bytes_match_csv_module_and_read_back_exactly(self, tmp_path, count):
+        rng = np.random.default_rng(count)
+        scale = 10.0 ** rng.integers(-300, 300, size=(count, 4))
+        values = rng.standard_cauchy((count, 4)) * scale
+        values[0] = [0.0, -0.0, 5e-324, -1.7976931348623157e308]
+        ts = rng.random(count)
+        ts[::3] = np.nan
+        branch = rng.integers(1, 4, size=count).astype(np.int8)
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        cli._write_csv(str(ours), values, ts, branch)
+        _reference_csv(str(ref), values, ts, branch)
+        assert ours.read_bytes() == ref.read_bytes()
+        got_values, got_ts, got_branch, got_sums = cli._read_csv(str(ours))
+        assert got_values.tobytes() == values.tobytes()
+        assert got_ts.tobytes() == ts.tobytes()
+        assert np.array_equal(got_branch, branch)
+        assert got_sums.tobytes() == values.sum(axis=1).tobytes()
+
+    def test_ra_engine_rows_with_nan_t(self, capsys, tmp_path):
+        out = tmp_path / "ra.csv"
+        code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0", "--count", "500",
+                          "--seed", "4", "--engine", "ra", "--out", str(out))
+        assert code == 0
+        values, ts, branch, sums = cli._read_csv(str(out))
+        assert np.isnan(ts).all() and (branch == 2).all()
+        assert sums.tobytes() == values.sum(axis=1).tobytes()
+        ref = tmp_path / "ref.csv"
+        _reference_csv(str(ref), values, ts, branch)
+        assert out.read_bytes() == ref.read_bytes()
 
 
 class TestEx01:

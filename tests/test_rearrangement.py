@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from mixcenter.distributions import AtomUniform, Cauchy, Uniform, point_mass
@@ -8,7 +9,9 @@ from mixcenter.rearrangement import (
     default_spread_tol,
     discretize,
     ra_flatten,
+    ra_flatten_stack,
     sample_rows,
+    shuffle_columns,
 )
 
 
@@ -74,6 +77,71 @@ class TestFlatten:
         mat = _uniform_matrix(128)
         expected = 2.0 * 3 * (mat[:, 0].max() - mat[:, 0].min()) / 128
         assert default_spread_tol(mat) == pytest.approx(expected)
+
+
+def _ra_reference(cur, max_sweeps):
+    """One matrix, column by column, in Python: the reference for the
+    stacked rearrangement (same stopping rule and best-so-far)."""
+    cur = cur.copy()
+    m, n = cur.shape
+    tol = default_spread_tol(cur)
+    sums = cur.sum(axis=1)
+    best, best_spread = cur.copy(), float(sums.max() - sums.min())
+    spreads, stall = [best_spread], 0
+    for _ in range(max_sweeps):
+        if best_spread <= tol:
+            break
+        for j in range(n):
+            order = np.argsort(sums - cur[:, j], kind="stable")
+            newcol = np.empty(m)
+            newcol[order] = np.sort(cur[:, j])[::-1]
+            sums += newcol - cur[:, j]
+            cur[:, j] = newcol
+        spread = float(sums.max() - sums.min())
+        if spread < best_spread - 1e-15:
+            best, best_spread, stall = cur.copy(), spread, 0
+        else:
+            stall += 1
+        spreads.append(best_spread)
+        if stall >= 2:
+            break
+    return best, best_spread, spreads, best_spread <= tol
+
+
+class TestFlattenStack:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 12), m=st.sampled_from([8, 33, 128]),
+           cells=st.integers(1, 5), atom=st.floats(0.0, 0.6), seed=st.integers(0, 2**32 - 1))
+    def test_stack_equals_per_cell_calls(self, n, m, cells, atom, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.empty((cells, m, n))
+        singles = []
+        for k in range(cells):
+            col = discretize(AtomUniform(-1.0 - k, 1.0 + rng.random(), atom), m)
+            stack[k] = col[:, None]
+            cell_rng = np.random.default_rng([seed, k])
+            singles.append(ra_flatten(stack[k], max_sweeps=64, rng=cell_rng))
+            shuffle_columns(stack[k], np.random.default_rng([seed, k]))
+        before = stack.copy()
+        got = ra_flatten_stack(stack, max_sweeps=64)
+        assert np.array_equal(stack, before)
+        for k, (res, ref) in enumerate(zip(got, singles)):
+            assert res.matrix.tobytes() == ref.matrix.tobytes()
+            assert res.spread == ref.spread
+            assert res.sweep_spreads == ref.sweep_spreads
+            assert res.converged is ref.converged
+            matrix, spread, spreads, converged = _ra_reference(before[k], 64)
+            assert res.matrix.tobytes() == matrix.tobytes()
+            assert (res.spread, res.sweep_spreads, res.converged) == (spread, spreads, converged)
+
+    def test_explicit_tolerance_applies_to_every_cell(self):
+        stack = np.stack([_uniform_matrix(64)] * 3)
+        got = ra_flatten_stack(stack, spread_tol=np.inf)
+        assert all(r.sweep_spreads == [r.spread] and r.converged for r in got)
+
+    def test_rejects_matrices(self):
+        with pytest.raises(DomainError):
+            ra_flatten_stack(_uniform_matrix(8))
 
 
 class TestRowSampler:
