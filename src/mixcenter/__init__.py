@@ -3,21 +3,14 @@
 Bounds and exact intervals for admissible centers, a transportation
 feasibility oracle for discrete marginals, and constructive samplers
 emitting n standard Cauchy variates with a prescribed constant sum.
+
+``center_bounds`` and ``discrete_mix`` import scipy, so their names are
+loaded on first use (PEP 562); the samplers, distributions and
+verification load with numpy alone.
 """
 
-from .center_bounds import (
-    CenterInterval,
-    CmBounds,
-    DualBoundResult,
-    JmBoundsInput,
-    cauchy_avg_quantile_upper,
-    cauchy_center_interval,
-    cm_bounds,
-    dual_bound,
-    infinite_mean_classifier,
-    jm_center_bounds,
-    mean_inequality_holds,
-)
+from importlib import import_module as _import_module
+
 from .cauchy_mix import (
     AdmissibilityResult,
     CauchyKernel,
@@ -30,15 +23,6 @@ from .cauchy_mix import (
     build_mixer,
     build_mixer_for_density,
     generic_admissibility,
-)
-from .discrete_mix import (
-    CenterSet,
-    Coupling,
-    FeasibilityResult,
-    enumerate_centers,
-    exchangeable_permute,
-    feasible_center,
-    zero_one_couplings,
 )
 from .distributions import (
     AtomUniform,
@@ -74,4 +58,43 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_LAZY = {
+    "center_bounds": (
+        "CenterInterval",
+        "CmBounds",
+        "DualBoundResult",
+        "JmBoundsInput",
+        "cauchy_avg_quantile_upper",
+        "cauchy_center_interval",
+        "cm_bounds",
+        "dual_bound",
+        "infinite_mean_classifier",
+        "jm_center_bounds",
+        "mean_inequality_holds",
+    ),
+    "discrete_mix": (
+        "CenterSet",
+        "Coupling",
+        "FeasibilityResult",
+        "enumerate_centers",
+        "exchangeable_permute",
+        "feasible_center",
+        "zero_one_couplings",
+    ),
+}
+# exported name -> the module that defines it (a module name maps to itself)
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in (module, *names)}
+
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | set(_LAZY_HOME))
+
+
+def __getattr__(name):
+    module = _LAZY_HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = _import_module(f".{module}", __name__)
+    return loaded if name == module else getattr(loaded, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_HOME))

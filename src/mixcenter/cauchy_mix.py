@@ -22,6 +22,9 @@ reflection of the mixer for -c.
 The slice machinery is driven by the clip level h(t): the unique level
 below the density value at c+t for which the level-clipped density over
 the window [c-t, c+(n-1)t] has centered first moment zero.
+
+The Cauchy mixers need numpy only; scipy is imported by the quadrature
+paths of generic densities (``DensityKernel``, ``generic_admissibility``).
 """
 from __future__ import annotations
 
@@ -30,9 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .distributions import AtomUniform, GenericDensity
 from .errors import ConstructionError, DomainError
@@ -161,6 +161,8 @@ class DensityKernel:
         return float(out[0]) if out.size == 1 else out
 
     def centered_moment(self, el, u, c):
+        from scipy.integrate import quad
+
         el_a = np.atleast_1d(np.asarray(el, dtype=float))
         u_a = np.atleast_1d(np.asarray(u, dtype=float))
         out = np.array(
@@ -193,6 +195,8 @@ class DensityKernel:
         return float(out[0]) if out.size == 1 else out
 
     def radius_quantile(self, u):
+        from scipy.optimize import brentq
+
         u = np.atleast_1d(np.asarray(u, dtype=float))
         out = np.empty_like(u)
         for i, ui in enumerate(u):
@@ -362,6 +366,117 @@ def _raise_at(t, bad, message, value=None):
         raise ConstructionError(f"{text} at t={float(t[i])}")
 
 
+def _brent_roots(f, lo, hi, f_lo, f_hi, xtol, args=(), rtol=8.9e-16, maxiter=100,
+                 what="root"):
+    """Roots of ``f(x, *args)`` on the brackets [lo, hi], one Brent state per element.
+
+    A lock-step port of scipy's ``brentq`` (Brent 1973): each element takes
+    the steps a scalar ``brentq`` with the same ``xtol``, ``rtol`` and
+    ``maxiter`` takes on its bracket, given the end values ``f_lo`` and
+    ``f_hi`` (of opposite signs, or zero). ``args`` are arrays with one
+    entry per element; ``f`` is evaluated only at the elements still open.
+    Raises ConstructionError when some element is open after ``maxiter``
+    iterations.
+    """
+    root = np.empty_like(lo)
+    idx = np.arange(lo.size)
+    xpre, xcur = lo.copy(), hi.copy()
+    fpre, fcur = f_lo.copy(), f_hi.copy()
+    xblk, fblk = lo.copy(), np.zeros_like(lo)
+    spre, scur = np.zeros_like(lo), np.zeros_like(lo)
+    for _ in range(maxiter):
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk = np.where(flip, xpre, xblk)
+        fblk = np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        # keep the better end in xcur: (pre, cur, blk) <- (cur, blk, cur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        if done.any():
+            root[idx[done]] = xcur[done]
+            keep = ~done
+            idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                a[keep] for a in (idx, xpre, xcur, xblk, fpre, fcur, fblk,
+                                  spre, scur, delta, sbis))
+            args = tuple(a[keep] for a in args)
+        if idx.size == 0:
+            return root
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interp = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrap = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            stry = np.where(xpre == xblk, interp, extrap)
+            short = 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
+            good = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) & short
+        spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = np.where(np.abs(scur) > delta, xcur + scur,
+                        xcur + np.where(sbis > 0, delta, -delta))
+        fcur = f(xcur, *args)
+    i = idx[0]
+    raise ConstructionError(
+        f"{what} did not converge in {maxiter} iterations on [{lo[i]}, {hi[i]}]"
+    )
+
+
+class _Pchip:
+    """Monotone piecewise cubic through (x, y), x strictly increasing.
+
+    The PCHIP of Fritsch & Butland (1984) with the arithmetic of
+    ``scipy.interpolate.PchipInterpolator``: weighted harmonic-mean slopes
+    at interior knots (zero at a local extremum or a flat piece), one-sided
+    three-point slopes at both ends, and each piece evaluated as a power
+    sum in ``x - x[i]``. Outside [x[0], x[-1]] the end pieces extend.
+    """
+
+    def __init__(self, x, y):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = np.zeros_like(y)
+        if y.size == 2:
+            d[:] = m[0]
+        else:
+            sm = np.sign(m)
+            flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            d[0] = self._end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = self._end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self.x = x
+        # power-sum coefficients of s^3, s^2, s and 1 on each piece
+        self.coef = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+    @staticmethod
+    def _end_slope(h0, h1, m0, m1):
+        """Three-point end slope, zeroed against the end secant's sign and
+        capped at 3*m0 where the secants change sign (Moler's pchiptx)."""
+        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, self.x.size - 2)
+        s = x - self.x[i]
+        c3, c2, c1, c0 = (np.take(c, i) for c in self.coef)
+        # summed from 0.0 upward in powers of s, as scipy's evaluation does
+        return 0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+
+
 def _fold_residuals(raw, lo, cut, target, t_hat):
     """Fold each row's residual from ``target`` into one coordinate.
 
@@ -457,9 +572,9 @@ class ConstructiveMixer:
         """Solve for the clip level h(t) (root of the imbalance in y).
 
         Works on a scalar or an array of t. Each element runs its own Brent
-        iteration (a lock-step port of scipy's ``brentq``: same steps,
-        ``xtol=1e-300``, ``rtol=8.9e-16``, at most 100 iterations), then at
-        most six Newton steps until the residual is within ``root_tol``.
+        iteration on [0, pdf(c+t)] (``_brent_roots`` with ``xtol=1e-300``),
+        then at most six Newton steps until the residual is within
+        ``root_tol``.
         """
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -474,57 +589,11 @@ class ConstructiveMixer:
         below = a_max < 0.0
         solve = pos[below]
         if solve.size:
-            y[solve] = self._brent_levels(t[solve], ymax[solve], a0[solve], a_max[below])
+            y[solve] = _brent_roots(lambda yy, tt: self.imbalance(tt, yy), np.zeros(solve.size),
+                                    ymax[solve], a0[solve], a_max[below], 1e-300,
+                                    args=(t[solve],), what="clip level")
             self._polish_levels(t, y, ymax, solve)
         return float(y[0]) if scalar else y
-
-    def _brent_levels(self, t, ymax, f_lo, f_hi, xtol=1e-300, rtol=8.9e-16, maxiter=100):
-        """Roots in y of the imbalance on [0, ymax], one Brent state per t."""
-        root = np.empty_like(t)
-        idx = np.arange(t.size)
-        xpre, xcur = np.zeros_like(t), ymax.copy()
-        fpre, fcur = f_lo.copy(), f_hi.copy()
-        xblk, fblk = np.zeros_like(t), np.zeros_like(t)
-        spre, scur = np.zeros_like(t), np.zeros_like(t)
-        for _ in range(maxiter):
-            flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-            xblk = np.where(flip, xpre, xblk)
-            fblk = np.where(flip, fpre, fblk)
-            spre = np.where(flip, xcur - xpre, spre)
-            scur = np.where(flip, xcur - xpre, scur)
-            swap = np.abs(fblk) < np.abs(fcur)
-            # keep the better end in xcur: (pre, cur, blk) <- (cur, blk, cur)
-            xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
-                                np.where(swap, xcur, xblk))
-            fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                                np.where(swap, fcur, fblk))
-            delta = (xtol + rtol * np.abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            done = (fcur == 0) | (np.abs(sbis) < delta)
-            if done.any():
-                root[idx[done]] = xcur[done]
-                keep = ~done
-                idx, t, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
-                    a[keep] for a in (idx, t, xpre, xcur, xblk, fpre, fcur, fblk,
-                                      spre, scur, delta, sbis))
-                if idx.size == 0:
-                    return root
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                interp = -fcur * (xcur - xpre) / (fcur - fpre)
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                extrap = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                stry = np.where(xpre == xblk, interp, extrap)
-                short = 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
-                good = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) & short
-            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
-            xpre, fpre = xcur, fcur
-            xcur = np.where(np.abs(scur) > delta, xcur + scur,
-                            xcur + np.where(sbis > 0, delta, -delta))
-            fcur = self.imbalance(t, xcur)
-        raise ConstructionError(
-            f"clip level did not converge in {maxiter} iterations at t={t[0]}"
-        )
 
     def _polish_levels(self, t, y, ymax, idx):
         """Newton steps on y[idx] in place until the residual is within
@@ -628,21 +697,14 @@ class ConstructiveMixer:
         # level; pin a knot at each detected crossing so the kink is resolved
         kern, n, c = self.kernel, self.n, self.c
         kink_arg = kern.pdf(c + (n - 1) * knots) - levels
-        inserts = []
-        for i in np.nonzero(~(kink_arg[:-1] * kink_arg[1:] >= 0.0))[0]:
-            # at tiny t both quantities agree to second order and the sign is
-            # numerical noise; only resolve crossings that are clearly real
-            noise_floor = 1e-10 * max(levels[i], levels[i + 1], 1e-30)
-            if min(abs(kink_arg[i]), abs(kink_arg[i + 1])) < noise_floor:
-                continue
-            t_star = brentq(
-                lambda t: float(kern.pdf(c + (n - 1) * t)) - self.clip_level(t),
-                knots[i],
-                knots[i + 1],
-                xtol=1e-14,
-                rtol=8.9e-16,
-            )
-            inserts.append(t_star)
+        i = np.nonzero(~(kink_arg[:-1] * kink_arg[1:] >= 0.0))[0]
+        # at tiny t both quantities agree to second order and the sign is
+        # numerical noise; only resolve crossings that are clearly real
+        noise_floor = 1e-10 * np.maximum(np.maximum(levels[i], levels[i + 1]), 1e-30)
+        i = i[~(np.minimum(np.abs(kink_arg[i]), np.abs(kink_arg[i + 1])) < noise_floor)]
+        inserts = _brent_roots(lambda t: kern.pdf(c + (n - 1) * t) - self.clip_level(t),
+                               knots[i], knots[i + 1], kink_arg[i], kink_arg[i + 1], 1e-14,
+                               what="kink root")
         for t_star in inserts:
             idx = int(np.searchsorted(knots, t_star))
             if 0 < idx < len(knots):
@@ -652,7 +714,7 @@ class ConstructiveMixer:
                     levels = np.insert(levels, idx, self.clip_level(t_star))
         self.knots = knots
         self.levels = levels
-        self._level_interp = PchipInterpolator(np.log(self.knots), self.levels)
+        self._level_interp = _Pchip(np.log(self.knots), self.levels)
 
         w = self.weights_at(self.knots, self.levels)
         self.rates = w["rate"]
@@ -979,6 +1041,8 @@ def generic_admissibility(density: GenericDensity, n: int,
     bad = np.nonzero(second < -1e-9)[0]
     if bad.size:
         return AdmissibilityResult(ok=False, q_max=0.0, witness=float(xs[bad[0] + 1]))
+    from scipy.integrate import quad
+
     vals = []
     for k in range(0, 36):
         t = 2.0 ** k

@@ -9,6 +9,10 @@ generalized inverses, so everything here also works for step cdfs.
 Mean status is declared by each model rather than inferred numerically:
 detecting tail-integral divergence from samples or quadrature is
 unreliable, and the center-bound logic only needs the declaration.
+
+scipy is imported only where quadrature or root finding runs (survival
+integrals of Pareto and atom-plus-uniform laws, ``GenericDensity``,
+``quad_avg_quantile``), so the closed-form models load with numpy alone.
 """
 from __future__ import annotations
 
@@ -16,8 +20,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import DomainError, QuadratureError
 
@@ -220,6 +222,8 @@ class Pareto:
         return float(out) if out.ndim == 0 else out
 
     def survival_integral(self, a, b):
+        from scipy.integrate import quad
+
         val, _ = quad(lambda x: 1.0 - self.cdf(x), a, b, limit=200)
         return val
 
@@ -516,6 +520,8 @@ class AtomUniform:
         return acc / (hi - lo)
 
     def survival_integral(self, a_, b_):
+        from scipy.integrate import quad
+
         val, _ = quad(lambda x: 1.0 - self.cdf(x), a_, b_, limit=200)
         return val
 
@@ -546,6 +552,8 @@ class GenericDensity:
     mean_status = "undefined"
 
     def __init__(self, pdf, dpdf, grid_halfwidth: float = 50.0, check: bool = True):
+        from scipy.integrate import quad
+
         self._raw_pdf = pdf
         self._raw_dpdf = dpdf
         self.grid_halfwidth = float(grid_halfwidth)
@@ -581,6 +589,8 @@ class GenericDensity:
 
     def inverse_pdf(self, y):
         """Positive x with pdf(x) = y, for y in (0, pdf(0)]."""
+        from scipy.optimize import brentq
+
         peak = self.pdf(0.0)
         if y > peak * (1 + 1e-12):
             raise DomainError("density level exceeds the mode value")
@@ -594,6 +604,8 @@ class GenericDensity:
         return brentq(lambda x: self.pdf(x) - y, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
 
     def cdf(self, x):
+        from scipy.integrate import quad
+
         xs = float(x)
         key = xs
         if key not in self._cdf_cache:
@@ -602,6 +614,8 @@ class GenericDensity:
         return self._cdf_cache[key]
 
     def quantile(self, t):
+        from scipy.optimize import brentq
+
         tf = float(t)
         if not 0.0 < tf < 1.0:
             raise DomainError("quantile level must lie strictly inside (0, 1)")
@@ -616,6 +630,8 @@ class GenericDensity:
         return brentq(lambda x: self.cdf(x) - tf, lo_x, hi_x, xtol=1e-12, rtol=8.9e-16)
 
     def survival_integral(self, a, b):
+        from scipy.integrate import quad
+
         val, _ = quad(lambda x: 1.0 - self.cdf(x), a, b, limit=400)
         return val
 
@@ -653,6 +669,8 @@ def quad_avg_quantile(model, lo: float, hi: float) -> float:
     ``QuadratureError`` when the error estimate exceeds 1e-7 (relative
     above 1).
     """
+    from scipy.integrate import quad
+
     _check_window(lo, hi)
     pts = [p for p in (0.01, 0.5, 0.99) if lo < p < hi]
     val, err = quad(

@@ -56,6 +56,25 @@ def shuffle_columns(matrix: np.ndarray, rng) -> None:
         matrix[:, j] = matrix[rng.permutation(m), j]
 
 
+def _stable_argsort_rows(key):
+    """``np.argsort(key, axis=1, kind="stable")`` of a 2-d array, faster.
+
+    The default (unstable) argsort orders each row, then every run of tied
+    keys is put back in index order: codes ``run * m + index`` are distinct
+    and sort as (run, index) pairs, and the run part is subtracted again.
+    """
+    m = key.shape[1]
+    order = np.argsort(key, axis=1)
+    ranked = np.take_along_axis(key, order, axis=1)
+    run = np.zeros(key.shape, dtype=np.intp)
+    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=run[:, 1:])
+    run *= m
+    code = run + order
+    code.sort(axis=1)
+    code -= run
+    return code
+
+
 def ra_flatten(matrix, max_sweeps: int = 100, spread_tol: float = None,
                rng=None) -> FlattenResult:
     """Iteratively re-sort each column antitonically to the rest of the row.
@@ -103,15 +122,18 @@ def ra_flatten_stack(stack, max_sweeps: int = 100, spread_tol: float = None) -> 
     # live cells, compacted: positions ``live`` of the stack, state in cur/sums
     live = np.nonzero(best_spread > tol)[0]
     cur, sums = cur[live], sums[live]
+    # every column stays a permutation of its start, so its descending
+    # values are sorted once here
+    desc = np.sort(cur, axis=1)[:, ::-1]
     rows = np.arange(live.size)[:, None]
     for _ in range(max_sweeps):
         if live.size == 0:
             break
         for j in range(n):
             col = cur[:, :, j]
-            order = np.argsort(sums - col, axis=1, kind="stable")
+            order = _stable_argsort_rows(sums - col)
             newcol = np.empty_like(col)
-            newcol[rows, order] = np.sort(col, axis=1)[:, ::-1]
+            newcol[rows, order] = desc[:, :, j]
             sums += newcol - col
             cur[:, :, j] = newcol
         spread = sums.max(axis=1) - sums.min(axis=1)
@@ -123,7 +145,7 @@ def ra_flatten_stack(stack, max_sweeps: int = 100, spread_tol: float = None) -> 
             sweep_spreads[k].append(float(best_spread[k]))
         keep = (stall[live] < 2) & (best_spread[live] > tol[live])
         if not keep.all():
-            live, cur, sums = live[keep], cur[keep], sums[keep]
+            live, cur, sums, desc = live[keep], cur[keep], sums[keep], desc[keep]
             rows = rows[: live.size]
     return [
         FlattenResult(best[k], float(best_spread[k]), sweep_spreads[k],

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from mixcenter import cauchy_mix
@@ -174,8 +175,80 @@ class TestArrayClipLevel:
         from mixcenter.errors import ConstructionError
 
         with pytest.raises(ConstructionError, match="did not converge"):
-            mixer._brent_levels(np.array([1.0]), np.array([0.1]), np.array([1.0]),
-                                np.array([-1.0]), maxiter=2)
+            cauchy_mix._brent_roots(lambda y, t: mixer.imbalance(t, y), np.array([0.0]),
+                                    np.array([0.1]), np.array([1.0]), np.array([-1.0]),
+                                    1e-300, args=(np.array([1.0]),), maxiter=2)
+
+
+class TestPchipOracle:
+    """The numpy PCHIP of the level table against scipy's PchipInterpolator."""
+
+    @pytest.mark.parametrize(
+        "n,c",
+        [(3, 0.15), (10, math.log(9) / PI), (5, 0.3), (4, 1e-9), (3, LOG2_PI)],
+        ids=["n3", "n10-endpoint", "n5", "n4-tiny", "n3-endpoint"],
+    )
+    def test_level_table_matches_scipy(self, n, c):
+        mx = ConstructiveMixer(MixerConfig(n=n, c=c, t_grid=512, seed=1))
+        x = np.log(mx.knots)
+        ref = PchipInterpolator(x, mx.levels)
+        inner = np.random.default_rng(n).uniform(x[0], x[-1], 5000)
+        pts = np.concatenate([x, inner])
+        assert mx._level_interp(pts).tobytes() == ref(pts).tobytes()
+        # both end knots included, through the clip of level_at
+        assert mx.level_at(mx.knots).tobytes() == np.clip(ref(x), 0.0, None).tobytes()
+        assert mx.level_at(float(mx.knots[-1])) == max(float(ref(x[-1])), 0.0)
+
+    @pytest.mark.parametrize(
+        "x,y,slopes",
+        [
+            # a flat piece zeroes the slopes at both of its knots
+            ([0, 1, 2, 3, 4], [0, 1, 1, 2, 3], {0: 1.5, 1: 0.0, 2: 0.0}),
+            # secants change sign at every interior knot, uneven spacing
+            ([0, 0.5, 2, 2.5, 4, 7], [0, 2, 1, 3, 2, 2.5], {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}),
+            # the three-point end slope 6.5 is capped at 3*m0
+            ([0, 1, 2, 3], [0, 1, -9, -8], {0: 3.0}),
+            # the three-point end slope -3.5 has the wrong sign and is zeroed
+            ([0, 1, 2, 3], [0, 1, 11, 12], {0: 0.0}),
+            # two points: the secant line
+            ([0, 1], [2, 5], {0: 3.0}),
+        ],
+        ids=["flat", "sign-change", "end-cap", "end-zero", "two-points"],
+    )
+    def test_small_data_matches_scipy(self, x, y, slopes):
+        x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+        ours, ref = cauchy_mix._Pchip(x, y), PchipInterpolator(x, y)
+        for k, d in slopes.items():
+            assert ours.coef[2][k] == d
+        pts = np.concatenate([x, np.linspace(x[0] - 1.0, x[-1] + 1.0, 301)])
+        assert ours(pts).tobytes() == ref(pts).tobytes()
+        assert ours(float(x[-1])) == ref(x[-1])
+
+
+class TestKinkRoot:
+    @pytest.mark.parametrize(
+        "n,c",
+        [(3, 0.15), (10, math.log(9) / PI), (3, LOG2_PI), (50, math.log(49) / PI)],
+        ids=["n3", "n10-endpoint", "n3-endpoint", "n50-endpoint"],
+    )
+    def test_inserted_knots_match_scipy_brentq(self, n, c):
+        cfg = MixerConfig(n=n, c=c, t_grid=512, seed=1)
+        mx = ConstructiveMixer(cfg)
+        c, kern = mx.c, mx.kernel
+        grid = np.geomspace(cfg.t_min, mx.knots[-1], cfg.t_grid)
+        levels = mx.clip_level(grid)
+        arg = kern.pdf(c + (n - 1) * grid) - levels
+        want = []
+        for i in np.nonzero(arg[:-1] * arg[1:] < 0.0)[0]:
+            noise_floor = 1e-10 * max(levels[i], levels[i + 1], 1e-30)
+            if min(abs(arg[i]), abs(arg[i + 1])) < noise_floor:
+                continue
+            t = brentq(lambda tt: float(kern.pdf(c + (n - 1) * tt)) - mx.clip_level(tt),
+                       grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16)
+            if min(t - grid[i], grid[i + 1] - t) > 1e-12 * t:
+                want.append(t)
+        assert want
+        assert np.setdiff1d(mx.knots, grid).tobytes() == np.array(want).tobytes()
 
 
 def _fold_rows(raw, lo, cut, target):

@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import mixcenter
 from mixcenter import cli
 from mixcenter.cli import SCHEMAS, main
 
@@ -313,3 +318,47 @@ class TestCliPlumbing:
         payload = json.loads(out_file.read_text())
         jsonschema.validate(payload, SCHEMAS["mixcenter.repro/1"])
         assert payload["all_pass"] is True
+
+
+class TestScipyFree:
+    """``sample`` and ``verify`` of Cauchy mixers load numpy only."""
+
+    def test_sample_verify_without_scipy(self, tmp_path):
+        script = textwrap.dedent("""
+            import sys
+            from mixcenter import cli
+
+            out = sys.argv[1]
+            for n, c, engine in ((3, 0.15, "mix"), (3, -0.15, "mix"), (4, 0.0, "mix"),
+                                 (3, 0.0, "ra")):
+                csv = f"{out}/rows_{n}_{c}_{engine}.csv"
+                argv = ["sample", "--n", str(n), "--c", repr(c), "--count", "3000",
+                        "--t-grid", "512", "--seed", "7", "--engine", engine, "--out", csv]
+                assert cli.main(argv) == 0, argv
+                assert cli.main(["verify", csv, "--out", csv + ".json"]) == 0, csv
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert "scipy" not in sys.modules, loaded[:5]
+
+            import mixcenter
+            for name in mixcenter.__all__:
+                getattr(mixcenter, name)
+            assert mixcenter.center_bounds.cm_bounds is mixcenter.cm_bounds
+            assert mixcenter.discrete_mix.Coupling is mixcenter.Coupling
+        """)
+        src = os.path.dirname(os.path.dirname(mixcenter.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "rows_3_0.15_mix.csv.json").read_text())
+        assert report["all_pass"] is True
+
+    def test_lazy_exports(self):
+        assert mixcenter.__all__ == sorted(mixcenter.__all__)
+        for name in ("center_bounds", "discrete_mix", "cm_bounds", "feasible_center",
+                     "Coupling", "cauchy_mix", "verify"):
+            assert name in mixcenter.__all__
+            assert name in dir(mixcenter)
+        with pytest.raises(AttributeError):
+            mixcenter.no_such_name

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from mixcenter.distributions import AtomUniform, Cauchy, Uniform, point_mass
+from mixcenter import rearrangement
 from mixcenter.errors import DomainError
 from mixcenter.rearrangement import (
     default_spread_tol,
@@ -142,6 +143,17 @@ class TestFlattenStack:
     def test_rejects_matrices(self):
         with pytest.raises(DomainError):
             ra_flatten_stack(_uniform_matrix(8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 6), m=st.integers(1, 700), levels=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_argsort_equals_stable_argsort(self, rows, m, levels, seed):
+        # few levels give long tie runs; signed zeros compare equal
+        rng = np.random.default_rng(seed)
+        key = (rng.integers(0, levels, (rows, m)) - levels // 2) * 0.25
+        key[rng.random((rows, m)) < 0.1] *= -1.0
+        want = np.argsort(key, axis=1, kind="stable")
+        assert np.array_equal(rearrangement._stable_argsort_rows(key), want)
 
 
 class TestRowSampler:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from mixcenter.cauchy_mix import MixerConfig, build_mixer
@@ -52,6 +53,22 @@ class TestKsDistance:
 
     def test_two_sample_disjoint(self):
         assert ks_two_sample(np.zeros(10), np.ones(10)) == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(na=st.integers(1, 300), nb=st.integers(1, 300), levels=st.integers(1, 50),
+           presort=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_two_sample_matches_pooled_searchsorted(self, na, nb, levels, presort, seed):
+        # few distinct levels give long runs of ties across both samples
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, levels, na) * 0.1 - 1.0
+        b = rng.integers(0, levels, nb) * 0.1 - 1.0
+        if presort:
+            a, b = np.sort(a), np.sort(b)
+        sa, sb = np.sort(a), np.sort(b)
+        pooled = np.concatenate([sa, sb])
+        fa = np.searchsorted(sa, pooled, side="right") / sa.size
+        fb = np.searchsorted(sb, pooled, side="right") / sb.size
+        assert ks_two_sample(a, b) == float(np.abs(fa - fb).max())
 
 
 class TestSumStats:
