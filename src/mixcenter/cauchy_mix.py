@@ -21,7 +21,9 @@ reflection of the mixer for -c.
 
 The slice machinery is driven by the clip level h(t): the unique level
 below the density value at c+t for which the level-clipped density over
-the window [c-t, c+(n-1)t] has centered first moment zero.
+the window [c-t, c+(n-1)t] has centered first moment zero. The slice law is
+evaluated in one place, ``ConstructiveMixer.weights_at``: at the solved level
+for the coupling cells, at the tabulated level for draws.
 
 The Cauchy mixers need numpy only; scipy is imported by the quadrature
 paths of generic densities (``DensityKernel``, ``generic_admissibility``).
@@ -226,23 +228,6 @@ class MixerConfig:
     root_tol: float = 1e-12
     t_min: float = 1e-6
     seed: int = 0
-
-
-@dataclass(frozen=True)
-class SliceWeights:
-    """Weights of one slice law: atoms at c-t and c+(n-1)t plus a uniform
-    piece on [c-t, cut]; ``rate`` is their total, the mixing density."""
-
-    t: float
-    level: float
-    w_lo: float
-    w_hi: float
-    cut: float
-    w_unif: float
-
-    @property
-    def rate(self):
-        return self.w_lo + self.w_hi + self.w_unif
 
 
 @dataclass
@@ -561,13 +546,6 @@ class ConstructiveMixer:
         el, u, live = self._clip_window(t, y)
         return np.where(live, -0.5 * (u - el) * (u + el - 2.0 * self.c), 0.0)
 
-    def _imbalance_dt(self, t, y):
-        """Partial derivative of the imbalance in t, at arrays t and y."""
-        n, c, kern = self.n, self.c, self.kernel
-        a = np.maximum(kern.pdf(c + (n - 1) * t) - y, 0.0)
-        b = np.maximum(kern.pdf(c - t) - y, 0.0)
-        return t * ((n - 1) ** 2 * a - b)
-
     def clip_level(self, t):
         """Solve for the clip level h(t) (root of the imbalance in y).
 
@@ -609,17 +587,6 @@ class ConstructiveMixer:
             idx, resid, d = idx[open_], resid[open_], d[open_]
             y[idx] = np.minimum(np.maximum(y[idx] - resid / d, 0.0), ymax[idx])
 
-    def clip_level_slope(self, t, level=None):
-        """h'(t) by the implicit-function formula with closed-form partials."""
-        if level is None:
-            level = self.level_at(t)
-        scalar, t, level = _as_arrays(t, level)
-        d_y = self._imbalance_dy(t, level)
-        out = np.zeros(t.shape)
-        nz = d_y != 0.0
-        out[nz] = -self._imbalance_dt(t[nz], level[nz]) / d_y[nz]
-        return float(out[0]) if scalar else out
-
     def edge_density_balance(self, t):
         """(n-1)^2 f(c+(n-1)t) - f(c-t); its sign changes at most once and
         controls the monotonicity of the zero-level imbalance."""
@@ -628,53 +595,12 @@ class ConstructiveMixer:
         out = (n - 1) ** 2 * kern.pdf(c + (n - 1) * t) - kern.pdf(c - t)
         return float(out) if out.ndim == 0 else out
 
-    def slice_weights(self, t, level=None) -> SliceWeights:
-        """Weights of the slice law at ``t``; an array of t gives array fields."""
-        n, c, kern = self.n, self.c, self.kernel
-        if level is None:
-            level = self.clip_level(t)
-        scalar, t, level = _as_arrays(t, level)
-        lo = c - t
-        w_lo = kern.pdf(lo) - level
-        w_hi = (n - 1) * np.maximum(kern.pdf(c + (n - 1) * t) - level, 0.0)
-        cut = self._cut(t, level)
-        w_unif = -self.clip_level_slope(t, level) * (cut - lo)
-        self._check_slice(t, w_lo, w_hi, cut, w_unif)
-        fields = (t, level, w_lo, w_hi, cut, w_unif)
-        if scalar:
-            fields = tuple(float(f[0]) for f in fields)
-        return SliceWeights(*fields)
-
-    def _cut(self, t, level):
-        """Right end of the uniform piece, min(c+(n-1)t, inverse_pdf(level));
-        the inverse density is evaluated only at positive levels."""
-        cut = self.c + (self.n - 1) * t
-        pos = level > 0
-        if pos.any():
-            cut[pos] = np.minimum(cut[pos], np.atleast_1d(self.kernel.inverse_pdf(level[pos])))
-        return cut
-
-    def _check_slice(self, t, w_lo, w_hi, cut, w_unif):
-        c, n = self.c, self.n
-        _raise_at(t, w_lo <= 0.0, "low-atom weight {} <= 0", w_lo)
-        _raise_at(t, (w_hi < 0.0) | (w_unif < -1e-15), "negative slice weight")
-        _raise_at(t, cut < c + t - 1e-9 * np.maximum(1.0, t), "uniform cut {} below c+t", cut)
-        _raise_at(t, (w_unif > 0.0) & (w_lo < (n - 1) * w_hi - 1e-12),
-                  "atom imbalance w_lo < (n-1)w_hi")
-
-    def slice_mean(self, t, level=None):
-        """Mean of the slice law (must equal c)."""
-        c, n = self.c, self.n
-        w = self.slice_weights(t, level)
-        num = w.w_lo * (c - t) + w.w_hi * (c + (n - 1) * t) + w.w_unif * 0.5 * ((c - t) + w.cut)
-        return num / w.rate
-
     def truncated_mass(self, t, level=None):
         """Mixing-measure mass on (0, t]: closed form F(cut)-F(c-t) - h*(cut-(c-t))."""
         if level is None:
             level = self.clip_level(t)
         scalar, t, level = _as_arrays(t, level)
-        cut = self._cut(t, level)
+        cut = np.minimum(self.c + (self.n - 1) * t, self.kernel.inverse_pdf(level))
         lo = self.c - t
         out = np.atleast_1d(self.kernel.cdf_diff(lo, cut)) - level * (cut - lo)
         return float(out[0]) if scalar else out
@@ -720,7 +646,8 @@ class ConstructiveMixer:
         self.rates = w["rate"]
         # the cumulative mixing mass has a closed form (the truncated
         # reassembly mass), so the cdf is tabulated exactly at the knots;
-        # the trapezoid of the rates is kept as an independent cross-check
+        # the trapezoid of the rates is kept as an independent cross-check,
+        # taken in log t, where the log-spaced knots are evenly spaced
         cdf = self.truncated_mass(self.knots, self.levels)
         self.raw_mass = float(cdf[-1])
         self.mass_deficit = 1.0 - self.raw_mass
@@ -728,7 +655,8 @@ class ConstructiveMixer:
             raise ConstructionError(
                 f"mixing measure mass {self.raw_mass} deviates from 1 beyond calibration"
             )
-        increments = 0.5 * (self.rates[1:] + self.rates[:-1]) * np.diff(self.knots)
+        flux = self.rates * self.knots
+        increments = 0.5 * (flux[1:] + flux[:-1]) * np.diff(np.log(self.knots))
         trap_mass = cdf[0] + float(np.sum(increments))
         if abs(trap_mass - self.raw_mass) > cfg.tail_eps + 1e-3:
             raise ConstructionError(
@@ -744,7 +672,10 @@ class ConstructiveMixer:
         return float(out) if out.ndim == 0 else out
 
     def weights_at(self, t, level=None):
-        """Vectorized slice weights at arbitrary t (tabulated level)."""
+        """The one evaluation of the slice law, vectorized over t: at the
+        tabulated clip level by default (draws, row bounds, verify), at the
+        solved level ``clip_level(t)`` for the coupling cells. The uniform
+        weight is -h'(t) * (cut - lo), h' by the implicit-function formula."""
         n, c, kern = self.n, self.c, self.kernel
         t = np.asarray(t, dtype=float)
         level = self.level_at(t) if level is None else np.asarray(level, dtype=float)
@@ -760,24 +691,13 @@ class ConstructiveMixer:
         w_unif = np.maximum(-slope * (cut - lo), 0.0)
         rate = w_lo + w_hi + w_unif
         return {"w_lo": w_lo, "w_hi": w_hi, "cut": cut, "w_unif": w_unif, "rate": rate,
-                "lo": lo, "hi": hi, "level": level}
-
-    def slice_cdf_below(self, t, y):
-        """Slice-law mass below y, vectorized over t (for reconstruction checks)."""
-        w = self.weights_at(t)
-        unif = np.clip((y - w["lo"]) / np.maximum(w["cut"] - w["lo"], 1e-300), 0.0, 1.0)
-        mass = (
-            w["w_lo"] * (w["lo"] < y)
-            + w["w_hi"] * (w["hi"] < y)
-            + w["w_unif"] * unif
-        )
-        return mass / w["rate"]
+                "lo": lo, "hi": hi}
 
     def truncated_mass_below(self, t, y):
         """Closed-form mass below y of the t-truncated reassembly."""
         c, n, kern = self.c, self.n, self.kernel
         level = float(self.level_at(t))
-        cut = min(c + (n - 1) * t, float(kern.inverse_pdf(level)) if level > 0 else math.inf)
+        cut = min(c + (n - 1) * t, float(kern.inverse_pdf(level)))
         lo = c - t
         ym = min(y, cut)
         if ym <= lo:
@@ -809,13 +729,19 @@ class ConstructiveMixer:
             block = np.asarray(ids[start:start + per_block], dtype=int)
             upper = np.minimum(block + 1, len(self.knots) - 1)
             t_hat = np.sqrt(self.knots[block] * self.knots[upper])
-            w = self.slice_weights(t_hat)
-            lo = c - t_hat
-            width = w.cut - lo
-            denom = w.w_lo - (n - 1) * w.w_hi + w.w_unif
-            _raise_at(t_hat, (denom <= 0.0) | (w.w_unif <= 0.0),
+            w = self.weights_at(t_hat, self.clip_level(t_hat))
+            w_lo, w_hi, cut, w_unif, lo = w["w_lo"], w["w_hi"], w["cut"], w["w_unif"], w["lo"]
+            _raise_at(t_hat, w_lo <= 0.0, "low-atom weight {} <= 0", w_lo)
+            _raise_at(t_hat, (w_hi < 0.0) | (w_unif < -1e-15), "negative slice weight")
+            _raise_at(t_hat, cut < c + t_hat - 1e-9 * np.maximum(1.0, t_hat),
+                      "uniform cut {} below c+t", cut)
+            _raise_at(t_hat, (w_unif > 0.0) & (w_lo < (n - 1) * w_hi - 1e-12),
+                      "atom imbalance w_lo < (n-1)w_hi")
+            width = cut - lo
+            denom = w_lo - (n - 1) * w_hi + w_unif
+            _raise_at(t_hat, (denom <= 0.0) | (w_unif <= 0.0),
                       "degenerate atom-plus-uniform slice")
-            atom_weight = np.minimum(np.maximum((w.w_lo - (n - 1) * w.w_hi) / denom, 0.0), 1.0)
+            atom_weight = np.minimum(np.maximum((w_lo - (n - 1) * w_hi) / denom, 0.0), 1.0)
             _raise_at(t_hat, atom_weight > 1.0 - 2.0 / n + 1e-9,
                       "atom weight {} violates the mean inequality margin", atom_weight)
             # mean-inequality precondition: n * t >= width (cut <= c+(n-1)t)
@@ -823,11 +749,11 @@ class ConstructiveMixer:
                       "slice width {} exceeds n*t", width)
             stack = np.empty((block.size, m, n))
             for k, idx in enumerate(block):
-                model = AtomUniform(lo[k], w.cut[k], atom_weight[k])
+                model = AtomUniform(lo[k], cut[k], atom_weight[k])
                 stack[k] = discretize(model, m)[:, None]
                 shuffle_columns(stack[k], substream(cfg.seed, "coupling", str(idx)))
             flats = ra_flatten_stack(stack, max_sweeps=64)
-            corrected = _fold_residuals(np.stack([f.matrix for f in flats]), lo, w.cut,
+            corrected = _fold_residuals(np.stack([f.matrix for f in flats]), lo, cut,
                                         n * c, t_hat)
             bound = n * width / m
             # each cell gets its own arrays, so no cached cell pins the block
@@ -835,18 +761,13 @@ class ConstructiveMixer:
                 self._cells[int(idx)] = _CellCoupling(
                     t_hat=float(t_hat[k]),
                     lo=float(lo[k]),
-                    cut=float(w.cut[k]),
+                    cut=float(cut[k]),
                     atom_weight=float(atom_weight[k]),
                     raw_matrix=flats[k].matrix.copy(),
                     corrected_matrix=corrected[k].copy(),
                     bound=float(bound[k]),
                     ra_spread=flats[k].spread,
                 )
-
-    def sample_slice_mix(self, t, rng):
-        """One n-tuple from the slice coupling at ``t`` (sum n*c)."""
-        batch = self._sample_at(np.array([t]), rng)
-        return batch.values[0]
 
     def _sample_at(self, ts, rng) -> SampleBatch:
         n, c = self.n, self.c

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .distributions import avg_quantile
+from .distributions import avg_quantile, cauchy_window_mean
 from .errors import DomainError
 
 PI = math.pi
@@ -49,27 +49,21 @@ def cauchy_center_interval(n: int) -> CenterInterval:
 def cauchy_avg_quantile_upper(n: int, alpha: float) -> float:
     """Closed form for the Cauchy average quantile over [(n-1)a, 1-a].
 
-    Equals log(sin(pi*(n-1)*a) / sin(pi*a)) / (pi*(1 - n*a)); the 0/0 form
-    at a = 1/n is evaluated by series (limit cot(pi/n)). This is the upper
-    window whose infimum over a in (0, 1/n) bounds admissible centers from
-    above; its a->0 limit is log(n-1)/pi.
+    Equals log(sin(pi*(n-1)*a) / sin(pi*a)) / (pi*(1 - n*a)), by
+    ``cauchy_window_mean`` with tail a (1 - a is never rounded), width
+    1 - n*a, d = a - (n-1)a, and sin(pi*(n-1)a) past 1/2 taken at a + width,
+    the rounded width's own window. No series branch at a -> 1/n (limit
+    cot(pi/n)); exactly 0 at n = 2. This upper window's infimum over a in
+    (0, 1/n) bounds admissible centers from above; its a->0 limit is
+    log(n-1)/pi.
     """
     if n < 2:
         raise DomainError("need n >= 2")
     if not 0.0 < alpha < 1.0 / n:
         raise DomainError("need 0 < alpha < 1/n")
-    d = 1.0 - n * alpha
-    if d < 1e-6:
-        # 0/0 form; third-order expansion of log sin around pi/n keeps the
-        # error below ~1e-12 at the branch point (the direct quotient loses
-        # accuracy already for d below ~1e-6)
-        u = PI / n
-        cot = 1.0 / math.tan(u)
-        csc2 = 1.0 / math.sin(u) ** 2
-        t2 = -d * u * u * ((n - 1) ** 2 - 1) * csc2 / (2.0 * PI)
-        t3 = d * d * u ** 3 * ((n - 1) ** 3 + 1) * csc2 * cot / (3.0 * PI)
-        return cot + t2 + t3
-    return math.log(math.sin(PI * (n - 1) * alpha) / math.sin(PI * alpha)) / (PI * d)
+    lo, w = (n - 1) * alpha, 1.0 - n * alpha
+    return cauchy_window_mean(math.sin(PI * min(lo, alpha + w)), math.sin(PI * alpha), w,
+                              alpha - lo)
 
 
 @dataclass(frozen=True)

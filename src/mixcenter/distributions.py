@@ -57,6 +57,28 @@ def _sin_pi(t: float) -> float:
     return math.sin(PI * min(t, 1.0 - t))
 
 
+def cauchy_window_mean(sin_lo, sin_hi, w, d, scale=1.0):
+    """Mean of the Cauchy quantile over the window [lo, hi] (closed form).
+
+    The caller passes sin(pi*lo), sin(pi*hi), the width w = hi - lo and
+    d = 1 - lo - hi, each formed without cancellation (from differences that
+    are exact or do not cancel), so no caller need round 1 - hi. The
+    antiderivative of tan(pi*(t - 1/2)) is -log(sin(pi*t))/pi, so the mean
+    is log(sin(pi*lo)/sin(pi*hi)) / (pi*w) times the scale. The ratio is
+    1 - 2*sin(pi*d/2)*sin(pi*w/2)/sin(pi*hi); its log1p keeps full relative
+    accuracy as w -> 0, where the plain log difference cancels and the
+    rounding of w cancels between sin(pi*w/2) and w.
+    """
+    x = -2.0 * math.sin(0.5 * PI * d) * math.sin(0.5 * PI * w) / sin_hi
+    if abs(x) < 0.5:
+        log_ratio = math.log1p(x)
+    else:
+        # the ratio is far from 1, so the logs do not cancel; log1p would
+        # lose a tiny ratio (x near -1) to rounding
+        log_ratio = math.log(sin_lo) - math.log(sin_hi)
+    return scale * log_ratio / (PI * w)
+
+
 class Cauchy:
     """Cauchy law with scale ``sigma`` (sigma = 1 is the standard law)."""
 
@@ -97,27 +119,9 @@ class Cauchy:
         return anti(b) - anti(a)
 
     def _avg_quantile(self, lo, hi):
-        """Mean of the quantile over [lo, hi] (closed form).
-
-        The antiderivative of tan(pi*(t - 1/2)) is -log(sin(pi*t))/pi, so
-        the mean is log(sin(pi*lo)/sin(pi*hi)) / (pi*(hi - lo)) times the
-        scale. With midpoint m and width w the ratio is
-        1 - 2*cos(pi*m)*sin(pi*w/2)/sin(pi*hi); taking log1p of that keeps
-        full relative accuracy as hi -> lo, where the plain log difference
-        cancels. cos(pi*m) is evaluated as sin(pi*(1 - lo - hi)/2), with
-        1 - lo - hi formed from differences that are exact or do not cancel.
-        """
-        w = hi - lo
+        """Mean of the quantile over [lo, hi] by ``cauchy_window_mean``."""
         d = (1.0 - hi) - lo if hi >= 0.5 else (0.5 - lo) + (0.5 - hi)
-        sin_hi = _sin_pi(hi)
-        x = -2.0 * math.sin(0.5 * PI * d) * math.sin(0.5 * PI * w) / sin_hi
-        if abs(x) < 0.5:
-            log_ratio = math.log1p(x)
-        else:
-            # the ratio is far from 1, so the logs do not cancel; log1p would
-            # lose a tiny ratio (x near -1) to rounding
-            log_ratio = math.log(_sin_pi(lo)) - math.log(sin_hi)
-        return self.scale * log_ratio / (PI * w)
+        return cauchy_window_mean(_sin_pi(lo), _sin_pi(hi), hi - lo, d, self.scale)
 
     def sample(self, rng, size):
         return self.quantile(rng.random(size))

@@ -241,7 +241,7 @@ def _constructive_suite(mixer: ConstructiveMixer) -> list:
         unif = np.clip(
             (y - w_g["lo"]) / np.maximum(w_g["cut"] - w_g["lo"], 1e-300), 0.0, 1.0
         )
-        # rate * slice_cdf_below collapses to the unnormalized below-y mass
+        # the slice-law mass below y, times the rate (unnormalized)
         integrand = (
             w_g["w_lo"] * (w_g["lo"] < y)
             + w_g["w_hi"] * (w_g["hi"] < y)

@@ -89,13 +89,26 @@ class TestClipLevel:
             assert abs(interp - solved) <= 1e-3 * max(solved, 1e-12) + 1e-14
 
     def test_analytic_slope_matches_finite_difference(self, mixer):
-        # implicit-function slope (used for the uniform weight) against a
-        # central difference of the tabulated solve
+        # the uniform weight is -h'(t) * (cut - lo) with the implicit-function
+        # slope; check it against a central difference of the solved level
         for t in (0.05, 1.0, 20.0):
             h = 1e-5 * t
             fd = (mixer.clip_level(t + h) - mixer.clip_level(t - h)) / (2 * h)
-            an = mixer.clip_level_slope(t, mixer.clip_level(t))
-            assert_allclose(an, fd, rtol=5e-4, atol=1e-14)
+            w = _solved_weights(mixer, t)
+            assert_allclose(w["w_unif"], -fd * (w["cut"] - w["lo"]), rtol=5e-4, atol=1e-14)
+
+
+def _solved_weights(mixer, t):
+    """Slice weights at the solved clip level, as the coupling cells use."""
+    return mixer.weights_at(t, mixer.clip_level(t))
+
+
+def _slice_cdf_below(mixer, t, y):
+    """Slice-law mass below y at the solved level, vectorized over t."""
+    w = _solved_weights(mixer, t)
+    unif = np.clip((y - w["lo"]) / np.maximum(w["cut"] - w["lo"], 1e-300), 0.0, 1.0)
+    mass = w["w_lo"] * (w["lo"] < y) + w["w_hi"] * (w["hi"] < y) + w["w_unif"] * unif
+    return mass / w["rate"]
 
 
 def _scalar_window(mixer, t, y):
@@ -295,8 +308,8 @@ class TestBatchedCells:
 
 class TestSliceWeights:
     def test_rate_is_total(self, mixer):
-        w = mixer.slice_weights(0.7)
-        assert_allclose(w.rate, w.w_lo + w.w_hi + w.w_unif, rtol=1e-15)
+        w = _solved_weights(mixer, 0.7)
+        assert_allclose(w["rate"], w["w_lo"] + w["w_hi"] + w["w_unif"], rtol=1e-15)
 
     def test_high_atom_positive_part(self, mixer):
         # beyond the kink the high atom weight is clipped to zero
@@ -304,38 +317,40 @@ class TestSliceWeights:
             t for t in np.geomspace(1e-4, 1e3, 40)
             if mixer.kernel.pdf(mixer.c + 2 * t) <= mixer.level_at(t)
         ]
+        assert kinked
         for t in kinked:
-            assert mixer.slice_weights(t).w_hi == 0.0
+            assert _solved_weights(mixer, t)["w_hi"] == 0.0
 
     def test_slice_mean_is_center(self, mixer):
-        for t in np.geomspace(1e-5, 5e3, 25):
-            assert abs(mixer.slice_mean(t) - mixer.c) <= 1e-8
+        w = _solved_weights(mixer, np.geomspace(1e-5, 5e3, 25))
+        num = w["w_lo"] * w["lo"] + w["w_hi"] * w["hi"] + w["w_unif"] * 0.5 * (w["lo"] + w["cut"])
+        assert np.all(np.abs(num / w["rate"] - mixer.c) <= 1e-8)
 
     def test_atom_weight_identity(self, mixer):
         # the coupling atom weight from the weight bundle must match the
         # mean constraint 1 - 2t/width
         for t in (0.01, 0.4, 3.0, 100.0):
-            w = mixer.slice_weights(t)
-            if w.w_unif <= 0:
+            w = _solved_weights(mixer, t)
+            if w["w_unif"] <= 0:
                 continue
-            alpha = (w.w_lo - 2 * w.w_hi) / (w.w_lo - 2 * w.w_hi + w.w_unif)
-            width = w.cut - (mixer.c - t)
+            alpha = (w["w_lo"] - 2 * w["w_hi"]) / (w["w_lo"] - 2 * w["w_hi"] + w["w_unif"])
+            width = w["cut"] - (mixer.c - t)
             assert_allclose(alpha, 1.0 - 2.0 * t / width, atol=1e-9)
 
     def test_mean_inequality_precondition(self, mixer):
         # n*t >= width is the admissibility margin of the coupling slice
-        for t in np.geomspace(1e-4, 1e3, 30):
-            w = mixer.slice_weights(t)
-            assert 3 * t >= (w.cut - (mixer.c - t)) - 1e-9
+        ts = np.geomspace(1e-4, 1e3, 30)
+        w = _solved_weights(mixer, ts)
+        assert np.all(3 * ts >= (w["cut"] - w["lo"]) - 1e-9)
 
     def test_slice_cdf_below(self, mixer):
         ts = np.array([0.2, 1.5, 40.0])
         # the slice law is supported on [c-t, c+(n-1)t]
-        assert_allclose(mixer.slice_cdf_below(ts, 1e9), np.ones(3), rtol=1e-12)
-        assert_allclose(mixer.slice_cdf_below(ts, -1e9), np.zeros(3), atol=1e-15)
-        lo = mixer.slice_cdf_below(ts, mixer.c)
-        hi = mixer.slice_cdf_below(ts, mixer.c + ts)
-        assert np.all(hi >= lo - 1e-15)
+        assert_allclose(_slice_cdf_below(mixer, ts, 1e9), np.ones(3), rtol=1e-12)
+        assert_allclose(_slice_cdf_below(mixer, ts, -1e9), np.zeros(3), atol=1e-15)
+        ys = mixer.c + np.linspace(-50.0, 100.0, 601)
+        masses = np.array([_slice_cdf_below(mixer, ts, y) for y in ys])
+        assert np.all(np.diff(masses, axis=0) >= -1e-15)
 
 
 class TestMixingMeasure:
@@ -356,6 +371,15 @@ class TestMixingMeasure:
         approx += mixer.truncated_mass(mixer.knots[0], mixer.levels[0])
         exact = mixer.truncated_mass(mixer.knots[idx], mixer.levels[idx])
         assert abs(approx - exact) <= 1e-3
+
+    def test_coarse_grid_builds_and_verifies(self):
+        # the build's trapezoid cross-check is taken in log t, where 256
+        # log-spaced knots are accurate to about 1e-5 (in t: 1.3e-3, beyond
+        # its tail_eps + 1e-3 tolerance)
+        from mixcenter.verify import run_invariant_suite
+
+        mx = ConstructiveMixer(MixerConfig(n=3, c=0.15, t_grid=256))
+        assert run_invariant_suite(mx).all_pass
 
 
 class TestSampling:
@@ -416,7 +440,7 @@ class TestSampling:
     def test_slice_sampler_sums(self, mixer):
         rng = substream(6, "test", "slice")
         for t in (0.02, 1.1, 55.0):
-            row = mixer.sample_slice_mix(t, rng)
+            row = mixer._sample_at(np.array([t]), rng).values[0]
             assert abs(row.sum() - 0.45) <= max(1e-9, 3 * (mixer.c + 3 * t) * 1e-12)
 
     def test_reflection_row_by_row(self):

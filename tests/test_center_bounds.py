@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from mixcenter import center_bounds
@@ -71,10 +72,11 @@ class TestClosedForm:
     def test_alpha_to_zero_limit(self):
         assert_allclose(cauchy_avg_quantile_upper(3, 1e-9), LOG2_PI, atol=1e-7)
 
-    def test_series_branch_continuous(self):
+    def test_continuous_near_one_over_n(self):
+        # the 0/0 form at a = 1/n needs no separate branch
         n = 3
-        near = 1.0 / n - 5e-10   # series branch
-        ref = 1.0 / n - 2e-9     # direct branch
+        near = 1.0 / n - 5e-10
+        ref = 1.0 / n - 2e-9
         a = cauchy_avg_quantile_upper(n, near)
         b = cauchy_avg_quantile_upper(n, ref)
         assert abs(a - b) < 1e-8
@@ -87,6 +89,27 @@ class TestClosedForm:
                 closed = cauchy_avg_quantile_upper(n, alpha)
                 quadr = quad_avg_quantile(Cauchy(), (n - 1) * alpha, 1 - alpha)
                 assert abs(closed - quadr) <= 1e-8
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 1000), log_frac=st.floats(-690.0, 0.0, exclude_max=True))
+    # near a = 1/n at large n, where a log difference of sin(pi*lo) taken
+    # apart from the rounded width 1 - n*a loses about 1e-13
+    @example(n=935, log_frac=math.log(935 * 0.00106881684469127))
+    def test_matches_mpmath(self, n, log_frac):
+        # a log-uniform in (0, 1/n) against 50-digit mpmath, an oracle
+        # independent of the closed form; error scaled by max(1, |value|)
+        mp = pytest.importorskip("mpmath")
+        alpha = math.exp(log_frac) / n
+        assume(0.0 < alpha < 1.0 / n)
+        got = cauchy_avg_quantile_upper(n, alpha)
+        if n == 2:
+            assert got == 0.0
+            return
+        with mp.workdps(50):
+            a = mp.mpf(alpha)
+            ref = mp.log(mp.sin(mp.pi * (n - 1) * a) / mp.sin(mp.pi * a)) / (mp.pi * (1 - n * a))
+            err = abs(got - ref) / max(1, abs(ref))
+        assert err <= 1e-13
 
 
 class TestJmBounds:

@@ -1,0 +1,43 @@
+"""The traced benchmark run (perfbench/layers.py) wraps program names it
+looks up by attribute. These tests run its ``install`` against a stub
+recorder, so a refactor that drops or moves one of those names fails here
+instead of breaking the traced run."""
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+class _StubRecorder:
+    """Records what ``install`` would wrap, checking each name is defined
+    on its owner itself (the real recorder reads ``vars(owner)[attr]``)."""
+
+    def __init__(self):
+        self.hooked = []
+
+    def install(self, owner, attr, name, attrs=None):
+        assert attr in vars(owner), f"{owner.__name__}.{attr} is not defined there"
+        self.hooked.append(f"{owner.__name__}.{attr}")
+
+
+@pytest.fixture
+def layers(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("layers", "spans"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import layers
+
+    yield layers
+    for name in ("layers", "spans"):
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("cli", [False, True], ids=["library", "cli"])
+def test_install_finds_every_hooked_name(layers, cli):
+    rec = _StubRecorder()
+    layers.install(rec, cli=cli)
+    assert "ConstructiveMixer.clip_level" in rec.hooked
+    assert "ConstructiveMixer.cell_coupling" in rec.hooked
+    assert ("mixcenter.cli.build_mixer" in rec.hooked) == cli
