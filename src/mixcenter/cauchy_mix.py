@@ -122,24 +122,91 @@ class CauchyKernel:
         return float(out) if out.ndim == 0 else out
 
     def radius_quantile(self, u):
-        """Vectorized inverse of radius_cdf (Newton from asymptotic guesses)."""
+        """Vectorized inverse of radius_cdf by clipped Newton steps in a.
+
+        The start guesses are the two asymptotes: R(a) ~ 4a^3/(3pi) for
+        u < 1/2 and 1 - R(a) ~ 4/(pi*a) above. Up to 60 passes run over the
+        batch. The loop stops after the first pass whose largest relative
+        step, taken over the whole batch, is below 1e-14, and returns that
+        pass's iterates (the 60th pass's if none is).
+
+        A step is elementwise: an element's next iterate depends only on its
+        own iterate and its own u. So once an element's new iterate equals
+        its current one (a fixed point) or the one before (a 2-cycle at ulp
+        level, which about a quarter of a large batch ends in), all its later
+        iterates and steps are known, and it leaves the loop. A fixed point
+        is written out and steps by 0 from then on. A 2-cycle's value at even
+        passes is written out, one more step gives its odd-pass value if the
+        loop stops at an odd pass, and its known steps at later passes still
+        enter the batch-wide stop test. So the output is that of the full
+        loop over the whole batch, bit for bit, and the stop rule keeps its
+        batch dependence: an element's radius can differ in the last bits
+        with the batch it is solved in.
+        """
         u = np.atleast_1d(np.asarray(u, dtype=float))
+        shape = u.shape
+        u_all = u = u.ravel()
         # small-u: R(a) ~ 4a^3/(3pi); large-u: 1-R(a) ~ 4/(pi*a)
         a = np.where(
             u < 0.5,
             np.cbrt(3.0 * PI * np.maximum(u, 1e-300) / 4.0),
             4.0 / (PI * np.maximum(1.0 - u, 1e-300)),
         )
-        for _ in range(60):
-            resid = self.radius_cdf(a) - u
-            step = resid / np.maximum(self.radius_pdf(a), 1e-300)
-            step = np.clip(step, -a * 0.9, a * 9.0)
-            a_new = a - step
-            if np.max(np.abs(a_new - a) / np.maximum(a, 1e-300)) < 1e-14:
-                a = a_new
+        # out holds the guesses until elements leave; it is written only where
+        # they do, so open iterates that still share it keep their values
+        out = a
+        idx = np.arange(a.size)     # output position of each open element
+        prev = None                 # the open elements' iterate before a
+        cycle = None                # mask of the 2-cycles that left (out: even-pass value)
+        cycle_step = [0.0, 0.0]     # their largest step at even / odd passes
+        passes = 60
+        for k in range(60):
+            a_new = self._radius_step(a, u)
+            rel = np.abs(a_new - a) / np.maximum(a, 1e-300)
+            if np.max(rel, initial=0.0) < 1e-14 and cycle_step[k % 2] < 1e-14:
+                passes = k + 1
+                out[idx] = a_new
                 break
-            a = a_new
-        return a
+            # rel == 0 rather than a_new == a: inf steps by nan, so stays open
+            fixed = rel == 0.0
+            del rel     # freed before the compaction copies, which set the peak
+            leave = fixed if prev is None else fixed | (a_new == prev)
+            if np.count_nonzero(leave) * 8 < a.size:
+                # too few to pay for the compaction: they stay open a pass more
+                prev, a = a, a_new
+                continue
+            out[idx[fixed]] = a_new[fixed]
+            two = leave & ~fixed
+            if two.any():
+                x, y = a_new[two], a[two]   # iterates k+1 and k
+                # at pass j > k the step is from x if j - k is odd, else from y
+                for val, other, parity in ((x, y, (k + 1) % 2), (y, x, k % 2)):
+                    worst = np.max(np.abs(other - val) / np.maximum(val, 1e-300))
+                    cycle_step[parity] = max(cycle_step[parity], worst)
+                if cycle is None:
+                    cycle = np.zeros(out.size, dtype=bool)
+                where = idx[two]
+                cycle[where] = True
+                out[where] = x if k % 2 else y
+            keep = np.flatnonzero(~leave)
+            idx = idx[keep]
+            u = u[keep]
+            prev = a[keep]
+            a = a_new[keep]
+        else:
+            out[idx] = a
+        if passes % 2 and cycle is not None:
+            where = np.flatnonzero(cycle)
+            out[where] = self._radius_step(out[where], u_all[where])
+        return out.reshape(shape)
+
+    def _radius_step(self, a, u):
+        """One clipped Newton step of radius_cdf(a) = u."""
+        step = self.radius_cdf(a)
+        step -= u
+        step /= np.maximum(self.radius_pdf(a), 1e-300)
+        np.clip(step, -a * 0.9, a * 9.0, out=step)
+        return a - step
 
 
 class DensityKernel:

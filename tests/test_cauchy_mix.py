@@ -500,6 +500,98 @@ class TestSymmetricMixer:
         assert np.all(batch.values[:, 0] == -batch.values[:, 1])
 
 
+def _radius_quantile_full_loop(u):
+    """Reference: every element takes every Newton pass until the batch-wide
+    stop, as ``CauchyKernel.radius_quantile`` did before elements could
+    leave the loop."""
+    kern = CauchyKernel()
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    a = np.where(
+        u < 0.5,
+        np.cbrt(3.0 * PI * np.maximum(u, 1e-300) / 4.0),
+        4.0 / (PI * np.maximum(1.0 - u, 1e-300)),
+    )
+    for _ in range(60):
+        resid = kern.radius_cdf(a) - u
+        step = resid / np.maximum(kern.radius_pdf(a), 1e-300)
+        step = np.clip(step, -a * 0.9, a * 9.0)
+        a_new = a - step
+        if np.max(np.abs(a_new - a) / np.maximum(a, 1e-300)) < 1e-14:
+            return a_new
+        a = a_new
+    return a
+
+
+_UNIT = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from([0.0, 1.0 - 2.0**-53, 2.0**-1074, 1e-300]),
+    st.floats(0.0, 1e-12),
+    st.floats(1.0 - 1e-12, 1.0, exclude_max=True),
+)
+
+
+class TestRadiusQuantile:
+    """The loop that retires settled elements returns the full loop's bytes."""
+
+    def test_seeded_batch_equals_full_loop(self):
+        u = np.random.default_rng(1).random(200_000)
+        got = CauchyKernel().radius_quantile(u)
+        assert got.tobytes() == _radius_quantile_full_loop(u).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(u=st.lists(_UNIT, min_size=1, max_size=64))
+    def test_small_batches_equal_full_loop(self, u):
+        got = CauchyKernel().radius_quantile(u)
+        assert got.tobytes() == _radius_quantile_full_loop(u).tobytes()
+
+    def test_random_small_batches_equal_full_loop(self):
+        # most batches of this size stop early, many at an odd pass
+        rng = np.random.default_rng(5)
+        kern = CauchyKernel()
+        for _ in range(300):
+            u = rng.random(rng.integers(1, 50))
+            assert kern.radius_quantile(u).tobytes() == _radius_quantile_full_loop(u).tobytes()
+
+    @pytest.mark.parametrize("u", [
+        # stops at 0-based pass 10; three elements entered 2-cycles at passes 4-5
+        [0.9592515184827413, 0.0705004912734214, 0.3227503900601669,
+         0.0001818671423938767, 0.6245421949462643],
+        # stops at pass 50; cycles of period 3 and 4 from passes 6-8
+        [0.36710647040172373, 0.8328278436034366, 0.9912795522730433,
+         0.031911619932832425, 0.3981623183788927, 0.3961113803786983,
+         0.41063440548272345],
+        # never stops early: the second element's 2-cycle, from pass 3,
+        # steps by more than the stop threshold
+        [0.24768744719771107, 0.9923789530443482],
+    ])
+    def test_pinned_batches_equal_full_loop(self, u):
+        got = CauchyKernel().radius_quantile(u)
+        assert got.tobytes() == _radius_quantile_full_loop(u).tobytes()
+
+    def test_shape_and_empty(self):
+        kern = CauchyKernel()
+        u = np.random.default_rng(2).random((3, 4))
+        got = kern.radius_quantile(u)
+        assert got.shape == (3, 4)
+        assert got.tobytes() == _radius_quantile_full_loop(u.ravel()).tobytes()
+        assert kern.radius_quantile(np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "constructive", "reflected", "convex"])
+def test_zero_row_draws(kind):
+    zero = build_mixer(MixerConfig(n=4, c=0.0, seed=1))
+    pos = build_mixer(MixerConfig(n=4, c=0.2, **SMALL))
+    mixer = {
+        "symmetric": zero,
+        "constructive": pos,
+        "reflected": build_mixer(MixerConfig(n=4, c=-0.2, **SMALL)),
+        "convex": ConvexCombinationSampler(zero, pos, 0.5),
+    }[kind]
+    batch = mixer.sample(0, substream(1, "empty"))
+    assert batch.values.shape == (0, 4)
+    assert batch.t.shape == batch.branch.shape == batch.row_bound.shape == (0,)
+
+
 class TestConvexCombination:
     def test_alpha_one_is_first_mixer(self):
         a = build_mixer(MixerConfig(n=3, c=0.1, **SMALL))
