@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import AtomUniform, GenericDensity
+from .distributions import GENERIC_GRID_HALFWIDTH, AtomUniform, GenericDensity
 from .errors import ConstructionError, DomainError
 # ra_flatten is not called here, but perfbench/layers.py traces it under
 # this module's name
@@ -45,6 +45,12 @@ from .seeding import substream
 
 PI = math.pi
 _EPS = np.finfo(float).eps
+# largest |imbalance| at a solved clip level that ends its Newton polish
+ROOT_TOL = 1e-12
+# first knot of the log-spaced t grid
+T_MIN = 1e-6
+# relative tolerance of ``_brent_roots``: scipy's ``brentq`` default, 4 ulp
+_BRENT_RTOL = 8.9e-16
 # entries (cells * m * n) of one block of coupling cells built together:
 # large enough to amortize the per-sweep numpy calls, small enough that the
 # block's temporaries stay a few MB
@@ -292,8 +298,6 @@ class MixerConfig:
     t_grid: int = 2048
     tail_eps: float = 1e-4
     ra_grid_m: int = 512
-    root_tol: float = 1e-12
-    t_min: float = 1e-6
     seed: int = 0
 
 
@@ -418,14 +422,13 @@ def _raise_at(t, bad, message, value=None):
         raise ConstructionError(f"{text} at t={float(t[i])}")
 
 
-def _brent_roots(f, lo, hi, f_lo, f_hi, xtol, args=(), rtol=8.9e-16, maxiter=100,
-                 what="root"):
+def _brent_roots(f, lo, hi, f_lo, f_hi, xtol, args=(), maxiter=100, what="root"):
     """Roots of ``f(x, *args)`` on the brackets [lo, hi], one Brent state per element.
 
     A lock-step port of scipy's ``brentq`` (Brent 1973): each element takes
-    the steps a scalar ``brentq`` with the same ``xtol``, ``rtol`` and
-    ``maxiter`` takes on its bracket, given the end values ``f_lo`` and
-    ``f_hi`` (of opposite signs, or zero). ``args`` are arrays with one
+    the steps a scalar ``brentq`` with the same ``xtol`` and ``maxiter`` (and
+    ``rtol=_BRENT_RTOL``) takes on its bracket, given the end values ``f_lo``
+    and ``f_hi`` (of opposite signs, or zero). ``args`` are arrays with one
     entry per element; ``f`` is evaluated only at the elements still open.
     Raises ConstructionError when some element is open after ``maxiter``
     iterations.
@@ -448,7 +451,7 @@ def _brent_roots(f, lo, hi, f_lo, f_hi, xtol, args=(), rtol=8.9e-16, maxiter=100
                             np.where(swap, xcur, xblk))
         fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
                             np.where(swap, fcur, fblk))
-        delta = (xtol + rtol * np.abs(xcur)) / 2
+        delta = (xtol + _BRENT_RTOL * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         done = (fcur == 0) | (np.abs(sbis) < delta)
         if done.any():
@@ -619,7 +622,7 @@ class ConstructiveMixer:
         Works on a scalar or an array of t. Each element runs its own Brent
         iteration on [0, pdf(c+t)] (``_brent_roots`` with ``xtol=1e-300``),
         then at most six Newton steps until the residual is within
-        ``root_tol``.
+        ``ROOT_TOL``.
         """
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -642,10 +645,10 @@ class ConstructiveMixer:
 
     def _polish_levels(self, t, y, ymax, idx):
         """Newton steps on y[idx] in place until the residual is within
-        ``root_tol``, the slope vanishes, or six steps are taken."""
+        ``ROOT_TOL``, the slope vanishes, or six steps are taken."""
         for _ in range(6):
             resid = self.imbalance(t[idx], y[idx])
-            open_ = ~(np.abs(resid) <= self.config.root_tol)
+            open_ = ~(np.abs(resid) <= ROOT_TOL)
             idx, resid = idx[open_], resid[open_]
             if idx.size == 0:
                 return
@@ -684,7 +687,7 @@ class ConstructiveMixer:
             t_max *= 2.0
         else:
             raise ConstructionError("could not reach the requested mixing-measure mass")
-        knots = np.geomspace(cfg.t_min, t_max, cfg.t_grid)
+        knots = np.geomspace(T_MIN, t_max, cfg.t_grid)
         levels = self.clip_level(knots)
         # the high-atom positive part switches where pdf(c+(n-1)t) crosses the
         # level; pin a knot at each detected crossing so the kink is resolved
@@ -1011,18 +1014,17 @@ class AdmissibilityResult:
     witness: float | None = None
 
 
-def generic_admissibility(density: GenericDensity, n: int,
-                          grid_points: int = 801) -> AdmissibilityResult:
+def generic_admissibility(density: GenericDensity, n: int) -> AdmissibilityResult:
     """Check whether a symmetric unimodal density supports the slice pipeline.
 
-    Requires sqrt(1/g) convex (verified by second differences on a grid,
-    tolerance 1e-9) and returns the largest admissible per-variable center,
-    the liminf of integral_t^{(n-1)t} x g(x) dx along a geometric t-sequence.
+    Requires sqrt(1/g) convex (verified by second differences on 801 points
+    of [-GENERIC_GRID_HALFWIDTH, GENERIC_GRID_HALFWIDTH], tolerance 1e-9)
+    and returns the largest admissible per-variable center, the liminf of
+    integral_t^{(n-1)t} x g(x) dx along a geometric t-sequence.
     """
     if n < 2:
         raise DomainError("need n >= 2")
-    half = density.grid_halfwidth
-    xs = np.linspace(-half, half, grid_points)
+    xs = np.linspace(-GENERIC_GRID_HALFWIDTH, GENERIC_GRID_HALFWIDTH, 801)
     g = np.maximum(density.pdf(xs), 1e-300)
     s = np.sqrt(1.0 / g)
     second = s[:-2] - 2.0 * s[1:-1] + s[2:]

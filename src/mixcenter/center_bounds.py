@@ -18,6 +18,13 @@ from .distributions import avg_quantile, cauchy_window_mean
 from .errors import DomainError
 
 PI = math.pi
+# log-spaced alpha grid of ``cm_bounds``: its size and its smallest alpha
+CM_GRID_SIZE = 64
+CM_ALPHA_MIN = 1e-6
+# t grid of ``dual_bound``, log-spaced toward the candidate center
+DUAL_GRID_SIZE = 256
+# boundary slack of ``mean_inequality_holds``
+MEAN_INEQUALITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -113,24 +120,22 @@ class CmBounds:
     alpha_at_b: float
     grid_size: int
 
-    def __iter__(self):
-        return iter((self.a_star, self.b_star))
 
-
-def cm_bounds(model, n: int, grid_size: int = 64, alpha_min: float = 1e-6) -> CmBounds:
+def cm_bounds(model, n: int) -> CmBounds:
     """Necessary center bounds for an n-fold complete mix of ``model``.
 
     a* is the supremum over a in (0, 1/n) of the average quantile on
     [a, 1-(n-1)a]; b* the infimum of the average on [(n-1)a, 1-a]. Both
-    are computed on a log-spaced alpha grid with golden-section refinement
-    around the best grid point, so the returned values bracket the true
-    optimum to grid accuracy. Models declaring an infinite mean short to
-    the corresponding +-inf sentinel (the diverging side).
+    are computed on a log-spaced alpha grid (``CM_GRID_SIZE`` points from
+    ``CM_ALPHA_MIN``) with golden-section refinement around the best grid
+    point, so the returned values bracket the true optimum to grid accuracy.
+    Models declaring an infinite mean short to the corresponding +-inf
+    sentinel (the diverging side).
     """
     if n < 2:
         raise DomainError("need n >= 2")
     hi_alpha = 1.0 / n - min(1e-6, 0.1 / n)
-    alphas = np.geomspace(alpha_min, hi_alpha, grid_size)
+    alphas = np.geomspace(CM_ALPHA_MIN, hi_alpha, CM_GRID_SIZE)
 
     def upper_window(a):
         return avg_quantile(model, (n - 1) * a, 1.0 - a)
@@ -165,12 +170,12 @@ def cm_bounds(model, n: int, grid_size: int = 64, alpha_min: float = 1e-6) -> Cm
         b_star, alpha_b = -math.inf, 0.0
     else:
         b_star, alpha_b = refine(upper_window, +1.0)
-    return CmBounds(a_star, b_star, alpha_a, alpha_b, grid_size)
+    return CmBounds(a_star, b_star, alpha_a, alpha_b, CM_GRID_SIZE)
 
 
-def mean_inequality_holds(alpha: float, x: float, y: float, q: float, n: int,
-                          tol: float = 1e-12) -> bool:
-    """Check alpha <= 1 - (y - x) / (n * (q - x)) with boundary slack ``tol``.
+def mean_inequality_holds(alpha: float, x: float, y: float, q: float, n: int) -> bool:
+    """Check alpha <= 1 - (y - x) / (n * (q - x)) with boundary slack
+    ``MEAN_INEQUALITY_TOL``.
 
     This is the necessary (and for monotone densities sufficient) atom-mass
     condition for an atom at x plus a law on [x, y] with mean q to admit an
@@ -184,7 +189,7 @@ def mean_inequality_holds(alpha: float, x: float, y: float, q: float, n: int,
         raise DomainError("alpha must lie in [0, 1]")
     if n < 2:
         raise DomainError("need n >= 2")
-    return alpha <= 1.0 - (y - x) / (n * (q - x)) + tol
+    return alpha <= 1.0 - (y - x) / (n * (q - x)) + MEAN_INEQUALITY_TOL
 
 
 @dataclass(frozen=True)
@@ -203,12 +208,12 @@ class DualBoundResult:
     grid_size: int
 
 
-def dual_bound(model, n: int, c: float, grid_size: int = 256) -> DualBoundResult:
+def dual_bound(model, n: int, c: float) -> DualBoundResult:
     """Upper bound on the probability that an n-mix of ``model`` sums to n*c.
 
     Evaluates inf over t < c of  integral_t^{nc-(n-1)t} (1-F) dx / (c - t)
-    on a grid log-spaced toward c, with local refinement of the best
-    bracket. A value below 1 certifies that c is not an n-center.
+    on ``DUAL_GRID_SIZE`` points log-spaced toward c, with local refinement
+    of the best bracket. A value below 1 certifies that c is not an n-center.
     """
     if n < 2:
         raise DomainError("need n >= 2")
@@ -218,7 +223,7 @@ def dual_bound(model, n: int, c: float, grid_size: int = 256) -> DualBoundResult
         iqr = 1.0
     # degenerate laws have iqr 0; fall back to the scale set by c itself
     span = 50.0 * max(iqr, abs(c) * 0.5, 1e-6)
-    gaps = np.geomspace(span, span * 1e-9, grid_size)
+    gaps = np.geomspace(span, span * 1e-9, DUAL_GRID_SIZE)
     ts = c - gaps
 
     def ratio(t):
@@ -237,7 +242,7 @@ def dual_bound(model, n: int, c: float, grid_size: int = 256) -> DualBoundResult
         if res.fun < best_v:
             best_t, best_v = float(res.x), float(res.fun)
     local_gap = float(gaps[max(i - 1, 0)] - gaps[min(i + 1, len(ts) - 1)]) / 2.0
-    return DualBoundResult(best_v, best_t, abs(local_gap), grid_size)
+    return DualBoundResult(best_v, best_t, abs(local_gap), DUAL_GRID_SIZE)
 
 
 def infinite_mean_classifier(marginals) -> str:

@@ -26,6 +26,10 @@ from .errors import DomainError, SizeError
 
 VARIABLE_GUARD = 1_000_000
 EXACT_VARIABLE_GUARD = 10_000
+# largest |total weight - total_mass| a valid coupling may show
+WEIGHT_TOL = 1e-12
+# the window level of every marginal in the ``enumerate_centers`` prefilter
+_PREFILTER_BETA = 1e-9
 
 
 @dataclass
@@ -52,33 +56,40 @@ class Coupling:
             out[row[i]] = out.get(row[i], 0 * wgt) + wgt
         return out
 
-    def validate(self, marginals=None, center=None, tol=1e-9,
-                 weight_tol=1e-12, marginal_tol=1e-10):
-        """Raise DomainError on any violated coupling invariant."""
-        if any(w < 0 for w in self.weights):
-            raise DomainError("coupling weights must be nonnegative")
-        total = sum(self.weights) if _is_exact(self.weights) else math.fsum(self.weights)
-        if abs(total - self.total_mass) > weight_tol:
-            raise DomainError(f"weights sum to {total}, expected {self.total_mass}")
-        if center is not None:
-            for s in self.row_sums():
-                if abs(s - center) > tol:
-                    raise DomainError(f"support row sums to {s}, expected {center}")
-        if marginals is not None:
-            for i, m in enumerate(marginals):
-                proj = self.marginal(i)
-                declared = dict(zip(m.values, m.probs))
-                keys = set(proj) | set(declared)
-                for v in keys:
-                    if abs(float(proj.get(v, 0)) - float(declared.get(v, 0))) > marginal_tol:
-                        raise DomainError(
-                            f"marginal {i} mismatch at atom {v}: "
-                            f"{proj.get(v, 0)} vs {declared.get(v, 0)}"
-                        )
+    def invariants(self, marginals=None, center=None, tol=1e-9, marginal_tol=1e-10):
+        """The four coupling invariants as ``(name, passed, measured,
+        threshold)`` rows, in ``verify.COUPLING_INVARIANTS`` order.
 
-    def permuted(self, order) -> "Coupling":
-        support = [tuple(row[j] for j in order) for row in self.support]
-        return Coupling(self.n, support, list(self.weights), self.total_mass, self.residual)
+        Weight totals are summed exactly for Fractions and with ``fsum`` for
+        floats. Row sums are checked against ``center``, or without one
+        against the first row; marginals only when ``marginals`` are given.
+        """
+        wmin = min(self.weights)
+        out = [("weights_nonnegative", wmin >= 0, float(wmin), 0.0)]
+        total = sum(self.weights) if _is_exact(self.weights) else math.fsum(self.weights)
+        err = abs(float(total - self.total_mass))
+        out.append(("weights_total", err <= WEIGHT_TOL, err, WEIGHT_TOL))
+        sums = self.row_sums()
+        if center is None:
+            center = sums[0]
+        dev = max(abs(float(s - center)) for s in sums)
+        out.append(("sums_constant", dev <= tol, dev, tol))
+        worst = 0.0
+        for i, m in enumerate(marginals or ()):
+            proj = self.marginal(i)
+            declared = dict(zip(m.values, m.probs))
+            for v in set(proj) | set(declared):
+                worst = max(worst, abs(float(proj.get(v, 0)) - float(declared.get(v, 0))))
+        out.append(("marginals_match", worst <= marginal_tol, worst, marginal_tol))
+        return out
+
+    def validate(self, marginals=None, center=None, tol=1e-9, marginal_tol=1e-10):
+        """Raise DomainError naming the first violated coupling invariant."""
+        for name, passed, measured, threshold in self.invariants(
+                marginals, center, tol, marginal_tol):
+            if not passed:
+                raise DomainError(f"coupling invariant {name} fails: measured "
+                                  f"{measured!r}, threshold {threshold!r}")
 
     def symmetrized(self) -> "Coupling":
         """Average over all n! coordinate permutations (exact exchangeable
@@ -113,17 +124,10 @@ def _is_exact(seq):
     return any(isinstance(v, Fraction) for v in seq)
 
 
-def exchangeable_permute(coupling: Coupling, rng=None) -> Coupling:
-    """Exchangeable version of a coupling.
-
-    Without an rng this is the exact symmetrization (all marginals become
-    the average marginal); with an rng, one uniformly drawn coordinate
-    permutation is applied. Row sums are invariant either way.
-    """
-    if rng is None:
-        return coupling.symmetrized()
-    order = list(rng.permutation(coupling.n))
-    return coupling.permuted(order)
+def exchangeable_permute(coupling: Coupling) -> Coupling:
+    """Exchangeable version of a coupling: the exact symmetrization, so all
+    marginals become the average marginal. Row sums are invariant."""
+    return coupling.symmetrized()
 
 
 # ----------------------------------------------------------------------
@@ -358,8 +362,7 @@ class CenterSet:
     certificates: dict = field(default_factory=dict)
 
 
-def enumerate_centers(marginals, tol: float = 1e-9,
-                      prefilter_beta: float = 1e-9) -> CenterSet:
+def enumerate_centers(marginals, tol: float = 1e-9) -> CenterSet:
     """Certified-feasible candidate sums of finitely supported marginals.
 
     Candidates are the distinct values of the support sumset, pre-filtered
@@ -373,7 +376,7 @@ def enumerate_centers(marginals, tol: float = 1e-9,
         sums = {round(s + float(v), 12) for s in sums for v in m.values}
         if len(sums) > VARIABLE_GUARD:
             raise SizeError("candidate sumset exceeds the variable guard")
-    betas = (prefilter_beta,) * len(marginals)
+    betas = (_PREFILTER_BETA,) * len(marginals)
     lo, hi = jm_center_bounds(JmBoundsInput(tuple(marginals), betas))
     pad = max(1e-7, 10 * tol)
     candidates = sorted(s for s in sums if lo - pad <= s <= hi + pad)

@@ -94,11 +94,6 @@ class Cauchy:
         s = self.scale
         return s / (PI * (s * s + np.asarray(x, dtype=float) ** 2))
 
-    def dpdf(self, x):
-        s = self.scale
-        x = np.asarray(x, dtype=float)
-        return -2.0 * s * x / (PI * (s * s + x * x) ** 2)
-
     def cdf(self, x):
         out = 0.5 + np.arctan(np.asarray(x, dtype=float) / self.scale) / PI
         return float(out) if out.ndim == 0 else out
@@ -543,6 +538,10 @@ class AtomUniform:
         }
 
 
+# half-width of the sample grids that check a generic density's shape
+GENERIC_GRID_HALFWIDTH = 50.0
+
+
 class GenericDensity:
     """Law given by a symmetric, strictly unimodal density on the real line.
 
@@ -555,22 +554,20 @@ class GenericDensity:
     kind = "generic"
     mean_status = "undefined"
 
-    def __init__(self, pdf, dpdf, grid_halfwidth: float = 50.0, check: bool = True):
+    def __init__(self, pdf, dpdf):
         from scipy.integrate import quad
 
         self._raw_pdf = pdf
         self._raw_dpdf = dpdf
-        self.grid_halfwidth = float(grid_halfwidth)
         z, err = quad(pdf, 0.0, np.inf, limit=400)
         if err > 1e-6 * max(z, 1.0):
             raise QuadratureError("density normalization did not converge", achieved=err)
         self._norm = 2.0 * z
-        if check:
-            self._check_shape()
+        self._check_shape()
         self._cdf_cache = {}
 
     def _check_shape(self):
-        xs = np.linspace(0.0, self.grid_halfwidth, 201)[1:]
+        xs = np.linspace(0.0, GENERIC_GRID_HALFWIDTH, 201)[1:]
         g = np.array([self._raw_pdf(x) for x in xs])
         g_neg = np.array([self._raw_pdf(-x) for x in xs])
         if np.max(np.abs(g - g_neg)) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):

@@ -75,12 +75,11 @@ def _stable_argsort_rows(key):
     return code
 
 
-def ra_flatten(matrix, max_sweeps: int = 100, spread_tol: float = None,
-               rng=None) -> FlattenResult:
+def ra_flatten(matrix, max_sweeps: int = 100, rng=None) -> FlattenResult:
     """Iteratively re-sort each column antitonically to the rest of the row.
 
-    Stops when the row-sum spread (max - min) drops to ``spread_tol``
-    (default: the discretization floor of the matrix) or stops improving.
+    Stops when the row-sum spread (max - min) drops to the discretization
+    floor ``default_spread_tol`` of the matrix or stops improving.
     Ties in the rest-sums are broken by original row index (stable sort)
     for cross-platform determinism. The matrix with the best spread seen
     is returned, so reported sweep spreads are non-increasing. An optional
@@ -95,24 +94,24 @@ def ra_flatten(matrix, max_sweeps: int = 100, spread_tol: float = None,
         return FlattenResult(cur, 0.0, [0.0], True)
     if rng is not None:
         shuffle_columns(cur, rng)
-    return ra_flatten_stack(cur[None], max_sweeps, spread_tol)[0]
+    return ra_flatten_stack(cur[None], max_sweeps)[0]
 
 
-def ra_flatten_stack(stack, max_sweeps: int = 100, spread_tol: float = None) -> list:
+def ra_flatten_stack(stack, max_sweeps: int = 100) -> list:
     """``ra_flatten`` on every cell of a (cells, m, n) stack, in lock step.
 
     Each cell keeps its own stopping rule (floor reached, or two sweeps
     without improvement), its own best-so-far matrix and its own sweep
     count, so the result for a cell does not depend on the other cells.
-    ``spread_tol`` is one floor for all cells, or by default each cell's
-    ``default_spread_tol``. The stack is flattened as given (no shuffles)
-    and not modified; returns one ``FlattenResult`` per cell.
+    Each cell's floor is its ``default_spread_tol``. The stack is flattened
+    as given (no shuffles) and not modified; returns one ``FlattenResult``
+    per cell.
     """
     cur = np.array(stack, dtype=float, copy=True)
     if cur.ndim != 3:
         raise DomainError("stack must be three-dimensional")
     cells, m, n = cur.shape
-    tol = default_spread_tol(cur) if spread_tol is None else np.full(cells, float(spread_tol))
+    tol = default_spread_tol(cur)
 
     sums = cur.sum(axis=2)
     best = cur.copy()

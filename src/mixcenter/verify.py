@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cauchy_mix import ConstructiveMixer, ReflectedMixer, SymmetricMixer
+from .cauchy_mix import ROOT_TOL, ConstructiveMixer, ReflectedMixer, SymmetricMixer
 from .distributions import AtomUniform
 from .rearrangement import discretize
 
@@ -34,12 +34,9 @@ def ks_distance(samples, cdf) -> float:
     return float(max(upper, lower))
 
 
-def ks_threshold(count: int, level: float = 0.99) -> float:
-    """Asymptotic KS critical value at the given confidence level."""
-    coeff = {0.95: 1.358, 0.99: KS_99}.get(level)
-    if coeff is None:
-        coeff = math.sqrt(-0.5 * math.log((1.0 - level) / 2.0))
-    return coeff / math.sqrt(count)
+def ks_threshold(count: int) -> float:
+    """Asymptotic 99% KS critical value for ``count`` samples."""
+    return KS_99 / math.sqrt(count)
 
 
 def ks_two_sample(a, b) -> float:
@@ -106,7 +103,6 @@ class VerificationReport:
     invariants: list
     config: dict = field(default_factory=dict)
     seed: int | None = None
-    extras: dict = field(default_factory=dict)
 
     @property
     def all_pass(self) -> bool:
@@ -130,7 +126,6 @@ class VerificationReport:
             ],
             "config": self.config,
             "seed": self.seed,
-            "extras": self.extras,
         }
 
     def to_json(self) -> str:
@@ -155,6 +150,7 @@ SYMMETRIC_MIXER_INVARIANTS = (
     "block_rows_exact",
 )
 
+# the rows of ``discrete_mix.Coupling.invariants``, in order
 COUPLING_INVARIANTS = (
     "weights_nonnegative",
     "weights_total",
@@ -189,8 +185,7 @@ def _constructive_suite(mixer: ConstructiveMixer) -> list:
                                worst, 1e-15))
 
     resid = float(np.max(np.abs(mixer.imbalance(knots, levels))))
-    res.append(InvariantResult("root_residual", resid <= cfg.root_tol, resid,
-                               cfg.root_tol))
+    res.append(InvariantResult("root_residual", resid <= ROOT_TOL, resid, ROOT_TOL))
 
     a0 = float(np.min(mixer.imbalance(knots, 0.0)))
     res.append(InvariantResult("zero_level_nonnegative", a0 >= -1e-10, a0, -1e-10))
@@ -292,36 +287,6 @@ def _symmetric_suite(mixer: SymmetricMixer) -> list:
     return res
 
 
-def _coupling_suite(coupling, marginals=None, center=None,
-                    tol=1e-9) -> list:
-    res = []
-    wmin = min(coupling.weights)
-    res.append(InvariantResult("weights_nonnegative", wmin >= 0, float(wmin), 0.0))
-
-    total = sum(coupling.weights)
-    err = abs(float(total - coupling.total_mass))
-    res.append(InvariantResult("weights_total", err <= 1e-12, err, 1e-12))
-
-    sums = coupling.row_sums()
-    if center is None:
-        center = sums[0]
-    dev = max(abs(float(s - center)) for s in sums)
-    res.append(InvariantResult("sums_constant", dev <= tol, dev, tol))
-
-    if marginals is not None:
-        worst = 0.0
-        for i, m in enumerate(marginals):
-            proj = coupling.marginal(i)
-            declared = dict(zip(m.values, m.probs))
-            keys = set(proj) | set(declared)
-            for v in keys:
-                worst = max(worst, abs(float(proj.get(v, 0)) - float(declared.get(v, 0))))
-        res.append(InvariantResult("marginals_match", worst <= 1e-10, worst, 1e-10))
-    else:
-        res.append(InvariantResult("marginals_match", True, 0.0, 1e-10))
-    return res
-
-
 def run_invariant_suite(target, marginals=None, center=None) -> VerificationReport:
     """Execute every structural invariant applicable to the target.
 
@@ -353,7 +318,8 @@ def run_invariant_suite(target, marginals=None, center=None) -> VerificationRepo
     if isinstance(target, Coupling):
         return VerificationReport(
             target="coupling",
-            invariants=_coupling_suite(target, marginals=marginals, center=center),
+            invariants=[InvariantResult(*row)
+                        for row in target.invariants(marginals=marginals, center=center)],
             config={"n": target.n, "rows": len(target.support)},
         )
     raise TypeError(f"no invariant suite for {type(target).__name__}")

@@ -11,6 +11,8 @@ from scipy.optimize import brentq
 
 from mixcenter import cauchy_mix
 from mixcenter.cauchy_mix import (
+    ROOT_TOL,
+    T_MIN,
     CauchyKernel,
     ConstructiveMixer,
     ConvexCombinationSampler,
@@ -63,7 +65,7 @@ class TestClipLevel:
     def test_defining_equation(self, mixer):
         for t in (1e-5, 0.02, 0.9, 31.0, 4000.0):
             level = mixer.clip_level(t)
-            assert abs(mixer.imbalance(t, level)) <= mixer.config.root_tol
+            assert abs(mixer.imbalance(t, level)) <= ROOT_TOL
 
     def test_small_t_close_to_cap(self, mixer):
         t = 1e-6
@@ -149,7 +151,7 @@ def _scalar_level(mixer, t):
                xtol=1e-300, rtol=8.9e-16)
     for _ in range(6):
         resid = _scalar_imbalance(mixer, t, y)
-        if abs(resid) <= mixer.config.root_tol:
+        if abs(resid) <= ROOT_TOL:
             break
         window = _scalar_window(mixer, t, y)
         if window is None:
@@ -248,7 +250,7 @@ class TestKinkRoot:
         cfg = MixerConfig(n=n, c=c, t_grid=512, seed=1)
         mx = ConstructiveMixer(cfg)
         c, kern = mx.c, mx.kernel
-        grid = np.geomspace(cfg.t_min, mx.knots[-1], cfg.t_grid)
+        grid = np.geomspace(T_MIN, mx.knots[-1], cfg.t_grid)
         levels = mx.clip_level(grid)
         arg = kern.pdf(c + (n - 1) * grid) - levels
         want = []

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 
 import mixcenter
 from mixcenter import cli
+from mixcenter.cauchy_mix import MixerConfig
 from mixcenter.cli import SCHEMAS, main
 
 
@@ -166,6 +168,16 @@ class TestSampleVerify:
             assert entry["max_abs_dev"] == float(np.abs(sel).max())
             assert entry["mean_dev"] == float(sel.mean())
         assert sum(e["count"] for e in stats["per_branch"].values()) == 8000
+
+    def test_sidecar_records_every_mixer_config_field(self, capsys, tmp_path):
+        # verify rebuilds the mixer from the sidecar, so it must hold the
+        # whole config the sampling mixer was built from
+        out = str(tmp_path / "rows.csv")
+        code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0", "--count", "10",
+                          "--out", out)
+        assert code == 0
+        meta = json.loads((tmp_path / "rows.csv.meta.json").read_text())
+        assert {f.name for f in dataclasses.fields(MixerConfig)} <= set(meta)
 
     def test_csv_round_trips_doubles(self, capsys, tmp_path):
         out = str(tmp_path / "rows.csv")

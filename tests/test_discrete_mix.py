@@ -278,9 +278,6 @@ class TestExchangeablePermute:
         mix_x, _ = zero_one_couplings(6)
         sym = exchangeable_permute(mix_x)
         assert set(sym.row_sums()) == {0}
-        rng = np.random.default_rng(0)
-        rand = exchangeable_permute(mix_x, rng)
-        assert set(rand.row_sums()) == {0}
 
     def test_factorial_guard(self):
         coupling = Coupling(9, [tuple(range(9))], [1.0])
@@ -304,3 +301,9 @@ class TestCouplingValidate:
         wrong = FiniteDiscrete([(0.0, 0.3), (1.0, 0.7)])
         with pytest.raises(DomainError):
             c.validate(marginals=[wrong, wrong])
+
+    def test_unequal_row_sums_rejected_without_center(self):
+        # rows sum to 0 and 2: checked against the first row, off by 2
+        c = Coupling(2, [(0.0, 0.0), (1.0, 1.0)], [0.5, 0.5])
+        with pytest.raises(DomainError, match="sums_constant fails: measured 2.0"):
+            c.validate()

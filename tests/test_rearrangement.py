@@ -135,10 +135,13 @@ class TestFlattenStack:
             assert res.matrix.tobytes() == matrix.tobytes()
             assert (res.spread, res.sweep_spreads, res.converged) == (spread, spreads, converged)
 
-    def test_explicit_tolerance_applies_to_every_cell(self):
-        stack = np.stack([_uniform_matrix(64)] * 3)
-        got = ra_flatten_stack(stack, spread_tol=np.inf)
+    def test_cells_at_their_floor_take_no_sweep(self):
+        # antithetic columns: every row sums to the same value up to rounding
+        col = _uniform_matrix(64, n=1)[:, 0]
+        stack = np.stack([scale * np.column_stack([col, 1.0 - col]) for scale in (1.0, 2.0, 5.0)])
+        got = ra_flatten_stack(stack)
         assert all(r.sweep_spreads == [r.spread] and r.converged for r in got)
+        assert all(np.array_equal(r.matrix, cell) for r, cell in zip(got, stack))
 
     def test_rejects_matrices(self):
         with pytest.raises(DomainError):

@@ -45,7 +45,6 @@ class TestKsDistance:
 
     def test_threshold_levels(self):
         assert_allclose(ks_threshold(100_000), 1.628 / np.sqrt(100_000))
-        assert ks_threshold(100, 0.95) < ks_threshold(100, 0.99)
 
     def test_two_sample_identical(self):
         a = np.arange(100.0)
@@ -144,6 +143,6 @@ class TestInvariantSuite:
 
     def test_report_dict_shape(self, mixer):
         d = run_invariant_suite(mixer).to_dict()
-        assert set(d) == {"target", "all_pass", "invariants", "config", "seed", "extras"}
+        assert set(d) == {"target", "all_pass", "invariants", "config", "seed"}
         for row in d["invariants"]:
             assert set(row) == {"name", "passed", "measured", "threshold"}
