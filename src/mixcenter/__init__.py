@@ -42,7 +42,7 @@ from .distributions import (
     reflect,
 )
 from .errors import ConstructionError, DomainError, QuadratureError, SizeError
-from .rearrangement import discretize, ra_flatten, sample_rows
+from .rearrangement import discretize, ra_flatten
 from .seeding import substream
 from .verify import (
     COUPLING_INVARIANTS,

@@ -290,7 +290,9 @@ class MixerConfig:
     ``t_grid`` knots tabulate the slice machinery on a log-spaced grid,
     ``tail_eps`` bounds the truncated mixing-measure mass, ``ra_grid_m``
     is the discretization size of the per-slice rearrangement couplings,
-    and ``seed`` drives their deterministic initial shuffles.
+    and ``seed`` drives their deterministic initial shuffles. Raises
+    DomainError unless n, t_grid and ra_grid_m are at least 2 and
+    0 < tail_eps < 1.
     """
 
     n: int
@@ -299,6 +301,13 @@ class MixerConfig:
     tail_eps: float = 1e-4
     ra_grid_m: int = 512
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("n", "t_grid", "ra_grid_m"):
+            if getattr(self, name) < 2:
+                raise DomainError(f"need {name} >= 2, got {getattr(self, name)}")
+        if not 0.0 < self.tail_eps < 1.0:
+            raise DomainError(f"need 0 < tail_eps < 1, got {self.tail_eps}")
 
 
 @dataclass
@@ -359,8 +368,6 @@ class SymmetricMixer:
     kind = "symmetric"
 
     def __init__(self, config: MixerConfig, kernel=None):
-        if config.n < 2:
-            raise DomainError("need n >= 2")
         if config.c != 0.0:
             raise DomainError("symmetric construction only covers c = 0")
         self.config = config
@@ -375,28 +382,18 @@ class SymmetricMixer:
         rows = _uniform_block_rows(n, count, rng)
         values = (2.0 * rows - 1.0) * radius[:, None]
         values = _permute_rows(values, rng)
-        bound = 64.0 * _EPS * n * np.maximum(1.0, radius)
+        branch = np.ones(count, dtype=np.int8)
         return SampleBatch(
             values=values,
             t=radius,
-            branch=np.ones(count, dtype=np.int8),
-            row_bound=bound,
+            branch=branch,
+            row_bound=self.row_bound_for(radius, branch),
             target_sum=0.0,
         )
 
     def row_bound_for(self, t, branch):
+        """Per-row sum bound at radius ``t``: rounding of n coordinates in [-t, t]."""
         return 64.0 * _EPS * self.n * np.maximum(1.0, np.asarray(t, dtype=float))
-
-    def metadata(self):
-        cfg = self.config
-        return {
-            "n": cfg.n,
-            "c": 0.0,
-            "tail_eps": cfg.tail_eps,
-            "ra_grid_m": cfg.ra_grid_m,
-            "seed": cfg.seed,
-            "mass_deficit": 0.0,
-        }
 
 
 @dataclass
@@ -860,7 +857,7 @@ class ConstructiveMixer:
             t1 = ts[idx1]
             values[idx1] = (c - t1)[:, None]
             values[idx1, hot[idx1]] = c + (n - 1) * t1
-            bound[idx1] = 64.0 * _EPS * n * np.maximum(1.0, np.abs(c) + (n - 1) * t1)
+            bound[idx1] = self._cyclic_bound(t1)
 
         # coupling branch: snap to the cell representative
         idx2 = np.nonzero(~is_cyclic)[0]
@@ -902,27 +899,20 @@ class ConstructiveMixer:
         ts = np.interp(u, self.mixing_cdf, self.knots)
         return self._sample_at(ts, rng)
 
+    def _cyclic_bound(self, t):
+        """Sum bound of a cyclic row at ``t``: rounding of n coordinates of
+        size at most |c| + (n-1)t."""
+        n = self.n
+        return 64.0 * _EPS * n * np.maximum(1.0, abs(self.c) + (n - 1) * t)
+
     def row_bound_for(self, t, branch):
         """Recompute the per-row sum bound from the recorded (t, branch)."""
         t = np.asarray(t, dtype=float)
         branch = np.asarray(branch)
-        n, c = self.n, self.c
-        cyclic = 64.0 * _EPS * n * np.maximum(1.0, abs(c) + (n - 1) * t)
         w = self.weights_at(t)
         width = w["cut"] - w["lo"]
-        coupling = n * width / self.config.ra_grid_m
-        return np.where(branch == 1, cyclic, coupling)
-
-    def metadata(self):
-        cfg = self.config
-        return {
-            "n": cfg.n,
-            "c": self.c,
-            "tail_eps": cfg.tail_eps,
-            "ra_grid_m": cfg.ra_grid_m,
-            "seed": cfg.seed,
-            "mass_deficit": self.mass_deficit,
-        }
+        coupling = self.n * width / self.config.ra_grid_m
+        return np.where(branch == 1, self._cyclic_bound(t), coupling)
 
 
 class ReflectedMixer:
@@ -950,18 +940,11 @@ class ReflectedMixer:
     def row_bound_for(self, t, branch):
         return self.base.row_bound_for(t, branch)
 
-    def metadata(self):
-        meta = dict(self.base.metadata())
-        meta["c"] = self.c
-        return meta
-
 
 def build_mixer(config: MixerConfig, kernel=None):
     """Dispatch on the sign of c; rejects centers outside the exact interval."""
     kernel = kernel or CauchyKernel()
     n, c = config.n, config.c
-    if n < 2:
-        raise DomainError("need n >= 2")
     limit = kernel.center_limit(n)
     if abs(c) > limit + 1e-12:
         raise DomainError(

@@ -38,7 +38,6 @@ from .distributions import (
     quad_avg_quantile,
 )
 from .errors import ConstructionError, DomainError, QuadratureError, SizeError
-from .rearrangement import discretize, ra_flatten, sample_rows
 from .seeding import DEFAULT_SEED, substream
 from .verify import (
     ks_distance,
@@ -126,7 +125,7 @@ SCHEMAS = {
             "mass_deficit": {"type": "number"},
             "count": {"type": "integer"},
             "t_grid": {"type": "integer"},
-            "engine": {"type": "string"},
+            "engine": {"enum": ["mix"]},
         },
     },
     "mixcenter.verify/1": {
@@ -363,31 +362,17 @@ def _cmd_sample(args):
     if args.count < 1:
         raise DomainError("need --count >= 1")
     out = _out_path(args.out)
-    if args.engine == "ra":
-        if args.c != 0.0:
-            raise DomainError("the ra engine flattens toward the discretized "
-                              "mean and only supports c = 0")
-        column = discretize(Cauchy(), args.ra_grid_m)
-        mat = np.column_stack([column] * args.n)
-        flat = ra_flatten(mat, rng=substream(args.seed, "ra", "init"))
-        values = sample_rows(flat.matrix, args.count, substream(args.seed, "ra", "rows"))
-        ts = np.full(args.count, float("nan"))
-        branch = np.full(args.count, 2, dtype=np.int8)
-        deficit = 0.0
-    else:
-        cfg = MixerConfig(
-            n=args.n,
-            c=args.c,
-            t_grid=args.t_grid,
-            tail_eps=args.tail_eps,
-            ra_grid_m=args.ra_grid_m,
-            seed=args.seed,
-        )
-        mixer = build_mixer(cfg)
-        batch = mixer.sample(args.count, substream(args.seed, "sample", "rows"))
-        values, ts, branch = batch.values, batch.t, batch.branch
-        deficit = mixer.mass_deficit
-    _write_csv(out, values, ts, branch)
+    cfg = MixerConfig(
+        n=args.n,
+        c=args.c,
+        t_grid=args.t_grid,
+        tail_eps=args.tail_eps,
+        ra_grid_m=args.ra_grid_m,
+        seed=args.seed,
+    )
+    mixer = build_mixer(cfg)
+    batch = mixer.sample(args.count, substream(args.seed, "sample", "rows"))
+    _write_csv(out, batch.values, batch.t, batch.branch)
     meta = {
         "schema": f"mixcenter.sample_meta/{SCHEMA_VERSION}",
         "n": args.n,
@@ -395,10 +380,10 @@ def _cmd_sample(args):
         "tail_eps": args.tail_eps,
         "ra_grid_m": args.ra_grid_m,
         "seed": args.seed,
-        "mass_deficit": deficit,
+        "mass_deficit": mixer.mass_deficit,
         "count": args.count,
         "t_grid": args.t_grid,
-        "engine": args.engine,
+        "engine": "mix",
     }
     with open(out + ".meta.json", "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
@@ -408,11 +393,20 @@ def _cmd_sample(args):
 
 def _cmd_verify(args):
     path = _out_path(args.csv)
-    values, ts, branch, sums = _read_csv(path)
     with open(path + ".meta.json") as fh:
         meta = json.load(fh)
+    # the sidecar is outside input: it must describe a mixer sample of this CSV
+    engine = meta.get("engine", "mix")
+    if engine != "mix":
+        raise DomainError(f"sidecar engine {engine!r} is not supported; "
+                          "only mixer samples can be verified")
+    values, ts, branch, sums = _read_csv(path)
     n, c = int(meta["n"]), float(meta["c"])
     count = values.shape[0]
+    if n != values.shape[1]:
+        raise DomainError(f"sidecar n = {n}, but the CSV has {values.shape[1]} x columns")
+    if "count" in meta and int(meta["count"]) != count:
+        raise DomainError(f"sidecar count = {meta['count']}, but the CSV has {count} rows")
     target = n * c
     checks = []
     cauchy = Cauchy()
@@ -425,40 +419,30 @@ def _cmd_verify(args):
         checks.append(("ks_coordinate_%d" % (j + 1), d <= ks_lim, d, ks_lim))
 
     stats = sum_stats(values, target, branch)
-    # the mixer engine guarantees exact means; the ra engine only flattens
-    # to the discretization floor, so its threshold is statistical
-    if meta.get("engine", "mix") == "ra":
-        mean_lim = max(1e-3, 3.0 * float(np.std(sums)) / math.sqrt(count))
-    else:
-        mean_lim = 1e-3
-    checks.append(("sum_mean_dev", abs(stats.mean_dev) <= mean_lim,
-                   abs(stats.mean_dev), mean_lim))
+    checks.append(("sum_mean_dev", abs(stats.mean_dev) <= 1e-3, abs(stats.mean_dev), 1e-3))
 
-    if meta.get("engine", "mix") == "mix":
-        cfg = MixerConfig(
-            n=n, c=c, t_grid=int(meta.get("t_grid", 2048)),
-            tail_eps=float(meta["tail_eps"]), ra_grid_m=int(meta["ra_grid_m"]),
-            seed=int(meta["seed"]),
-        )
-        mixer = build_mixer(cfg)
-        bounds = mixer.row_bound_for(ts, branch)
-        excess = float(np.max(np.abs(sums - target) - bounds))
-        checks.append(("row_sum_bounds", excess <= 1e-15, excess, 1e-15))
-        suite = run_invariant_suite(mixer)
-        for r in suite.invariants:
-            checks.append((r.name, r.passed, r.measured, r.threshold))
-        mass_err = abs(float(meta["mass_deficit"]) - mixer.mass_deficit)
-        checks.append(("metadata_mass_deficit", mass_err <= 1e-12, mass_err, 1e-12))
+    cfg = MixerConfig(
+        n=n, c=c, t_grid=int(meta.get("t_grid", 2048)),
+        tail_eps=float(meta["tail_eps"]), ra_grid_m=int(meta["ra_grid_m"]),
+        seed=int(meta["seed"]),
+    )
+    mixer = build_mixer(cfg)
+    bounds = mixer.row_bound_for(ts, branch)
+    excess = float(np.max(np.abs(sums - target) - bounds))
+    checks.append(("row_sum_bounds", excess <= 1e-15, excess, 1e-15))
+    suite = run_invariant_suite(mixer)
+    for r in suite.invariants:
+        checks.append((r.name, r.passed, r.measured, r.threshold))
+    mass_err = abs(float(meta["mass_deficit"]) - mixer.mass_deficit)
+    checks.append(("metadata_mass_deficit", mass_err <= 1e-12, mass_err, 1e-12))
 
     worst_pair = 0.0
     for i in range(n):
         for j in range(i + 1, n):
             worst_pair = max(worst_pair, ks_two_sample(cols[:, i], cols[:, j]))
     # 0.01 is the calibration at 1e5 rows; below that the 99% two-sample
-    # critical value dominates. Rearrangement rows are strongly dependent
-    # within a row, which inflates the statistic's variance.
-    factor = 2.0 if meta.get("engine", "mix") == "ra" else 1.0
-    pair_lim = max(0.01, factor * 1.628 * math.sqrt(2.0 / count))
+    # critical value dominates
+    pair_lim = max(0.01, 1.628 * math.sqrt(2.0 / count))
     checks.append(("exchangeability_pairwise_ks", worst_pair <= pair_lim,
                    worst_pair, pair_lim))
 
@@ -725,7 +709,6 @@ def _build_parser():
     p.add_argument("--ra-grid-m", type=int, default=512)
     p.add_argument("--tail-eps", type=float, default=1e-4)
     p.add_argument("--t-grid", type=int, default=2048)
-    p.add_argument("--engine", choices=["mix", "ra"], default="mix")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 

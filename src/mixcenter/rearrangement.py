@@ -151,15 +151,3 @@ def ra_flatten_stack(stack, max_sweeps: int = 100) -> list:
                       bool(best_spread[k] <= tol[k]))
         for k in range(cells)
     ]
-
-
-def sample_rows(matrix: np.ndarray, count: int, rng) -> np.ndarray:
-    """Uniform random rows with uniform random coordinate permutations.
-
-    Each coordinate of the output is distributed as the discretized
-    marginal of its column; row sums inherit the flatten spread.
-    """
-    m, n = matrix.shape
-    rows = matrix[rng.integers(0, m, size=count)]
-    perm = rng.permuted(np.broadcast_to(np.arange(n), (count, n)).copy(), axis=1)
-    return np.take_along_axis(rows, perm, axis=1)

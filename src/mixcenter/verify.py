@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -302,14 +302,14 @@ def run_invariant_suite(target, marginals=None, center=None) -> VerificationRepo
         return VerificationReport(
             target="constructive_mixer",
             invariants=_constructive_suite(target),
-            config=target.metadata(),
+            config=asdict(target.config),
             seed=target.config.seed,
         )
     if isinstance(target, SymmetricMixer):
         return VerificationReport(
             target="symmetric_mixer",
             invariants=_symmetric_suite(target),
-            config=target.metadata(),
+            config=asdict(target.config),
             seed=target.config.seed,
         )
     # discrete_mix imports scipy, so mixer checks run without it

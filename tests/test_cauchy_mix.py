@@ -594,6 +594,18 @@ def test_zero_row_draws(kind):
     assert batch.t.shape == batch.branch.shape == batch.row_bound.shape == (0,)
 
 
+@pytest.mark.parametrize("c", [0.15, -0.15, 0.0])
+def test_drawn_row_bounds_equal_row_bound_for(c):
+    # verify recomputes the bound of cyclic (c != 0) and symmetric (c = 0)
+    # rows from their recorded t; coupling rows keep their cell's bound
+    mixer = build_mixer(MixerConfig(n=3, c=c, **SMALL))
+    batch = mixer.sample(4000, substream(12, "row-bound"))
+    rows = batch.branch == 1
+    assert rows.sum() > 100
+    recomputed = mixer.row_bound_for(batch.t, batch.branch)
+    assert batch.row_bound[rows].tobytes() == recomputed[rows].tobytes()
+
+
 class TestConvexCombination:
     def test_alpha_one_is_first_mixer(self):
         a = build_mixer(MixerConfig(n=3, c=0.1, **SMALL))

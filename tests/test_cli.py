@@ -208,16 +208,26 @@ class TestSampleVerify:
         code, payload = run_json(capsys, "verify", out)
         assert code == 0 and payload["all_pass"]
 
-    def test_ra_engine(self, capsys, tmp_path):
-        out = str(tmp_path / "ra.csv")
-        code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0", "--count",
-                          "2000", "--seed", "3", "--engine", "ra", "--out", out)
-        assert code == 0
-        code, payload = run_json(capsys, "verify", out)
-        assert code == 0 and payload["all_pass"]
-        code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0.1", "--count",
-                          "10", "--seed", "3", "--engine", "ra", "--out", out)
-        assert code == 1  # ra engine only flattens toward center zero
+    def test_engine_flag_rejected(self, capsys, tmp_path):
+        code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0", "--count", "10",
+                          "--engine", "ra", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ("--n", "1"),
+        ("--t-grid", "1"),
+        ("--t-grid", "0"),
+        ("--ra-grid-m", "0"),
+        ("--tail-eps", "0"),
+        ("--tail-eps", "2"),
+    ], ids=lambda flags: "".join(flags).lstrip("-"))
+    def test_config_outside_domain_rejected(self, capsys, tmp_path, flags):
+        # argparse keeps the last value of a repeated flag
+        code = main(["sample", "--n", "3", "--c", "0.15", "--count", "10",
+                     "--out", str(tmp_path / "x.csv"), *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: need ")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_center_outside_interval(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0.3", "--count",
@@ -228,6 +238,23 @@ class TestSampleVerify:
         code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0", "--count",
                           "0", "--out", str(tmp_path / "x.csv"))
         assert code == 1
+
+    @pytest.mark.parametrize("edit,message", [
+        ({"engine": "ra"}, "sidecar engine 'ra'"),
+        ({"n": 4}, "sidecar n = 4, but the CSV has 3 x columns"),
+        ({"count": 999}, "sidecar count = 999, but the CSV has 500 rows"),
+    ], ids=["engine", "n", "count"])
+    def test_verify_rejects_sidecar_not_matching_mixer_csv(self, capsys, tmp_path,
+                                                         edit, message):
+        out = tmp_path / "rows.csv"
+        code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0", "--count", "500",
+                          "--seed", "3", "--out", str(out))
+        assert code == 0
+        sidecar = tmp_path / "rows.csv.meta.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **edit}))
+        assert main(["verify", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
     def test_verify_csv_format(self, capsys, tmp_path):
         out = str(tmp_path / "rows.csv")
@@ -271,18 +298,6 @@ class TestCsvIo:
         assert got_ts.tobytes() == ts.tobytes()
         assert np.array_equal(got_branch, branch)
         assert got_sums.tobytes() == values.sum(axis=1).tobytes()
-
-    def test_ra_engine_rows_with_nan_t(self, capsys, tmp_path):
-        out = tmp_path / "ra.csv"
-        code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0", "--count", "500",
-                          "--seed", "4", "--engine", "ra", "--out", str(out))
-        assert code == 0
-        values, ts, branch, sums = cli._read_csv(str(out))
-        assert np.isnan(ts).all() and (branch == 2).all()
-        assert sums.tobytes() == values.sum(axis=1).tobytes()
-        ref = tmp_path / "ref.csv"
-        _reference_csv(str(ref), values, ts, branch)
-        assert out.read_bytes() == ref.read_bytes()
 
 
 class TestEx01:
@@ -341,11 +356,10 @@ class TestScipyFree:
             from mixcenter import cli
 
             out = sys.argv[1]
-            for n, c, engine in ((3, 0.15, "mix"), (3, -0.15, "mix"), (4, 0.0, "mix"),
-                                 (3, 0.0, "ra")):
-                csv = f"{out}/rows_{n}_{c}_{engine}.csv"
+            for n, c in ((3, 0.15), (3, -0.15), (4, 0.0)):
+                csv = f"{out}/rows_{n}_{c}.csv"
                 argv = ["sample", "--n", str(n), "--c", repr(c), "--count", "3000",
-                        "--t-grid", "512", "--seed", "7", "--engine", engine, "--out", csv]
+                        "--t-grid", "512", "--seed", "7", "--out", csv]
                 assert cli.main(argv) == 0, argv
                 assert cli.main(["verify", csv, "--out", csv + ".json"]) == 0, csv
             loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -363,7 +377,7 @@ class TestScipyFree:
                               env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        report = json.loads((tmp_path / "rows_3_0.15_mix.csv.json").read_text())
+        report = json.loads((tmp_path / "rows_3_0.15.csv.json").read_text())
         assert report["all_pass"] is True
 
     def test_lazy_exports(self):

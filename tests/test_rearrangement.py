@@ -11,7 +11,6 @@ from mixcenter.rearrangement import (
     discretize,
     ra_flatten,
     ra_flatten_stack,
-    sample_rows,
     shuffle_columns,
 )
 
@@ -160,23 +159,7 @@ class TestFlattenStack:
 
 
 class TestRowSampler:
-    def test_permutation_preserves_sums(self):
-        res = ra_flatten(_uniform_matrix(64), rng=np.random.default_rng(4))
-        rows = sample_rows(res.matrix, 500, np.random.default_rng(5))
-        sums = rows.sum(axis=1)
-        lo, hi = res.matrix.sum(axis=1).min(), res.matrix.sum(axis=1).max()
-        assert np.all(sums >= lo - 1e-12) and np.all(sums <= hi + 1e-12)
-
     def test_coordinate_multiset_over_all_rows(self):
         res = ra_flatten(_uniform_matrix(32), rng=np.random.default_rng(6))
         for j in range(3):
             assert_allclose(np.sort(res.matrix[:, j]), _uniform_matrix(32)[:, j])
-
-    def test_coordinate_distribution_statistical(self):
-        res = ra_flatten(_uniform_matrix(16), rng=np.random.default_rng(7))
-        rows = sample_rows(res.matrix, 40_000, np.random.default_rng(8))
-        # every coordinate mixes the same 16 atoms uniformly
-        freqs = np.array(
-            [(np.abs(rows - v) < 1e-12).mean() for v in res.matrix[:, 0]]
-        )
-        assert_allclose(freqs * 16, np.ones(16), atol=0.15)
