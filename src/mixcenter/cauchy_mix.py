@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GENERIC_GRID_HALFWIDTH, AtomUniform, GenericDensity
+from .distributions import (GENERIC_GRID_HALFWIDTH, AtomUniform, GenericDensity, _brent_roots,
+                            _doubling_brackets)
 from .errors import ConstructionError, DomainError
 # ra_flatten is not called here, but perfbench/layers.py traces it under
 # this module's name
@@ -49,8 +50,6 @@ _EPS = np.finfo(float).eps
 ROOT_TOL = 1e-12
 # first knot of the log-spaced t grid
 T_MIN = 1e-6
-# relative tolerance of ``_brent_roots``: scipy's ``brentq`` default, 4 ulp
-_BRENT_RTOL = 8.9e-16
 # entries (cells * m * n) of one block of coupling cells built together:
 # large enough to amortize the per-sweep numpy calls, small enough that the
 # block's temporaries stay a few MB
@@ -231,55 +230,39 @@ class DensityKernel:
         return float(self.density.pdf(0.0))
 
     def inverse_pdf(self, y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.array([self.density.inverse_pdf(v) for v in y])
-        return float(out[0]) if out.size == 1 else out
+        return self.density.inverse_pdf(y)
 
     def centered_moment(self, el, u, c):
         from scipy.integrate import quad
 
-        el_a = np.atleast_1d(np.asarray(el, dtype=float))
-        u_a = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.array(
-            [
-                quad(lambda x: (x - c) * self.density.pdf(x), lo, hi, limit=400)[0]
-                for lo, hi in zip(el_a, u_a)
-            ]
-        )
-        return float(out[0]) if out.size == 1 else out
+        el, u = np.broadcast_arrays(np.asarray(el, dtype=float), np.asarray(u, dtype=float))
+        out = np.array([quad(lambda x: (x - c) * self.density.pdf(x), lo, hi, limit=400)[0]
+                        for lo, hi in zip(el.ravel().tolist(), u.ravel().tolist())])
+        return float(out[0]) if el.ndim == 0 else out.reshape(el.shape)
 
     def cdf_diff(self, el, u):
-        el_a = np.atleast_1d(np.asarray(el, dtype=float))
-        u_a = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.array([self.density.cdf(hi) - self.density.cdf(lo) for lo, hi in zip(el_a, u_a)])
-        return float(out[0]) if out.size == 1 else out
+        return self.density.cdf(u) - self.density.cdf(el)
 
     def center_limit(self, n):
         return self._limit
 
     def radius_cdf(self, a):
-        a_arr = np.atleast_1d(np.asarray(a, dtype=float))
-        out = np.array(
-            [2.0 * self.density.cdf(v) - 1.0 - 2.0 * v * float(self.density.pdf(v)) for v in a_arr]
-        )
-        return float(out[0]) if out.size == 1 else out
+        return 2.0 * self.density.cdf(a) - 1.0 - 2.0 * a * self.density.pdf(a)
 
     def radius_pdf(self, a):
-        a_arr = np.atleast_1d(np.asarray(a, dtype=float))
-        out = np.array([-2.0 * v * self.density.dpdf(v) for v in a_arr])
-        return float(out[0]) if out.size == 1 else out
+        return -2.0 * a * self.density.dpdf(a)
 
     def radius_quantile(self, u):
-        from scipy.optimize import brentq
-
+        """Inverse of radius_cdf by ``_brent_roots`` on [0, 2^k], with k the
+        first power whose radius_cdf reaches u (capped past 1e14)."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty_like(u)
-        for i, ui in enumerate(u):
-            hi = 1.0
-            while self.radius_cdf(hi) < ui and hi < 1e14:
-                hi *= 2.0
-            out[i] = brentq(lambda a: self.radius_cdf(a) - ui, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
-        return out
+        level = u.ravel()
+        hi = _doubling_brackets(lambda a, i: self.radius_cdf(a) < level[i], level.size, 1e14)
+        lo = np.zeros_like(hi)
+        root = _brent_roots(lambda a, uu: self.radius_cdf(a) - uu, lo, hi,
+                            self.radius_cdf(lo) - level, self.radius_cdf(hi) - level, 1e-13,
+                            args=(level,), what="radius")
+        return root.reshape(u.shape)
 
 
 @dataclass(frozen=True)
@@ -291,8 +274,8 @@ class MixerConfig:
     ``tail_eps`` bounds the truncated mixing-measure mass, ``ra_grid_m``
     is the discretization size of the per-slice rearrangement couplings,
     and ``seed`` drives their deterministic initial shuffles. Raises
-    DomainError unless n, t_grid and ra_grid_m are at least 2 and
-    0 < tail_eps < 1.
+    DomainError unless n, t_grid and ra_grid_m are at least 2,
+    0 < tail_eps < 1 and seed >= 0.
     """
 
     n: int
@@ -308,6 +291,8 @@ class MixerConfig:
                 raise DomainError(f"need {name} >= 2, got {getattr(self, name)}")
         if not 0.0 < self.tail_eps < 1.0:
             raise DomainError(f"need 0 < tail_eps < 1, got {self.tail_eps}")
+        if self.seed < 0:
+            raise DomainError(f"need seed >= 0, got {self.seed}")
 
 
 @dataclass
@@ -417,66 +402,6 @@ def _raise_at(t, bad, message, value=None):
         i = int(np.argmax(bad))
         text = message if value is None else message.format(float(value[i]))
         raise ConstructionError(f"{text} at t={float(t[i])}")
-
-
-def _brent_roots(f, lo, hi, f_lo, f_hi, xtol, args=(), maxiter=100, what="root"):
-    """Roots of ``f(x, *args)`` on the brackets [lo, hi], one Brent state per element.
-
-    A lock-step port of scipy's ``brentq`` (Brent 1973): each element takes
-    the steps a scalar ``brentq`` with the same ``xtol`` and ``maxiter`` (and
-    ``rtol=_BRENT_RTOL``) takes on its bracket, given the end values ``f_lo``
-    and ``f_hi`` (of opposite signs, or zero). ``args`` are arrays with one
-    entry per element; ``f`` is evaluated only at the elements still open.
-    Raises ConstructionError when some element is open after ``maxiter``
-    iterations.
-    """
-    root = np.empty_like(lo)
-    idx = np.arange(lo.size)
-    xpre, xcur = lo.copy(), hi.copy()
-    fpre, fcur = f_lo.copy(), f_hi.copy()
-    xblk, fblk = lo.copy(), np.zeros_like(lo)
-    spre, scur = np.zeros_like(lo), np.zeros_like(lo)
-    for _ in range(maxiter):
-        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-        xblk = np.where(flip, xpre, xblk)
-        fblk = np.where(flip, fpre, fblk)
-        spre = np.where(flip, xcur - xpre, spre)
-        scur = np.where(flip, xcur - xpre, scur)
-        swap = np.abs(fblk) < np.abs(fcur)
-        # keep the better end in xcur: (pre, cur, blk) <- (cur, blk, cur)
-        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
-                            np.where(swap, xcur, xblk))
-        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                            np.where(swap, fcur, fblk))
-        delta = (xtol + _BRENT_RTOL * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0) | (np.abs(sbis) < delta)
-        if done.any():
-            root[idx[done]] = xcur[done]
-            keep = ~done
-            idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
-                a[keep] for a in (idx, xpre, xcur, xblk, fpre, fcur, fblk,
-                                  spre, scur, delta, sbis))
-            args = tuple(a[keep] for a in args)
-        if idx.size == 0:
-            return root
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            interp = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            extrap = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            stry = np.where(xpre == xblk, interp, extrap)
-            short = 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
-            good = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) & short
-        spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
-        xpre, fpre = xcur, fcur
-        xcur = np.where(np.abs(scur) > delta, xcur + scur,
-                        xcur + np.where(sbis > 0, delta, -delta))
-        fcur = f(xcur, *args)
-    i = idx[0]
-    raise ConstructionError(
-        f"{what} did not converge in {maxiter} iterations on [{lo[i]}, {hi[i]}]"
-    )
 
 
 class _Pchip:

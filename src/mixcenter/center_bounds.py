@@ -110,6 +110,22 @@ def jm_center_bounds(inp: JmBoundsInput) -> tuple:
     return lower, upper
 
 
+def _grid_minimize(f, grid, xatol):
+    """(x, value, i): the better of the grid point i where ``f`` is least and a
+    bounded ``minimize_scalar`` (``xatol``) between that point's neighbours.
+    A grid winner keeps its numpy scalar types; a refined one is a float."""
+    vals = np.array([f(x) for x in grid])
+    i = int(np.argmin(vals))
+    best_x, best_v = grid[i], vals[i]
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, len(grid) - 1)]
+    if hi > lo:
+        res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+        if res.fun < best_v:
+            best_x, best_v = float(res.x), float(res.fun)
+    return best_x, best_v, i
+
+
 @dataclass(frozen=True)
 class CmBounds:
     """Numeric necessary bounds a* <= c <= b* for per-variable centers."""
@@ -146,20 +162,7 @@ def cm_bounds(model, n: int) -> CmBounds:
     status = getattr(model, "mean_status", "finite")
 
     def refine(objective, sign):
-        vals = np.array([sign * objective(a) for a in alphas])
-        i = int(np.argmin(vals))
-        lo = alphas[max(i - 1, 0)]
-        hi = alphas[min(i + 1, len(alphas) - 1)]
-        best_a, best_v = alphas[i], vals[i]
-        if hi > lo:
-            res = minimize_scalar(
-                lambda a: sign * objective(a),
-                bounds=(lo, hi),
-                method="bounded",
-                options={"xatol": 1e-10},
-            )
-            if res.fun < best_v:
-                best_a, best_v = float(res.x), float(res.fun)
+        best_a, best_v, _ = _grid_minimize(lambda a: sign * objective(a), alphas, 1e-10)
         return sign * best_v, best_a
 
     if status == "+inf":
@@ -230,19 +233,9 @@ def dual_bound(model, n: int, c: float) -> DualBoundResult:
         upper = n * c - (n - 1) * t
         return model.survival_integral(t, upper) / (c - t)
 
-    vals = np.array([ratio(t) for t in ts])
-    i = int(np.argmin(vals))
-    best_t, best_v = float(ts[i]), float(vals[i])
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, len(ts) - 1)]
-    if hi > lo:
-        res = minimize_scalar(
-            ratio, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
-        )
-        if res.fun < best_v:
-            best_t, best_v = float(res.x), float(res.fun)
+    best_t, best_v, i = _grid_minimize(ratio, ts, 1e-12)
     local_gap = float(gaps[max(i - 1, 0)] - gaps[min(i + 1, len(ts) - 1)]) / 2.0
-    return DualBoundResult(best_v, best_t, abs(local_gap), DUAL_GRID_SIZE)
+    return DualBoundResult(float(best_v), float(best_t), abs(local_gap), DUAL_GRID_SIZE)
 
 
 def infinite_mean_classifier(marginals) -> str:

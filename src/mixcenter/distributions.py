@@ -10,9 +10,10 @@ Mean status is declared by each model rather than inferred numerically:
 detecting tail-integral divergence from samples or quadrature is
 unreliable, and the center-bound logic only needs the declaration.
 
-scipy is imported only where quadrature or root finding runs (survival
-integrals of Pareto and atom-plus-uniform laws, ``GenericDensity``,
-``quad_avg_quantile``), so the closed-form models load with numpy alone.
+scipy is imported only where quadrature runs (survival integrals of Pareto
+and atom-plus-uniform laws, ``GenericDensity``, ``quad_avg_quantile``), so
+the closed-form models load with numpy alone. Root finding is numpy
+everywhere: ``_brent_roots`` is the package's one root finder.
 """
 from __future__ import annotations
 
@@ -21,16 +22,24 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import ConstructionError, DomainError, QuadratureError
 
 PI = math.pi
+# relative tolerance of ``_brent_roots``: the default of scipy's Brent solver, 4 ulp
+_BRENT_RTOL = 8.9e-16
+
+
+def _quantile_levels(t):
+    """``t`` as a float array; raises unless every level lies in (0, 1)."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0) or np.any(t >= 1.0):
+        raise DomainError("quantile level must lie strictly inside (0, 1)")
+    return t
 
 
 def cauchy_quantile(t):
     """Quantile of the standard Cauchy law, tan(pi*(t - 1/2))."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0) or np.any(t >= 1.0):
-        raise DomainError("quantile level must lie strictly inside (0, 1)")
+    t = _quantile_levels(t)
     out = np.tan(PI * (t - 0.5))
     return float(out) if out.ndim == 0 else out
 
@@ -77,6 +86,13 @@ def cauchy_window_mean(sin_lo, sin_hi, w, d, scale=1.0):
         # lose a tiny ratio (x near -1) to rounding
         log_ratio = math.log(sin_lo) - math.log(sin_hi)
     return scale * log_ratio / (PI * w)
+
+
+def _quad_survival_integral(model, a, b, limit=200):
+    """Integral of 1 - F over [a, b] by adaptive quadrature."""
+    from scipy.integrate import quad
+
+    return quad(lambda x: 1.0 - model.cdf(x), a, b, limit=limit)[0]
 
 
 class Cauchy:
@@ -153,9 +169,7 @@ class Uniform:
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0) or np.any(t >= 1.0):
-            raise DomainError("quantile level must lie strictly inside (0, 1)")
+        t = _quantile_levels(t)
         out = self.a + (self.b - self.a) * t
         return float(out) if out.ndim == 0 else out
 
@@ -214,17 +228,11 @@ class Pareto:
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0) or np.any(t >= 1.0):
-            raise DomainError("quantile level must lie strictly inside (0, 1)")
+        t = _quantile_levels(t)
         out = self.xm * (1.0 - t) ** (-1.0 / self.shape)
         return float(out) if out.ndim == 0 else out
 
-    def survival_integral(self, a, b):
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda x: 1.0 - self.cdf(x), a, b, limit=200)
-        return val
+    survival_integral = _quad_survival_integral
 
     def sample(self, rng, size):
         return self.quantile(rng.random(size))
@@ -275,9 +283,7 @@ class FiniteDiscrete:
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0) or np.any(t >= 1.0):
-            raise DomainError("quantile level must lie strictly inside (0, 1)")
+        t = _quantile_levels(t)
         idx = np.searchsorted(self._cum, t * self.total_mass, side="left")
         out = self.values[np.minimum(idx, len(self.values) - 1)]
         return float(out) if out.ndim == 0 else out
@@ -371,9 +377,7 @@ class PowerTwoGeometric:
         return self.truncated(max(self.truncation, 60)).cdf(x)
 
     def quantile(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0) or np.any(t >= 1.0):
-            raise DomainError("quantile level must lie strictly inside (0, 1)")
+        t = _quantile_levels(t)
         if self.sign == "positive":
             # F(1) = 1/2, F(2^k) = 1 - 2^-(k+1)
             k = np.ceil(-np.log2(np.maximum(1.0 - t, 1e-300))) - 1.0
@@ -496,9 +500,7 @@ class AtomUniform:
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0) or np.any(t >= 1.0):
-            raise DomainError("quantile level must lie strictly inside (0, 1)")
+        t = _quantile_levels(t)
         a, lo, hi = self.atom_weight, self.atom_x, self.right_y
         with np.errstate(invalid="ignore", divide="ignore"):
             u = (t - a) / (1.0 - a) if a < 1.0 else np.zeros_like(t)
@@ -518,11 +520,7 @@ class AtomUniform:
             acc += (t1 - t0) * x + (y - x) * (1.0 - a) * (u1 * u1 - u0 * u0) / 2.0
         return acc / (hi - lo)
 
-    def survival_integral(self, a_, b_):
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda x: 1.0 - self.cdf(x), a_, b_, limit=200)
-        return val
+    survival_integral = _quad_survival_integral
 
     def sample(self, rng, size):
         u = rng.random(size)
@@ -538,6 +536,85 @@ class AtomUniform:
         }
 
 
+def _brent_roots(f, lo, hi, f_lo, f_hi, xtol, args=(), maxiter=100, what="root"):
+    """Roots of ``f(x, *args)`` on the brackets [lo, hi], one Brent state per element.
+
+    A lock-step port of scipy's scalar Brent solver (Brent 1973): each
+    element takes the steps that solver takes on its bracket with the same
+    ``xtol`` and ``maxiter`` (and ``rtol=_BRENT_RTOL``), given the end values
+    ``f_lo`` and ``f_hi``. ``args`` are arrays with one entry per element;
+    ``f`` is evaluated only at the elements still open. Raises
+    ConstructionError when some bracket's end values have the same nonzero
+    sign, or when some element is open after ``maxiter`` iterations.
+    """
+    same = (f_lo != 0) & (f_hi != 0) & (np.signbit(f_lo) == np.signbit(f_hi))
+    if same.any():
+        i = int(np.argmax(same))
+        raise ConstructionError(
+            f"{what} is not bracketed: f = {f_lo[i]} and {f_hi[i]} on [{lo[i]}, {hi[i]}]"
+        )
+    root = np.empty_like(lo)
+    idx = np.arange(lo.size)
+    xpre, xcur = lo.copy(), hi.copy()
+    fpre, fcur = f_lo.copy(), f_hi.copy()
+    xblk, fblk = lo.copy(), np.zeros_like(lo)
+    spre, scur = np.zeros_like(lo), np.zeros_like(lo)
+    for _ in range(maxiter):
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk = np.where(flip, xpre, xblk)
+        fblk = np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        # keep the better end in xcur: (pre, cur, blk) <- (cur, blk, cur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = (xtol + _BRENT_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        if done.any():
+            root[idx[done]] = xcur[done]
+            keep = ~done
+            idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                a[keep] for a in (idx, xpre, xcur, xblk, fpre, fcur, fblk,
+                                  spre, scur, delta, sbis))
+            args = tuple(a[keep] for a in args)
+        if idx.size == 0:
+            return root
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interp = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrap = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            stry = np.where(xpre == xblk, interp, extrap)
+            short = 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
+            good = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) & short
+        spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = np.where(np.abs(scur) > delta, xcur + scur,
+                        xcur + np.where(sbis > 0, delta, -delta))
+        fcur = f(xcur, *args)
+    i = idx[0]
+    raise ConstructionError(
+        f"{what} did not converge in {maxiter} iterations on [{lo[i]}, {hi[i]}]"
+    )
+
+
+def _doubling_brackets(below, size, cap):
+    """Upper bracket ends 2^k, one per element: the smallest k >= 0 with
+    ``below(2^k, idx)`` false, or the first power of two past ``cap``, where
+    ``below`` is not evaluated. ``idx`` are the indices of the open elements."""
+    hi = np.ones(size)
+    idx = np.arange(size)
+    while idx.size:
+        idx = idx[below(hi[idx], idx)]
+        hi[idx] *= 2.0
+        idx = idx[hi[idx] <= cap]
+    return hi
+
+
 # half-width of the sample grids that check a generic density's shape
 GENERIC_GRID_HALFWIDTH = 50.0
 
@@ -548,7 +625,8 @@ class GenericDensity:
     ``pdf`` need not be normalized; the normalizing constant is computed
     once by quadrature. ``dpdf`` is the derivative of the *unnormalized*
     density. Symmetry about 0 and strict unimodality are verified on a
-    sample grid at construction.
+    sample grid at construction. Every method takes a scalar or an array:
+    a scalar gives a float, and arrays keep their shape.
     """
 
     kind = "generic"
@@ -568,76 +646,74 @@ class GenericDensity:
 
     def _check_shape(self):
         xs = np.linspace(0.0, GENERIC_GRID_HALFWIDTH, 201)[1:]
-        g = np.array([self._raw_pdf(x) for x in xs])
-        g_neg = np.array([self._raw_pdf(-x) for x in xs])
+        g, g_neg = self._each(self._raw_pdf, xs), self._each(self._raw_pdf, -xs)
         if np.max(np.abs(g - g_neg)) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
             raise DomainError("density is not symmetric about 0 on the sample grid")
-        dg = np.array([self._raw_dpdf(x) for x in xs])
-        if np.any(dg >= 0.0):
+        if np.any(self._each(self._raw_dpdf, xs) >= 0.0):
             raise DomainError("density is not strictly decreasing right of 0")
-        dg_neg = np.array([self._raw_dpdf(-x) for x in xs])
-        if np.any(dg_neg <= 0.0):
+        if np.any(self._each(self._raw_dpdf, -xs) <= 0.0):
             raise DomainError("density is not strictly increasing left of 0")
 
-    def pdf(self, x):
+    @staticmethod
+    def _each(fn, x):
+        """The scalar function ``fn`` at every element of ``x``."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
-            return self._raw_pdf(float(x)) / self._norm
-        return np.array([self._raw_pdf(v) for v in x]) / self._norm
+            return fn(float(x))
+        return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+    def pdf(self, x):
+        return self._each(self._raw_pdf, x) / self._norm
 
     def dpdf(self, x):
-        return self._raw_dpdf(float(x)) / self._norm
+        return self._each(self._raw_dpdf, x) / self._norm
 
     def inverse_pdf(self, y):
-        """Positive x with pdf(x) = y, for y in (0, pdf(0)]."""
-        from scipy.optimize import brentq
-
-        peak = self.pdf(0.0)
-        if y > peak * (1 + 1e-12):
+        """Positive x with pdf(x) = y, for y in (0, pdf(0)]; +inf for y <= 0
+        and where pdf stays above y up to 1e12."""
+        y = np.asarray(y, dtype=float)
+        if np.any(y > self.pdf(0.0) * (1 + 1e-12)):
             raise DomainError("density level exceeds the mode value")
-        if y <= 0.0:
-            return math.inf
-        hi = 1.0
-        while self.pdf(hi) > y:
-            hi *= 2.0
-            if hi > 1e12:
-                return math.inf
-        return brentq(lambda x: self.pdf(x) - y, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
+        level = y.ravel()
+        hi = _doubling_brackets(lambda x, i: self.pdf(x) > level[i], level.size, 1e12)
+        pos = np.flatnonzero((level > 0.0) & (hi <= 1e12))
+        lo, hi, level = np.zeros(pos.size), hi[pos], level[pos]
+        out = np.full(y.size, math.inf)
+        out[pos] = _brent_roots(lambda x, yy: self.pdf(x) - yy, lo, hi, self.pdf(lo) - level,
+                                self.pdf(hi) - level, 1e-14, args=(level,),
+                                what="inverse density")
+        return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
+
+    def _cdf_at(self, x):
+        from scipy.integrate import quad
+
+        if x not in self._cdf_cache:
+            val, _ = quad(self.pdf, 0.0, abs(x), limit=400)
+            self._cdf_cache[x] = 0.5 + math.copysign(val, x)
+        return self._cdf_cache[x]
 
     def cdf(self, x):
-        from scipy.integrate import quad
-
-        xs = float(x)
-        key = xs
-        if key not in self._cdf_cache:
-            val, _ = quad(self.pdf, 0.0, abs(xs), limit=400)
-            self._cdf_cache[key] = 0.5 + math.copysign(val, xs)
-        return self._cdf_cache[key]
+        return self._each(self._cdf_at, x)
 
     def quantile(self, t):
-        from scipy.optimize import brentq
-
-        tf = float(t)
-        if not 0.0 < tf < 1.0:
-            raise DomainError("quantile level must lie strictly inside (0, 1)")
-        if tf == 0.5:
-            return 0.0
-        hi = 1.0
-        while self.cdf(hi) < max(tf, 1.0 - tf):  # symmetric bracket
-            hi *= 2.0
-            if hi > 1e14:
-                break
-        lo_x, hi_x = (0.0, hi) if tf > 0.5 else (-hi, 0.0)
-        return brentq(lambda x: self.cdf(x) - tf, lo_x, hi_x, xtol=1e-12, rtol=8.9e-16)
+        """Root of cdf(x) = t, bracketed by [0, 2^k] or [-2^k, 0] with k the
+        first power whose cdf passes max(t, 1 - t) (capped past 1e14)."""
+        t = _quantile_levels(t)
+        out = np.zeros(t.size)
+        idx = np.flatnonzero(t.ravel() != 0.5)
+        level = t.ravel()[idx]
+        far = np.maximum(level, 1.0 - level)   # symmetric bracket
+        hi = _doubling_brackets(lambda x, i: self.cdf(x) < far[i], idx.size, 1e14)
+        lo, hi = np.where(level > 0.5, 0.0, -hi), np.where(level > 0.5, hi, 0.0)
+        out[idx] = _brent_roots(lambda x, tt: self.cdf(x) - tt, lo, hi, self.cdf(lo) - level,
+                                self.cdf(hi) - level, 1e-12, args=(level,), what="quantile")
+        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
     def survival_integral(self, a, b):
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda x: 1.0 - self.cdf(x), a, b, limit=400)
-        return val
+        return _quad_survival_integral(self, a, b, limit=400)
 
     def sample(self, rng, size):
-        return np.array([self.quantile(u) for u in rng.random(size)])
+        return self.quantile(rng.random(size))
 
 
 def _check_window(lo: float, hi: float) -> None:

@@ -194,6 +194,87 @@ class TestArrayClipLevel:
                                     np.array([0.1]), np.array([1.0]), np.array([-1.0]),
                                     1e-300, args=(np.array([1.0]),), maxiter=2)
 
+    def test_unbracketed_root_raises(self):
+        from mixcenter.errors import ConstructionError
+
+        with pytest.raises(ConstructionError, match="not bracketed"):
+            cauchy_mix._brent_roots(lambda x: x * x + 1.0, np.array([0.0]), np.array([2.0]),
+                                    np.array([1.0]), np.array([5.0]), 1e-12)
+
+
+def _scalar_inverse_pdf(g, y):
+    """Inverse density at one level by scipy's brentq, on the doubling bracket."""
+    hi = 1.0
+    while g.pdf(hi) > y:
+        hi *= 2.0
+        if hi > 1e12:
+            return math.inf
+    return brentq(lambda x: g.pdf(x) - y, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
+
+
+def _scalar_quantile(g, t):
+    """Quantile at one level by scipy's brentq, on the symmetric doubling bracket."""
+    if t == 0.5:
+        return 0.0
+    hi = 1.0
+    while g.cdf(hi) < max(t, 1.0 - t):
+        hi *= 2.0
+        if hi > 1e14:
+            break
+    lo, hi = (0.0, hi) if t > 0.5 else (-hi, 0.0)
+    return brentq(lambda x: g.cdf(x) - t, lo, hi, xtol=1e-12, rtol=8.9e-16)
+
+
+def _scalar_radius(kern, u):
+    """Radius quantile at one level by scipy's brentq, on the doubling bracket."""
+    hi = 1.0
+    while kern.radius_cdf(hi) < u and hi < 1e14:
+        hi *= 2.0
+    return brentq(lambda a: kern.radius_cdf(a) - u, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+
+
+class TestGenericSolvesMatchBrentq:
+    """The generic density's array solves against scalar scipy ``brentq``,
+    element by element, bit for bit."""
+
+    def test_inverse_pdf(self):
+        g = _cauchy_like_density()
+        ys = np.concatenate([np.random.default_rng(31).uniform(0.0, 1.0 / PI, 150),
+                             [1.0 / PI, 1e-9, 1e-25, 0.0, -1.0]]).reshape(5, 31)
+        want = np.array([_scalar_inverse_pdf(g, y) for y in ys.ravel()]).reshape(ys.shape)
+        assert np.isinf(want).sum() == 3     # 1e-25 is past the 1e12 cap
+        assert g.inverse_pdf(ys).tobytes() == want.tobytes()
+        assert g.inverse_pdf(float(ys[0, 3])) == want[0, 3]
+
+    def test_quantile(self):
+        g = _cauchy_like_density()
+        ts = np.concatenate([np.random.default_rng(32).random(100), [0.5, 1e-4, 1 - 1e-4]])
+        want = np.array([_scalar_quantile(g, t) for t in ts])
+        assert g.quantile(ts).tobytes() == want.tobytes()
+        assert g.quantile(float(ts[7])) == want[7]
+        assert g.sample(substream(33, "g"), 40).tobytes() == np.array(
+            [_scalar_quantile(g, t) for t in substream(33, "g").random(40)]).tobytes()
+
+    def test_radius_quantile(self):
+        kern = cauchy_mix.DensityKernel(_cauchy_like_density(), LOG2_PI)
+        us = np.random.default_rng(34).random(300)
+        want = np.array([_scalar_radius(kern, u) for u in us])
+        assert kern.radius_quantile(us).tobytes() == want.tobytes()
+
+    def test_kernel_shapes(self):
+        kern = cauchy_mix.DensityKernel(_cauchy_like_density(), LOG2_PI)
+        a = np.array([[0.5, 2.0], [3.0, 40.0]])
+        for fn, arg in ((kern.radius_cdf, a), (kern.radius_pdf, a), (kern.inverse_pdf, a / 200)):
+            out = fn(arg)
+            assert out.shape == (2, 2)
+            assert isinstance(fn(float(arg[1, 0])), float)
+            assert fn(float(arg[1, 0])) == out[1, 0]
+        assert kern.cdf_diff(-a, a).shape == (2, 2)
+        assert isinstance(kern.cdf_diff(-1.0, 2.0), float)
+        assert kern.centered_moment(-a, a, 0.1).shape == (2, 2)
+        assert isinstance(kern.centered_moment(-1.0, 2.0, 0.1), float)
+        assert kern.radius_quantile(0.3).shape == (1,)
+
 
 class TestPchipOracle:
     """The numpy PCHIP of the level table against scipy's PchipInterpolator."""

@@ -220,6 +220,7 @@ class TestSampleVerify:
         ("--ra-grid-m", "0"),
         ("--tail-eps", "0"),
         ("--tail-eps", "2"),
+        ("--seed", "-1"),
     ], ids=lambda flags: "".join(flags).lstrip("-"))
     def test_config_outside_domain_rejected(self, capsys, tmp_path, flags):
         # argparse keeps the last value of a repeated flag
