@@ -688,7 +688,12 @@ class GenericDensity:
         from scipy.integrate import quad
 
         if x not in self._cdf_cache:
-            val, _ = quad(self.pdf, 0.0, abs(x), limit=400)
+            # past 1 the mass is integrated in u = 1/s: one quad over [0, |x|]
+            # samples too coarsely near 0 to see the bulk once |x| is large
+            a = abs(x)
+            val = quad(self.pdf, 0.0, min(a, 1.0), limit=400)[0]
+            if a > 1.0:
+                val += quad(lambda u: self.pdf(1.0 / u) / (u * u), 1.0 / a, 1.0, limit=400)[0]
             self._cdf_cache[x] = 0.5 + math.copysign(val, x)
         return self._cdf_cache[x]
 

@@ -26,7 +26,7 @@ from mixcenter.cauchy_mix import (
 from mixcenter.distributions import Cauchy, GenericDensity
 from mixcenter.errors import DomainError
 from mixcenter.seeding import substream
-from mixcenter.verify import ks_distance, ks_two_sample
+from mixcenter.verify import ks_distance, ks_two_sample, run_invariant_suite
 
 PI = math.pi
 LOG2_PI = math.log(2) / PI
@@ -459,8 +459,6 @@ class TestMixingMeasure:
         # the build's trapezoid cross-check is taken in log t, where 256
         # log-spaced knots are accurate to about 1e-5 (in t: 1.3e-3, beyond
         # its tail_eps + 1e-3 tolerance)
-        from mixcenter.verify import run_invariant_suite
-
         mx = ConstructiveMixer(MixerConfig(n=3, c=0.15, t_grid=256))
         assert run_invariant_suite(mx).all_pass
 
@@ -770,6 +768,11 @@ class TestGenericDensityRoute:
         batch = generic_mixer.sample(200, substream(21, "generic"))
         devs = np.abs(batch.row_sums() - batch.target_sum)
         assert np.all(devs <= batch.row_bound + 1e-12)
+
+    def test_center_zero_generic_mixer_passes_its_suite(self):
+        # radius_mass reads 1 - radius_cdf(1e12), which needs the cdf's far tail
+        report = run_invariant_suite(build_mixer_for_density(_cauchy_like_density(), 3, 0.0))
+        assert report.all_pass, [(r.name, r.measured) for r in report.invariants]
 
     def test_center_outside_generic_bound(self):
         with pytest.raises(DomainError):

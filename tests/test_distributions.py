@@ -366,6 +366,19 @@ class TestGenericDensity:
         x = g.inverse_pdf(1.0 / (2 * PI))
         assert_allclose(x, 1.0, rtol=1e-9)
 
+    def test_cdf_keeps_the_tail_mass(self):
+        # the bulk near 0 must count however far out x is
+        g = GenericDensity(lambda x: 0.5 / (1 + x * x), lambda x: -x / (1 + x * x) ** 2)
+        xs = np.geomspace(1e-3, 1e12, 121)
+        for x in np.concatenate([xs, -xs, [0.0, 1.0, -1.0]]):
+            assert abs(g.cdf(x) - (0.5 + math.atan(x) / PI)) <= 1e-14, x
+
+    def test_quantile_in_the_far_tails(self):
+        g = GenericDensity(lambda x: 0.5 / (1 + x * x), lambda x: -x / (1 + x * x) ** 2)
+        tail = np.geomspace(1e-12, 0.5, 25)
+        for t in np.concatenate([tail, 1.0 - tail]):
+            assert abs(g.cdf(g.quantile(t)) - t) <= 1e-13, t
+
 
 class TestReflection:
     def test_avg_quantile_identity(self):
