@@ -704,14 +704,13 @@ class GenericDensity:
         """Root of cdf(x) = t, bracketed by [0, 2^k] or [-2^k, 0] with k the
         first power whose cdf passes max(t, 1 - t) (capped past 1e14)."""
         t = _quantile_levels(t)
-        out = np.zeros(t.size)
-        idx = np.flatnonzero(t.ravel() != 0.5)
-        level = t.ravel()[idx]
+        level = t.ravel()
         far = np.maximum(level, 1.0 - level)   # symmetric bracket
-        hi = _doubling_brackets(lambda x, i: self.cdf(x) < far[i], idx.size, 1e14)
+        hi = _doubling_brackets(lambda x, i: self.cdf(x) < far[i], level.size, 1e14)
+        # t = 1/2 ends at its root 0: cdf(0) is exactly 1/2
         lo, hi = np.where(level > 0.5, 0.0, -hi), np.where(level > 0.5, hi, 0.0)
-        out[idx] = _brent_roots(lambda x, tt: self.cdf(x) - tt, lo, hi, self.cdf(lo) - level,
-                                self.cdf(hi) - level, 1e-12, args=(level,), what="quantile")
+        out = _brent_roots(lambda x, tt: self.cdf(x) - tt, lo, hi, self.cdf(lo) - level,
+                           self.cdf(hi) - level, 1e-12, args=(level,), what="quantile")
         return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
     def survival_integral(self, a, b):
