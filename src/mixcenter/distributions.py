@@ -625,8 +625,9 @@ class GenericDensity:
     ``pdf`` need not be normalized; the normalizing constant is computed
     once by quadrature. ``dpdf`` is the derivative of the *unnormalized*
     density. Symmetry about 0 and strict unimodality are verified on a
-    sample grid at construction. Every method takes a scalar or an array:
-    a scalar gives a float, and arrays keep their shape.
+    sample grid at construction. ``pdf``, ``dpdf``, ``cdf``, ``inverse_pdf``
+    and ``quantile`` take a scalar (giving a float) or an array (keeping its
+    shape).
     """
 
     kind = "generic"
