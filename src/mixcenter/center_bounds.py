@@ -217,6 +217,9 @@ def dual_bound(model, n: int, c: float) -> DualBoundResult:
     Evaluates inf over t < c of  integral_t^{nc-(n-1)t} (1-F) dx / (c - t)
     on ``DUAL_GRID_SIZE`` points log-spaced toward c, with local refinement
     of the best bracket. A value below 1 certifies that c is not an n-center.
+    That conclusion holds to rounding for the models with closed-form
+    survival integrals (every built-in model), and only to ``quad``'s
+    tolerance for ``GenericDensity``, whose integral is a quadrature.
     """
     if n < 2:
         raise DomainError("need n >= 2")

@@ -163,7 +163,9 @@ def _phase1_exact(A_rows, b):
     """Phase-1 simplex in exact rationals with Bland's rule.
 
     Same formulation and return as ``_phase1_float`` on lists of
-    Fractions; the reference the float path is tested against.
+    Fractions; the reference the float path is tested against. A pivot
+    updates only the columns where the pivot row is nonzero: elsewhere
+    ``a - f*0`` is ``a``, so the tableau is the dense elimination's.
     """
     m = len(A_rows)
     k = len(A_rows[0]) if m else 0
@@ -191,15 +193,16 @@ def _phase1_exact(A_rows, b):
                     best, leave = ratio, i
         if leave < 0:
             raise DomainError("phase-1 problem is unbounded; inputs are inconsistent")
-        piv = T[leave][enter]
-        T[leave] = [v / piv for v in T[leave]]
-        for i in range(m):
-            if i != leave and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [a - f * b2 for a, b2 in zip(T[i], T[leave])]
-        f = obj[enter]
-        if f != 0:
-            obj = [a - f * b2 for a, b2 in zip(obj, T[leave])]
+        prow = T[leave]
+        nonzero = [j for j, v in enumerate(prow) if v != 0]
+        piv = prow[enter]
+        for j in nonzero:
+            prow[j] /= piv
+        for row in itertools.chain(T[:leave], T[leave + 1:], [obj]):
+            f = row[enter]
+            if f != 0:
+                for j in nonzero:
+                    row[j] -= f * prow[j]
         basis[leave] = enter
     else:
         raise DomainError("simplex iteration guard exceeded")

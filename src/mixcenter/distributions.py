@@ -10,10 +10,11 @@ Mean status is declared by each model rather than inferred numerically:
 detecting tail-integral divergence from samples or quadrature is
 unreliable, and the center-bound logic only needs the declaration.
 
-scipy is imported only where quadrature runs (survival integrals of Pareto
-and atom-plus-uniform laws, ``GenericDensity``, ``quad_avg_quantile``), so
-the closed-form models load with numpy alone. Root finding is numpy
-everywhere: ``_brent_roots`` is the package's one root finder.
+Every built-in model has closed-form window averages and survival
+integrals; quadrature runs only for ``GenericDensity`` and
+``quad_avg_quantile`` (the oracle the closed forms are checked against), and
+scipy is imported only there. Root finding is numpy everywhere:
+``_brent_roots`` is the package's one root finder.
 """
 from __future__ import annotations
 
@@ -86,13 +87,6 @@ def cauchy_window_mean(sin_lo, sin_hi, w, d, scale=1.0):
         # lose a tiny ratio (x near -1) to rounding
         log_ratio = math.log(sin_lo) - math.log(sin_hi)
     return scale * log_ratio / (PI * w)
-
-
-def _quad_survival_integral(model, a, b, limit=200):
-    """Integral of 1 - F over [a, b] by adaptive quadrature."""
-    from scipy.integrate import quad
-
-    return quad(lambda x: 1.0 - model.cdf(x), a, b, limit=limit)[0]
 
 
 class Cauchy:
@@ -232,7 +226,37 @@ class Pareto:
         out = self.xm * (1.0 - t) ** (-1.0 / self.shape)
         return float(out) if out.ndim == 0 else out
 
-    survival_integral = _quad_survival_integral
+    def _avg_quantile(self, lo, hi):
+        """Mean of the quantile xm*(1 - t)^(-1/shape) over [lo, hi] (closed form).
+
+        With p = 1 - 1/shape, r = 1 - lo and w = hi - lo the integral is
+        xm*r^p*g, g = -expm1(p*L)/p (g = -L at shape 1), where L is the log of
+        (1 - hi)/r: log1p(-w/r) while w/r < 1/2, so a narrow window keeps full
+        relative accuracy, and past that the log of the ratio itself, whose
+        1 - hi is then exact (hi >= 1/2) and far from r.
+        """
+        p, r, w = 1.0 - 1.0 / self.shape, 1.0 - lo, hi - lo
+        x = w / r
+        log_ratio = math.log1p(-x) if x < 0.5 else math.log((1.0 - hi) / r)
+        g = -log_ratio if p == 0.0 else -math.expm1(p * log_ratio) / p
+        return self.xm * r ** p * g / w
+
+    def survival_integral(self, a, b):
+        """Integral of 1 - F over [a, b] (closed form).
+
+        1 - F is 1 below xm, which contributes the length of [a, b] below xm,
+        and (xm/x)^shape above it. From u = max(a, xm) to b that integrates to
+        u*(xm/u)^shape*expm1(q*L)/q with q = 1 - shape and L = log1p((b - u)/u)
+        (u*(xm/u)*L at shape 1), a sum of positive terms at every width.
+        """
+        total = max(min(b, self.xm) - a, 0.0)
+        u = max(a, self.xm)
+        if b > u:
+            q = 1.0 - self.shape
+            log_ratio = math.log1p((b - u) / u)
+            tail = log_ratio if q == 0.0 else math.expm1(q * log_ratio) / q
+            total += u * (self.xm / u) ** self.shape * tail
+        return total
 
     def sample(self, rng, size):
         return self.quantile(rng.random(size))
@@ -348,6 +372,7 @@ class PowerTwoGeometric:
             raise DomainError("truncation must be >= 1")
         self.sign = sign
         self.truncation = int(truncation)
+        self._views = {}
 
     @property
     def kind(self):
@@ -368,10 +393,12 @@ class PowerTwoGeometric:
         return out
 
     def truncated(self, kmax=None) -> FiniteDiscrete:
-        """Finite view with mass deficit 2^-(kmax+1)."""
+        """Finite view with mass deficit 2^-(kmax+1), built once per kmax."""
         kmax = self.truncation if kmax is None else kmax
-        atoms = [(float(v), float(p)) for v, p in self.pmf_fractions(kmax)]
-        return FiniteDiscrete(atoms, total_mass=1.0 - 2.0 ** -(kmax + 1))
+        if kmax not in self._views:
+            atoms = [(float(v), float(p)) for v, p in self.pmf_fractions(kmax)]
+            self._views[kmax] = FiniteDiscrete(atoms, total_mass=1.0 - 2.0 ** -(kmax + 1))
+        return self._views[kmax]
 
     def cdf(self, x):
         return self.truncated(max(self.truncation, 60)).cdf(x)
@@ -433,8 +460,12 @@ class CountableMixture:
         self.components = [(Fraction(w), comp) for w, comp in components]
         if sum(w for w, _ in self.components) != 1:
             raise DomainError("mixture weights must sum to 1 exactly")
+        self._views = {}
 
     def truncated(self, kmax) -> FiniteDiscrete:
+        """Finite view of the merged atoms up to index kmax, built once per kmax."""
+        if kmax in self._views:
+            return self._views[kmax]
         merged = {}
         deficit = Fraction(0)
         for w, comp in self.components:
@@ -442,7 +473,8 @@ class CountableMixture:
                 merged[v] = merged.get(v, Fraction(0)) + w * p
             deficit += w * Fraction(1, 2 ** (kmax + 1))
         atoms = [(float(v), float(p)) for v, p in sorted(merged.items())]
-        return FiniteDiscrete(atoms, total_mass=float(1 - deficit))
+        self._views[kmax] = FiniteDiscrete(atoms, total_mass=float(1 - deficit))
+        return self._views[kmax]
 
     def _avg_quantile(self, lo, hi):
         kmax = int(math.ceil(-math.log2(min(1 - hi, lo)))) + 6
@@ -520,7 +552,23 @@ class AtomUniform:
             acc += (t1 - t0) * x + (y - x) * (1.0 - a) * (u1 * u1 - u0 * u0) / 2.0
         return acc / (hi - lo)
 
-    survival_integral = _quad_survival_integral
+    def survival_integral(self, a, b):
+        """Integral of 1 - F over [a, b] (closed form).
+
+        1 - F is 1 below the atom, which contributes the length of [a, b]
+        there, and (1 - atom_weight)*(right_y - t)/(right_y - atom_x) at t on
+        the uniform part. Over [left, right] that integrates to a product of
+        positive differences, (right - left)*((right_y - left) + (right_y -
+        right)) over 2*(right_y - atom_x), so narrow intervals keep full
+        relative accuracy.
+        """
+        x, y = self.atom_x, self.right_y
+        total = max(min(b, x) - a, 0.0)
+        left, right = max(a, x), min(b, y)
+        if right > left:
+            total += ((1.0 - self.atom_weight) * (right - left)
+                      * ((y - left) + (y - right)) / (2.0 * (y - x)))
+        return total
 
     def sample(self, rng, size):
         u = rng.random(size)
@@ -543,9 +591,10 @@ def _brent_roots(f, lo, hi, f_lo, f_hi, xtol, args=(), maxiter=100, what="root")
     element takes the steps that solver takes on its bracket with the same
     ``xtol`` and ``maxiter`` (and ``rtol=_BRENT_RTOL``), given the end values
     ``f_lo`` and ``f_hi``. ``args`` are arrays with one entry per element;
-    ``f`` is evaluated only at the elements still open. Raises
-    ConstructionError when some bracket's end values have the same nonzero
-    sign, or when some element is open after ``maxiter`` iterations.
+    ``f`` is evaluated only at the elements still open. Like that solver, a
+    bracket with ``f_lo == 0`` returns ``lo``. Raises ConstructionError when
+    some bracket's end values have the same nonzero sign, or when some
+    element is open after ``maxiter`` iterations.
     """
     same = (f_lo != 0) & (f_hi != 0) & (np.signbit(f_lo) == np.signbit(f_hi))
     if same.any():
@@ -553,12 +602,13 @@ def _brent_roots(f, lo, hi, f_lo, f_hi, xtol, args=(), maxiter=100, what="root")
         raise ConstructionError(
             f"{what} is not bracketed: f = {f_lo[i]} and {f_hi[i]} on [{lo[i]}, {hi[i]}]"
         )
-    root = np.empty_like(lo)
-    idx = np.arange(lo.size)
-    xpre, xcur = lo.copy(), hi.copy()
-    fpre, fcur = f_lo.copy(), f_hi.copy()
-    xblk, fblk = lo.copy(), np.zeros_like(lo)
-    spre, scur = np.zeros_like(lo), np.zeros_like(lo)
+    root = lo.copy()
+    idx = np.flatnonzero(f_lo != 0)
+    args = tuple(a[idx] for a in args)
+    xpre, xcur = lo[idx], hi[idx]
+    fpre, fcur = f_lo[idx], f_hi[idx]
+    xblk, fblk = xpre.copy(), np.zeros_like(xpre)
+    spre, scur = np.zeros_like(xpre), np.zeros_like(xpre)
     for _ in range(maxiter):
         flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
         xblk = np.where(flip, xpre, xblk)
@@ -715,7 +765,10 @@ class GenericDensity:
         return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
     def survival_integral(self, a, b):
-        return _quad_survival_integral(self, a, b, limit=400)
+        """Integral of 1 - F over [a, b] by adaptive quadrature."""
+        from scipy.integrate import quad
+
+        return quad(lambda x: 1.0 - self.cdf(x), a, b, limit=400)[0]
 
     def sample(self, rng, size):
         return self.quantile(rng.random(size))
@@ -731,9 +784,11 @@ def avg_quantile(model, lo: float, hi: float) -> float:
 
     Models with a ``_avg_quantile`` method use it: plateau summation for
     discrete models (after truncation for countable ones), the closed forms
-    of the uniform and Cauchy laws, and quantile reflection for
-    ``Reflected``. All other models go to ``quad_avg_quantile``, which is
-    also the independent oracle that the closed forms are checked against.
+    of the uniform, Cauchy, Pareto (power law in 1 - t, in log1p/expm1
+    form) and atom-plus-uniform laws (the atom's level, then a linear
+    quantile), and quantile reflection for ``Reflected``. All other models
+    (``GenericDensity``) go to ``quad_avg_quantile``, which is also the
+    independent oracle that the closed forms are checked against.
     """
     _check_window(lo, hi)
     exact = getattr(model, "_avg_quantile", None)

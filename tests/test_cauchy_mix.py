@@ -201,6 +201,20 @@ class TestArrayClipLevel:
             cauchy_mix._brent_roots(lambda x: x * x + 1.0, np.array([0.0]), np.array([2.0]),
                                     np.array([1.0]), np.array([5.0]), 1e-12)
 
+    def test_zero_at_both_ends_returns_lower_end(self):
+        # scipy's brentq returns the lower end once f(lo) == 0, whatever f(hi)
+        zero = lambda x: 0.0 * x  # noqa: E731
+        want = brentq(lambda x: 0.0, 0.0, 1.0)
+        got = cauchy_mix._brent_roots(zero, np.array([0.0, 0.0]), np.array([1.0, 1.0]),
+                                      np.array([0.0, 0.0]), np.array([0.0, 0.0]), 1e-12)
+        assert want == 0.0 and got.tolist() == [want, want]
+        # a zero lower end beside an open bracket: each solved on its own
+        got = cauchy_mix._brent_roots(lambda x, s: x - s, np.array([0.0, 0.0]),
+                                      np.array([1.0, 1.0]), np.array([0.0, -0.25]),
+                                      np.array([1.0, 0.75]), 1e-14, args=(np.array([0.0, 0.25]),))
+        assert got.tolist() == [0.0, brentq(lambda x: x - 0.25, 0.0, 1.0, xtol=1e-14,
+                                            rtol=8.9e-16)]
+
 
 def _scalar_inverse_pdf(g, y):
     """Inverse density at one level by scipy's brentq, on the doubling bracket."""

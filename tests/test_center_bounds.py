@@ -21,6 +21,7 @@ from mixcenter.distributions import (
     AtomUniform,
     Cauchy,
     CountableMixture,
+    FiniteDiscrete,
     Pareto,
     PowerTwoGeometric,
     Uniform,
@@ -258,6 +259,52 @@ class TestDualBound:
         hi = math.log(9) / PI - 1e-6
         for c in np.linspace(-hi, hi, 21):
             assert dual_bound(Cauchy(), 10, float(c)).value >= 1 - 1e-6
+
+    @pytest.mark.parametrize("c", [0.4, 0.4 - 5e-8])
+    def test_atom_uniform_center_not_excluded(self, c):
+        # 0.4 is the mean of AtomUniform(0, 1, 0.2), and its atom passes the
+        # mean inequality at n = 3 (0.2 <= 1 - 1/(3*0.5) = 1/3), so 0.4 is a
+        # 3-center; a quadrature of 1 - F missed the survival integral at the
+        # atom's kink by about 5e-8 and pushed the bound below 1 here
+        model = AtomUniform(0.0, 1.0, 0.2)
+        assert mean_inequality_holds(model.atom_weight, 0.0, 1.0, 0.5, 3)
+        assert dual_bound(model, 3, c).value >= 1.0
+
+
+class TestNoQuadrature:
+    """Every built-in model certifies by closed forms alone."""
+
+    MODELS = {
+        "cauchy": Cauchy(),
+        "uniform": Uniform(-1.0, 2.0),
+        "finite": FiniteDiscrete([(0.0, 0.25), (1.0, 0.5), (3.0, 0.25)]),
+        "pareto0.5": Pareto(0.5),
+        "pareto1": Pareto(1.0),
+        "pareto1.5": Pareto(1.5),
+        "atom_uniform": AtomUniform(0.0, 1.0, 0.2),
+        "nu": PowerTwoGeometric("positive"),
+        "gamma": PowerTwoGeometric("negative"),
+        "mixture": CountableMixture([(Fraction(2, 3), PowerTwoGeometric("positive")),
+                                     (Fraction(1, 3), PowerTwoGeometric("negative"))]),
+    }
+
+    @pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
+    def test_bounds_never_call_quad(self, monkeypatch, model):
+        import scipy.integrate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.integrate.quad was called")
+
+        monkeypatch.setattr(scipy.integrate, "quad", refuse)
+        n = 3
+        res = cm_bounds(model, n)
+        a, b = res.a_star, res.b_star
+        a = a if math.isfinite(a) else b - 1.0
+        b = b if math.isfinite(b) else a + 1.0
+        for c in (a + 0.75 * (b - a), b + 0.5 * max(b - a, 1.0)):
+            assert math.isfinite(dual_bound(model, n, c).value)
+        lower, upper = jm_center_bounds(JmBoundsInput((model,) * n, (0.1 / n,) * n))
+        assert lower <= upper
 
 
 class TestInfiniteMeanClassifier:

@@ -108,6 +108,17 @@ class TestDual:
         assert code == 0
         assert payload["excludes_center"] is True
 
+    def test_atom_uniform_center_not_excluded(self, capsys, tmp_path):
+        # 0.4 is a 3-center of this law (its mean; the atom passes the mean
+        # inequality), so the dual bound must not exclude it
+        path = tmp_path / "au.json"
+        path.write_text(json.dumps({"kind": "atom_uniform", "atom_x": 0.0,
+                                    "right_y": 1.0, "atom_weight": 0.2}))
+        code, payload = run_json(capsys, "dual", "--n", "3", "--c", "0.4",
+                                 "--marginal", str(path))
+        assert code == 0
+        assert payload["excludes_center"] is False
+
     def test_power_two_marginal(self, capsys, tmp_path):
         path = tmp_path / "nu.json"
         path.write_text(json.dumps({"kind": "ex01_nu", "truncation_K": 12}))

@@ -194,6 +194,93 @@ class TestFeasibleCenter:
             feasible_center([big, big, big], 300.0, tol=1e9)
 
 
+def _dense_phase1_exact(A_rows, b):
+    """The rational phase-1 simplex with a dense pivot: every tableau entry
+    is rewritten at every pivot. The reference for the sparse pivot."""
+    m = len(A_rows)
+    k = len(A_rows[0]) if m else 0
+    zero, one = Fraction(0), Fraction(1)
+    T = [list(row) + [zero] * m + [bi] for row, bi in zip(A_rows, b)]
+    for i in range(m):
+        T[i][k + i] = one
+    obj = [-sum(T[i][j] for i in range(m)) for j in range(k + m + 1)]
+    for j in range(m):
+        obj[k + j] = zero
+    basis = list(range(k, k + m))
+    for _ in range(50000):
+        enter = -1
+        for j in range(k + m):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        best, leave = None, -1
+        for i in range(m):
+            if T[i][enter] > 0:
+                ratio = T[i][-1] / T[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        piv = T[leave][enter]
+        T[leave] = [v / piv for v in T[leave]]
+        for i in range(m):
+            if i != leave and T[i][enter] != 0:
+                f = T[i][enter]
+                T[i] = [a - f * b2 for a, b2 in zip(T[i], T[leave])]
+        f = obj[enter]
+        if f != 0:
+            obj = [a - f * b2 for a, b2 in zip(obj, T[leave])]
+        basis[leave] = enter
+    objective = -obj[-1]
+    x = [zero] * k
+    for i, var in enumerate(basis):
+        if var < k:
+            x[var] = T[i][-1]
+    y = [-(obj[k + j] - one) for j in range(m)]
+    return objective, x, y
+
+
+class TestExactSimplexSparsePivot:
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_matches_dense_pivot(self, data):
+        # a triple of integer-weight marginals on {0, ..., k-1}, the
+        # projections of a coupling drawn on the slice v1 + v2 + v3 = C: C is
+        # a center (the coupling) and C + 1 is not (the means sum to C)
+        k = data.draw(st.integers(2, 6), label="k")
+        center = data.draw(st.integers(k - 1, 2 * (k - 1)), label="C")
+        slice_ = [(v1, v2, center - v1 - v2) for v1 in range(k) for v2 in range(k)
+                  if 0 <= center - v1 - v2 < k]
+        rows = data.draw(st.lists(st.tuples(st.sampled_from(slice_), st.integers(1, 9)),
+                                  min_size=1, max_size=6), label="rows")
+        total = sum(w for _, w in rows)
+        marginals = []
+        for i in range(3):
+            mass = {}
+            for tup, w in rows:
+                mass[tup[i]] = mass.get(tup[i], 0) + w
+            marginals.append(FiniteDiscrete([(float(v), w / total) for v, w in mass.items()]))
+        calls = []
+        sparse_pivot = discrete_mix._phase1_exact
+
+        def spy(A_rows, b):
+            out = sparse_pivot(A_rows, b)
+            calls.append(((A_rows, b), out))
+            return out
+
+        discrete_mix._phase1_exact = spy
+        try:
+            verdicts = [feasible_center(marginals, float(c), exact=True).verdict
+                        for c in (center, center + 1)]
+        finally:
+            discrete_mix._phase1_exact = sparse_pivot
+        assert verdicts == ["feasible", "infeasible"]
+        assert calls
+        for args, (objective, x, y) in calls:
+            assert all(isinstance(v, Fraction) for v in (objective, *x, *y))
+            assert (objective, x, y) == _dense_phase1_exact(*args)
+
+
 def _dyadic_partition(rng, k, total=16):
     cuts = sorted(rng.choice(np.arange(1, total), size=k - 1, replace=False))
     parts = np.diff([0, *cuts, total])

@@ -200,6 +200,114 @@ class TestCauchyWindowClosedForm:
         assert_allclose(avg_quantile(Cauchy(), lo, hi), ref, rtol=1e-13)
 
 
+class TestParetoAtomUniformClosedForms:
+    """Pareto window averages and Pareto / atom-uniform survival integrals
+    against 50-digit mpmath at the same floats, with quadrature (split at
+    the kinks) as a second, independent check.
+
+    Windows reach 1e-9 in width and 1e-9 from either end; intervals
+    straddle each kink (xm, atom_x, right_y) and narrow to 1e-9.
+    """
+
+    SHAPES = [0.5, 1.0, 1.5, 3.0]
+    XM = 2.0
+    WINDOWS = [
+        (0.2, 0.9),
+        (1e-9, 1.0 - 1e-9),
+        (1e-9, 2e-9),
+        (1.0 - 2e-9, 1.0 - 1e-9),
+        (1e-9, 0.5),
+        (0.5, 1.0 - 1e-9),
+        (0.3, 0.3 + 1e-9),
+        (0.5, 0.5 + 1e-9),
+        (0.7 - 1e-9, 0.7),
+        (0.999, 1.0 - 1e-9),
+        (0.25, 0.75),
+    ]
+    PARETO_INTERVALS = [
+        (0.5, 1.5),                 # below xm only
+        (1.0, 3.0),                 # across xm
+        (2.0 - 1e-9, 2.0 + 1e-9),   # across xm, narrow
+        (2.0, 2.0 + 1e-9),
+        (5.0, 5.0 + 1e-9),
+        (2.5, 40.0),
+        (-10.0, 1e3),
+        (3.0, 1e6),
+    ]
+    ATOM_UNIFORMS = [AtomUniform(-1.0, 2.5, 0.3), AtomUniform(0.0, 1.0, 0.2)]
+    ATOM_INTERVALS = [
+        (-3.0, 5.0),                # across both kinks
+        (-2.0, 0.7),                # across atom_x
+        (0.5, 3.0),                 # across right_y
+        (-1.0 - 1e-9, -1.0 + 1e-9), # the kinks, narrow
+        (2.5 - 1e-9, 2.5 + 1e-9),
+        (1.0 - 1e-9, 1.0 + 1e-9),
+        (0.3, 0.3 + 1e-9),          # inside the uniform part, narrow
+        (0.9, 0.9 + 1e-9),
+        (2.4, 2.4 + 1e-9),
+        (-1.0, 2.5),
+    ]
+
+    @staticmethod
+    def mp_survival(mp, model, a, b, kinks):
+        """50-digit integral of 1 - F over [a, b], split at the kinks inside."""
+        with mp.workdps(50):
+            pts = [mp.mpf(a)] + [mp.mpf(k) for k in kinks if a < k < b] + [mp.mpf(b)]
+            return float(mp.quad(lambda x: 1 - model(x), pts))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("lo,hi", WINDOWS)
+    def test_pareto_window_matches_high_precision(self, lo, hi, shape):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            lo_m, hi_m, p = mp.mpf(lo), mp.mpf(hi), 1 - 1 / mp.mpf(shape)
+            if p == 0:
+                integral = mp.log((1 - lo_m) / (1 - hi_m))
+            else:
+                integral = ((1 - lo_m) ** p - (1 - hi_m) ** p) / p
+            ref = float(self.XM * integral / (hi_m - lo_m))
+        assert_allclose(avg_quantile(Pareto(shape, self.XM), lo, hi), ref, rtol=1e-13)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("lo,hi", [(0.2, 0.9), (1e-6, 0.5), (0.3, 0.3 + 1e-9), (0.5, 0.99)])
+    def test_pareto_window_matches_quadrature(self, lo, hi, shape):
+        model = Pareto(shape, self.XM)
+        assert_allclose(avg_quantile(model, lo, hi), quad_avg_quantile(model, lo, hi),
+                        rtol=1e-10)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("a,b", PARETO_INTERVALS)
+    def test_pareto_survival_matches_high_precision(self, a, b, shape):
+        mp = pytest.importorskip("mpmath")
+        xm = self.XM
+        cdf = lambda x: 0 if x < xm else 1 - (xm / x) ** shape  # noqa: E731
+        ref = self.mp_survival(mp, cdf, a, b, [xm])
+        assert_allclose(Pareto(shape, xm).survival_integral(a, b), ref, rtol=1e-13)
+
+    @pytest.mark.parametrize("model", ATOM_UNIFORMS, ids=["wide", "unit"])
+    @pytest.mark.parametrize("a,b", ATOM_INTERVALS)
+    def test_atom_uniform_survival_matches_high_precision(self, a, b, model):
+        mp = pytest.importorskip("mpmath")
+        x, y, w = (mp.mpf(v) for v in (model.atom_x, model.right_y, model.atom_weight))
+
+        def cdf(t):
+            if t < x:
+                return 0
+            return w + (1 - w) * min((t - x) / (y - x), 1)
+
+        ref = self.mp_survival(mp, cdf, a, b, [x, y])
+        assert_allclose(model.survival_integral(a, b), ref, rtol=1e-13)
+
+    @pytest.mark.parametrize("model", [Pareto(s, 2.0) for s in SHAPES] + ATOM_UNIFORMS,
+                             ids=[f"pareto{s}" for s in SHAPES] + ["au-wide", "au-unit"])
+    def test_survival_matches_quadrature(self, model):
+        kinks = [model.xm] if isinstance(model, Pareto) else [model.atom_x, model.right_y]
+        for a, b in [(-3.0, 5.0), (0.5, 1.5), (1.0, 3.0), (2.4, 2.4 + 1e-9), (-2.0, 0.7)]:
+            want = quad(lambda t: 1.0 - model.cdf(t), a, b, epsabs=0.0, epsrel=1e-12,
+                        limit=200, points=[k for k in kinks if a < k < b] or None)[0]
+            assert_allclose(model.survival_integral(a, b), want, rtol=1e-10)
+
+
 class TestGeneralizedInverse:
     MODELS = [
         Cauchy(),
