@@ -23,7 +23,8 @@ The slice machinery is driven by the clip level h(t): the unique level
 below the density value at c+t for which the level-clipped density over
 the window [c-t, c+(n-1)t] has centered first moment zero. The slice law is
 evaluated in one place, ``ConstructiveMixer.weights_at``: at the solved level
-for the coupling cells, at the tabulated level for draws.
+for the coupling cells, at the tabulated level for draws. The coupling cells
+live in one table, filled on first use; a draw reads its rows by one gather.
 
 The Cauchy mixers need numpy only; scipy is imported by the quadrature
 paths of generic densities (``DensityKernel``, ``generic_admissibility``).
@@ -32,12 +33,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import (GENERIC_GRID_HALFWIDTH, AtomUniform, GenericDensity, _brent_roots,
-                            _doubling_brackets)
+                            _doubling_brackets, cauchy_inverse_density)
 from .errors import ConstructionError, DomainError
 # ra_flatten is not called here, but perfbench/layers.py traces it under
 # this module's name
@@ -90,12 +92,7 @@ class CauchyKernel:
 
     def inverse_pdf(self, y):
         """Positive x with pdf(x) = y; +inf for y <= 0."""
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.where(
-                y <= 0.0, np.inf, np.sqrt(np.maximum(1.0 / (PI * np.maximum(y, 1e-300)) - 1.0, 0.0))
-            )
-        return float(out) if out.ndim == 0 else out
+        return cauchy_inverse_density(y)
 
     def centered_moment(self, el, u, c):
         """Integral of (x - c) * pdf(x) over [el, u], cancellation-safe."""
@@ -383,7 +380,7 @@ class SymmetricMixer:
 
 @dataclass
 class _CellCoupling:
-    """Cached rearrangement coupling of one slice's atom-plus-uniform part."""
+    """Rearrangement coupling of one slice's atom-plus-uniform part."""
 
     t_hat: float
     lo: float
@@ -478,6 +475,90 @@ def _fold_residuals(raw, lo, cut, target, t_hat):
     return corrected
 
 
+class _CellTable:
+    """The coupling cells of one slice law, in one table filled on first use.
+
+    Cell k couples the slice at the geometric midpoint ``t_hat`` of knots k
+    and k+1. The table holds every built cell's corrected rows, its
+    ``t_hat`` and its row bound; it is allocated empty and written in place,
+    so only the pages of built cells become resident.
+    """
+
+    def __init__(self, law):
+        # a proxy, so the mixer and its table form no reference cycle
+        self.law = weakref.proxy(law)
+        cells = len(law.knots) - 1
+        self.rows = np.empty((cells, law.config.ra_grid_m, law.n))
+        self.t_hat = np.empty(cells)
+        self.bound = np.empty(cells)
+        self.built = np.zeros(cells, dtype=bool)
+
+    def rows_at(self, t, row_idx):
+        """Coupling row ``row_idx`` of the cell holding each ``t``, with the
+        cell's t_hat and row bound; missing cells are built first."""
+        cells = np.clip(np.searchsorted(self.law.knots, t, side="right") - 1,
+                        0, self.built.size - 1)
+        for block, built in self.blocks(np.unique(cells[~self.built[cells]])):
+            self.rows[block] = built["corrected_matrix"]
+            self.t_hat[block], self.bound[block] = built["t_hat"], built["bound"]
+            self.built[block] = True
+        return self.rows[cells, row_idx], self.t_hat[cells], self.bound[cells]
+
+    def cell(self, idx) -> _CellCoupling:
+        """Cell ``idx`` built afresh, raw matrix included."""
+        ((_, built),) = self.blocks(np.array([idx]))
+        return _CellCoupling(**{k: v[0] if v.ndim == 3 else float(v[0])
+                                for k, v in built.items()})
+
+    def blocks(self, ids):
+        """Build the cells ``ids`` a block at a time; yields each block's ids
+        and its cells, the fields of ``_CellCoupling`` stacked over the block.
+
+        The atom-plus-uniform part of each slice is discretized, every
+        column gets its own shuffle from the cell's ``coupling`` substream,
+        the block's matrices are rearranged together, and each row's
+        residual is folded into the coordinate with the most room. A cell
+        does not depend on which other cells share its block.
+        """
+        law = self.law
+        n, c, m, seed = law.n, law.c, law.config.ra_grid_m, law.config.seed
+        per_block = max(1, _CELL_BLOCK_ENTRIES // (m * n))
+        for start in range(0, len(ids), per_block):
+            block = np.asarray(ids[start:start + per_block], dtype=int)
+            upper = np.minimum(block + 1, len(law.knots) - 1)
+            t_hat = np.sqrt(law.knots[block] * law.knots[upper])
+            w = law.weights_at(t_hat, law.clip_level(t_hat))
+            w_lo, w_hi, cut, w_unif, lo = w["w_lo"], w["w_hi"], w["cut"], w["w_unif"], w["lo"]
+            _raise_at(t_hat, w_lo <= 0.0, "low-atom weight {} <= 0", w_lo)
+            _raise_at(t_hat, (w_hi < 0.0) | (w_unif < -1e-15), "negative slice weight")
+            _raise_at(t_hat, cut < c + t_hat - 1e-9 * np.maximum(1.0, t_hat),
+                      "uniform cut {} below c+t", cut)
+            _raise_at(t_hat, (w_unif > 0.0) & (w_lo < (n - 1) * w_hi - 1e-12),
+                      "atom imbalance w_lo < (n-1)w_hi")
+            width = cut - lo
+            denom = w_lo - (n - 1) * w_hi + w_unif
+            _raise_at(t_hat, (denom <= 0.0) | (w_unif <= 0.0),
+                      "degenerate atom-plus-uniform slice")
+            atom_weight = np.minimum(np.maximum((w_lo - (n - 1) * w_hi) / denom, 0.0), 1.0)
+            _raise_at(t_hat, atom_weight > 1.0 - 2.0 / n + 1e-9,
+                      "atom weight {} violates the mean inequality margin", atom_weight)
+            # mean-inequality precondition: n * t >= width (cut <= c+(n-1)t)
+            _raise_at(t_hat, n * t_hat < width - 1e-9 * np.maximum(1.0, width),
+                      "slice width {} exceeds n*t", width)
+            stack = np.empty((block.size, m, n))
+            for k, idx in enumerate(block):
+                model = AtomUniform(lo[k], cut[k], atom_weight[k])
+                stack[k] = discretize(model, m)[:, None]
+                shuffle_columns(stack[k], substream(seed, "coupling", str(idx)))
+            flats = ra_flatten_stack(stack, max_sweeps=64)
+            raw = np.stack([f.matrix for f in flats])
+            yield block, {
+                "t_hat": t_hat, "lo": lo, "cut": cut, "atom_weight": atom_weight,
+                "raw_matrix": raw, "corrected_matrix": _fold_residuals(raw, lo, cut, n * c, t_hat),
+                "bound": n * width / m, "ra_spread": np.array([f.spread for f in flats]),
+            }
+
+
 class ConstructiveMixer:
     """Sampler for 0 < c <= log(n-1)/pi via the slice decomposition."""
 
@@ -497,8 +578,8 @@ class ConstructiveMixer:
         self.kernel = kernel
         self.n = n
         self.c = min(c, limit)
-        self._cells = {}
         self._build()
+        self._coupling = _CellTable(self)
 
     # ----- slice machinery (scalars or arrays of t) -------------------
 
@@ -699,67 +780,9 @@ class ConstructiveMixer:
     # ----- sampling -----------------------------------------------------
 
     def cell_coupling(self, idx) -> _CellCoupling:
-        """The (cached) coupling cell between knots ``idx`` and ``idx + 1``."""
-        if idx not in self._cells:
-            self._build_cells([idx])
-        return self._cells[idx]
-
-    def _build_cells(self, ids):
-        """Build the coupling cells ``ids``, a block of them at a time.
-
-        Each cell couples its slice at the geometric knot midpoint: the
-        atom-plus-uniform part is discretized, every column gets its own
-        shuffle from the cell's ``coupling`` substream, the block's matrices
-        are rearranged together, and each row's residual is folded into the
-        coordinate with the most room. A cell does not depend on which other
-        cells share its block.
-        """
-        cfg = self.config
-        n, c, m = self.n, self.c, cfg.ra_grid_m
-        per_block = max(1, _CELL_BLOCK_ENTRIES // (m * n))
-        for start in range(0, len(ids), per_block):
-            block = np.asarray(ids[start:start + per_block], dtype=int)
-            upper = np.minimum(block + 1, len(self.knots) - 1)
-            t_hat = np.sqrt(self.knots[block] * self.knots[upper])
-            w = self.weights_at(t_hat, self.clip_level(t_hat))
-            w_lo, w_hi, cut, w_unif, lo = w["w_lo"], w["w_hi"], w["cut"], w["w_unif"], w["lo"]
-            _raise_at(t_hat, w_lo <= 0.0, "low-atom weight {} <= 0", w_lo)
-            _raise_at(t_hat, (w_hi < 0.0) | (w_unif < -1e-15), "negative slice weight")
-            _raise_at(t_hat, cut < c + t_hat - 1e-9 * np.maximum(1.0, t_hat),
-                      "uniform cut {} below c+t", cut)
-            _raise_at(t_hat, (w_unif > 0.0) & (w_lo < (n - 1) * w_hi - 1e-12),
-                      "atom imbalance w_lo < (n-1)w_hi")
-            width = cut - lo
-            denom = w_lo - (n - 1) * w_hi + w_unif
-            _raise_at(t_hat, (denom <= 0.0) | (w_unif <= 0.0),
-                      "degenerate atom-plus-uniform slice")
-            atom_weight = np.minimum(np.maximum((w_lo - (n - 1) * w_hi) / denom, 0.0), 1.0)
-            _raise_at(t_hat, atom_weight > 1.0 - 2.0 / n + 1e-9,
-                      "atom weight {} violates the mean inequality margin", atom_weight)
-            # mean-inequality precondition: n * t >= width (cut <= c+(n-1)t)
-            _raise_at(t_hat, n * t_hat < width - 1e-9 * np.maximum(1.0, width),
-                      "slice width {} exceeds n*t", width)
-            stack = np.empty((block.size, m, n))
-            for k, idx in enumerate(block):
-                model = AtomUniform(lo[k], cut[k], atom_weight[k])
-                stack[k] = discretize(model, m)[:, None]
-                shuffle_columns(stack[k], substream(cfg.seed, "coupling", str(idx)))
-            flats = ra_flatten_stack(stack, max_sweeps=64)
-            corrected = _fold_residuals(np.stack([f.matrix for f in flats]), lo, cut,
-                                        n * c, t_hat)
-            bound = n * width / m
-            # each cell gets its own arrays, so no cached cell pins the block
-            for k, idx in enumerate(block):
-                self._cells[int(idx)] = _CellCoupling(
-                    t_hat=float(t_hat[k]),
-                    lo=float(lo[k]),
-                    cut=float(cut[k]),
-                    atom_weight=float(atom_weight[k]),
-                    raw_matrix=flats[k].matrix.copy(),
-                    corrected_matrix=corrected[k].copy(),
-                    bound=float(bound[k]),
-                    ra_spread=flats[k].spread,
-                )
+        """The coupling cell between knots ``idx`` and ``idx + 1``, built
+        afresh with its raw matrix; its bytes are those of the table's cell."""
+        return self._coupling.cell(idx)
 
     def _sample_at(self, ts, rng) -> SampleBatch:
         n, c = self.n, self.c
@@ -787,13 +810,8 @@ class ConstructiveMixer:
         # coupling branch: snap to the cell representative
         idx2 = np.nonzero(~is_cyclic)[0]
         if idx2.size:
-            cells = np.clip(
-                np.searchsorted(self.knots, ts[idx2], side="right") - 1,
-                0,
-                len(self.knots) - 2,
-            )
-            self._fill_from_cells(idx2, cells, row_idx, values, out_t, bound)
-            values[idx2] = _permute_rows(values[idx2], rng)
+            rows, out_t[idx2], bound[idx2] = self._coupling.rows_at(ts[idx2], row_idx[idx2])
+            values[idx2] = _permute_rows(rows, rng)
 
         return SampleBatch(
             values=values,
@@ -802,21 +820,6 @@ class ConstructiveMixer:
             row_bound=bound,
             target_sum=n * c,
         )
-
-    def _fill_from_cells(self, rows, cells, row_idx, values, out_t, bound):
-        """Fill ``rows`` from their cells (built first where missing): the
-        cell-coupling row ``row_idx``, the cell's t and its row bound."""
-        counts = np.bincount(cells)
-        ids = np.nonzero(counts)[0]
-        self._build_cells([int(i) for i in ids if int(i) not in self._cells])
-        grouped = rows[np.argsort(cells, kind="stable")]
-        stops = np.cumsum(counts[ids])
-        for cell_id, start, stop in zip(ids, stops - counts[ids], stops):
-            cell = self._cells[int(cell_id)]
-            sel = grouped[start:stop]
-            values[sel] = cell.corrected_matrix[row_idx[sel]]
-            out_t[sel] = cell.t_hat
-            bound[sel] = cell.bound
 
     def sample(self, count, rng) -> SampleBatch:
         """``count`` rows with standard-Cauchy coordinates summing to n*c."""

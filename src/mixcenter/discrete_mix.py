@@ -91,25 +91,6 @@ class Coupling:
                 raise DomainError(f"coupling invariant {name} fails: measured "
                                   f"{measured!r}, threshold {threshold!r}")
 
-    def symmetrized(self) -> "Coupling":
-        """Average over all n! coordinate permutations (exact exchangeable
-        version); duplicate rows are merged. Guarded at n <= 8."""
-        if self.n > 8:
-            raise SizeError("exact symmetrization is guarded at n <= 8")
-        perms = list(itertools.permutations(range(self.n)))
-        exact = _is_exact(self.weights)
-        fac = Fraction(1, len(perms)) if exact else 1.0 / len(perms)
-        merged = {}
-        for row, wgt in zip(self.support, self.weights):
-            for order in perms:
-                key = tuple(row[j] for j in order)
-                merged[key] = merged.get(key, 0 * wgt) + wgt * fac
-        support = sorted(merged)
-        return Coupling(
-            self.n, list(support), [merged[k] for k in support],
-            self.total_mass, self.residual,
-        )
-
     def to_json_dict(self):
         return {
             "n": self.n,
@@ -125,9 +106,22 @@ def _is_exact(seq):
 
 
 def exchangeable_permute(coupling: Coupling) -> Coupling:
-    """Exchangeable version of a coupling: the exact symmetrization, so all
-    marginals become the average marginal. Row sums are invariant."""
-    return coupling.symmetrized()
+    """Exchangeable version of a coupling: the average over all n!
+    coordinate permutations, with duplicate rows merged, so all marginals
+    become the average marginal. Row sums are invariant. Guarded at n <= 8."""
+    n = coupling.n
+    if n > 8:
+        raise SizeError("exact symmetrization is guarded at n <= 8")
+    perms = list(itertools.permutations(range(n)))
+    fac = Fraction(1, len(perms)) if _is_exact(coupling.weights) else 1.0 / len(perms)
+    merged = {}
+    for row, wgt in zip(coupling.support, coupling.weights):
+        for order in perms:
+            key = tuple(row[j] for j in order)
+            merged[key] = merged.get(key, 0 * wgt) + wgt * fac
+    support = sorted(merged)
+    return Coupling(n, support, [merged[k] for k in support],
+                    coupling.total_mass, coupling.residual)
 
 
 # ----------------------------------------------------------------------

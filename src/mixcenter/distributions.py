@@ -46,16 +46,18 @@ def cauchy_quantile(t):
 
 
 def cauchy_inverse_density(y):
-    """Positive x with standard-Cauchy density f(x) = y.
+    """Positive x with standard-Cauchy density f(x) = y, elementwise.
 
-    Defined for y in (0, 1/pi]; y <= 0 returns +inf (the density never
-    reaches 0), y > 1/pi is outside the range of f and raises.
+    Defined for y in (0, 1/pi]; y <= 0 gives +inf (the density never
+    reaches 0), y > 1/pi is outside the range of f and raises. A scalar
+    gives a float.
     """
-    if y > 1.0 / PI + 1e-15:
-        raise DomainError(f"density level {y} exceeds the mode value 1/pi")
-    if y <= 0.0:
-        return math.inf
-    return math.sqrt(max(1.0 / (PI * y) - 1.0, 0.0))
+    y = np.asarray(y, dtype=float)
+    if np.any(y > 1.0 / PI + 1e-15):
+        raise DomainError(f"density level {np.max(y)} exceeds the mode value 1/pi")
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.where(y <= 0.0, np.inf, np.sqrt(np.maximum(1.0 / (PI * y) - 1.0, 0.0)))
+    return float(out) if out.ndim == 0 else out
 
 
 def _sin_pi(t: float) -> float:

@@ -387,20 +387,42 @@ class TestBatchedCells:
     def test_batched_cells_equal_single_builds(self, nc, entries):
         n, c = nc
         cfg = MixerConfig(n=n, c=c, t_grid=512, ra_grid_m=32, seed=3)
-        batched = ConstructiveMixer(cfg)
+        mixer = ConstructiveMixer(cfg)
+        table = mixer._coupling
         with mock.patch.object(cauchy_mix, "_CELL_BLOCK_ENTRIES", entries):
-            batched.sample(400, substream(3, "cells"))
-        assert batched._cells
-        single = ConstructiveMixer(cfg)
-        target = n * batched.c
-        for idx, cell in batched._cells.items():
-            ref = single.cell_coupling(idx)
-            for name in ("t_hat", "lo", "cut", "atom_weight", "bound", "ra_spread"):
-                assert getattr(cell, name) == getattr(ref, name)
-            assert cell.raw_matrix.tobytes() == ref.raw_matrix.tobytes()
-            assert cell.corrected_matrix.tobytes() == ref.corrected_matrix.tobytes()
-            folded = _fold_rows(cell.raw_matrix, cell.lo, cell.cut, target)
-            assert cell.corrected_matrix.tobytes() == folded.tobytes()
+            mixer.sample(400, substream(3, "cells"))
+            ids = np.flatnonzero(table.built)
+            blocks = list(table.blocks(ids))
+        assert ids.size
+        target = n * mixer.c
+        for block, cells in blocks:
+            for k, idx in enumerate(block):
+                ref = mixer.cell_coupling(idx)
+                for name in ("t_hat", "lo", "cut", "atom_weight", "bound", "ra_spread"):
+                    assert cells[name][k] == getattr(ref, name)
+                assert cells["raw_matrix"][k].tobytes() == ref.raw_matrix.tobytes()
+                assert cells["corrected_matrix"][k].tobytes() == ref.corrected_matrix.tobytes()
+                # the draw's table holds the same cell
+                assert table.rows[idx].tobytes() == ref.corrected_matrix.tobytes()
+                assert (table.t_hat[idx], table.bound[idx]) == (ref.t_hat, ref.bound)
+                folded = _fold_rows(ref.raw_matrix, ref.lo, ref.cut, target)
+                assert ref.corrected_matrix.tobytes() == folded.tobytes()
+
+    @pytest.mark.parametrize("n,c", [(3, 0.15), (10, math.log(9) / PI)],
+                             ids=["n3", "n10-endpoint"])
+    def test_coupling_rows_are_rows_of_fresh_cells(self, n, c):
+        mixer = ConstructiveMixer(MixerConfig(n=n, c=c, **SMALL))
+        batch = mixer.sample(20_000, substream(7, "gather"))
+        coupling = batch.branch == 2
+        t_hat = np.sqrt(mixer.knots[:-1] * mixer.knots[1:])
+        drawn = np.unique(batch.t[coupling])
+        assert drawn.size > 100
+        for t in drawn:
+            (idx,) = np.flatnonzero(t_hat == t)
+            cell = mixer.cell_coupling(idx)
+            allowed = {row.tobytes() for row in np.sort(cell.corrected_matrix, axis=1)}
+            rows = np.sort(batch.values[coupling & (batch.t == t)], axis=1)
+            assert all(row.tobytes() in allowed for row in rows)
 
 
 class TestSliceWeights:

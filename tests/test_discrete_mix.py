@@ -369,7 +369,7 @@ class TestExchangeablePermute:
     def test_factorial_guard(self):
         coupling = Coupling(9, [tuple(range(9))], [1.0])
         with pytest.raises(SizeError):
-            coupling.symmetrized()
+            exchangeable_permute(coupling)
 
 
 class TestCouplingValidate:

@@ -76,6 +76,16 @@ class TestCauchyInverseDensity:
         for y in (1e-6, 1e-3, 0.05, 0.3):
             assert abs(f(cauchy_inverse_density(y)) - y) <= 1e-12
 
+    def test_array_matches_scalars(self):
+        ys = np.array([[-1.0, 0.0, 1e-300], [1e-6, 0.05, 1.0 / PI]])
+        out = cauchy_inverse_density(ys)
+        assert out.shape == ys.shape
+        assert isinstance(cauchy_inverse_density(0.05), float)
+        assert out.tolist() == [[cauchy_inverse_density(float(y)) for y in row] for row in ys]
+        assert out[0, :2].tolist() == [math.inf, math.inf] and out[1, 2] == 0.0
+        with pytest.raises(DomainError):
+            cauchy_inverse_density(np.array([0.1, 0.5]))
+
 
 class TestCauchyModel:
     def test_density_normalized(self):
