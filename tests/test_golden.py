@@ -71,7 +71,7 @@ SAMPLE_DIGESTS = {
     },
 }
 
-# output name -> digest of a certify-side command"s JSON
+# output name -> digest of a certify-side command's JSON
 CERTIFY_DIGESTS = {
     "bounds-cauchy-n10": "556ec16ae8f52984b5a122c1787e4a8a3d3ede3d8d672003aa589b26844bdf05",
     "bounds-cauchy-n3": "49034de9c322048705bc81eaab354011d57ea7ae73d7b6974ba527ebbd76b015",
@@ -83,6 +83,7 @@ CERTIFY_DIGESTS = {
     "interval-n10": "7bceb303c7ea287bc252343c4fdeb60ecfb8741e57c9927290d62cb3a1a05781",
     "interval-n3": "deb02da21d44444595aa5f72ccf61b2eabdefd0e3ee77aaadb27ade02d11b47e",
     "repro": "4c98f73ac4a792a8c6c092ec96790b2b590eb7662be1cc2aa4956d1174904c63",
+    "repro-seed7": "93643a71ef00d0ff5c2ab95b3d17b3d33e08f693cdeedeefd662f7033e1a1dc2",
 }
 
 MARGINALS = {
@@ -103,6 +104,7 @@ CERTIFY_RUNS = {
     "dual-cauchy-outside": ["dual", "--n", "3", "--c", "0.5"],
     "dual-uniform": ["dual", "--n", "3", "--c", "0.9", "--marginal", "{uniform}"],
     "repro": ["repro", "--out", "{out}"],
+    "repro-seed7": ["repro", "--seed", "7", "--out", "{out}"],
 }
 
 
