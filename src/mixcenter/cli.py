@@ -3,8 +3,9 @@
 Subcommands: bounds, interval, dual, feasible, centers, sample, verify,
 ex01, repro. JSON results carry a versioned "schema" field; sample output
 is CSV (17 significant digits, so doubles round-trip) plus a metadata
-sidecar. All randomness flows from one master seed through named
-substreams, so every run is reproducible from its flags.
+sidecar. ``repro`` replays the checks of ``mixcenter.anchors``. All
+randomness flows from one master seed through named substreams, so every
+run is reproducible from its flags.
 
 Exit codes: 0 success, 1 domain or verification failures, 2 I/O or
 argument parse errors.
@@ -17,26 +18,11 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
-from .cauchy_mix import (
-    ConvexCombinationSampler,
-    MixerConfig,
-    build_mixer,
-    generic_admissibility,
-)
-from .distributions import (
-    Cauchy,
-    CountableMixture,
-    GenericDensity,
-    Pareto,
-    PowerTwoGeometric,
-    model_from_spec,
-    point_mass,
-    quad_avg_quantile,
-)
+from .cauchy_mix import MixerConfig, build_mixer
+from .distributions import Cauchy, model_from_spec
 from .errors import ConstructionError, DomainError, QuadratureError, SizeError
 from .seeding import DEFAULT_SEED, substream
 from .verify import (
@@ -496,151 +482,11 @@ def _cmd_ex01(args):
 # ----------------------------------------------------------------------
 # repro: replay the paper-anchored numbers against stored expectations
 
-def _repro_checks(seed):
-    from . import center_bounds, discrete_mix
-
-    out = []
-
-    def check(name, ok, measured, expected):
-        out.append({"name": name, "passed": bool(ok), "measured": str(measured),
-                    "expected": str(expected)})
-
-    iv2 = center_bounds.cauchy_center_interval(2)
-    check("interval_n2_degenerate", iv2.lo == 0.0 == iv2.hi, (iv2.lo, iv2.hi), (0, 0))
-    iv3 = center_bounds.cauchy_center_interval(3)
-    check("interval_n3", abs(iv3.hi - 0.2206356001526516) < 1e-12,
-          iv3.hi, 0.2206356001526516)
-    all_n = all(
-        center_bounds.cauchy_center_interval(n).hi == math.log(n - 1) / math.pi
-        for n in range(2, 13)
-    )
-    check("interval_formula_n2_12", all_n, "log(n-1)/pi", "log(n-1)/pi")
-
-    lim = center_bounds.cauchy_avg_quantile_upper(3, 1e-9)
-    check("closed_form_alpha_to_zero", abs(lim - math.log(2) / math.pi) < 1e-6,
-          lim, math.log(2) / math.pi)
-
-    cf = center_bounds.cauchy_avg_quantile_upper(3, 0.1)
-    qd = quad_avg_quantile(Cauchy(), 0.2, 0.9)
-    check("closed_form_vs_quadrature_3_0.1",
-          abs(cf - qd) < 1e-8 and abs(cf - 0.2923746290202891) < 1e-9,
-          cf, 0.2923746290202891)
-
-    mix_x, mix_y = discrete_mix.zero_one_couplings(20)
-    sums_ok = set(mix_x.row_sums()) == {0} and set(mix_y.row_sums()) == {1}
-    check("ex01_sums_zero_one", sums_ok,
-          (sorted(set(mix_x.row_sums())), sorted(set(mix_y.row_sums()))), ([0], [1]))
-    half = Fraction(1, 2)
-    px1 = mix_x.marginal(0)[1]
-    py1 = mix_y.marginal(0)[1] + mix_y.residual / 2
-    check("ex01_atom_one_mass", px1 == half and py1 == half, (px1, py1), (half, half))
-    atoms_ok = all(
-        mix_x.marginal(0)[2 ** k] == mix_y.marginal(0)[2 ** k] == Fraction(1, 2 ** (k + 1))
-        for k in range(1, 21)
-    )
-    check("ex01_power_atoms_agree", atoms_ok, "2^-(k+1)", "2^-(k+1)")
-    sym = discrete_mix.exchangeable_permute(mix_x)
-    nu = PowerTwoGeometric("positive", 20)
-    gamma = PowerTwoGeometric("negative", 20)
-    expected = {}
-    for v, p in nu.pmf_fractions():
-        expected[v] = expected.get(v, Fraction(0)) + Fraction(2, 3) * p
-    for v, p in gamma.pmf_fractions():
-        expected[v] = expected.get(v, Fraction(0)) + Fraction(1, 3) * p
-    check("ex01_symmetrized_mixture", sym.marginal(0) == expected,
-          "(2nu+gamma)/3", "(2nu+gamma)/3")
-
-    lo, hi = center_bounds.jm_center_bounds(
-        center_bounds.JmBoundsInput((Cauchy(), Cauchy()), (0.1, 0.1))
-    )
-    check("jm_bounds_symmetric_pair", abs(lo + hi) < 1e-12, (lo, hi), "lo == -hi")
-    lo3, hi3 = center_bounds.jm_center_bounds(
-        center_bounds.JmBoundsInput((Cauchy(),) * 3, (0.1, 0.1, 0.1))
-    )
-    check("jm_bounds_triple_upper", abs(hi3 - 3 * qd) < 1e-10, hi3, 3 * qd)
-
-    cm = center_bounds.cm_bounds(Cauchy(), 3)
-    check("cm_bounds_cauchy_n3",
-          abs(cm.b_star - math.log(2) / math.pi) < 1e-4
-          and abs(cm.a_star + cm.b_star) < 1e-10,
-          (cm.a_star, cm.b_star), "+-log(2)/pi")
-
-    mixture = CountableMixture(
-        [(Fraction(2, 3), PowerTwoGeometric("positive", 40)),
-         (Fraction(1, 3), PowerTwoGeometric("negative", 40))]
-    )
-    cmx = center_bounds.cm_bounds(mixture, 3)
-    check("cm_bounds_power_mixture", cmx.a_star >= -1e-6 and cmx.b_star <= 2.0 / 3 + 1e-6,
-          (cmx.a_star, cmx.b_star), "[0, 2/3]")
-
-    check("mean_inequality_boundary",
-          center_bounds.mean_inequality_holds(1.0 / 3, 0, 1, 0.5, 3)
-          and not center_bounds.mean_inequality_holds(0.4, 0, 1, 0.5, 3),
-          "boundary alpha 1/3", "True/False")
-
-    verdicts = (
-        center_bounds.infinite_mean_classifier([Pareto(0.5), point_mass(0), point_mass(0)]),
-        center_bounds.infinite_mean_classifier([Cauchy()] * 3),
-    )
-    check("infinite_mean_classifier", verdicts == ("excluded", "inconclusive"),
-          verdicts, ("excluded", "inconclusive"))
-
-    dual_in = center_bounds.dual_bound(Cauchy(), 3, 0.15)
-    dual_pt = center_bounds.dual_bound(point_mass(0.0), 2, 0.5)
-    check("dual_bound_inside_vs_point", dual_in.value >= 1 - 1e-6 and dual_pt.value < 1,
-          (dual_in.value, dual_pt.value), (">=1-1e-6", "<1"))
-
-    cfg = MixerConfig(n=3, c=0.15, seed=seed)
-    mixer = build_mixer(cfg)
-    t_probe = 2.0
-    cap = mixer.kernel.pdf(cfg.c + t_probe)
-    check("imbalance_at_density_cap", mixer.imbalance(t_probe, cap) < 0,
-          mixer.imbalance(t_probe, cap), "< 0")
-    far = mixer.imbalance(1e8, 0.0)
-    check("imbalance_far_window", abs(far - (math.log(2) / math.pi - 0.15)) < 1e-6,
-          far, math.log(2) / math.pi - 0.15)
-    rep = run_invariant_suite(mixer)
-    check("mixer_invariant_suite", rep.all_pass, rep.all_pass, True)
-
-    try:
-        build_mixer(MixerConfig(n=3, c=0.3))
-        check("center_outside_interval_rejected", False, "accepted", "DomainError")
-    except DomainError:
-        check("center_outside_interval_rejected", True, "DomainError", "DomainError")
-
-    cmax = math.log(2) / math.pi
-    mix_hi = build_mixer(MixerConfig(n=3, c=cmax, t_grid=1024, seed=seed))
-    mix_lo = build_mixer(MixerConfig(n=3, c=-cmax, t_grid=1024, seed=seed))
-    combo = ConvexCombinationSampler(mix_hi, mix_lo, 0.5)
-    batch = combo.sample(2000, substream(seed, "repro", "combo"))
-    dev = abs(float(batch.row_sums().mean()))
-    check("convex_combination_center_zero", dev < 1e-9, dev, "0 within 1e-9")
-
-    cauchy_unnorm = GenericDensity(
-        lambda x: 0.5 / (1.0 + x * x),
-        lambda x: -x / (1.0 + x * x) ** 2,
-    )
-    adm = generic_admissibility(cauchy_unnorm, 3)
-    check("generic_density_cauchy_admissible",
-          adm.ok and abs(adm.q_max - math.log(2) / math.pi) < 1e-6,
-          (adm.ok, adm.q_max), (True, math.log(2) / math.pi))
-    power = GenericDensity(
-        lambda x: 1.0 / (1.0 + abs(x) ** 1.5),
-        lambda x: -1.5 * math.copysign(abs(x) ** 0.5, x) / (1.0 + abs(x) ** 1.5) ** 2,
-    )
-    adm2 = generic_admissibility(power, 3)
-    check("generic_density_power_rejected", not adm2.ok, adm2.ok, False)
-
-    sym_mixer = build_mixer(MixerConfig(n=3, c=0.0, seed=seed))
-    sbatch = sym_mixer.sample(2000, substream(seed, "repro", "symmetric"))
-    sdev = float(np.abs(sbatch.row_sums()).max())
-    check("symmetric_center_zero_rows", sdev <= float(sbatch.row_bound.max()),
-          sdev, "machine precision")
-    return out
-
-
 def _cmd_repro(args):
-    checks = _repro_checks(args.seed)
+    # anchors loads scipy, which sample and verify must not
+    from .anchors import replay
+
+    checks = replay(args.seed)
     all_pass = all(c["passed"] for c in checks)
     for c in checks:
         print(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: "

@@ -1,9 +1,10 @@
 """Acceptance suite: ten end-to-end criteria at pinned tolerances.
 
 Each test prints one [PASS]/[FAIL] line with the measured quantities and
-its wall-clock. Expected values marked as derived were computed with the
+its wall-clock. Criteria 1, 3, 6, 7 and 10 run the matching group of
+``mixcenter.anchors``, whose frozen values were computed with the
 independent oracles in this repository (quadrature, exhaustive
-enumeration) and frozen here.
+enumeration).
 """
 import itertools
 import math
@@ -13,29 +14,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mixcenter.cauchy_mix import MixerConfig, build_mixer, generic_admissibility
-from mixcenter.center_bounds import (
-    cauchy_avg_quantile_upper,
-    cauchy_center_interval,
-    cm_bounds,
-    dual_bound,
-)
-from mixcenter.discrete_mix import (
-    exchangeable_permute,
-    feasible_center,
-    zero_one_couplings,
-)
-from mixcenter.distributions import (
-    Cauchy,
-    FiniteDiscrete,
-    GenericDensity,
-    PowerTwoGeometric,
-    Uniform,
-    quad_avg_quantile,
-)
+from mixcenter import anchors
+from mixcenter.cauchy_mix import MixerConfig, build_mixer
+from mixcenter.center_bounds import cauchy_avg_quantile_upper, cm_bounds, dual_bound
+from mixcenter.discrete_mix import feasible_center
+from mixcenter.distributions import Cauchy, FiniteDiscrete, Uniform, quad_avg_quantile
 from mixcenter.rearrangement import discretize, ra_flatten
 from mixcenter.seeding import substream
-from mixcenter.verify import ks_distance, run_invariant_suite
+from mixcenter.verify import ks_distance
 
 PI = math.pi
 
@@ -48,17 +34,20 @@ def report(name, ok, runtime, limit, detail):
     assert runtime < limit, f"{name} exceeded its runtime budget: {runtime:.2f}s"
 
 
-def test_criterion_01_exact_interval():
+def run_group(group, seed=0):
+    """Checks of one anchors group, their wall-clock, and a one-line summary."""
     t0 = time.perf_counter()
-    worst = 0.0
-    for n in range(2, 13):
-        iv = cauchy_center_interval(n)
-        worst = max(worst, abs(iv.hi - math.log(n - 1) / PI), abs(iv.lo + iv.hi))
-    err_n3 = abs(cauchy_center_interval(3).hi - 0.2206356)
+    checks = group(seed)
     runtime = time.perf_counter() - t0
-    ok = worst == 0.0 and err_n3 <= 1e-7 and runtime < 1e-3
-    report("criterion 1: exact interval", ok, runtime, 1,
-           f"formula exact for n=2..12, |hi(3) - 0.2206356| = {err_n3:.2e}")
+    failed = [c["name"] for c in checks if not c["passed"]]
+    detail = (f"{len(checks) - len(failed)}/{len(checks)} checks of "
+              f"anchors.{group.__name__} pass{failed or ''}")
+    return not failed, runtime, detail
+
+
+def test_criterion_01_exact_interval():
+    ok, runtime, detail = run_group(anchors.interval)
+    report("criterion 1: exact interval", ok and runtime < 1e-3, runtime, 1, detail)
 
 
 def test_criterion_02_bound_convergence():
@@ -81,14 +70,11 @@ def test_criterion_03_closed_form_vs_quadrature():
             closed = cauchy_avg_quantile_upper(n, alpha)
             quadr = quad_avg_quantile(Cauchy(), (n - 1) * alpha, 1.0 - alpha)
             worst = max(worst, abs(closed - quadr))
-    # derived anchor at (3, 0.1), frozen from the quadrature oracle
-    anchor = cauchy_avg_quantile_upper(3, 0.1)
-    anchor_err = abs(anchor - 0.2923746290202891)
+    anchor_ok, _, detail = run_group(anchors.closed_form)
     runtime = time.perf_counter() - t0
-    ok = worst <= 1e-8 and anchor_err <= 1e-9
+    ok = worst <= 1e-8 and anchor_ok
     report("criterion 3: closed form vs quadrature", ok and runtime < 10,
-           runtime, 10,
-           f"max gap {worst:.2e} on the 20x20 grid, anchor dev {anchor_err:.1e}")
+           runtime, 10, f"max gap {worst:.2e} on the 20x20 grid, {detail}")
 
 
 def test_criterion_04_duality_consistency():
@@ -103,7 +89,7 @@ def test_criterion_04_duality_consistency():
            runtime, 30, f"min dual bound inside the interval = {worst:.9f}")
 
 
-@pytest.mark.parametrize("c", [0.0, 0.1, 0.15, math.log(2) / PI],
+@pytest.mark.parametrize("c", [0.0, 0.1, 0.15, anchors.LOG2_PI],
                          ids=["c0", "c0.1", "c0.15", "cmax"])
 def test_criterion_05_mixer_end_to_end(c):
     t0 = time.perf_counter()
@@ -127,40 +113,13 @@ def test_criterion_05_mixer_end_to_end(c):
 
 
 def test_criterion_06_invariant_suite():
-    t0 = time.perf_counter()
-    mixer = build_mixer(MixerConfig(n=3, c=0.15, seed=7))
-    rep = run_invariant_suite(mixer)
-    runtime = time.perf_counter() - t0
-    failed = [r.name for r in rep.invariants if not r.passed]
-    report("criterion 6: invariant suite", rep.all_pass and runtime < 30,
-           runtime, 30, f"all green ({len(rep.invariants)} checks){failed or ''}")
+    ok, runtime, detail = run_group(anchors.mixer, seed=7)
+    report("criterion 6: invariant suite", ok and runtime < 30, runtime, 30, detail)
 
 
 def test_criterion_07_zero_one_couplings():
-    t0 = time.perf_counter()
-    mix_x, mix_y = zero_one_couplings(20)
-    sums_ok = set(mix_x.row_sums()) == {0} and set(mix_y.row_sums()) == {1}
-    half = Fraction(1, 2)
-    atom_ok = (
-        mix_x.marginal(0)[1] == half
-        and mix_y.marginal(0)[1] + mix_y.residual / 2 == half
-    )
-    powers_ok = all(
-        mix_x.marginal(0)[2 ** k] == mix_y.marginal(0)[2 ** k] == Fraction(1, 2 ** (k + 1))
-        for k in range(1, 21)
-    )
-    sym = exchangeable_permute(mix_x)
-    expected = {}
-    for v, p in PowerTwoGeometric("positive", 20).pmf_fractions():
-        expected[v] = expected.get(v, Fraction(0)) + Fraction(2, 3) * p
-    for v, p in PowerTwoGeometric("negative", 20).pmf_fractions():
-        expected[v] = expected.get(v, Fraction(0)) + Fraction(1, 3) * p
-    sym_ok = all(sym.marginal(i) == expected for i in range(3))
-    runtime = time.perf_counter() - t0
-    ok = sums_ok and atom_ok and powers_ok and sym_ok
-    report("criterion 7: zero/one couplings", ok and runtime < 1, runtime, 1,
-           f"sums {sums_ok}, atom identities {atom_ok}, powers {powers_ok}, "
-           f"symmetrized {sym_ok}")
+    ok, runtime, detail = run_group(anchors.zero_one)
+    report("criterion 7: zero/one couplings", ok and runtime < 1, runtime, 1, detail)
 
 
 def _brute_force_pair(m1, m2, center, tol=1e-9):
@@ -226,18 +185,5 @@ def test_criterion_09_ra_behavior():
 
 
 def test_criterion_10_generic_density_checks():
-    t0 = time.perf_counter()
-    cauchy_like = GenericDensity(
-        lambda x: 0.5 / (1 + x * x), lambda x: -x / (1 + x * x) ** 2
-    )
-    adm_good = generic_admissibility(cauchy_like, 3)
-    power = GenericDensity(
-        lambda x: 1.0 / (1 + abs(x) ** 1.5),
-        lambda x: -1.5 * math.copysign(abs(x) ** 0.5, x) / (1 + abs(x) ** 1.5) ** 2,
-    )
-    adm_bad = generic_admissibility(power, 3)
-    runtime = time.perf_counter() - t0
-    ok = adm_good.ok and not adm_bad.ok
-    report("criterion 10: generic density checks", ok and runtime < 1, runtime, 1,
-           f"cauchy convex ok={adm_good.ok} (q_max {adm_good.q_max:.6f}), "
-           f"power 1.5 rejected={not adm_bad.ok}")
+    ok, runtime, detail = run_group(anchors.generic_density)
+    report("criterion 10: generic density checks", ok and runtime < 1, runtime, 1, detail)

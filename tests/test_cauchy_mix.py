@@ -10,6 +10,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from mixcenter import cauchy_mix
+from mixcenter.anchors import LOG2_PI, cauchy_like_density, power_three_halves_density
 from mixcenter.cauchy_mix import (
     ROOT_TOL,
     T_MIN,
@@ -29,7 +30,6 @@ from mixcenter.seeding import substream
 from mixcenter.verify import ks_distance, ks_two_sample, run_invariant_suite
 
 PI = math.pi
-LOG2_PI = math.log(2) / PI
 
 SMALL = dict(t_grid=512, seed=7)
 
@@ -252,7 +252,7 @@ class TestGenericSolvesMatchBrentq:
     element by element, bit for bit."""
 
     def test_inverse_pdf(self):
-        g = _cauchy_like_density()
+        g = cauchy_like_density()
         ys = np.concatenate([np.random.default_rng(31).uniform(0.0, 1.0 / PI, 150),
                              [1.0 / PI, 1e-9, 1e-25, 0.0, -1.0]]).reshape(5, 31)
         want = np.array([_scalar_inverse_pdf(g, y) for y in ys.ravel()]).reshape(ys.shape)
@@ -261,7 +261,7 @@ class TestGenericSolvesMatchBrentq:
         assert g.inverse_pdf(float(ys[0, 3])) == want[0, 3]
 
     def test_quantile(self):
-        g = _cauchy_like_density()
+        g = cauchy_like_density()
         ts = np.concatenate([np.random.default_rng(32).random(100), [0.5, 1e-4, 1 - 1e-4]])
         want = np.array([_scalar_quantile(g, t) for t in ts])
         assert g.quantile(ts).tobytes() == want.tobytes()
@@ -270,13 +270,13 @@ class TestGenericSolvesMatchBrentq:
             [_scalar_quantile(g, t) for t in substream(33, "g").random(40)]).tobytes()
 
     def test_radius_quantile(self):
-        kern = cauchy_mix.DensityKernel(_cauchy_like_density(), LOG2_PI)
+        kern = cauchy_mix.DensityKernel(cauchy_like_density(), LOG2_PI)
         us = np.random.default_rng(34).random(300)
         want = np.array([_scalar_radius(kern, u) for u in us])
         assert kern.radius_quantile(us).tobytes() == want.tobytes()
 
     def test_kernel_shapes(self):
-        kern = cauchy_mix.DensityKernel(_cauchy_like_density(), LOG2_PI)
+        kern = cauchy_mix.DensityKernel(cauchy_like_density(), LOG2_PI)
         a = np.array([[0.5, 2.0], [3.0, 40.0]])
         for fn, arg in ((kern.radius_cdf, a), (kern.radius_pdf, a), (kern.inverse_pdf, a / 200)):
             out = fn(arg)
@@ -758,29 +758,21 @@ class TestConvexCombination:
             assert ks_distance(batch.values[:, j], Cauchy().cdf) <= 0.02
 
 
-def _cauchy_like_density():
-    return GenericDensity(lambda x: 0.5 / (1 + x * x), lambda x: -x / (1 + x * x) ** 2)
-
-
 @pytest.fixture(scope="module")
 def generic_mixer():
     return build_mixer_for_density(
-        _cauchy_like_density(), 3, 0.15, t_grid=256, tail_eps=5e-3, ra_grid_m=64
+        cauchy_like_density(), 3, 0.15, t_grid=256, tail_eps=5e-3, ra_grid_m=64
     )
 
 
 class TestGenericDensityRoute:
     def test_admissibility_cauchy(self):
-        adm = generic_admissibility(_cauchy_like_density(), 3)
+        adm = generic_admissibility(cauchy_like_density(), 3)
         assert adm.ok
         assert_allclose(adm.q_max, LOG2_PI, atol=1e-6)
 
     def test_admissibility_power_three_halves_fails(self):
-        power = GenericDensity(
-            lambda x: 1.0 / (1 + abs(x) ** 1.5),
-            lambda x: -1.5 * math.copysign(abs(x) ** 0.5, x) / (1 + abs(x) ** 1.5) ** 2,
-        )
-        adm = generic_admissibility(power, 3)
+        adm = generic_admissibility(power_three_halves_density(), 3)
         assert not adm.ok
         assert adm.witness is not None
 
@@ -807,9 +799,9 @@ class TestGenericDensityRoute:
 
     def test_center_zero_generic_mixer_passes_its_suite(self):
         # radius_mass reads 1 - radius_cdf(1e12), which needs the cdf's far tail
-        report = run_invariant_suite(build_mixer_for_density(_cauchy_like_density(), 3, 0.0))
+        report = run_invariant_suite(build_mixer_for_density(cauchy_like_density(), 3, 0.0))
         assert report.all_pass, [(r.name, r.measured) for r in report.invariants]
 
     def test_center_outside_generic_bound(self):
         with pytest.raises(DomainError):
-            build_mixer_for_density(_cauchy_like_density(), 3, 0.5, t_grid=64)
+            build_mixer_for_density(cauchy_like_density(), 3, 0.5, t_grid=64)

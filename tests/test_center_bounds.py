@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from mixcenter import center_bounds
+from mixcenter.anchors import CAUCHY_WINDOW_02_09, INTERVAL_N3, LOG2_PI, ex01_mixture
 from mixcenter.center_bounds import (
     JmBoundsInput,
     cauchy_avg_quantile_upper,
@@ -20,7 +20,6 @@ from mixcenter.center_bounds import (
 from mixcenter.distributions import (
     AtomUniform,
     Cauchy,
-    CountableMixture,
     FiniteDiscrete,
     Pareto,
     PowerTwoGeometric,
@@ -33,9 +32,8 @@ from mixcenter.distributions import (
 from mixcenter.errors import DomainError
 
 PI = math.pi
-LOG2_PI = math.log(2) / PI            # 0.2206356001526516
 LOG9_PI = math.log(9) / PI            # 0.6993983051321196, evaluated directly
-TRIPLE_UPPER = 0.8771238870608677     # 3 * quadrature of the Cauchy window [0.2, 0.9]
+TRIPLE_UPPER = 3 * CAUCHY_WINDOW_02_09
 
 
 class TestCauchyCenterInterval:
@@ -45,7 +43,7 @@ class TestCauchyCenterInterval:
 
     def test_n3(self):
         iv = cauchy_center_interval(3)
-        assert_allclose(iv.hi, 0.2206356, atol=1e-7)
+        assert_allclose(iv.hi, INTERVAL_N3, atol=1e-12)
         assert iv.lo == -iv.hi
         assert iv.kind == "exact_formula"
 
@@ -63,8 +61,7 @@ class TestCauchyCenterInterval:
 
 class TestClosedForm:
     def test_value_at_3_01(self):
-        assert_allclose(cauchy_avg_quantile_upper(3, 0.1), 0.2923746290202891,
-                        atol=1e-12)
+        assert_allclose(cauchy_avg_quantile_upper(3, 0.1), CAUCHY_WINDOW_02_09, atol=1e-12)
 
     def test_n2_identically_zero(self):
         for a in (1e-6, 0.1, 0.3, 0.49):
@@ -152,11 +149,7 @@ class TestCmBounds:
         assert_allclose(res.b_star, 0.5, atol=1e-5)
 
     def test_power_mixture_bracket(self):
-        mixture = CountableMixture(
-            [(Fraction(2, 3), PowerTwoGeometric("positive", 40)),
-             (Fraction(1, 3), PowerTwoGeometric("negative", 40))]
-        )
-        res = cm_bounds(mixture, 3)
+        res = cm_bounds(ex01_mixture(), 3)
         assert res.a_star >= -1e-6
         assert res.b_star <= 2.0 / 3 + 1e-6
         # the two known centers of this law must sit inside the bracket
@@ -249,8 +242,7 @@ class TestDualBound:
     def test_power_two_mixture_centers_not_excluded(self):
         # (2 nu + gamma)/3 has the 3-centers 0 and 1/3 (the zero/one
         # couplings), so the bound there cannot drop below 1
-        mix = CountableMixture([(Fraction(2, 3), PowerTwoGeometric("positive")),
-                                (Fraction(1, 3), PowerTwoGeometric("negative"))])
+        mix = ex01_mixture()
         for c in (0.0, 1.0 / 3):
             assert dual_bound(mix, 3, c).value >= 1.0 - 1e-9
         assert dual_bound(mix, 3, 5.0).value < 1.0
@@ -284,8 +276,7 @@ class TestNoQuadrature:
         "atom_uniform": AtomUniform(0.0, 1.0, 0.2),
         "nu": PowerTwoGeometric("positive"),
         "gamma": PowerTwoGeometric("negative"),
-        "mixture": CountableMixture([(Fraction(2, 3), PowerTwoGeometric("positive")),
-                                     (Fraction(1, 3), PowerTwoGeometric("negative"))]),
+        "mixture": ex01_mixture(),
     }
 
     @pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())

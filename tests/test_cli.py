@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mixcenter
-from mixcenter import cli
+from mixcenter import anchors, cli
 from mixcenter.cauchy_mix import MixerConfig
 from mixcenter.cli import SCHEMAS, main
 
@@ -52,7 +52,7 @@ class TestInterval:
     def test_n3(self, capsys):
         code, payload = run_json(capsys, "interval", "--n", "3")
         assert code == 0
-        assert payload["hi"] == pytest.approx(math.log(2) / math.pi, abs=1e-12)
+        assert payload["hi"] == pytest.approx(anchors.LOG2_PI, abs=1e-12)
         assert payload["lo"] == -payload["hi"]
         assert payload["method"] == "exact_formula"
 
@@ -73,7 +73,7 @@ class TestBounds:
         code, payload = run_json(capsys, "bounds", "--marginals", cauchy_spec, "--n", "3")
         assert code == 0
         assert payload["mode"] == "cm"
-        assert payload["hi"] == pytest.approx(math.log(2) / math.pi, abs=1e-4)
+        assert payload["hi"] == pytest.approx(anchors.LOG2_PI, abs=1e-4)
 
     def test_jm_list(self, capsys, triple_spec):
         code, payload = run_json(
@@ -358,6 +358,17 @@ class TestCliPlumbing:
         jsonschema.validate(payload, SCHEMAS["mixcenter.repro/1"])
         assert payload["all_pass"] is True
 
+    def test_repro_failure_exits_1(self, capsys, tmp_path, monkeypatch):
+        # a frozen anchor off by more than its tolerance must fail the replay
+        monkeypatch.setattr(anchors, "CAUCHY_WINDOW_02_09", anchors.CAUCHY_WINDOW_02_09 + 1e-8)
+        out_file = tmp_path / "repro.json"
+        code, out = run_cli(capsys, "repro", "--out", str(out_file))
+        assert code == 1
+        assert "[FAIL] closed_form_vs_quadrature_3_0.1" in out
+        payload = json.loads(out_file.read_text())
+        jsonschema.validate(payload, SCHEMAS["mixcenter.repro/1"])
+        assert payload["all_pass"] is False
+
 
 class TestScipyFree:
     """``sample`` and ``verify`` of Cauchy mixers load numpy only."""
@@ -376,6 +387,7 @@ class TestScipyFree:
                 assert cli.main(["verify", csv, "--out", csv + ".json"]) == 0, csv
             loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
             assert "scipy" not in sys.modules, loaded[:5]
+            assert "mixcenter.anchors" not in sys.modules
 
             import mixcenter
             for name in mixcenter.__all__:

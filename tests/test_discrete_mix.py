@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixcenter import discrete_mix
+from mixcenter.anchors import ex01_symmetrized_marginal
 from mixcenter.discrete_mix import (
     Coupling,
     enumerate_centers,
@@ -14,7 +15,7 @@ from mixcenter.discrete_mix import (
     feasible_center,
     zero_one_couplings,
 )
-from mixcenter.distributions import FiniteDiscrete, PowerTwoGeometric, point_mass
+from mixcenter.distributions import FiniteDiscrete, point_mass
 from mixcenter.errors import DomainError, SizeError
 
 
@@ -344,11 +345,7 @@ class TestZeroOneCouplings:
     def test_symmetrized_mixture_marginal(self):
         mix_x, _ = zero_one_couplings(20)
         sym = exchangeable_permute(mix_x)
-        expected = {}
-        for v, p in PowerTwoGeometric("positive", 20).pmf_fractions():
-            expected[v] = expected.get(v, Fraction(0)) + Fraction(2, 3) * p
-        for v, p in PowerTwoGeometric("negative", 20).pmf_fractions():
-            expected[v] = expected.get(v, Fraction(0)) + Fraction(1, 3) * p
+        expected = ex01_symmetrized_marginal(20)
         for i in range(3):
             assert sym.marginal(i) == expected
 

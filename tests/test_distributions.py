@@ -6,10 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from mixcenter.anchors import CAUCHY_WINDOW_02_09, cauchy_like_density, ex01_mixture
 from mixcenter.distributions import (
     AtomUniform,
     Cauchy,
-    CountableMixture,
     FiniteDiscrete,
     GenericDensity,
     Pareto,
@@ -30,7 +30,6 @@ PI = math.pi
 
 # frozen oracle values
 TAN_04PI = 3.0776835371752527          # tan(0.4*pi), high-precision evaluation
-CAUCHY_AVG_02_09 = 0.2923746290202891  # adaptive quadrature of the tan quantile
 
 
 class TestCauchyQuantile:
@@ -125,7 +124,7 @@ class TestAvgQuantile:
         closed = math.log(math.sin(0.2 * PI) / math.sin(0.1 * PI)) / (PI * 0.7)
         for got in (avg_quantile(Cauchy(), 0.2, 0.9),
                     quad_avg_quantile(Cauchy(), 0.2, 0.9)):
-            assert_allclose(got, CAUCHY_AVG_02_09, atol=1e-10)
+            assert_allclose(got, CAUCHY_WINDOW_02_09, atol=1e-10)
             assert_allclose(got, closed, atol=1e-10)
 
     def test_uniform_midpoint(self):
@@ -434,11 +433,9 @@ class TestPowerTwoGeometric:
                             rtol=1e-13, atol=1e-300)
 
     def test_mixture_survival_integral_exact(self):
-        parts = [(Fraction(2, 3), PowerTwoGeometric("positive")),
-                 (Fraction(1, 3), PowerTwoGeometric("negative"))]
-        mix = CountableMixture(parts)
+        mix = ex01_mixture()
         for a, b in self.WINDOWS:
-            want = self.brute_survival(parts, a, b)
+            want = self.brute_survival(mix.components, a, b)
             assert_allclose(mix.survival_integral(a, b), float(want), rtol=1e-13)
 
     def test_survival_integral_needs_finite_ends(self):
@@ -464,7 +461,7 @@ class TestAtomUniform:
 
 class TestGenericDensity:
     def test_normalization(self):
-        g = GenericDensity(lambda x: 0.5 / (1 + x * x), lambda x: -x / (1 + x * x) ** 2)
+        g = cauchy_like_density()
         assert_allclose(g.pdf(0.0), 1.0 / PI, rtol=1e-9)
 
     def test_symmetry_enforced(self):
@@ -475,24 +472,24 @@ class TestGenericDensity:
             )
 
     def test_quantile_round_trip(self):
-        g = GenericDensity(lambda x: 0.5 / (1 + x * x), lambda x: -x / (1 + x * x) ** 2)
+        g = cauchy_like_density()
         for t in (0.1, 0.4, 0.5, 0.8, 0.95):
             assert abs(g.cdf(g.quantile(t)) - t) <= 1e-10
 
     def test_inverse_pdf(self):
-        g = GenericDensity(lambda x: 0.5 / (1 + x * x), lambda x: -x / (1 + x * x) ** 2)
+        g = cauchy_like_density()
         x = g.inverse_pdf(1.0 / (2 * PI))
         assert_allclose(x, 1.0, rtol=1e-9)
 
     def test_cdf_keeps_the_tail_mass(self):
         # the bulk near 0 must count however far out x is
-        g = GenericDensity(lambda x: 0.5 / (1 + x * x), lambda x: -x / (1 + x * x) ** 2)
+        g = cauchy_like_density()
         xs = np.geomspace(1e-3, 1e12, 121)
         for x in np.concatenate([xs, -xs, [0.0, 1.0, -1.0]]):
             assert abs(g.cdf(x) - (0.5 + math.atan(x) / PI)) <= 1e-14, x
 
     def test_quantile_in_the_far_tails(self):
-        g = GenericDensity(lambda x: 0.5 / (1 + x * x), lambda x: -x / (1 + x * x) ** 2)
+        g = cauchy_like_density()
         tail = np.geomspace(1e-12, 0.5, 25)
         for t in np.concatenate([tail, 1.0 - tail]):
             assert abs(g.cdf(g.quantile(t)) - t) <= 1e-13, t
@@ -551,10 +548,7 @@ class TestSamplingGoodnessOfFit:
         assert ks <= 0.006
 
     def test_countable_mixture_sampling(self):
-        mix = CountableMixture(
-            [(Fraction(2, 3), PowerTwoGeometric("positive")),
-             (Fraction(1, 3), PowerTwoGeometric("negative"))]
-        )
+        mix = ex01_mixture()
         rng = np.random.default_rng(3)
         draws = mix.sample(rng, 20_000)
         assert abs((draws == 1.0).mean() - 1.0 / 3) <= 0.02
