@@ -54,9 +54,9 @@ def power_three_halves_density():
     )
 
 
-def ex01_mixture(truncation=40):
-    """(2 nu + gamma) / 3 as a model, with nu and gamma truncated at ``truncation``."""
-    return CountableMixture([(w, PowerTwoGeometric(sign, truncation)) for w, sign in EX01_WEIGHTS])
+def ex01_mixture():
+    """(2 nu + gamma) / 3 as a model, with nu and gamma at their default truncation."""
+    return CountableMixture([(w, PowerTwoGeometric(sign)) for w, sign in EX01_WEIGHTS])
 
 
 def ex01_symmetrized_marginal(K):

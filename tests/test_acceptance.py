@@ -35,14 +35,13 @@ def report(name, ok, runtime, limit, detail):
 
 
 def run_group(group, seed=0):
-    """Checks of one anchors group, their wall-clock, and a one-line summary."""
+    """Checks of one anchors group, their wall-clock, and what each measured."""
     t0 = time.perf_counter()
     checks = group(seed)
     runtime = time.perf_counter() - t0
-    failed = [c["name"] for c in checks if not c["passed"]]
-    detail = (f"{len(checks) - len(failed)}/{len(checks)} checks of "
-              f"anchors.{group.__name__} pass{failed or ''}")
-    return not failed, runtime, detail
+    measured = "; ".join(f"{c['name']} = {c['measured']}{'' if c['passed'] else ' [FAIL]'}"
+                         for c in checks)
+    return all(c["passed"] for c in checks), runtime, f"anchors.{group.__name__}: {measured}"
 
 
 def test_criterion_01_exact_interval():
