@@ -77,9 +77,13 @@ CERTIFY_DIGESTS = {
     "bounds-cauchy-n3": "49034de9c322048705bc81eaab354011d57ea7ae73d7b6974ba527ebbd76b015",
     "bounds-finite-n3": "31f7052abe60e64eb3062b40a2f64693574b783026c925c8280a1017f19f2756",
     "bounds-pair-jm": "3a0667af779cc937796f414730b4243fa9dc820cb4cbcd2aec9ca9ee79d8273b",
+    "centers-triple15": "fcb552e90e11635c43e67474005015e7ce870de59ec1c7db29d69e7154d511a9",
     "dual-cauchy-inside": "66a7b12de6fc64ab5e63070bd02170899790fdda92463b1dd0318f6719a65cc7",
     "dual-cauchy-outside": "9fb5ae2a39b9cc58862aa4e53bc20b4a49e1d71e3f1da9991e2ab6a342c76cc5",
     "dual-uniform": "99004b5a1b36006dd560f2ff99aae14cf40ccc559b8da6744c5754f9e44547f0",
+    "feasible-exact-triple15-c4": "b5a29f504226e79e42d89e0b3ee750ef55fab201afea4726ceb748343758a5ed",
+    "feasible-exact-uniform9-c12": "11879b0fd33bef6eef23b26fdb0bc50506e3a43db2267e4348502983fff973c1",
+    "feasible-exact-uniform9-c13": "ea72a4b8e1c3f89120e02cafb4b8f64108ad5831f9703f8f8a5cf00a44e5702d",
     "interval-n10": "7bceb303c7ea287bc252343c4fdeb60ecfb8741e57c9927290d62cb3a1a05781",
     "interval-n3": "deb02da21d44444595aa5f72ccf61b2eabdefd0e3ee77aaadb27ade02d11b47e",
     "repro": "4c98f73ac4a792a8c6c092ec96790b2b590eb7662be1cc2aa4956d1174904c63",
@@ -91,6 +95,15 @@ MARGINALS = {
     "finite": {"kind": "finite", "atoms": [[-1.0, 0.25], [0.0, 0.25], [2.0, 0.5]]},
     "pair": [{"kind": "cauchy"}, {"kind": "cauchy", "scale": 2.0}],
     "uniform": {"kind": "uniform", "a": -1.0, "b": 2.0},
+    # uniform on {0, ..., 8}, three times: the forced center 12 and 13 beside it
+    "uniform9": [{"kind": "finite", "atoms": [[float(v), 1 / 9] for v in range(9)]}] * 3,
+    # the projections of a coupling on the slice v1 + v2 + v3 = 4 with integer
+    # weights 3, 2, 4, 1, 5 out of 15
+    "triple15": [
+        {"kind": "finite", "atoms": [[0.0, 3 / 15], [1.0, 7 / 15], [2.0, 4 / 15], [3.0, 1 / 15]]},
+        {"kind": "finite", "atoms": [[0.0, 4 / 15], [1.0, 9 / 15], [2.0, 2 / 15]]},
+        {"kind": "finite", "atoms": [[0.0, 1 / 15], [1.0, 2 / 15], [2.0, 9 / 15], [3.0, 3 / 15]]},
+    ],
 }
 
 CERTIFY_RUNS = {
@@ -105,6 +118,13 @@ CERTIFY_RUNS = {
     "dual-uniform": ["dual", "--n", "3", "--c", "0.9", "--marginal", "{uniform}"],
     "repro": ["repro", "--out", "{out}"],
     "repro-seed7": ["repro", "--seed", "7", "--out", "{out}"],
+    "feasible-exact-uniform9-c12": ["feasible", "--marginals", "{uniform9}", "--center", "12",
+                                    "--exact"],
+    "feasible-exact-uniform9-c13": ["feasible", "--marginals", "{uniform9}", "--center", "13",
+                                    "--exact"],
+    "feasible-exact-triple15-c4": ["feasible", "--marginals", "{triple15}", "--center", "4",
+                                   "--exact"],
+    "centers-triple15": ["centers", "--marginals", "{triple15}"],
 }
 
 
