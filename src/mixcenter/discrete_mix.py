@@ -6,9 +6,10 @@ whose coordinates add to C. It is decided by a phase-1 LP: HiGHS's dual
 simplex on a sparse constraint matrix in floats, or in exact mode a
 fraction-free (integer, Bareiss) Bland simplex with the same pivots and
 rationals as a Fraction tableau, which decides a few hundred columns in
-about a second. Solver output is checked before it is reported: feasible instances return the coupling found, validated against
-the marginals; infeasible ones a separating dual vector (Farkas
-certificate), verified against every slice column.
+about a second. Solver output is checked before it is reported: feasible
+instances return the coupling found, validated against the marginals;
+infeasible ones a separating dual vector (Farkas certificate), verified
+against every slice column.
 """
 from __future__ import annotations
 
@@ -178,7 +179,7 @@ def _phase1_exact(A_rows, b):
     m = len(A_rows)
     k = len(A_rows[0]) if m else 0
     D = math.lcm(*(bi.denominator for bi in b))
-    T = [[int(v) for v in row] + [0] * m + [int(bi * D)] for row, bi in zip(A_rows, b)]
+    T = [list(row) + [0] * m + [int(bi * D)] for row, bi in zip(A_rows, b)]
     for i in range(m):
         T[i][k + i] = 1
     obj = [-sum(col) for col in zip(*T)]
