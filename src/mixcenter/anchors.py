@@ -7,9 +7,6 @@ checks as ``{"name", "passed", "measured", "expected"}`` dicts, with
 ``measured`` and ``expected`` the ``str`` of the values compared.
 ``replay(seed)`` runs ``GROUPS`` in order; ``mixcenter repro`` prints and
 writes what it returns.
-
-This module loads scipy (through ``center_bounds`` and ``discrete_mix``),
-so the CLI imports it only inside ``repro``.
 """
 from __future__ import annotations
 

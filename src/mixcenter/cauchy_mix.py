@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -475,6 +474,54 @@ def _fold_residuals(raw, lo, cut, target, t_hat):
     return corrected
 
 
+def _cell_blocks(law, ids):
+    """Build the cells ``ids`` a block at a time; yields each block's ids
+    and its cells, the fields of ``_CellCoupling`` stacked over the block.
+
+    The atom-plus-uniform part of each slice is discretized, every
+    column gets its own shuffle from the cell's ``coupling`` substream,
+    the block's matrices are rearranged together, and each row's
+    residual is folded into the coordinate with the most room. A cell
+    does not depend on which other cells share its block.
+    """
+    n, c, m, seed = law.n, law.c, law.config.ra_grid_m, law.config.seed
+    per_block = max(1, _CELL_BLOCK_ENTRIES // (m * n))
+    for start in range(0, len(ids), per_block):
+        block = np.asarray(ids[start:start + per_block], dtype=int)
+        upper = np.minimum(block + 1, len(law.knots) - 1)
+        t_hat = np.sqrt(law.knots[block] * law.knots[upper])
+        w = law.weights_at(t_hat, law.clip_level(t_hat))
+        w_lo, w_hi, cut, w_unif, lo = w["w_lo"], w["w_hi"], w["cut"], w["w_unif"], w["lo"]
+        _raise_at(t_hat, w_lo <= 0.0, "low-atom weight {} <= 0", w_lo)
+        _raise_at(t_hat, (w_hi < 0.0) | (w_unif < -1e-15), "negative slice weight")
+        _raise_at(t_hat, cut < c + t_hat - 1e-9 * np.maximum(1.0, t_hat),
+                  "uniform cut {} below c+t", cut)
+        _raise_at(t_hat, (w_unif > 0.0) & (w_lo < (n - 1) * w_hi - 1e-12),
+                  "atom imbalance w_lo < (n-1)w_hi")
+        width = cut - lo
+        denom = w_lo - (n - 1) * w_hi + w_unif
+        _raise_at(t_hat, (denom <= 0.0) | (w_unif <= 0.0),
+                  "degenerate atom-plus-uniform slice")
+        atom_weight = np.minimum(np.maximum((w_lo - (n - 1) * w_hi) / denom, 0.0), 1.0)
+        _raise_at(t_hat, atom_weight > 1.0 - 2.0 / n + 1e-9,
+                  "atom weight {} violates the mean inequality margin", atom_weight)
+        # mean-inequality precondition: n * t >= width (cut <= c+(n-1)t)
+        _raise_at(t_hat, n * t_hat < width - 1e-9 * np.maximum(1.0, width),
+                  "slice width {} exceeds n*t", width)
+        stack = np.empty((block.size, m, n))
+        for k, idx in enumerate(block):
+            model = AtomUniform(lo[k], cut[k], atom_weight[k])
+            stack[k] = discretize(model, m)[:, None]
+            shuffle_columns(stack[k], substream(seed, "coupling", str(idx)))
+        flats = ra_flatten_stack(stack, max_sweeps=64)
+        raw = np.stack([f.matrix for f in flats])
+        yield block, {
+            "t_hat": t_hat, "lo": lo, "cut": cut, "atom_weight": atom_weight,
+            "raw_matrix": raw, "corrected_matrix": _fold_residuals(raw, lo, cut, n * c, t_hat),
+            "bound": n * width / m, "ra_spread": np.array([f.spread for f in flats]),
+        }
+
+
 class _CellTable:
     """The coupling cells of one slice law, in one table filled on first use.
 
@@ -485,78 +532,22 @@ class _CellTable:
     """
 
     def __init__(self, law):
-        # a proxy, so the mixer and its table form no reference cycle
-        self.law = weakref.proxy(law)
         cells = len(law.knots) - 1
         self.rows = np.empty((cells, law.config.ra_grid_m, law.n))
         self.t_hat = np.empty(cells)
         self.bound = np.empty(cells)
         self.built = np.zeros(cells, dtype=bool)
 
-    def rows_at(self, t, row_idx):
-        """Coupling row ``row_idx`` of the cell holding each ``t``, with the
-        cell's t_hat and row bound; missing cells are built first."""
-        cells = np.clip(np.searchsorted(self.law.knots, t, side="right") - 1,
+    def rows_at(self, law, t, row_idx):
+        """Coupling row ``row_idx`` of the cell of ``law`` holding each ``t``,
+        with the cell's t_hat and row bound; missing cells are built first."""
+        cells = np.clip(np.searchsorted(law.knots, t, side="right") - 1,
                         0, self.built.size - 1)
-        for block, built in self.blocks(np.unique(cells[~self.built[cells]])):
+        for block, built in _cell_blocks(law, np.unique(cells[~self.built[cells]])):
             self.rows[block] = built["corrected_matrix"]
             self.t_hat[block], self.bound[block] = built["t_hat"], built["bound"]
             self.built[block] = True
         return self.rows[cells, row_idx], self.t_hat[cells], self.bound[cells]
-
-    def cell(self, idx) -> _CellCoupling:
-        """Cell ``idx`` built afresh, raw matrix included."""
-        ((_, built),) = self.blocks(np.array([idx]))
-        return _CellCoupling(**{k: v[0] if v.ndim == 3 else float(v[0])
-                                for k, v in built.items()})
-
-    def blocks(self, ids):
-        """Build the cells ``ids`` a block at a time; yields each block's ids
-        and its cells, the fields of ``_CellCoupling`` stacked over the block.
-
-        The atom-plus-uniform part of each slice is discretized, every
-        column gets its own shuffle from the cell's ``coupling`` substream,
-        the block's matrices are rearranged together, and each row's
-        residual is folded into the coordinate with the most room. A cell
-        does not depend on which other cells share its block.
-        """
-        law = self.law
-        n, c, m, seed = law.n, law.c, law.config.ra_grid_m, law.config.seed
-        per_block = max(1, _CELL_BLOCK_ENTRIES // (m * n))
-        for start in range(0, len(ids), per_block):
-            block = np.asarray(ids[start:start + per_block], dtype=int)
-            upper = np.minimum(block + 1, len(law.knots) - 1)
-            t_hat = np.sqrt(law.knots[block] * law.knots[upper])
-            w = law.weights_at(t_hat, law.clip_level(t_hat))
-            w_lo, w_hi, cut, w_unif, lo = w["w_lo"], w["w_hi"], w["cut"], w["w_unif"], w["lo"]
-            _raise_at(t_hat, w_lo <= 0.0, "low-atom weight {} <= 0", w_lo)
-            _raise_at(t_hat, (w_hi < 0.0) | (w_unif < -1e-15), "negative slice weight")
-            _raise_at(t_hat, cut < c + t_hat - 1e-9 * np.maximum(1.0, t_hat),
-                      "uniform cut {} below c+t", cut)
-            _raise_at(t_hat, (w_unif > 0.0) & (w_lo < (n - 1) * w_hi - 1e-12),
-                      "atom imbalance w_lo < (n-1)w_hi")
-            width = cut - lo
-            denom = w_lo - (n - 1) * w_hi + w_unif
-            _raise_at(t_hat, (denom <= 0.0) | (w_unif <= 0.0),
-                      "degenerate atom-plus-uniform slice")
-            atom_weight = np.minimum(np.maximum((w_lo - (n - 1) * w_hi) / denom, 0.0), 1.0)
-            _raise_at(t_hat, atom_weight > 1.0 - 2.0 / n + 1e-9,
-                      "atom weight {} violates the mean inequality margin", atom_weight)
-            # mean-inequality precondition: n * t >= width (cut <= c+(n-1)t)
-            _raise_at(t_hat, n * t_hat < width - 1e-9 * np.maximum(1.0, width),
-                      "slice width {} exceeds n*t", width)
-            stack = np.empty((block.size, m, n))
-            for k, idx in enumerate(block):
-                model = AtomUniform(lo[k], cut[k], atom_weight[k])
-                stack[k] = discretize(model, m)[:, None]
-                shuffle_columns(stack[k], substream(seed, "coupling", str(idx)))
-            flats = ra_flatten_stack(stack, max_sweeps=64)
-            raw = np.stack([f.matrix for f in flats])
-            yield block, {
-                "t_hat": t_hat, "lo": lo, "cut": cut, "atom_weight": atom_weight,
-                "raw_matrix": raw, "corrected_matrix": _fold_residuals(raw, lo, cut, n * c, t_hat),
-                "bound": n * width / m, "ra_spread": np.array([f.spread for f in flats]),
-            }
 
 
 class ConstructiveMixer:
@@ -782,7 +773,9 @@ class ConstructiveMixer:
     def cell_coupling(self, idx) -> _CellCoupling:
         """The coupling cell between knots ``idx`` and ``idx + 1``, built
         afresh with its raw matrix; its bytes are those of the table's cell."""
-        return self._coupling.cell(idx)
+        ((_, built),) = _cell_blocks(self, np.array([idx]))
+        return _CellCoupling(**{k: v[0] if v.ndim == 3 else float(v[0])
+                                for k, v in built.items()})
 
     def _sample_at(self, ts, rng) -> SampleBatch:
         n, c = self.n, self.c
@@ -810,7 +803,7 @@ class ConstructiveMixer:
         # coupling branch: snap to the cell representative
         idx2 = np.nonzero(~is_cyclic)[0]
         if idx2.size:
-            rows, out_t[idx2], bound[idx2] = self._coupling.rows_at(ts[idx2], row_idx[idx2])
+            rows, out_t[idx2], bound[idx2] = self._coupling.rows_at(self, ts[idx2], row_idx[idx2])
             values[idx2] = _permute_rows(rows, rng)
 
         return SampleBatch(

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .distributions import avg_quantile, cauchy_window_mean
 from .errors import DomainError
@@ -114,6 +113,8 @@ def _grid_minimize(f, grid, xatol):
     """(x, value, i): the better of the grid point i where ``f`` is least and a
     bounded ``minimize_scalar`` (``xatol``) between that point's neighbours.
     A grid winner keeps its numpy scalar types; a refined one is a float."""
+    from scipy.optimize import minimize_scalar
+
     vals = np.array([f(x) for x in grid])
     i = int(np.argmin(vals))
     best_x, best_v = grid[i], vals[i]

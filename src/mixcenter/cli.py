@@ -21,6 +21,8 @@ import sys
 
 import numpy as np
 
+from . import center_bounds, discrete_mix
+from .anchors import replay
 from .cauchy_mix import MixerConfig, build_mixer
 from .distributions import Cauchy, model_from_spec
 from .errors import ConstructionError, DomainError, QuadratureError, SizeError
@@ -197,8 +199,6 @@ def _inf_to_json(x):
 # subcommands
 
 def _cmd_interval(args):
-    from . import center_bounds
-
     iv = center_bounds.cauchy_center_interval(args.n)
     _emit(
         {
@@ -215,8 +215,6 @@ def _cmd_interval(args):
 
 
 def _cmd_bounds(args):
-    from . import center_bounds
-
     marginals = _load_marginals(args.marginals)
     if len(marginals) == 1:
         if args.n is None:
@@ -253,8 +251,6 @@ def _cmd_bounds(args):
 
 
 def _cmd_dual(args):
-    from . import center_bounds
-
     model = _load_marginals(args.marginal)[0] if args.marginal else Cauchy()
     res = center_bounds.dual_bound(model, args.n, args.c)
     _emit(
@@ -273,8 +269,6 @@ def _cmd_dual(args):
 
 
 def _cmd_feasible(args):
-    from . import discrete_mix
-
     marginals = _load_marginals(args.marginals)
     res = discrete_mix.feasible_center(
         marginals, args.center, tol=args.tol, exact=args.exact
@@ -295,8 +289,6 @@ def _cmd_feasible(args):
 
 
 def _cmd_centers(args):
-    from . import discrete_mix
-
     marginals = _load_marginals(args.marginals)
     cs = discrete_mix.enumerate_centers(marginals, tol=args.tol)
     _emit(
@@ -371,9 +363,7 @@ def _cmd_sample(args):
         "t_grid": args.t_grid,
         "engine": "mix",
     }
-    with open(out + ".meta.json", "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _emit(meta, out + ".meta.json")
     return 0
 
 
@@ -459,8 +449,6 @@ def _cmd_verify(args):
 
 
 def _cmd_ex01(args):
-    from . import discrete_mix
-
     mix_x, mix_y = discrete_mix.zero_one_couplings(args.K)
     payload = {
         "schema": f"mixcenter.ex01/{SCHEMA_VERSION}",
@@ -483,9 +471,6 @@ def _cmd_ex01(args):
 # repro: replay the paper-anchored numbers against stored expectations
 
 def _cmd_repro(args):
-    # anchors loads scipy, which sample and verify must not
-    from .anchors import replay
-
     checks = replay(args.seed)
     all_pass = all(c["passed"] for c in checks)
     for c in checks:

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .center_bounds import JmBoundsInput, jm_center_bounds
 from .distributions import FiniteDiscrete
@@ -144,6 +142,9 @@ def _phase1_float(A, b: np.ndarray):
     returns (objective, x, y) with y the equality duals: a Farkas
     certificate when the objective is > 0. ``A`` is a sparse COO array.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     m, k = A.shape
     A_eq = sparse.csc_array((
         np.concatenate([A.data, np.ones(m)]),
@@ -314,6 +315,8 @@ def feasible_center(marginals, center: float, tol: float = 1e-9,
         feasible = objective == 0
         borderline = False
     else:
+        from scipy import sparse
+
         A = sparse.coo_array(
             (np.ones(cells.size), (cells.ravel(), np.repeat(np.arange(len(tuples)), n))),
             shape=(len(b), len(tuples)),

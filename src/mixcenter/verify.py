@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .cauchy_mix import ROOT_TOL, ConstructiveMixer, ReflectedMixer, SymmetricMixer
+from .discrete_mix import Coupling
 from .distributions import AtomUniform
 from .rearrangement import discretize
 
@@ -312,9 +313,6 @@ def run_invariant_suite(target, marginals=None, center=None) -> VerificationRepo
             config=asdict(target.config),
             seed=target.config.seed,
         )
-    # discrete_mix imports scipy, so mixer checks run without it
-    from .discrete_mix import Coupling
-
     if isinstance(target, Coupling):
         return VerificationReport(
             target="coupling",

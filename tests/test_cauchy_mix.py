@@ -392,7 +392,7 @@ class TestBatchedCells:
         with mock.patch.object(cauchy_mix, "_CELL_BLOCK_ENTRIES", entries):
             mixer.sample(400, substream(3, "cells"))
             ids = np.flatnonzero(table.built)
-            blocks = list(table.blocks(ids))
+            blocks = list(cauchy_mix._cell_blocks(mixer, ids))
         assert ids.size
         target = n * mixer.c
         for block, cells in blocks:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -387,13 +388,17 @@ class TestScipyFree:
                 assert cli.main(["verify", csv, "--out", csv + ".json"]) == 0, csv
             loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
             assert "scipy" not in sys.modules, loaded[:5]
-            assert "mixcenter.anchors" not in sys.modules
 
             import mixcenter
+            import mixcenter.anchors
+            import mixcenter.center_bounds
+            import mixcenter.discrete_mix
             for name in mixcenter.__all__:
                 getattr(mixcenter, name)
             assert mixcenter.center_bounds.cm_bounds is mixcenter.cm_bounds
             assert mixcenter.discrete_mix.Coupling is mixcenter.Coupling
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert "scipy" not in sys.modules, loaded[:5]
         """)
         src = os.path.dirname(os.path.dirname(mixcenter.__file__))
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -404,7 +409,7 @@ class TestScipyFree:
         report = json.loads((tmp_path / "rows_3_0.15.csv.json").read_text())
         assert report["all_pass"] is True
 
-    def test_lazy_exports(self):
+    def test_exports(self):
         assert mixcenter.__all__ == sorted(mixcenter.__all__)
         for name in ("center_bounds", "discrete_mix", "cm_bounds", "feasible_center",
                      "Coupling", "cauchy_mix", "verify"):
@@ -412,3 +417,25 @@ class TestScipyFree:
             assert name in dir(mixcenter)
         with pytest.raises(AttributeError):
             mixcenter.no_such_name
+
+    def test_no_module_level_scipy_import(self):
+        """scipy is imported only inside the functions that call it."""
+
+        def executed_at_import(nodes):
+            for node in nodes:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node
+                    yield from executed_at_import(ast.iter_child_nodes(node))
+
+        found = []
+        for path in sorted(Path(mixcenter.__file__).parent.glob("*.py")):
+            for node in executed_at_import(ast.parse(path.read_text()).body):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    modules = [node.module]
+                else:
+                    continue
+                if any(module.split(".")[0] == "scipy" for module in modules):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert not found, f"module-level scipy imports: {found}"

@@ -2,10 +2,15 @@
 looks up by attribute. These tests run its ``install`` against a stub
 recorder, so a refactor that drops or moves one of those names fails here
 instead of breaking the traced run."""
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
+
+import mixcenter
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -41,3 +46,28 @@ def test_install_finds_every_hooked_name(layers, cli):
     assert "ConstructiveMixer.clip_level" in rec.hooked
     assert "ConstructiveMixer.cell_coupling" in rec.hooked
     assert ("mixcenter.cli.build_mixer" in rec.hooked) == cli
+
+
+@pytest.mark.parametrize("cli", [False, True], ids=["library", "cli"])
+def test_install_loads_no_scipy(cli):
+    """The traced run wraps the program without loading scipy, so a traced
+    CLI child pays no scipy import that an untraced one would not."""
+    script = textwrap.dedent("""
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        import layers
+
+        class Stub:
+            def install(self, owner, attr, name, attrs=None):
+                pass
+
+        layers.install(Stub(), cli=sys.argv[2] == "cli")
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded[:5]
+    """)
+    src = os.path.dirname(os.path.dirname(mixcenter.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(PERFBENCH), "cli" if cli else "library"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
