@@ -43,7 +43,7 @@ from .errors import ConstructionError, DomainError
 # ra_flatten is not called here, but perfbench/layers.py traces it under
 # this module's name
 from .rearrangement import discretize, ra_flatten, ra_flatten_stack, shuffle_columns  # noqa: F401
-from .seeding import substream
+from .seeding import DEFAULT_SEED, substream
 
 PI = math.pi
 _EPS = np.finfo(float).eps
@@ -78,8 +78,6 @@ def _atan_diff(u, el):
 
 class CauchyKernel:
     """Closed-form standard Cauchy ingredients for the slice machinery."""
-
-    name = "cauchy"
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -213,8 +211,6 @@ class CauchyKernel:
 class DensityKernel:
     """Quadrature-backed ingredients for a generic admissible density."""
 
-    name = "generic"
-
     def __init__(self, density: GenericDensity, center_limit_value: float):
         self.density = density
         self._limit = float(center_limit_value)
@@ -279,7 +275,7 @@ class MixerConfig:
     t_grid: int = 2048
     tail_eps: float = 1e-4
     ra_grid_m: int = 512
-    seed: int = 0
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         for name in ("n", "t_grid", "ra_grid_m"):
@@ -345,8 +341,6 @@ class SymmetricMixer:
     are exact (no discretization or truncation) and row sums vanish to
     machine precision.
     """
-
-    kind = "symmetric"
 
     def __init__(self, config: MixerConfig, kernel=None):
         if config.c != 0.0:
@@ -553,8 +547,6 @@ class _CellTable:
 class ConstructiveMixer:
     """Sampler for 0 < c <= log(n-1)/pi via the slice decomposition."""
 
-    kind = "constructive"
-
     def __init__(self, config: MixerConfig, kernel=None):
         kernel = kernel or CauchyKernel()
         n, c = config.n, config.c
@@ -659,14 +651,19 @@ class ConstructiveMixer:
         out = (n - 1) ** 2 * kern.pdf(c + (n - 1) * t) - kern.pdf(c - t)
         return float(out) if out.ndim == 0 else out
 
-    def truncated_mass(self, t, level=None):
-        """Mixing-measure mass on (0, t]: closed form F(cut)-F(c-t) - h*(cut-(c-t))."""
+    def truncated_mass(self, t, level=None, y=np.inf):
+        """Mass below ``y`` (all of it by default) of the reassembly truncated
+        at t, which is the mixing-measure mass on (0, t] when ``y`` is +inf:
+        closed form F(top)-F(c-t) - h*(top-(c-t)) with top = min(y, cut), and
+        0 where top <= c-t."""
         if level is None:
             level = self.clip_level(t)
         scalar, t, level = _as_arrays(t, level)
-        cut = np.minimum(self.c + (self.n - 1) * t, self.kernel.inverse_pdf(level))
         lo = self.c - t
-        out = np.atleast_1d(self.kernel.cdf_diff(lo, cut)) - level * (cut - lo)
+        cut = np.minimum(self.c + (self.n - 1) * t, self.kernel.inverse_pdf(level))
+        top = np.minimum(cut, y)
+        out = np.atleast_1d(self.kernel.cdf_diff(lo, top)) - level * (top - lo)
+        out = np.where(top > lo, out, 0.0)
         return float(out[0]) if scalar else out
 
     # ----- tabulation ---------------------------------------------------
@@ -695,13 +692,11 @@ class ConstructiveMixer:
         inserts = _brent_roots(lambda t: kern.pdf(c + (n - 1) * t) - self.clip_level(t),
                                knots[i], knots[i + 1], kink_arg[i], kink_arg[i + 1], 1e-14,
                                what="kink root")
-        for t_star in inserts:
-            idx = int(np.searchsorted(knots, t_star))
-            if 0 < idx < len(knots):
-                rel = min(abs(t_star - knots[idx - 1]), abs(knots[idx] - t_star))
-                if rel > 1e-12 * t_star:
-                    knots = np.insert(knots, idx, t_star)
-                    levels = np.insert(levels, idx, self.clip_level(t_star))
+        # each bracket holds one root, so each insert lies between its own
+        # two knots; one too close to either is not inserted
+        far = np.minimum(inserts - knots[i], knots[i + 1] - inserts) > 1e-12 * inserts
+        knots = np.insert(knots, i[far] + 1, inserts[far])
+        levels = np.insert(levels, i[far] + 1, self.clip_level(inserts[far]))
         self.knots = knots
         self.levels = levels
         self._level_interp = _Pchip(np.log(self.knots), self.levels)
@@ -756,17 +751,6 @@ class ConstructiveMixer:
         rate = w_lo + w_hi + w_unif
         return {"w_lo": w_lo, "w_hi": w_hi, "cut": cut, "w_unif": w_unif, "rate": rate,
                 "lo": lo, "hi": hi}
-
-    def truncated_mass_below(self, t, y):
-        """Closed-form mass below y of the t-truncated reassembly."""
-        c, n, kern = self.c, self.n, self.kernel
-        level = float(self.level_at(t))
-        cut = min(c + (n - 1) * t, float(kern.inverse_pdf(level)))
-        lo = c - t
-        ym = min(y, cut)
-        if ym <= lo:
-            return 0.0
-        return float(kern.cdf_diff(lo, ym)) - level * (ym - lo)
 
     # ----- sampling -----------------------------------------------------
 
@@ -838,8 +822,6 @@ class ConstructiveMixer:
 
 class ReflectedMixer:
     """Sampler for c < 0: negation of the mixer for -c, row by row."""
-
-    kind = "reflected"
 
     def __init__(self, base):
         self.base = base

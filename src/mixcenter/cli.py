@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -28,6 +30,8 @@ from .distributions import Cauchy, model_from_spec
 from .errors import ConstructionError, DomainError, QuadratureError, SizeError
 from .seeding import DEFAULT_SEED, substream
 from .verify import (
+    KS_99,
+    InvariantResult,
     ks_distance,
     ks_threshold,
     ks_two_sample,
@@ -101,8 +105,8 @@ SCHEMAS = {
     },
     "mixcenter.sample_meta/1": {
         "type": "object",
-        "required": ["schema", "n", "c", "tail_eps", "ra_grid_m", "seed",
-                     "mass_deficit"],
+        "required": ["schema", "n", "c", "t_grid", "tail_eps", "ra_grid_m", "seed",
+                     "mass_deficit", "count", "engine"],
         "properties": {
             "schema": {"type": "string"},
             "n": {"type": "integer"},
@@ -340,27 +344,15 @@ def _cmd_sample(args):
     if args.count < 1:
         raise DomainError("need --count >= 1")
     out = _out_path(args.out)
-    cfg = MixerConfig(
-        n=args.n,
-        c=args.c,
-        t_grid=args.t_grid,
-        tail_eps=args.tail_eps,
-        ra_grid_m=args.ra_grid_m,
-        seed=args.seed,
-    )
+    cfg = MixerConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(MixerConfig)})
     mixer = build_mixer(cfg)
-    batch = mixer.sample(args.count, substream(args.seed, "sample", "rows"))
+    batch = mixer.sample(args.count, substream(cfg.seed, "sample", "rows"))
     _write_csv(out, batch.values, batch.t, batch.branch)
     meta = {
         "schema": f"mixcenter.sample_meta/{SCHEMA_VERSION}",
-        "n": args.n,
-        "c": args.c,
-        "tail_eps": args.tail_eps,
-        "ra_grid_m": args.ra_grid_m,
-        "seed": args.seed,
+        **dataclasses.asdict(cfg),
         "mass_deficit": mixer.mass_deficit,
         "count": args.count,
-        "t_grid": args.t_grid,
         "engine": "mix",
     }
     _emit(meta, out + ".meta.json")
@@ -371,18 +363,28 @@ def _cmd_verify(args):
     path = _out_path(args.csv)
     with open(path + ".meta.json") as fh:
         meta = json.load(fh)
-    # the sidecar is outside input: it must describe a mixer sample of this CSV
-    engine = meta.get("engine", "mix")
-    if engine != "mix":
-        raise DomainError(f"sidecar engine {engine!r} is not supported; "
+    # the sidecar is outside input: it must describe a mixer sample of this
+    # CSV, and a key that ``sample`` writes but the sidecar lacks exits 2
+    if meta["engine"] != "mix":
+        raise DomainError(f"sidecar engine {meta['engine']!r} is not supported; "
                           "only mixer samples can be verified")
-    values, ts, branch, sums = _read_csv(path)
-    n, c = int(meta["n"]), float(meta["c"])
+    types = typing.get_type_hints(MixerConfig)
+    cfg = MixerConfig(**{f.name: types[f.name](meta[f.name])
+                         for f in dataclasses.fields(MixerConfig)})
+    values, ts, branch, recorded = _read_csv(path)
+    n, c = cfg.n, cfg.c
     count = values.shape[0]
     if n != values.shape[1]:
         raise DomainError(f"sidecar n = {n}, but the CSV has {values.shape[1]} x columns")
-    if "count" in meta and int(meta["count"]) != count:
+    if int(meta["count"]) != count:
         raise DomainError(f"sidecar count = {meta['count']}, but the CSV has {count} rows")
+    # the bounds certify the rows' own sums, so the recorded row_sum column
+    # must be those sums bit for bit (NaN included)
+    sums = values.sum(axis=1)
+    if sums.tobytes() != recorded.tobytes():
+        i = int(np.flatnonzero(sums.view(np.uint64) != recorded.view(np.uint64))[0])
+        raise DomainError(f"CSV line {i + 2}: row_sum {float(recorded[i])!r} is not "
+                          f"the sum of its x columns, {float(sums[i])!r}")
     target = n * c
     checks = []
     cauchy = Cauchy()
@@ -392,25 +394,20 @@ def _cmd_verify(args):
     ks_lim = 0.01 + ks_threshold(count)
     for j in range(n):
         d = ks_distance(cols[:, j], cauchy.cdf)
-        checks.append(("ks_coordinate_%d" % (j + 1), d <= ks_lim, d, ks_lim))
+        checks.append(InvariantResult("ks_coordinate_%d" % (j + 1), d <= ks_lim, d, ks_lim))
 
     stats = sum_stats(values, target, branch)
-    checks.append(("sum_mean_dev", abs(stats.mean_dev) <= 1e-3, abs(stats.mean_dev), 1e-3))
+    checks.append(InvariantResult("sum_mean_dev", abs(stats.mean_dev) <= 1e-3,
+                                  abs(stats.mean_dev), 1e-3))
 
-    cfg = MixerConfig(
-        n=n, c=c, t_grid=int(meta.get("t_grid", 2048)),
-        tail_eps=float(meta["tail_eps"]), ra_grid_m=int(meta["ra_grid_m"]),
-        seed=int(meta["seed"]),
-    )
     mixer = build_mixer(cfg)
     bounds = mixer.row_bound_for(ts, branch)
     excess = float(np.max(np.abs(sums - target) - bounds))
-    checks.append(("row_sum_bounds", excess <= 1e-15, excess, 1e-15))
+    checks.append(InvariantResult("row_sum_bounds", excess <= 1e-15, excess, 1e-15))
     suite = run_invariant_suite(mixer)
-    for r in suite.invariants:
-        checks.append((r.name, r.passed, r.measured, r.threshold))
+    checks += suite.invariants
     mass_err = abs(float(meta["mass_deficit"]) - mixer.mass_deficit)
-    checks.append(("metadata_mass_deficit", mass_err <= 1e-12, mass_err, 1e-12))
+    checks.append(InvariantResult("metadata_mass_deficit", mass_err <= 1e-12, mass_err, 1e-12))
 
     worst_pair = 0.0
     for i in range(n):
@@ -418,18 +415,18 @@ def _cmd_verify(args):
             worst_pair = max(worst_pair, ks_two_sample(cols[:, i], cols[:, j]))
     # 0.01 is the calibration at 1e5 rows; below that the 99% two-sample
     # critical value dominates
-    pair_lim = max(0.01, 1.628 * math.sqrt(2.0 / count))
-    checks.append(("exchangeability_pairwise_ks", worst_pair <= pair_lim,
-                   worst_pair, pair_lim))
+    pair_lim = max(0.01, KS_99 * math.sqrt(2.0 / count))
+    checks.append(InvariantResult("exchangeability_pairwise_ks", worst_pair <= pair_lim,
+                                  worst_pair, pair_lim))
 
-    all_pass = all(ok for _, ok, _, _ in checks)
+    all_pass = all(r.passed for r in checks)
     payload = {
         "schema": f"mixcenter.verify/{SCHEMA_VERSION}",
         "all_pass": all_pass,
         "checks": [
-            {"name": name, "passed": bool(ok), "measured": float(meas),
-             "threshold": float(thr)}
-            for name, ok, meas, thr in checks
+            {"name": r.name, "passed": bool(r.passed), "measured": float(r.measured),
+             "threshold": float(r.threshold)}
+            for r in checks
         ],
         "config": meta,
         "sum_stats": {
@@ -441,8 +438,8 @@ def _cmd_verify(args):
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["name", "passed", "measured", "threshold"])
-        for name, ok, meas, thr in checks:
-            writer.writerow([name, int(ok), f"{meas:.17g}", f"{thr:.17g}"])
+        for r in checks:
+            writer.writerow([r.name, int(r.passed), f"{r.measured:.17g}", f"{r.threshold:.17g}"])
     else:
         _emit(payload, _out_path(args.out))
     return 0 if all_pass else 1
@@ -540,9 +537,9 @@ def _build_parser():
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--ra-grid-m", type=int, default=512)
-    p.add_argument("--tail-eps", type=float, default=1e-4)
-    p.add_argument("--t-grid", type=int, default=2048)
+    p.add_argument("--ra-grid-m", type=int, default=MixerConfig.ra_grid_m)
+    p.add_argument("--tail-eps", type=float, default=MixerConfig.tail_eps)
+    p.add_argument("--t-grid", type=int, default=MixerConfig.t_grid)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 

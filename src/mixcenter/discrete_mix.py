@@ -135,20 +135,22 @@ def exchangeable_permute(coupling: Coupling) -> Coupling:
 HIGHS_TOL = 1e-10
 
 
-def _phase1_float(A, b: np.ndarray):
+def _phase1_float(cells, b: np.ndarray):
     """Minimize the total artificial mass for Ax = b, x >= 0 with HiGHS.
 
     Solves min sum(a) subject to [A | I] [x; a] = b, x, a >= 0, and
     returns (objective, x, y) with y the equality duals: a Farkas
-    certificate when the objective is > 0. ``A`` is a sparse COO array.
+    certificate when the objective is > 0. Column j of ``A`` has a 1 in
+    each of the rows ``cells[j]`` (see ``_slice_cells``).
     """
     from scipy import sparse
     from scipy.optimize import linprog
 
-    m, k = A.shape
+    (k, n), m = cells.shape, len(b)
     A_eq = sparse.csc_array((
-        np.concatenate([A.data, np.ones(m)]),
-        (np.concatenate([A.row, np.arange(m)]), np.concatenate([A.col, k + np.arange(m)])),
+        np.ones(k * n + m),
+        np.concatenate([cells.ravel(), np.arange(m)]),
+        np.concatenate([np.arange(0, k * n, n), k * n + np.arange(m + 1)]),
     ), shape=(m, k + m))
     cost = np.concatenate([np.zeros(k), np.ones(m)])
     res = linprog(cost, A_eq=A_eq, b_eq=b, bounds=(0, None), method="highs-ds",
@@ -159,11 +161,11 @@ def _phase1_float(A, b: np.ndarray):
     return res.fun, res.x[:k], res.eqlin.marginals
 
 
-def _phase1_exact(A_rows, b):
+def _phase1_exact(cells, b):
     """Phase-1 simplex in exact arithmetic with Bland's rule.
 
-    Same formulation and return as ``_phase1_float``, with ``A_rows`` a
-    list of integer rows, ``b`` rationals and the results Fractions. It is a
+    Same formulation, ``cells`` and return as ``_phase1_float``, with
+    ``b`` rationals and the results Fractions. It is a
     fraction-free (integer, Bareiss) Bland simplex with the same pivots and
     rationals as a Fraction tableau: with ``D`` the common denominator of
     ``b`` and ``d`` the last pivot (1 at the start), every entry is ``d``
@@ -177,10 +179,12 @@ def _phase1_exact(A_rows, b):
     second (169 in 0.6 s); ``EXACT_VARIABLE_GUARD`` caps the size but does
     not promise speed at it.
     """
-    m = len(A_rows)
-    k = len(A_rows[0]) if m else 0
+    m, k = len(b), len(cells)
     D = math.lcm(*(bi.denominator for bi in b))
-    T = [list(row) + [0] * m + [int(bi * D)] for row, bi in zip(A_rows, b)]
+    T = [[0] * (k + m) + [int(bi * D)] for bi in b]
+    for j, rows in enumerate(cells.tolist()):
+        for r in rows:
+            T[r][j] += 1
     for i in range(m):
         T[i][k + i] = 1
     obj = [-sum(col) for col in zip(*T)]
@@ -238,25 +242,30 @@ class FeasibilityResult:
         return self.verdict == "feasible"
 
 
-def _slice_tuples(marginals, center, tol):
-    """Support tuples whose coordinate sums land within tol of center."""
+def _slice_cells(marginals, center, tol):
+    """The support tuples whose coordinate sums land within tol of center,
+    as constraint-row indices: ``cells[j, i]`` is the row of coordinate i
+    of tuple j, and the rows run over the atoms of every marginal in turn."""
     values = [list(m.values) for m in marginals]
     tuples = [((), 0.0)]
+    start = 0
     for i, vals in enumerate(values):
         rest_min = sum(min(v) for v in values[i + 1:])
         rest_max = sum(max(v) for v in values[i + 1:])
         nxt = []
         for prefix, acc in tuples:
-            for v in vals:
+            for r, v in enumerate(vals, start):
                 s = acc + v
                 if s + rest_min <= center + tol and s + rest_max >= center - tol:
-                    nxt.append((prefix + (v,), s))
+                    nxt.append((prefix + (r,), s))
             if len(nxt) > VARIABLE_GUARD:
                 raise SizeError(
                     f"slice enumeration exceeds the {VARIABLE_GUARD} variable guard"
                 )
         tuples = nxt
-    return [prefix for prefix, acc in tuples if abs(acc - center) <= tol]
+        start += len(vals)
+    cells = [prefix for prefix, acc in tuples if abs(acc - center) <= tol]
+    return np.array(cells, dtype=np.intp).reshape(len(cells), len(values))
 
 
 def feasible_center(marginals, center: float, tol: float = 1e-9,
@@ -276,29 +285,20 @@ def feasible_center(marginals, center: float, tol: float = 1e-9,
     n = len(marginals)
     if n < 2:
         raise DomainError("need at least two marginals")
-    tuples = _slice_tuples(marginals, center, tol)
-    index, b = {}, []
-    for i, m in enumerate(marginals):
-        for v, p in zip(m.values, m.probs):
-            index[(i, float(v))] = len(b)
-            b.append(float(p))
-    if not tuples:
+    cells = _slice_cells(marginals, center, tol)
+    atoms = np.concatenate([m.values for m in marginals])
+    b = [float(p) for m in marginals for p in m.probs]
+    if not len(cells):
         # no column to match: y = 1 on every row is a Farkas certificate
         return FeasibilityResult(
             verdict="infeasible", center=center, dual=[1.0] * len(b),
             residual=float(sum(b)) / n, candidates=0,
         )
-    # cells[j, i] is the marginal constraint hit by coordinate i of tuple j
-    cells = np.array([[index[(i, float(v))] for i, v in enumerate(tup)] for tup in tuples])
     if exact:
-        if len(tuples) > EXACT_VARIABLE_GUARD:
+        if len(cells) > EXACT_VARIABLE_GUARD:
             raise SizeError(
                 f"exact mode is guarded at {EXACT_VARIABLE_GUARD} variables"
             )
-        A_rows = [[0] * len(tuples) for _ in b]
-        for jcol, row in enumerate(cells):
-            for r in row:
-                A_rows[r][jcol] += 1
         # recover the intended rational probabilities from their float form
         b = [Fraction(x).limit_denominator(10 ** 12) for x in b]
         start = 0
@@ -310,26 +310,20 @@ def feasible_center(marginals, center: float, tol: float = 1e-9,
                     f"rationals summing to 1 (marginal total {share})"
                 )
             start += len(m.values)
-        objective, x, y = _phase1_exact(A_rows, b)
+        objective, x, y = _phase1_exact(cells, b)
         resid = float(objective)
         feasible = objective == 0
         borderline = False
     else:
-        from scipy import sparse
-
-        A = sparse.coo_array(
-            (np.ones(cells.size), (cells.ravel(), np.repeat(np.arange(len(tuples)), n))),
-            shape=(len(b), len(tuples)),
-        )
-        objective, x, y = _phase1_float(A, np.array(b))
+        objective, x, y = _phase1_float(cells, np.array(b))
         resid = float(objective)
         feasible = resid <= tol
         borderline = tol < resid <= 10 * tol
     if feasible:
         support, weights = [], []
-        for tup, w in zip(tuples, x):
+        for row, w in zip(cells, x):
             if (w > 0) if exact else (w > 1e-14):
-                support.append(tup)
+                support.append(tuple(atoms[row]))
                 weights.append(w)
         total = sum(weights) if exact else math.fsum(weights)
         coupling = Coupling(n, support, weights, total_mass=1 if exact else 1.0)
@@ -340,14 +334,14 @@ def feasible_center(marginals, center: float, tol: float = 1e-9,
                           marginal_tol=max(1e-10, 10 * tol))
         return FeasibilityResult(
             verdict="feasible", center=center, coupling=coupling,
-            residual=resid, candidates=len(tuples),
+            residual=resid, candidates=len(cells),
         )
     if not borderline:
         _check_farkas(y, cells, b, 0 if exact else tol)
     verdict = "borderline" if borderline else "infeasible"
     return FeasibilityResult(
         verdict=verdict, center=center,
-        dual=[float(v) for v in y], residual=resid, candidates=len(tuples),
+        dual=[float(v) for v in y], residual=resid, candidates=len(cells),
     )
 
 

@@ -244,8 +244,9 @@ def _constructive_suite(mixer: ConstructiveMixer) -> list:
             + w_g["w_unif"] * unif
         )
         lhs = float(np.trapezoid(integrand, grid))
-        lhs += mixer.truncated_mass_below(knots[0], y)  # mass below the first knot
-        rhs = mixer.truncated_mass_below(t_spot, y)
+        # mass below the first knot
+        lhs += mixer.truncated_mass(knots[0], mixer.level_at(knots[0]), y)
+        rhs = mixer.truncated_mass(t_spot, mixer.level_at(t_spot), y)
         worst_rec = max(worst_rec, abs(lhs - rhs))
     res.append(InvariantResult("measure_reconstruction", worst_rec <= 1e-4,
                                worst_rec, 1e-4))

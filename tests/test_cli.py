@@ -190,6 +190,8 @@ class TestSampleVerify:
         assert code == 0
         meta = json.loads((tmp_path / "rows.csv.meta.json").read_text())
         assert {f.name for f in dataclasses.fields(MixerConfig)} <= set(meta)
+        # and verify requires every key sample writes
+        assert set(meta) == set(SCHEMAS["mixcenter.sample_meta/1"]["required"])
 
     def test_csv_round_trips_doubles(self, capsys, tmp_path):
         out = str(tmp_path / "rows.csv")
@@ -268,6 +270,38 @@ class TestSampleVerify:
         assert main(["verify", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize("key", ["t_grid", "count", "engine"])
+    def test_verify_requires_every_sidecar_key(self, capsys, tmp_path, key):
+        out = tmp_path / "rows.csv"
+        code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0", "--count", "500",
+                          "--seed", "3", "--out", str(out))
+        assert code == 0
+        sidecar = tmp_path / "rows.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        del meta[key]
+        sidecar.write_text(json.dumps(meta))
+        assert main(["verify", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and repr(key) in captured.err
+
+    def test_verify_checks_row_sum_column_against_x_columns(self, capsys, tmp_path):
+        # row_sum_bounds certifies the sums of the x columns, so a row whose
+        # x1 moved while its recorded row_sum did not must fail verify
+        out = tmp_path / "rows.csv"
+        code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0.15", "--count", "8000",
+                          "--seed", "7", "--t-grid", "512", "--out", str(out))
+        assert code == 0
+        lines = out.read_bytes().split(b"\r\n")
+        fields = lines[6].split(b",")  # data row 5, counted from 0
+        fields[0] = b"%.17g" % (float(fields[0]) + 1e-3)
+        lines[6] = b",".join(fields)
+        out.write_bytes(b"\r\n".join(lines))
+        assert main(["verify", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "CSV line 7: row_sum" in captured.err
+        assert "is not the sum of its x columns" in captured.err
 
     def test_verify_csv_format(self, capsys, tmp_path):
         out = str(tmp_path / "rows.csv")

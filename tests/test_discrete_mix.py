@@ -180,8 +180,8 @@ class TestFeasibleCenter:
         for bogus in ([1.0, 1.0, 1.0, 1.0],       # y.A = 2 on every column
                       [0.0, 0.0, 0.0, 0.0]):      # y.b = 0
             monkeypatch.setattr(discrete_mix, "_phase1_float",
-                                lambda A, b, y=bogus: (honest.residual, np.zeros(A.shape[1]),
-                                                       np.array(y)))
+                                lambda cells, b, y=bogus: (honest.residual,
+                                                           np.zeros(len(cells)), np.array(y)))
             with pytest.raises(DomainError, match="certificate"):
                 feasible_center([bern, bern], 1.0)
 
@@ -296,8 +296,10 @@ class TestExactSimplexIntegerTableau:
         calls = []
         integer_tableau = discrete_mix._phase1_exact
 
-        def spy(A_rows, b):
-            out = integer_tableau(A_rows, b)
+        def spy(cells, b):
+            out = integer_tableau(cells, b)
+            # the oracle's dense rows: A_rows[r][j] counts r in cells[j]
+            A_rows = [[list(row).count(r) for row in cells] for r in range(len(b))]
             calls.append(((A_rows, b), out))
             return out
 
