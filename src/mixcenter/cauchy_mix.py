@@ -652,10 +652,10 @@ class ConstructiveMixer:
         return float(out) if out.ndim == 0 else out
 
     def truncated_mass(self, t, level=None, y=np.inf):
-        """Mass below ``y`` (all of it by default) of the reassembly truncated
-        at t, which is the mixing-measure mass on (0, t] when ``y`` is +inf:
-        closed form F(top)-F(c-t) - h*(top-(c-t)) with top = min(y, cut), and
-        0 where top <= c-t."""
+        """Mass below ``y`` of the reassembly truncated at t; with the default
+        y = +inf, the mixing-measure mass on (0, t]. Closed form
+        F(top)-F(c-t) - h*(top-(c-t)) with top = min(y, cut), and 0 where
+        top <= c-t."""
         if level is None:
             level = self.clip_level(t)
         scalar, t, level = _as_arrays(t, level)
