@@ -77,6 +77,7 @@ CERTIFY_DIGESTS = {
     "bounds-cauchy-n3": "49034de9c322048705bc81eaab354011d57ea7ae73d7b6974ba527ebbd76b015",
     "bounds-finite-n3": "31f7052abe60e64eb3062b40a2f64693574b783026c925c8280a1017f19f2756",
     "bounds-pair-jm": "3a0667af779cc937796f414730b4243fa9dc820cb4cbcd2aec9ca9ee79d8273b",
+    "bounds-uniform-n3": "8042a6499ee819beef551b45a481789897729436654f8d68ebf5d5afa3b99e51",
     "centers-triple15": "fcb552e90e11635c43e67474005015e7ce870de59ec1c7db29d69e7154d511a9",
     "dual-cauchy-inside": "66a7b12de6fc64ab5e63070bd02170899790fdda92463b1dd0318f6719a65cc7",
     "dual-cauchy-outside": "9fb5ae2a39b9cc58862aa4e53bc20b4a49e1d71e3f1da9991e2ab6a342c76cc5",
@@ -113,6 +114,7 @@ CERTIFY_RUNS = {
     "bounds-cauchy-n10": ["bounds", "--marginals", "{cauchy}", "--n", "10"],
     "bounds-finite-n3": ["bounds", "--marginals", "{finite}", "--n", "3"],
     "bounds-pair-jm": ["bounds", "--marginals", "{pair}", "--betas", "0.1,0.2"],
+    "bounds-uniform-n3": ["bounds", "--marginals", "{uniform}", "--n", "3"],
     "dual-cauchy-inside": ["dual", "--n", "3", "--c", "0.15"],
     "dual-cauchy-outside": ["dual", "--n", "3", "--c", "0.5"],
     "dual-uniform": ["dual", "--n", "3", "--c", "0.9", "--marginal", "{uniform}"],
