@@ -720,7 +720,8 @@ class ConstructiveMixer:
         if abs(trap_mass - self.raw_mass) > cfg.tail_eps + 1e-3:
             raise ConstructionError(
                 f"rate trapezoid mass {trap_mass} disagrees with the closed form "
-                f"{self.raw_mass} beyond calibration"
+                f"{self.raw_mass} beyond calibration: t_grid={cfg.t_grid} is too coarse, "
+                f"a finer grid is needed"
             )
         self.mixing_cdf = cdf / self.raw_mass
 

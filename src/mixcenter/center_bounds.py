@@ -111,13 +111,13 @@ def jm_center_bounds(inp: JmBoundsInput) -> tuple:
 
 def _grid_minimize(f, grid, xatol):
     """(x, value, i): the better of the grid point i where ``f`` is least and a
-    bounded ``minimize_scalar`` (``xatol``) between that point's neighbours.
-    A grid winner keeps its numpy scalar types; a refined one is a float."""
+    bounded ``minimize_scalar`` (``xatol``) between that point's neighbours,
+    with x and value as floats."""
     from scipy.optimize import minimize_scalar
 
     vals = np.array([f(x) for x in grid])
     i = int(np.argmin(vals))
-    best_x, best_v = grid[i], vals[i]
+    best_x, best_v = float(grid[i]), float(vals[i])
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     if hi > lo:

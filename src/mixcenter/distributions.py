@@ -94,7 +94,6 @@ def cauchy_window_mean(sin_lo, sin_hi, w, d, scale=1.0):
 class Cauchy:
     """Cauchy law with scale ``sigma`` (sigma = 1 is the standard law)."""
 
-    kind = "cauchy"
     mean_status = "undefined"
 
     def __init__(self, scale: float = 1.0):
@@ -140,68 +139,12 @@ class Cauchy:
         return {"kind": "cauchy", "scale": self.scale}
 
 
-class Uniform:
-    """Uniform law on [a, b]."""
-
-    kind = "uniform"
-    mean_status = "finite"
-
-    def __init__(self, a: float, b: float):
-        if not b > a:
-            raise DomainError("need a < b")
-        self.a, self.b = float(a), float(b)
-
-    @property
-    def mean(self):
-        return 0.5 * (self.a + self.b)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= self.a) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
-
-    def quantile(self, t):
-        t = _quantile_levels(t)
-        out = self.a + (self.b - self.a) * t
-        return float(out) if out.ndim == 0 else out
-
-    def _avg_quantile(self, lo, hi):
-        return self.a + (self.b - self.a) * 0.5 * (lo + hi)
-
-    def survival_integral(self, a, b):
-        # survival is 1 below a, linear on [a, b], 0 above b
-        total = 0.0
-        if a < self.a:
-            total += min(b, self.a) - a
-        left, right = max(a, self.a), min(b, self.b)
-        if right > left:
-            ua = (left - self.a) / (self.b - self.a)
-            ub = (right - self.a) / (self.b - self.a)
-            total += (right - left) - (self.b - self.a) * (ub * ub - ua * ua) / 2.0
-        return total
-
-    def sample(self, rng, size):
-        return self.a + (self.b - self.a) * rng.random(size)
-
-    def reflected(self):
-        return Uniform(-self.b, -self.a)
-
-    def to_spec(self):
-        return {"kind": "uniform", "a": self.a, "b": self.b}
-
-
 class Pareto:
     """Pareto law, survival (xm/x)^shape for x >= xm.
 
     Mean is infinite when shape <= 1, which is what the infinite-mean
     exclusion rule keys on.
     """
-
-    kind = "pareto"
 
     def __init__(self, shape: float, xm: float = 1.0):
         if shape <= 0 or xm <= 0:
@@ -275,7 +218,6 @@ class FiniteDiscrete:
     truncated view of a countable law; the deficit is carried explicitly.
     """
 
-    kind = "finite"
     mean_status = "finite"
 
     def __init__(self, atoms, total_mass: float = 1.0):
@@ -365,8 +307,6 @@ class PowerTwoGeometric:
     the full (untruncated) law.
     """
 
-    kind_by_sign = {"positive": "ex01_nu", "negative": "ex01_gamma"}
-
     def __init__(self, sign: str = "positive", truncation: int = 40):
         if sign not in ("positive", "negative"):
             raise DomainError("sign must be 'positive' or 'negative'")
@@ -375,10 +315,6 @@ class PowerTwoGeometric:
         self.sign = sign
         self.truncation = int(truncation)
         self._views = {}
-
-    @property
-    def kind(self):
-        return self.kind_by_sign[self.sign]
 
     @property
     def mean_status(self):
@@ -432,7 +368,8 @@ class PowerTwoGeometric:
         return -np.exp2(z + 1).astype(float)
 
     def to_spec(self):
-        return {"kind": self.kind, "truncation_K": self.truncation}
+        kind = "ex01_nu" if self.sign == "positive" else "ex01_gamma"
+        return {"kind": kind, "truncation_K": self.truncation}
 
 
 def _power_two_survival_integral(model, a, b, positive_weight):
@@ -454,7 +391,6 @@ def _power_two_survival_integral(model, a, b, positive_weight):
 class CountableMixture:
     """Finite mixture of countable power-of-two laws (exact atom merging)."""
 
-    kind = "power_mixture"
     mean_status = "undefined"
 
     def __init__(self, components):
@@ -506,10 +442,10 @@ class AtomUniform:
     """Mixture of a point mass at ``atom_x`` and a uniform on [atom_x, right_y].
 
     ``atom_weight`` is the mass of the atom. This is the shape of the
-    uniform-plus-atom slice laws used by the constructive Cauchy mixer.
+    uniform-plus-atom slice laws used by the constructive Cauchy mixer;
+    ``Uniform`` is the law with atom weight 0.
     """
 
-    kind = "atom_uniform"
     mean_status = "finite"
 
     def __init__(self, atom_x: float, right_y: float, atom_weight: float):
@@ -542,17 +478,23 @@ class AtomUniform:
         return float(out) if out.ndim == 0 else out
 
     def _avg_quantile(self, lo, hi):
-        a = self.atom_weight
-        x, y = self.atom_x, self.right_y
-        acc = 0.0
-        if lo < a:
-            acc += x * (min(hi, a) - lo)
-        if hi > a:
-            t0, t1 = max(lo, a), hi
-            u0 = (t0 - a) / (1.0 - a)
-            u1 = (t1 - a) / (1.0 - a)
-            acc += (t1 - t0) * x + (y - x) * (1.0 - a) * (u1 * u1 - u0 * u0) / 2.0
-        return acc / (hi - lo)
+        """Mean of the quantile over [lo, hi] (closed form).
+
+        The quantile is atom_x up to the level a = atom_weight and linear
+        from atom_x to right_y above it. Over [t0, hi], t0 = max(lo, a), the
+        linear part averages atom_x plus (right_y - atom_x)*((t0 - a) + (hi -
+        a))/(2*(1 - a)), a product of positive differences, so narrow windows
+        keep full accuracy. A window that starts on the atom takes the linear
+        part's share (hi - a)/(hi - lo) of that rise.
+        """
+        a, x, y = self.atom_weight, self.atom_x, self.right_y
+        if hi <= a:
+            return x
+        t0 = max(lo, a)
+        rise = (y - x) * ((t0 - a) + (hi - a)) / (2.0 * (1.0 - a))
+        if lo >= a:
+            return x + rise
+        return x + (hi - a) * rise / (hi - lo)
 
     def survival_integral(self, a, b):
         """Integral of 1 - F over [a, b] (closed form).
@@ -584,6 +526,36 @@ class AtomUniform:
             "right_y": self.right_y,
             "atom_weight": self.atom_weight,
         }
+
+
+class Uniform(AtomUniform):
+    """Uniform law on [a, b]: the atom-plus-uniform law without an atom."""
+
+    def __init__(self, a: float, b: float):
+        if not b > a:
+            raise DomainError("need a < b")
+        super().__init__(a, b, 0.0)
+
+    @property
+    def a(self):
+        return self.atom_x
+
+    @property
+    def b(self):
+        return self.right_y
+
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x >= self.a) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
+
+    def sample(self, rng, size):
+        return self.a + (self.b - self.a) * rng.random(size)
+
+    def reflected(self):
+        return Uniform(-self.b, -self.a)
+
+    def to_spec(self):
+        return {"kind": "uniform", "a": self.a, "b": self.b}
 
 
 def _brent_roots(f, lo, hi, f_lo, f_hi, xtol, args=(), maxiter=100, what="root"):
@@ -682,7 +654,6 @@ class GenericDensity:
     shape).
     """
 
-    kind = "generic"
     mean_status = "undefined"
 
     def __init__(self, pdf, dpdf):
@@ -786,11 +757,12 @@ def avg_quantile(model, lo: float, hi: float) -> float:
 
     Models with a ``_avg_quantile`` method use it: plateau summation for
     discrete models (after truncation for countable ones), the closed forms
-    of the uniform, Cauchy, Pareto (power law in 1 - t, in log1p/expm1
-    form) and atom-plus-uniform laws (the atom's level, then a linear
-    quantile), and quantile reflection for ``Reflected``. All other models
-    (``GenericDensity``) go to ``quad_avg_quantile``, which is also the
-    independent oracle that the closed forms are checked against.
+    of the Cauchy, Pareto (power law in 1 - t, in log1p/expm1 form) and
+    atom-plus-uniform laws (the atom's level, then a linear quantile; the
+    uniform law has no atom), and quantile reflection for ``Reflected``.
+    All other models (``GenericDensity``) go to ``quad_avg_quantile``,
+    which is also the independent oracle that the closed forms are checked
+    against.
     """
     _check_window(lo, hi)
     exact = getattr(model, "_avg_quantile", None)
@@ -831,8 +803,6 @@ def quad_avg_quantile(model, lo: float, hi: float) -> float:
 
 class Reflected:
     """Law of -X for X ~ base. Exact delegation via quantile reflection."""
-
-    kind = "reflected"
 
     def __init__(self, base):
         self.base = base

@@ -143,6 +143,12 @@ class TestCmBounds:
         assert abs(res.b_star - LOG2_PI) <= 1e-4
         assert abs(res.a_star + res.b_star) <= 1e-10
 
+    def test_bounds_are_plain_floats(self):
+        # a grid winner and a refined point alike, so reprs never spell numpy
+        res = cm_bounds(Cauchy(), 3)
+        for value in (res.a_star, res.b_star, res.alpha_at_a, res.alpha_at_b):
+            assert type(value) is float
+
     def test_uniform_collapses_to_mean(self):
         res = cm_bounds(Uniform(0, 1), 4)
         assert_allclose(res.a_star, 0.5, atol=1e-5)

@@ -244,6 +244,16 @@ class TestSampleVerify:
         assert capsys.readouterr().err.startswith("error: need ")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_coarse_t_grid_names_itself(self, capsys, tmp_path):
+        # 16 knots pass the domain check but miss the trapezoid calibration
+        code = main(["sample", "--n", "3", "--c", "0.15", "--count", "10",
+                     "--t-grid", "16", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rate trapezoid mass ")
+        assert "t_grid=16 is too coarse, a finer grid is needed" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_center_outside_interval(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0.3", "--count",
                           "10", "--out", str(tmp_path / "x.csv"))

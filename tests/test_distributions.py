@@ -254,7 +254,15 @@ class TestParetoAtomUniformClosedForms:
         (0.3, 0.3 + 1e-9),          # inside the uniform part, narrow
         (0.9, 0.9 + 1e-9),
         (2.4, 2.4 + 1e-9),
+        (2.0 - 1e-9, 2.0),          # ending at the uniform's right end
         (-1.0, 2.5),
+    ]
+    # windows inside the linear part and across the atom's level, narrow
+    ATOM_WINDOWS = WINDOWS + [
+        (0.9, 0.9 + 1e-10),
+        (0.2 - 1e-9, 0.2 + 1e-9),
+        (0.3 - 1e-9, 0.3 + 1e-9),
+        (0.1, 0.2),
     ]
 
     @staticmethod
@@ -294,6 +302,23 @@ class TestParetoAtomUniformClosedForms:
         assert_allclose(Pareto(shape, xm).survival_integral(a, b), ref, rtol=1e-13)
 
     @pytest.mark.parametrize("model", ATOM_UNIFORMS, ids=["wide", "unit"])
+    @pytest.mark.parametrize("lo,hi", ATOM_WINDOWS)
+    def test_atom_uniform_window_matches_high_precision(self, lo, hi, model):
+        # the quantile is atom_x up to the atom's weight, then linear; the
+        # closed form is accurate to a few ulps of the law's scale, since a
+        # window mean near 0 is a difference of the two ends' sizes
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            x, y, w = (mp.mpf(v) for v in (model.atom_x, model.right_y, model.atom_weight))
+            lo_m, hi_m = mp.mpf(lo), mp.mpf(hi)
+            pts = [lo_m] + ([w] if lo_m < w < hi_m else []) + [hi_m]
+            q = lambda t: x if t <= w else x + (y - x) * (t - w) / (1 - w)  # noqa: E731
+            ref = float(mp.quad(q, pts) / (hi_m - lo_m))
+        scale = max(abs(model.atom_x), abs(model.right_y))
+        assert abs(avg_quantile(model, lo, hi) - ref) <= 4 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("model", ATOM_UNIFORMS + [Uniform(-1.0, 2.0)],
+                             ids=["wide", "unit", "uniform"])
     @pytest.mark.parametrize("a,b", ATOM_INTERVALS)
     def test_atom_uniform_survival_matches_high_precision(self, a, b, model):
         mp = pytest.importorskip("mpmath")

@@ -81,14 +81,14 @@ CERTIFY_DIGESTS = {
     "centers-triple15": "fcb552e90e11635c43e67474005015e7ce870de59ec1c7db29d69e7154d511a9",
     "dual-cauchy-inside": "66a7b12de6fc64ab5e63070bd02170899790fdda92463b1dd0318f6719a65cc7",
     "dual-cauchy-outside": "9fb5ae2a39b9cc58862aa4e53bc20b4a49e1d71e3f1da9991e2ab6a342c76cc5",
-    "dual-uniform": "99004b5a1b36006dd560f2ff99aae14cf40ccc559b8da6744c5754f9e44547f0",
+    "dual-uniform": "d733584fd65f6613a8a06dfd4441f5857e16a5d61ab1ff92c50a72ba6460112a",
     "feasible-exact-triple15-c4": "b5a29f504226e79e42d89e0b3ee750ef55fab201afea4726ceb748343758a5ed",
     "feasible-exact-uniform9-c12": "11879b0fd33bef6eef23b26fdb0bc50506e3a43db2267e4348502983fff973c1",
     "feasible-exact-uniform9-c13": "ea72a4b8e1c3f89120e02cafb4b8f64108ad5831f9703f8f8a5cf00a44e5702d",
     "interval-n10": "7bceb303c7ea287bc252343c4fdeb60ecfb8741e57c9927290d62cb3a1a05781",
     "interval-n3": "deb02da21d44444595aa5f72ccf61b2eabdefd0e3ee77aaadb27ade02d11b47e",
-    "repro": "4c98f73ac4a792a8c6c092ec96790b2b590eb7662be1cc2aa4956d1174904c63",
-    "repro-seed7": "93643a71ef00d0ff5c2ab95b3d17b3d33e08f693cdeedeefd662f7033e1a1dc2",
+    "repro": "0f319aaae651ad68da425e053d8bfe1c2e91235941ecebf82345b205f7f48102",
+    "repro-seed7": "a651c496f0a78bca14b452b54778d325c5246e88110aafa1bf65b5a8b9d28fc3",
 }
 
 MARGINALS = {
