@@ -81,10 +81,13 @@ CERTIFY_DIGESTS = {
     "centers-triple15": "fcb552e90e11635c43e67474005015e7ce870de59ec1c7db29d69e7154d511a9",
     "dual-cauchy-inside": "66a7b12de6fc64ab5e63070bd02170899790fdda92463b1dd0318f6719a65cc7",
     "dual-cauchy-outside": "9fb5ae2a39b9cc58862aa4e53bc20b4a49e1d71e3f1da9991e2ab6a342c76cc5",
+    "dual-finite": "e4671c268d5b2f313b3d752ad732f428d6e95648411708256fac30b68a0cbfe2",
     "dual-uniform": "d733584fd65f6613a8a06dfd4441f5857e16a5d61ab1ff92c50a72ba6460112a",
     "feasible-exact-triple15-c4": "b5a29f504226e79e42d89e0b3ee750ef55fab201afea4726ceb748343758a5ed",
     "feasible-exact-uniform9-c12": "11879b0fd33bef6eef23b26fdb0bc50506e3a43db2267e4348502983fff973c1",
     "feasible-exact-uniform9-c13": "ea72a4b8e1c3f89120e02cafb4b8f64108ad5831f9703f8f8a5cf00a44e5702d",
+    "feasible-uniform9-c12": "983ad01bb0e6db30c3163547ece159302b1f398602963373eaaf499600a05536",
+    "feasible-uniform9-c13": "7edf63beb0357247391c1cc76338aa7add0e665e233927cd2366e96a9aaeec9c",
     "interval-n10": "7bceb303c7ea287bc252343c4fdeb60ecfb8741e57c9927290d62cb3a1a05781",
     "interval-n3": "deb02da21d44444595aa5f72ccf61b2eabdefd0e3ee77aaadb27ade02d11b47e",
     "repro": "0f319aaae651ad68da425e053d8bfe1c2e91235941ecebf82345b205f7f48102",
@@ -118,12 +121,16 @@ CERTIFY_RUNS = {
     "dual-cauchy-inside": ["dual", "--n", "3", "--c", "0.15"],
     "dual-cauchy-outside": ["dual", "--n", "3", "--c", "0.5"],
     "dual-uniform": ["dual", "--n", "3", "--c", "0.9", "--marginal", "{uniform}"],
+    "dual-finite": ["dual", "--n", "3", "--c", "1.5", "--marginal", "{finite}"],
     "repro": ["repro", "--out", "{out}"],
     "repro-seed7": ["repro", "--seed", "7", "--out", "{out}"],
     "feasible-exact-uniform9-c12": ["feasible", "--marginals", "{uniform9}", "--center", "12",
                                     "--exact"],
     "feasible-exact-uniform9-c13": ["feasible", "--marginals", "{uniform9}", "--center", "13",
                                     "--exact"],
+    # the float coupling (12) and the float Farkas dual (13)
+    "feasible-uniform9-c12": ["feasible", "--marginals", "{uniform9}", "--center", "12"],
+    "feasible-uniform9-c13": ["feasible", "--marginals", "{uniform9}", "--center", "13"],
     "feasible-exact-triple15-c4": ["feasible", "--marginals", "{triple15}", "--center", "4",
                                    "--exact"],
     "centers-triple15": ["centers", "--marginals", "{triple15}"],
