@@ -522,7 +522,7 @@ def _build_parser():
     p.add_argument("--exact", action="store_true",
                    help="exact rationals: a fraction-free (integer, Bareiss) Bland "
                         "simplex with the same pivots and rationals as a Fraction "
-                        "tableau; a few hundred columns in about a second")
+                        "tableau; 169 columns in about 0.04 s, 721 in about 5 s")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_feasible)
 

@@ -18,6 +18,7 @@ scipy is imported only there. Root finding is numpy everywhere:
 """
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -239,6 +240,10 @@ class FiniteDiscrete:
         self.total_mass = float(total_mass)
         self._cum = np.cumsum(probs)
         self._cum[-1] = total_mass
+        # plain-float copies for the step integrals, which visit few atoms
+        self._values = values.tolist()
+        self._cum_list = self._cum.tolist()
+        self._edges = [0.0] + (self._cum / self.total_mass).tolist()
 
     @property
     def mean(self):
@@ -257,22 +262,30 @@ class FiniteDiscrete:
         return float(out) if out.ndim == 0 else out
 
     def _avg_quantile(self, lo, hi):
-        # exact integral of the quantile step function over [lo, hi]
-        edges = np.concatenate([[0.0], self._cum]) / self.total_mass
+        """Exact integral of the quantile step function over [lo, hi],
+        divided by its width: the sum over the atoms whose level interval
+        meets the window of value times overlap, in atom order."""
+        edges, values = self._edges, self._values
         acc = 0.0
-        for i, v in enumerate(self.values):
-            a = max(lo, float(edges[i]))
-            b = min(hi, float(edges[i + 1]))
+        for i in range(bisect.bisect_right(edges, lo, 1) - 1, bisect.bisect_left(edges, hi)):
+            a = max(lo, edges[i])
+            b = min(hi, edges[i + 1])
             if b > a:
-                acc += v * (b - a)
+                acc += values[i] * (b - a)
         return acc / (hi - lo)
 
     def survival_integral(self, a, b):
-        # survival is a right-continuous step function; integrate exactly
-        grid = [a] + [v for v in self.values if a < v < b] + [b]
+        """Integral of the right-continuous survival step function over
+        [a, b]: one term per piece between a, the atoms inside (a, b) and b,
+        each its width times the mass above its left end."""
+        values, cum, mass = self._values, self._cum_list, self.total_mass
+        first = bisect.bisect_right(values, a)
+        last = max(first, bisect.bisect_left(values, b))
+        grid = [a, *values[first:last], b]
+        levels = [cum[first - 1] if first else 0.0, *cum[first:last]]
         total = 0.0
-        for lo, hi in zip(grid[:-1], grid[1:]):
-            total += (hi - lo) * (self.total_mass - float(self.cdf(lo)))
+        for lo, hi, level in zip(grid, grid[1:], levels):
+            total += (hi - lo) * (mass - level)
         return total
 
     def sample(self, rng, size):
@@ -399,6 +412,8 @@ class CountableMixture:
         if sum(w for w, _ in self.components) != 1:
             raise DomainError("mixture weights must sum to 1 exactly")
         self._views = {}
+        # the weight of the components on positive powers of two
+        self._positive = float(sum(w for w, comp in self.components if comp.sign == "positive"))
 
     def truncated(self, kmax) -> FiniteDiscrete:
         """Finite view of the merged atoms up to index kmax, built once per kmax."""
@@ -419,8 +434,7 @@ class CountableMixture:
         return self.truncated(kmax)._avg_quantile(lo, hi)
 
     def survival_integral(self, a, b):
-        positive = sum(w for w, comp in self.components if comp.sign == "positive")
-        return _power_two_survival_integral(self, a, b, float(positive))
+        return _power_two_survival_integral(self, a, b, self._positive)
 
     def cdf(self, x):
         return self.truncated(60).cdf(x)
@@ -824,6 +838,12 @@ class Reflected:
 
     def _avg_quantile(self, lo, hi):
         return -avg_quantile(self.base, 1.0 - hi, 1.0 - lo)
+
+    def survival_integral(self, a, b):
+        """Integral of P(-X > x) = 1 - P(X >= -x) over [a, b]: the length
+        of [a, b] less the base law's survival integral over [-b, -a] (the
+        atoms where P(X >= u) and P(X > u) differ have measure zero)."""
+        return (b - a) - self.base.survival_integral(-b, -a)
 
     def sample(self, rng, size):
         return -self.base.sample(rng, size)

@@ -6,7 +6,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from mixcenter import center_bounds
-from mixcenter.anchors import CAUCHY_WINDOW_02_09, INTERVAL_N3, LOG2_PI, ex01_mixture
+from mixcenter.anchors import (
+    CAUCHY_WINDOW_02_09,
+    INTERVAL_N3,
+    LOG2_PI,
+    cauchy_like_density,
+    ex01_mixture,
+)
 from mixcenter.center_bounds import (
     JmBoundsInput,
     cauchy_avg_quantile_upper,
@@ -23,6 +29,7 @@ from mixcenter.distributions import (
     FiniteDiscrete,
     Pareto,
     PowerTwoGeometric,
+    Reflected,
     Uniform,
     avg_quantile,
     point_mass,
@@ -302,6 +309,24 @@ class TestNoQuadrature:
             assert math.isfinite(dual_bound(model, n, c).value)
         lower, upper = jm_center_bounds(JmBoundsInput((model,) * n, (0.1 / n,) * n))
         assert lower <= upper
+
+
+class TestReflectedDualBound:
+    """The dual bound of the law of -X, which reads ``Reflected``'s
+    survival integral for every model without its own ``reflected``."""
+
+    @pytest.mark.parametrize("model", TestNoQuadrature.MODELS.values(),
+                             ids=TestNoQuadrature.MODELS.keys())
+    @pytest.mark.parametrize("c", [-0.5, 0.5])
+    def test_finite_for_every_builtin_model(self, model, c):
+        assert math.isfinite(dual_bound(reflect(model), 3, c).value)
+
+    def test_symmetric_generic_density_matches_itself(self):
+        # -X has the law of X, so the reflected bound is the bound itself
+        g = cauchy_like_density()
+        assert isinstance(reflect(g), Reflected)
+        assert_allclose(dual_bound(reflect(g), 3, 0.5).value, dual_bound(g, 3, 0.5).value,
+                        rtol=1e-7)
 
 
 class TestInfiniteMeanClassifier:

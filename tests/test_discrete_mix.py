@@ -1,9 +1,11 @@
 import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixcenter import discrete_mix
@@ -222,6 +224,99 @@ class TestFeasibleCenter:
         with pytest.raises(SizeError):
             feasible_center([big, big, big], 300.0, tol=1e9)
 
+    def test_size_guard_memory(self):
+        # the guard fires before the 200^3 grid is built: its sums alone
+        # would take 64 MB
+        big = FiniteDiscrete([(float(v), 1.0 / 200) for v in range(200)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match="variable guard"):
+                feasible_center([big, big, big], 300.0, tol=1e9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 ** 3 * 8 / 2
+
+    def test_uniform_k21_triple_exact(self, monkeypatch):
+        # 331 slice columns at the forced center 30, 330 at 31; both
+        # certificates are checked again here in rationals
+        k = 21
+        m = FiniteDiscrete([(float(v), 1.0 / k) for v in range(k)])
+        res = feasible_center([m, m, m], 30.0, exact=True)
+        assert res.verdict == "feasible" and res.candidates == 331
+        weights, support = res.coupling.weights, res.coupling.support
+        assert all(isinstance(w, Fraction) and w > 0 for w in weights)
+        assert sum(weights) == 1
+        assert all(sum(Fraction(v) for v in row) == 30 for row in support)
+        for i in range(3):
+            assert res.coupling.marginal(i) == {float(v): Fraction(1, k) for v in range(k)}
+        checked = []
+        check_farkas = discrete_mix._check_farkas
+
+        def spy(y, cells, b, tol):
+            check_farkas(y, cells, b, tol)
+            checked.append((y, cells, b, tol))
+
+        monkeypatch.setattr(discrete_mix, "_check_farkas", spy)
+        res = feasible_center([m, m, m], 31.0, exact=True)
+        assert res.verdict == "infeasible" and res.candidates == 330
+        [(y, cells, b, tol)] = checked
+        assert tol == 0 and all(isinstance(v, Fraction) for v in (*y, *b))
+        assert all(sum(y[r] for r in row) <= 0 for row in cells)
+        assert sum(yi * bi for yi, bi in zip(y, b)) > 0
+
+
+def _slice_tuples(marginals, center, tol):
+    """The sum slice enumerated one tuple at a time, prefix by prefix: the
+    reference for the sumset of ``discrete_mix._slice_cells``."""
+    values = [list(m.values) for m in marginals]
+    tuples = [((), 0.0)]
+    start = 0
+    for i, vals in enumerate(values):
+        rest_min = sum(min(v) for v in values[i + 1:])
+        rest_max = sum(max(v) for v in values[i + 1:])
+        nxt = []
+        for prefix, acc in tuples:
+            for r, v in enumerate(vals, start):
+                s = acc + v
+                if s + rest_min <= center + tol and s + rest_max >= center - tol:
+                    nxt.append((prefix + (r,), s))
+        tuples = nxt
+        start += len(vals)
+    cells = [prefix for prefix, acc in tuples if abs(acc - center) <= tol]
+    return np.array(cells, dtype=np.intp).reshape(len(cells), len(values))
+
+
+class TestSliceSumset:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_tuple_enumeration(self, data):
+        n = data.draw(st.integers(2, 4), label="n")
+        marginals = []
+        for _ in range(n):
+            vals = data.draw(st.lists(st.one_of(st.integers(-5, 5).map(float),
+                                                st.floats(-5.0, 5.0, allow_subnormal=False)),
+                                      min_size=1, max_size=6, unique=True), label="values")
+            marginals.append(FiniteDiscrete([(v, 1.0 / len(vals)) for v in vals],
+                                            total_mass=len(vals) * (1.0 / len(vals))))
+        center = sum(data.draw(st.sampled_from(list(m.values)), label="atom")
+                     for m in marginals)
+        center += data.draw(st.sampled_from([0.0, 1e-9, -1e-9, 0.25]), label="offset")
+        tol = data.draw(st.sampled_from([0.0, 1e-9, 0.3]), label="tol")
+        got = discrete_mix._slice_cells(marginals, center, tol)
+        want = _slice_tuples(marginals, center, tol)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all()
+
+    def test_guard_counts_every_survivor(self, monkeypatch):
+        # 10^3 tuples survive at tol 1e9, more than a guard of 999
+        m = FiniteDiscrete([(float(v), 0.1) for v in range(10)])
+        monkeypatch.setattr(discrete_mix, "VARIABLE_GUARD", 1000)
+        assert len(discrete_mix._slice_cells([m, m, m], 13.5, 1e9)) == 1000
+        monkeypatch.setattr(discrete_mix, "VARIABLE_GUARD", 999)
+        with pytest.raises(SizeError):
+            discrete_mix._slice_cells([m, m, m], 13.5, 1e9)
+
 
 def _dense_phase1_exact(A_rows, b):
     """The phase-1 simplex on a Fraction tableau with Bland's rule and a
@@ -314,6 +409,69 @@ class TestExactSimplexIntegerTableau:
         for args, (objective, x, y) in calls:
             assert all(isinstance(v, Fraction) for v in (objective, *x, *y))
             assert (objective, x, y) == _dense_phase1_exact(*args)
+
+
+class _OuterSpy:
+    """Stands in for numpy in ``discrete_mix`` and records the dtype of
+    the tableau column that each pivot's ``np.outer`` receives."""
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def outer(self, a, b):
+        self.dtypes.append(a.dtype)
+        return np.outer(a, b)
+
+
+def _dense_args(cells, b):
+    return [[list(row).count(r) for row in cells] for r in range(len(b))], b
+
+
+class TestExactSimplexPythonInts:
+    """The integer tableau past int64: Python ints from the start, or from
+    the pivot where the overflow check first fails, with the Fraction
+    tableau as the oracle."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_large_denominators_start_in_python_ints(self, data):
+        # three marginals on {0, 1, 2} whose probabilities have unrelated
+        # denominators near 1e11, so the scaled right-hand side is past int64
+        b = []
+        for _ in range(3):
+            weights = data.draw(st.lists(st.integers(1, 10 ** 11), min_size=3, max_size=3),
+                                label="weights")
+            b += [Fraction(w, sum(weights)) for w in weights]
+        D = math.lcm(*(bi.denominator for bi in b))
+        assume(sum(int(bi * D) for bi in b) >= discrete_mix._INT64_LIMIT)
+        m = FiniteDiscrete([(0.0, 0.25), (1.0, 0.5), (2.0, 0.25)])
+        center = data.draw(st.integers(1, 5), label="center")
+        cells = discrete_mix._slice_cells([m, m, m], float(center), 0.0)
+        spy = _OuterSpy()
+        discrete_mix.np = spy
+        try:
+            got = discrete_mix._phase1_exact(cells, b)
+        finally:
+            discrete_mix.np = np
+        assert spy.dtypes and all(dt == object for dt in spy.dtypes)
+        assert got == _dense_phase1_exact(*_dense_args(cells, b))
+
+    @pytest.mark.parametrize("center", [12.0, 13.0])
+    def test_switch_mid_solve(self, monkeypatch, center):
+        # uniform on {0, ..., 8}, three times: a limit of 2^10 lets the first
+        # pivots run in int64 and stops them once the entries grow
+        marginals = [FiniteDiscrete([(float(v), 1.0 / 9) for v in range(9)])] * 3
+        cells = discrete_mix._slice_cells(marginals, center, 0.0)
+        b = [Fraction(float(p)).limit_denominator(10 ** 12) for m in marginals for p in m.probs]
+        spy = _OuterSpy()
+        monkeypatch.setattr(discrete_mix, "_INT64_LIMIT", 2 ** 10)
+        monkeypatch.setattr(discrete_mix, "np", spy)
+        got = discrete_mix._phase1_exact(cells, b)
+        assert spy.dtypes[0] == np.int64 and spy.dtypes[-1] == object
+        assert got == _dense_phase1_exact(*_dense_args(cells, b))
 
 
 def _dyadic_partition(rng, k, total=16):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -391,6 +393,70 @@ class TestFiniteDiscrete:
         assert list(r.probs) == [0.75, 0.25]
 
 
+def _loop_avg_quantile(law, lo, hi):
+    """The quantile step function's mean over [lo, hi], visiting every atom:
+    the reference for ``FiniteDiscrete._avg_quantile``."""
+    cum = np.cumsum(law.probs)
+    cum[-1] = law.total_mass
+    edges = np.concatenate([[0.0], cum]) / law.total_mass
+    acc = 0.0
+    for i, v in enumerate(law.values):
+        a = max(lo, float(edges[i]))
+        b = min(hi, float(edges[i + 1]))
+        if b > a:
+            acc += v * (b - a)
+    return acc / (hi - lo)
+
+
+def _loop_survival_integral(law, a, b):
+    """The survival step function's integral over [a, b], scanning every
+    atom and reading ``cdf``: the reference for ``FiniteDiscrete.survival_integral``."""
+    grid = [a] + [v for v in law.values if a < v < b] + [b]
+    total = 0.0
+    for lo, hi in zip(grid[:-1], grid[1:]):
+        total += (hi - lo) * (law.total_mass - float(law.cdf(lo)))
+    return total
+
+
+@st.composite
+def finite_laws(draw):
+    """A FiniteDiscrete law with 1 to 12 atoms and total mass at most 1."""
+    values = draw(st.lists(st.one_of(st.integers(-20, 20).map(float),
+                                     st.floats(-50.0, 50.0, allow_subnormal=False)),
+                           min_size=1, max_size=12, unique=True))
+    weights = draw(st.lists(st.integers(1, 1000), min_size=len(values), max_size=len(values)))
+    mass = draw(st.sampled_from([1.0, 0.75, 1.0 - 2.0 ** -20]))
+    probs = [w / sum(weights) * mass for w in weights]
+    return FiniteDiscrete(zip(values, probs), total_mass=math.fsum(probs))
+
+
+class TestFiniteDiscreteStepIntegrals:
+    """The window-limited integrals equal the every-atom loops bit for bit,
+    on windows that may start or end on an atom or a cumulative edge."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(law=finite_laws(), data=st.data())
+    def test_avg_quantile_matches_loop(self, law, data):
+        edges = (np.cumsum(law.probs) / law.total_mass)[:-1].tolist()
+        level = st.floats(1e-12, 1.0 - 1e-12)
+        if edges:
+            level = st.one_of(level, st.sampled_from(edges))
+        lo, hi = sorted(data.draw(st.tuples(level, level), label="window"))
+        if lo == hi:
+            return
+        got, want = law._avg_quantile(lo, hi), _loop_avg_quantile(law, lo, hi)
+        assert float(got).hex() == float(want).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(law=finite_laws(), data=st.data())
+    def test_survival_integral_matches_loop(self, law, data):
+        point = st.one_of(st.floats(-60.0, 60.0, allow_subnormal=False),
+                          st.sampled_from(law.values.tolist()))
+        a, b = data.draw(st.tuples(point, point), label="interval")
+        got, want = law.survival_integral(a, b), _loop_survival_integral(law, a, b)
+        assert float(got).hex() == float(want).hex()
+
+
 class TestPowerTwoGeometric:
     def test_positive_pmf(self):
         nu = PowerTwoGeometric("positive", 10)
@@ -531,6 +597,83 @@ class TestReflection:
 
     def test_mean_status_flip(self):
         assert reflect(Pareto(0.5)).mean_status == "-inf"
+
+
+class TestReflectedSurvivalIntegral:
+    """The integral of P(-X > x) = P(X < -x) over [a, b], for the laws
+    without an exact ``reflected``, against 50-digit mpmath quadrature of
+    P(X < -x) (continuous parts) or an exact sum over the atoms."""
+
+    INTERVALS = [(-3.0, 5.0), (-5.0, -0.5), (0.5, 4.0), (-1e3, 10.0),
+                 (-2.0 - 1e-9, -2.0 + 1e-9), (-0.3, 0.3 + 1e-9)]
+
+    @staticmethod
+    def pareto_below(shape, xm):
+        return lambda u: 0 if u <= xm else 1 - (xm / u) ** shape
+
+    @staticmethod
+    def atom_uniform_below(x, y, w):
+        return lambda u: 0 if u <= x else w + (1 - w) * min((u - x) / (y - x), 1)
+
+    CONTINUOUS = {
+        "pareto1.5": (Pareto(1.5, 2.0), (1.5, 2.0), [-2.0]),
+        "pareto0.5": (Pareto(0.5, 1.0), (0.5, 1.0), [-1.0]),
+        "atom_uniform": (AtomUniform(-1.0, 2.5, 0.3), (-1.0, 2.5, 0.3), [1.0, -2.5]),
+    }
+
+    @pytest.mark.parametrize("name", CONTINUOUS)
+    @pytest.mark.parametrize("a,b", INTERVALS)
+    def test_continuous_matches_high_precision(self, name, a, b):
+        mp = pytest.importorskip("mpmath")
+        model, params, kinks = self.CONTINUOUS[name]
+        with mp.workdps(50):
+            below = (self.pareto_below if name.startswith("pareto")
+                     else self.atom_uniform_below)(*(mp.mpf(v) for v in params))
+            pts = [mp.mpf(a)] + [mp.mpf(k) for k in sorted(kinks) if a < k < b] + [mp.mpf(b)]
+            want = float(mp.quad(lambda x: below(-x), pts))
+        got = Reflected(model).survival_integral(a, b)
+        assert_allclose(got, want, rtol=1e-12, atol=1e-15 * (b - a))
+
+    @pytest.mark.parametrize("a,b", INTERVALS)
+    def test_generic_density_matches_high_precision(self, a, b):
+        # the Cauchy-shaped density: P(X < -x) = 1/2 - atan(x)/pi
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            want = float(mp.quad(lambda x: mp.mpf(1) / 2 - mp.atan(x) / mp.pi,
+                                 [mp.mpf(a), mp.mpf(b)]))
+        got = Reflected(cauchy_like_density()).survival_integral(a, b)
+        assert_allclose(got, want, rtol=1e-8)
+
+    @staticmethod
+    def exact_below(components, a, b, kmax=200):
+        """Sum of p * (clip(-v, a, b) - a) over the atoms, in Fractions.
+
+        The atoms beyond index kmax lie far above -a (positive law,
+        nothing) or far below -b (negative law, full length b - a each).
+        """
+        a, b = Fraction(a), Fraction(b)
+        total = Fraction(0)
+        for w, law in components:
+            for v, p in law.pmf_fractions(kmax):
+                total += w * p * (min(max(-v, a), b) - a)
+            if law.sign == "negative":
+                total += w * Fraction(1, 2 ** (kmax + 1)) * (b - a)
+        return total
+
+    @pytest.mark.parametrize("sign", ["positive", "negative"])
+    @pytest.mark.parametrize("a,b", INTERVALS + [(-2.0 ** 40 - 3, 1.0 - 2.0 ** 39)])
+    def test_power_two_matches_exact_sum(self, sign, a, b):
+        law = PowerTwoGeometric(sign, 3)
+        want = self.exact_below([(1, law)], a, b)
+        assert_allclose(Reflected(law).survival_integral(a, b), float(want),
+                        rtol=1e-13, atol=1e-15 * (b - a))
+
+    @pytest.mark.parametrize("a,b", INTERVALS)
+    def test_mixture_matches_exact_sum(self, a, b):
+        parts = [(w, PowerTwoGeometric(sign)) for w, sign in EX01_WEIGHTS]
+        want = self.exact_below(parts, a, b)
+        assert_allclose(Reflected(ex01_mixture()).survival_integral(a, b), float(want),
+                        rtol=1e-13, atol=1e-15 * (b - a))
 
 
 class TestSerialization:
