@@ -1,4 +1,4 @@
-"""Golden sha256 digests of CLI output bytes.
+"""Golden sha256 digests of CLI output bytes and of library draws.
 
 Each digest was taken from the tree before the change that added it. A
 digest may change only in a change that says it moves output bytes and
@@ -9,9 +9,12 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
+from mixcenter.cauchy_mix import ConvexCombinationSampler, MixerConfig, build_mixer
 from mixcenter.cli import main
+from mixcenter.seeding import substream
 
 ROWS = 300
 SEEDS = (7, 11)
@@ -94,6 +97,91 @@ CERTIFY_DIGESTS = {
     "repro-seed7": "a651c496f0a78bca14b452b54778d325c5246e88110aafa1bf65b5a8b9d28fc3",
 }
 
+# library draws of 200,001 rows: more than three 65,536-row draw chunks, so
+# each draw crosses chunk boundaries; t_grid=512 keeps the cold builds cheap
+DRAW_ROWS = 200_001
+DRAW_FIELDS = ("values", "t", "branch", "row_bound")
+DRAW_CENTERS = {
+    "n3-c0.15": (3, 0.15),
+    "n10-endpoint": (10, math.log(9) / math.pi),
+    "n3-c-0.15": (3, -0.15),
+    "n4-c0": (4, 0.0),
+}
+
+# case -> digests of each field of its first (cold) and its second (warm) draw
+DRAW_DIGESTS = {
+    "convex": {
+        "cold": {
+            "values": "a6f0da6f4eedcd8d359baa342965e83f219b57358b89814d408c0b47574fd32c",
+            "t": "33c6ee35224871d24d8dc8916fa94924e66193a8103acf9eb56ff29c89f239d2",
+            "branch": "cd28df2811dba9a4fa275bbecced744b05a4e25033ac01bc9c07e1895a338ab4",
+            "row_bound": "1d5f281cba7e7a3e01b82c71a3246133fc9571376fbfd7daddd0b90b4d927ca5",
+        },
+        "warm": {
+            "values": "1bedd5231df39aca8bfda325447b400ef005929448dc9d970ddf2e53b6acaecc",
+            "t": "33c6ee35224871d24d8dc8916fa94924e66193a8103acf9eb56ff29c89f239d2",
+            "branch": "cd28df2811dba9a4fa275bbecced744b05a4e25033ac01bc9c07e1895a338ab4",
+            "row_bound": "7807236180540620006d536c25b39cdf06520b2df1a72fec947840afa85d2d09",
+        },
+    },
+    "n10-endpoint": {
+        "cold": {
+            "values": "5866051111b2df30b71ef0c32dd056f9ca35b44dca5b9a3666824eda53f4447e",
+            "t": "33da35b1451f9581e32182a953b2de807c3ba1e3be8eea57388b36bc67e5f2bf",
+            "branch": "2e4e2cc4cd096cb2c2455abb193217186d0737224b010a88b561e4f5d89ac145",
+            "row_bound": "c7b65a0b650ccab61343e71bd5c9d4a787592386a4ce0d7b341e6e0426b39de2",
+        },
+        "warm": {
+            "values": "f86c26dc407746c4753e332ace083b7bbc712fedc97484673f97af1ff664252b",
+            "t": "055f4cb2915f5c7970fb36eff7ac2a42e203d13cfe10c523780bbfe4f4f258fb",
+            "branch": "ff52f2f3741322756f90e5854e182ce128913848c55f2f8324a76851422148ad",
+            "row_bound": "9fddff5c269d73817137ae6b9e5307d87496a24414f59a50e9f69938650f1647",
+        },
+    },
+    "n3-c-0.15": {
+        "cold": {
+            "values": "6cebea008fc25b0a456306ca986a201f360d63db39e3b05d7f5b428a937b4b34",
+            "t": "ad218eb5c6115d5ddd29772787f5da738ec053e151619afaa2a8a87ac7f82517",
+            "branch": "e8123d1299e3087750d3ea08654ab99e8c4cc0f01d64d3aa26c08a0007cebca8",
+            "row_bound": "36e0b630e6ca21cf1fe0943a4114c1a533ef7a20c9a44f8bb2765e6a1080a718",
+        },
+        "warm": {
+            "values": "6584778fe6e2c348bb41916f11afc6462882e7aacabf2d21aaf6673d0ad3c3db",
+            "t": "bc19a18a5bbb211f237701e133f442c34c60ec04b02b5568ab65ca143b441c1e",
+            "branch": "4989257404db083b1658262be73298bbd0c64e5e9e0323fa52b84c0f3492d18f",
+            "row_bound": "e92a19aa3d1e9d4ff8b69854c1849bb20df47db7e1b0e03f8136599c29f3d022",
+        },
+    },
+    "n3-c0.15": {
+        "cold": {
+            "values": "5537d0219e4a42906bc6fc80f91bd99e727bc9cafa1f4c9b7a6280a7ae713bfb",
+            "t": "031b301f78a361bc41171cf8a8f786424958dd19115eaec6611353b99443e118",
+            "branch": "4b1e9e890ec7c2498f873bb137c433e1407753cccf8a9441a160ef5924c4f42b",
+            "row_bound": "ec504067cae5d4cafea906b11145719595b81f5b7e3aecdabe56cbdd83b3f363",
+        },
+        "warm": {
+            "values": "f39625465cfbf0a7d53749f6e7933465b256f32587783115f76833b954ef65ea",
+            "t": "57113bb6a5ffbd619e5ca81f398307360e47d0244e21a86687cfec157df8b332",
+            "branch": "59115b6465f287d38103b871e385dbc6614b1f26dba62877dc6c8f660caffcb1",
+            "row_bound": "5fd7086198f322ad7fd555420143739dba7acbe7212291f73c05460e8dec5921",
+        },
+    },
+    "n4-c0": {
+        "cold": {
+            "values": "75cbec1677a41e2dc3c281336c6a2b734b15c9624348f56b8ebbcf42c48ef494",
+            "t": "ee527a649467dd2e92850704698a3ae40322ef552441c18104c2593bd8461ad7",
+            "branch": "9e0cec517573ad60217de0e8225360fdfa550b7c03719a42950e90f2e1fbcd2f",
+            "row_bound": "f7bd05e94c0e1babd7bacc12bc24e34bd317b3521f400273ed4e0b4e74124505",
+        },
+        "warm": {
+            "values": "2adbef09b30553e496de683d32ea2afe950388ea4003ec6de8116f810e08ba0c",
+            "t": "aa4f3cbf79ea4622d07899c0d957a6c26ea89f5575a6aea0dd60982904b6d408",
+            "branch": "9e0cec517573ad60217de0e8225360fdfa550b7c03719a42950e90f2e1fbcd2f",
+            "row_bound": "f1c678b1b01c0b3018e00f160d8008505b616b198f89ea0e57d145e86393da04",
+        },
+    },
+}
+
 MARGINALS = {
     "cauchy": {"kind": "cauchy"},
     "finite": {"kind": "finite", "atoms": [[-1.0, 0.25], [0.0, 0.25], [2.0, 0.5]]},
@@ -169,6 +257,28 @@ def certify_digest(tmp_path, name):
     return _sha256(out)
 
 
+def _draw_mixer(case):
+    """A freshly built mixer for ``case``: one of ``DRAW_CENTERS``, or
+    "convex", 0.25 of (3, 0.2) and 0.75 of the reflected (3, -0.1)."""
+    def build(n, c):
+        return build_mixer(MixerConfig(n=n, c=c, t_grid=512, seed=7))
+
+    if case == "convex":
+        return ConvexCombinationSampler(build(3, 0.2), build(3, -0.1), 0.25)
+    return build(*DRAW_CENTERS[case])
+
+
+def draw_digests(case):
+    """Digests of the fields of a cold draw and a warm draw from one mixer."""
+    mixer = _draw_mixer(case)
+    got = {}
+    for draw in ("cold", "warm"):
+        batch = mixer.sample(DRAW_ROWS, substream(7, "golden-draw", case, draw))
+        got[draw] = {name: hashlib.sha256(getattr(batch, name).tobytes()).hexdigest()
+                     for name in DRAW_FIELDS}
+    return got
+
+
 def _check(name, got, want):
     assert got == want, f"{name}: digest {got} at this tree, golden {want}"
 
@@ -185,3 +295,12 @@ def test_sample_and_verify_bytes(tmp_path, capsys, n, c, seed):
 @pytest.mark.parametrize("name", sorted(CERTIFY_RUNS))
 def test_certify_bytes(tmp_path, capsys, name):
     _check(name, certify_digest(tmp_path, name), CERTIFY_DIGESTS[name])
+
+
+@pytest.mark.parametrize("case", sorted([*DRAW_CENTERS, "convex"]))
+def test_library_draw_bytes(case):
+    got = draw_digests(case)
+    for draw in ("cold", "warm"):
+        for name in DRAW_FIELDS:
+            _check(f"{name} of the {draw} draw {case}", got[draw][name],
+                   DRAW_DIGESTS[case][draw][name])
