@@ -26,6 +26,10 @@ evaluated in one place, ``ConstructiveMixer.weights_at``: at the solved level
 for the coupling cells, at the tabulated level for draws. The coupling cells
 live in one table, filled on first use; a draw reads its rows by one gather.
 
+A draw makes its RNG calls over the whole batch, then does the per-row work
+in chunks of ``_DRAW_CHUNK_ROWS`` rows, so its temporaries stay a few MB
+whatever the batch size. The chunks give the same bytes as one pass.
+
 The Cauchy mixers need numpy only; scipy is imported by the quadrature
 paths of generic densities (``DensityKernel``, ``generic_admissibility``).
 """
@@ -55,6 +59,8 @@ T_MIN = 1e-6
 # large enough to amortize the per-sweep numpy calls, small enough that the
 # block's temporaries stay a few MB
 _CELL_BLOCK_ENTRIES = 1 << 18
+# rows of one chunk of a draw's per-row work
+_DRAW_CHUNK_ROWS = 1 << 16
 
 
 def _as_arrays(t, y):
@@ -326,11 +332,23 @@ def _uniform_block_rows(n, count, rng):
     return rows
 
 
+def _chunks(count):
+    """Slices of [0, count) of ``_DRAW_CHUNK_ROWS`` rows (the last may be short)."""
+    step = _DRAW_CHUNK_ROWS
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
 def _permute_rows(values, rng):
+    """Shuffle the coordinates of each row of ``values`` in place.
+
+    ``rng.permuted(..., axis=1)`` draws row by row, so permuting a chunk of
+    rows at a time, in row order, takes the draws of one call over all rows.
+    """
     n = values.shape[1]
-    perm = np.broadcast_to(np.arange(n), values.shape).copy()
-    rng.permuted(perm, axis=1, out=perm)
-    return np.take_along_axis(values, perm, axis=1)
+    for rows in _chunks(len(values)):
+        perm = np.broadcast_to(np.arange(n), (rows.stop - rows.start, n)).copy()
+        rng.permuted(perm, axis=1, out=perm)
+        values[rows] = np.take_along_axis(values[rows], perm, axis=1)
 
 
 class SymmetricMixer:
@@ -353,10 +371,15 @@ class SymmetricMixer:
 
     def sample(self, count, rng) -> SampleBatch:
         n = self.n
+        # the stop rule of radius_quantile depends on the batch, so it solves
+        # the whole batch at once
         radius = self.kernel.radius_quantile(rng.random(count))
-        rows = _uniform_block_rows(n, count, rng)
-        values = (2.0 * rows - 1.0) * radius[:, None]
-        values = _permute_rows(values, rng)
+        # (2 * rows - 1) * radius, formed in place
+        values = _uniform_block_rows(n, count, rng)
+        values *= 2.0
+        values -= 1.0
+        values *= radius[:, None]
+        _permute_rows(values, rng)
         branch = np.ones(count, dtype=np.int8)
         return SampleBatch(
             values=values,
@@ -522,7 +545,8 @@ class _CellTable:
     Cell k couples the slice at the geometric midpoint ``t_hat`` of knots k
     and k+1. The table holds every built cell's corrected rows, its
     ``t_hat`` and its row bound; it is allocated empty and written in place,
-    so only the pages of built cells become resident.
+    so only the pages of built cells become resident. A draw finds its rows'
+    cells, builds the missing ones once, then reads its rows by gathers.
     """
 
     def __init__(self, law):
@@ -532,16 +556,16 @@ class _CellTable:
         self.bound = np.empty(cells)
         self.built = np.zeros(cells, dtype=bool)
 
-    def rows_at(self, law, t, row_idx):
-        """Coupling row ``row_idx`` of the cell of ``law`` holding each ``t``,
-        with the cell's t_hat and row bound; missing cells are built first."""
-        cells = np.clip(np.searchsorted(law.knots, t, side="right") - 1,
-                        0, self.built.size - 1)
-        for block, built in _cell_blocks(law, np.unique(cells[~self.built[cells]])):
+    def cells_at(self, law, t):
+        """The cell of ``law`` holding each ``t``."""
+        return np.clip(np.searchsorted(law.knots, t, side="right") - 1, 0, self.built.size - 1)
+
+    def build(self, law, wanted):
+        """Build the cells flagged in the mask ``wanted`` that are missing."""
+        for block, built in _cell_blocks(law, np.flatnonzero(wanted & ~self.built)):
             self.rows[block] = built["corrected_matrix"]
             self.t_hat[block], self.bound[block] = built["t_hat"], built["bound"]
             self.built[block] = True
-        return self.rows[cells, row_idx], self.t_hat[cells], self.bound[cells]
 
 
 class ConstructiveMixer:
@@ -763,37 +787,53 @@ class ConstructiveMixer:
                                 for k, v in built.items()})
 
     def _sample_at(self, ts, rng) -> SampleBatch:
-        n, c = self.n, self.c
+        """Rows at the drawn mixing parameters ``ts``, a float array that
+        becomes the batch's ``t``: coupling rows snap theirs in place."""
+        n, c, table = self.n, self.c, self._coupling
         count = len(ts)
-        w = self.weights_at(ts)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p_cyclic = np.clip(n * w["w_hi"] / np.maximum(w["rate"], 1e-300), 0.0, 1.0)
-        is_cyclic = rng.random(count) < p_cyclic
+        coin = rng.random(count)
         hot = rng.integers(0, n, size=count)
         row_idx = rng.integers(0, self.config.ra_grid_m, size=count)
 
+        # each row's branch, and its cell if it is a coupling row
+        branch = np.empty(count, dtype=np.int8)
+        cells = np.empty(count, dtype=np.intp)
+        wanted = np.zeros(table.built.size, dtype=bool)
+        for rows in _chunks(count):
+            w = self.weights_at(ts[rows])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p_cyclic = np.clip(n * w["w_hi"] / np.maximum(w["rate"], 1e-300), 0.0, 1.0)
+            is_cyclic = coin[rows] < p_cyclic
+            branch[rows] = np.where(is_cyclic, 1, 2)
+            idx2 = np.flatnonzero(~is_cyclic) + rows.start
+            cells[idx2] = table.cells_at(self, ts[idx2])
+            wanted[cells[idx2]] = True
+        del coin
+        table.build(self, wanted)
+
         values = np.empty((count, n))
-        out_t = np.array(ts, dtype=float)
-        branch = np.where(is_cyclic, 1, 2).astype(np.int8)
         bound = np.empty(count)
-
-        # cyclic branch: exact at the drawn t
-        idx1 = np.nonzero(is_cyclic)[0]
-        if idx1.size:
-            t1 = ts[idx1]
-            values[idx1] = (c - t1)[:, None]
-            values[idx1, hot[idx1]] = c + (n - 1) * t1
-            bound[idx1] = self._cyclic_bound(t1)
-
-        # coupling branch: snap to the cell representative
-        idx2 = np.nonzero(~is_cyclic)[0]
-        if idx2.size:
-            rows, out_t[idx2], bound[idx2] = self._coupling.rows_at(self, ts[idx2], row_idx[idx2])
-            values[idx2] = _permute_rows(rows, rng)
+        for rows in _chunks(count):
+            is_cyclic = branch[rows] == 1
+            # cyclic branch: exact at the drawn t
+            idx1 = np.flatnonzero(is_cyclic) + rows.start
+            if idx1.size:
+                t1 = ts[idx1]
+                values[idx1] = (c - t1)[:, None]
+                values[idx1, hot[idx1]] = c + (n - 1) * t1
+                bound[idx1] = self._cyclic_bound(t1)
+            # coupling branch: snap to the cell representative
+            idx2 = np.flatnonzero(~is_cyclic) + rows.start
+            if idx2.size:
+                cell = cells[idx2]
+                coupled = table.rows[cell, row_idx[idx2]]
+                _permute_rows(coupled, rng)
+                values[idx2] = coupled
+                ts[idx2], bound[idx2] = table.t_hat[cell], table.bound[cell]
 
         return SampleBatch(
             values=values,
-            t=out_t,
+            t=ts,
             branch=branch,
             row_bound=bound,
             target_sum=n * c,
@@ -801,9 +841,7 @@ class ConstructiveMixer:
 
     def sample(self, count, rng) -> SampleBatch:
         """``count`` rows with standard-Cauchy coordinates summing to n*c."""
-        u = rng.random(count)
-        ts = np.interp(u, self.mixing_cdf, self.knots)
-        return self._sample_at(ts, rng)
+        return self._sample_at(np.interp(rng.random(count), self.mixing_cdf, self.knots), rng)
 
     def _cyclic_bound(self, t):
         """Sum bound of a cyclic row at ``t``: rounding of n coordinates of
@@ -833,8 +871,9 @@ class ReflectedMixer:
 
     def sample(self, count, rng) -> SampleBatch:
         batch = self.base.sample(count, rng)
+        np.negative(batch.values, out=batch.values)
         return SampleBatch(
-            values=-batch.values,
+            values=batch.values,
             t=batch.t,
             branch=batch.branch,
             row_bound=batch.row_bound,
@@ -885,8 +924,13 @@ class ConvexCombinationSampler:
         a = self.mixer_a.sample(count, rng)
         b = self.mixer_b.sample(count, rng)
         al = self.alpha
+        # al * a + (1 - al) * b, formed in the two fresh batches
+        values = a.values
+        values *= al
+        b.values *= 1.0 - al
+        values += b.values
         return SampleBatch(
-            values=al * a.values + (1.0 - al) * b.values,
+            values=values,
             t=np.full(count, np.nan),
             branch=np.full(count, 3, dtype=np.int8),
             row_bound=al * a.row_bound + (1.0 - al) * b.row_bound,

@@ -300,6 +300,31 @@ def _slice_cells(marginals, center, tol):
     return cells
 
 
+def _exact_probs(probs):
+    """The rationals one marginal's float probabilities stand for.
+
+    The bounds 10, 100, ..., 10**11 on the denominator are tried in turn:
+    the first whose nearest fractions sum to 1 and each round back to their
+    own float is taken. The last try is the nearest fractions with
+    denominator at most 10**12, which need only sum to 1. Trying the small
+    bounds first matters: for w/W with W above about 1e4, the nearest
+    fraction with denominator up to 10**12 is seldom w/W. Raises
+    DomainError if no try succeeds.
+    """
+    for k in range(1, 12):
+        fracs = [Fraction(p).limit_denominator(10 ** k) for p in probs]
+        if sum(fracs) == 1 and all(float(f) == p for f, p in zip(fracs, probs)):
+            return fracs
+    fracs = [Fraction(p).limit_denominator(10 ** 12) for p in probs]
+    share = sum(fracs)
+    if share != 1:
+        raise DomainError(
+            "exact mode needs probabilities that reconstruct to "
+            f"rationals summing to 1 (marginal total {share})"
+        )
+    return fracs
+
+
 def feasible_center(marginals, center: float, tol: float = 1e-9,
                     exact: bool = False) -> FeasibilityResult:
     """Decide whether the marginals admit a joint law with sum == center.
@@ -331,17 +356,7 @@ def feasible_center(marginals, center: float, tol: float = 1e-9,
             raise SizeError(
                 f"exact mode is guarded at {EXACT_VARIABLE_GUARD} variables"
             )
-        # recover the intended rational probabilities from their float form
-        b = [Fraction(x).limit_denominator(10 ** 12) for x in b]
-        start = 0
-        for m in marginals:
-            share = sum(b[start:start + len(m.values)])
-            if share != 1:
-                raise DomainError(
-                    "exact mode needs probabilities that reconstruct to "
-                    f"rationals summing to 1 (marginal total {share})"
-                )
-            start += len(m.values)
+        b = [f for m in marginals for f in _exact_probs([float(p) for p in m.probs])]
         objective, x, y = _phase1_exact(cells, b)
         resid = float(objective)
         feasible = objective == 0

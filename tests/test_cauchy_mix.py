@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -707,6 +708,57 @@ def test_zero_row_draws(kind):
     batch = mixer.sample(0, substream(1, "empty"))
     assert batch.values.shape == (0, 4)
     assert batch.t.shape == batch.branch.shape == batch.row_bound.shape == (0,)
+
+
+BATCH_FIELDS = ("values", "t", "branch", "row_bound")
+
+
+def _fresh_mixer(kind):
+    """A newly built mixer of ``kind``, its cell table empty."""
+    def build(n, c):
+        return build_mixer(MixerConfig(n=n, c=c, t_grid=256, ra_grid_m=32, seed=5))
+
+    if kind == "convex":
+        return ConvexCombinationSampler(build(3, 0.0), build(3, -0.2), 0.4)
+    return build(*{"symmetric-n3": (3, 0.0), "symmetric-n4": (4, 0.0),
+                   "constructive": (3, 0.2), "reflected": (3, -0.2)}[kind])
+
+
+class TestDrawChunks:
+    @settings(max_examples=24, deadline=None)
+    @given(kind=st.sampled_from(["symmetric-n3", "symmetric-n4", "constructive", "reflected",
+                                 "convex"]),
+           count=st.integers(0, 300), chunk=st.sampled_from([1, 7, "above"]))
+    def test_chunk_size_changes_no_byte(self, kind, count, chunk):
+        # a cold draw, then a warm one: the same stream again on the filled table
+        def draws(chunk_rows):
+            mixer = _fresh_mixer(kind)
+            with mock.patch.object(cauchy_mix, "_DRAW_CHUNK_ROWS", chunk_rows):
+                return [mixer.sample(count, substream(5, "chunks")) for _ in range(2)]
+
+        want = draws(cauchy_mix._DRAW_CHUNK_ROWS)
+        got = draws(count + 1 if chunk == "above" else chunk)
+        for batch in (*want[1:], *got):
+            for name in BATCH_FIELDS:
+                assert getattr(batch, name).tobytes() == getattr(want[0], name).tobytes(), name
+
+    @pytest.mark.parametrize("c,ratio", [(0.15, 3.0), (0.0, 2.0)])
+    def test_warm_draw_memory(self, c, ratio):
+        # the peak a warm draw allocates above its start, against the bytes
+        # it returns; full-batch temporaries put it near 5.5 (c = 0.15) and
+        # 2.9 (c = 0) at 200,001 rows
+        rows = 200_001
+        mixer = build_mixer(MixerConfig(n=3 if c else 4, c=c, **SMALL))
+        mixer.sample(rows, substream(17, "memory"))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            batch = mixer.sample(rows, substream(17, "memory"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(getattr(batch, name).nbytes for name in BATCH_FIELDS)
+        assert peak - start < ratio * returned
 
 
 @pytest.mark.parametrize("c", [0.15, -0.15, 0.0])

@@ -480,6 +480,32 @@ def _dyadic_partition(rng, k, total=16):
     return [p / total for p in parts]
 
 
+class TestExactProbs:
+    def test_uniform_like_marginal_decides(self):
+        # the nearest fractions with denominator up to 1e12 do not sum to 1
+        # here; the fractions with denominator up to 1e6 are w/100003
+        weights = (33331, 33337, 33335)
+        m = FiniteDiscrete([(float(v), w / 100003) for v, w in enumerate(weights)])
+        res = feasible_center([m, m, m], 3.0, exact=True)
+        assert res.verdict == "infeasible"
+        assert feasible_center([m, m, m], 3.0).verdict == "infeasible"
+        assert discrete_mix._exact_probs([w / 100003 for w in weights]) == \
+            [Fraction(w, 100003) for w in weights]
+
+    @settings(max_examples=200, deadline=None)
+    @given(total=st.integers(2, 10 ** 5), data=st.data())
+    def test_reconstructs_w_over_W(self, total, data):
+        cuts = data.draw(st.lists(st.integers(1, total - 1), max_size=5, unique=True))
+        edges = [0, *sorted(cuts), total]
+        weights = [hi - lo for lo, hi in zip(edges, edges[1:])]
+        got = discrete_mix._exact_probs([w / total for w in weights])
+        assert got == [Fraction(w, total) for w in weights]
+
+    def test_unreconstructible_raises(self):
+        with pytest.raises(DomainError, match="reconstruct"):
+            discrete_mix._exact_probs([0.3, 0.3, 0.3])
+
+
 class TestEnumerateCenters:
     def test_two_point_family(self):
         m = two_point_third()

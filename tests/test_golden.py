@@ -9,7 +9,6 @@ import hashlib
 import json
 import math
 
-import numpy as np
 import pytest
 
 from mixcenter.cauchy_mix import ConvexCombinationSampler, MixerConfig, build_mixer
