@@ -681,6 +681,13 @@ class TestRadiusQuantile:
         # never stops early: the second element's 2-cycle, from pass 3,
         # steps by more than the stop threshold
         [0.24768744719771107, 0.9923789530443482],
+        # stops at pass 20, not 19: the first element's cycle of period 9,
+        # from pass 3, steps by more than the threshold at passes 10, 19, ...
+        [0.0007049976357390575, 0.9934039676592344, 0.9840635277940486],
+        # never stops early: cycles of period 5, 12, 13, 26 and 53 from
+        # passes 3 to 5, and a last element that never repeats
+        [0.5277499332135033, 0.00470778467592281, 0.001148413743897403,
+         0.0011783292553660951, 0.00039623096650731604, 0.9961907252715225],
     ])
     def test_pinned_batches_equal_full_loop(self, u):
         got = CauchyKernel().radius_quantile(u)

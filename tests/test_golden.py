@@ -8,10 +8,14 @@ a finding to report, not a digest to update.
 import hashlib
 import json
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from mixcenter.cauchy_mix import ConvexCombinationSampler, MixerConfig, build_mixer
+from mixcenter import cauchy_mix
+from mixcenter.cauchy_mix import CauchyKernel, ConvexCombinationSampler, MixerConfig, build_mixer
+from mixcenter.rearrangement import ra_flatten_stack
 from mixcenter.cli import main
 from mixcenter.seeding import substream
 
@@ -107,8 +111,43 @@ DRAW_CENTERS = {
     "n4-c0": (4, 0.0),
 }
 
+# the same draws at the default config (t_grid 2048), as the library-warm
+# benchmark builds its mixers
+DEFAULT_DRAW_CENTERS = {
+    "n3-c0.15-default": (3, 0.15),
+    "n4-c0-default": (4, 0.0),
+}
+
 # case -> digests of each field of its first (cold) and its second (warm) draw
 DRAW_DIGESTS = {
+    "n3-c0.15-default": {
+        "cold": {
+            "values": "9086a2d9ab4fd1f95a4065b51eb9dc9d4edf6bb9f1927e37216e6e863380a4d3",
+            "t": "a22fb36e53b3185ced473dbf27d4eeaeda8088c37d80f879584d7023b55fd3ac",
+            "branch": "aa3a84eef134b5069f1ca41b71327dcad92c835dfc1842ada8959a44ab614d5b",
+            "row_bound": "b696bd33af3845a11c5a4a4886a505e3caf673e427ea75cbda96f5185f19a7d2",
+        },
+        "warm": {
+            "values": "12bc769baa200d90cff006f3d935d6cf3bbb40166b10fbe58bf7c26c1c538f04",
+            "t": "07ba81851533cdeafa3fb540a1b26df7e871cd3496b8a28d9fc4b3cebf26b7af",
+            "branch": "79e708c021259498004616f842f1bf7fedf832fe80588cdfe79f4172628752dc",
+            "row_bound": "e0c9928e7637a210052473bde18ba7b6293f0e38cc4f3490ad30efaf61a1a01e",
+        },
+    },
+    "n4-c0-default": {
+        "cold": {
+            "values": "f77b017a5e7da8b0abe429a56d6f19a015b3f98a89d8858c09905678c2b7514a",
+            "t": "0a8d99e37ba6b5724b49f1f22573826b4fd3dd853b72e9da8bbfa435182fed4c",
+            "branch": "9e0cec517573ad60217de0e8225360fdfa550b7c03719a42950e90f2e1fbcd2f",
+            "row_bound": "2228af45d9508dd299a23bb3c0b903b1ef152bedd85a610b009b58355d024535",
+        },
+        "warm": {
+            "values": "2d39ae621206388e381084a50e873e0a73574ef801d3f611e27bad477d7e4cc9",
+            "t": "80f821fa10e9f19dc2b0583105d57ccbc58248425d9cfa1725314197c9e3e5e4",
+            "branch": "9e0cec517573ad60217de0e8225360fdfa550b7c03719a42950e90f2e1fbcd2f",
+            "row_bound": "b94440bbab3816e059b71af3b1f1891d21845b353946407135678646ff46710a",
+        },
+    },
     "convex": {
         "cold": {
             "values": "a6f0da6f4eedcd8d359baa342965e83f219b57358b89814d408c0b47574fd32c",
@@ -257,13 +296,17 @@ def certify_digest(tmp_path, name):
 
 
 def _draw_mixer(case):
-    """A freshly built mixer for ``case``: one of ``DRAW_CENTERS``, or
-    "convex", 0.25 of (3, 0.2) and 0.75 of the reflected (3, -0.1)."""
+    """A freshly built mixer for ``case``: one of ``DRAW_CENTERS`` (t_grid
+    512), one of ``DEFAULT_DRAW_CENTERS`` (the default config), or "convex",
+    0.25 of (3, 0.2) and 0.75 of the reflected (3, -0.1)."""
     def build(n, c):
         return build_mixer(MixerConfig(n=n, c=c, t_grid=512, seed=7))
 
     if case == "convex":
         return ConvexCombinationSampler(build(3, 0.2), build(3, -0.1), 0.25)
+    if case in DEFAULT_DRAW_CENTERS:
+        n, c = DEFAULT_DRAW_CENTERS[case]
+        return build_mixer(MixerConfig(n=n, c=c, seed=7))
     return build(*DRAW_CENTERS[case])
 
 
@@ -296,10 +339,70 @@ def test_certify_bytes(tmp_path, capsys, name):
     _check(name, certify_digest(tmp_path, name), CERTIFY_DIGESTS[name])
 
 
-@pytest.mark.parametrize("case", sorted([*DRAW_CENTERS, "convex"]))
+@pytest.mark.parametrize("case", sorted([*DRAW_CENTERS, *DEFAULT_DRAW_CENTERS, "convex"]))
 def test_library_draw_bytes(case):
     got = draw_digests(case)
     for draw in ("cold", "warm"):
         for name in DRAW_FIELDS:
             _check(f"{name} of the {draw} draw {case}", got[draw][name],
                    DRAW_DIGESTS[case][draw][name])
+
+
+# rows -> digest of ``CauchyKernel().radius_quantile`` on seeded uniforms;
+# at 1e6 rows no pass stops the loop early and elements sit in cycles of
+# period 3 to 12, at 65,537 rows the batch crosses a draw chunk boundary
+RADIUS_ROWS = (1_000_000, 65_537, 7)
+RADIUS_DIGESTS = {
+    1_000_000: "fa77961d9e00675cadde53b52290c21628a1d8a1ae958e11516ab282b88724ea",
+    65_537: "272feae628290c9d8dfd3a11cd141ae5fc0a571e5863172cd460014e8ed38733",
+    7: "fe579a31f9cdb3d766eb98683b10dae0e1b505579b178a9e22b88a5a5e081b57",
+}
+
+
+@pytest.mark.parametrize("rows", RADIUS_ROWS)
+def test_radius_quantile_bytes(rows):
+    u = substream(7, "golden-radius", str(rows)).random(rows)
+    got = hashlib.sha256(CauchyKernel().radius_quantile(u).tobytes()).hexdigest()
+    _check(f"radius_quantile of {rows} uniforms", got, RADIUS_DIGESTS[rows])
+
+
+# case -> digest of ``ra_flatten_stack`` on the first block of coupling
+# cells of a default-config mixer (m = 512): 170 cells that take 10 to 25
+# sweeps at n = 3, 51 cells that take one or two at n = 10
+RA_CENTERS = {"n3-c0.15": (3, 0.15), "n10-endpoint": (10, math.log(9) / math.pi)}
+RA_DIGESTS = {
+    "n10-endpoint": "79daa001c0f980bbf197841199e65368fb245364714f3d60d3d95cd635bc9c90",
+    "n3-c0.15": "e1b70f80f067e1debfa1ae3bf9f022542fb802bc5aa336fe54694367529a14af",
+}
+
+
+class _Captured(Exception):
+    pass
+
+
+def _first_cell_block(n, c):
+    """The shuffled (cells, m, n) stack the cell builder hands to its first
+    ``ra_flatten_stack`` call."""
+    mixer = build_mixer(MixerConfig(n=n, c=c, seed=7))
+
+    def capture(stack, max_sweeps):
+        raise _Captured(stack.copy())
+
+    with mock.patch.object(cauchy_mix, "ra_flatten_stack", capture), \
+            pytest.raises(_Captured) as caught:
+        next(cauchy_mix._cell_blocks(mixer, np.arange(len(mixer.knots) - 1)))
+    return caught.value.args[0]
+
+
+def ra_digest(case):
+    """Digest of every cell's matrix, spread, sweep spreads and verdict."""
+    digest = hashlib.sha256()
+    for res in ra_flatten_stack(_first_cell_block(*RA_CENTERS[case]), max_sweeps=64):
+        digest.update(res.matrix.tobytes())
+        digest.update(json.dumps([res.spread, res.sweep_spreads, res.converged]).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(RA_CENTERS))
+def test_ra_flatten_stack_bytes(case):
+    _check(f"ra_flatten_stack of the first cell block {case}", ra_digest(case), RA_DIGESTS[case])
