@@ -28,7 +28,9 @@ live in one table, filled on first use; a draw reads its rows by one gather.
 
 A draw makes its RNG calls over the whole batch, then does the per-row work
 in chunks of ``_DRAW_CHUNK_ROWS`` rows, so its temporaries stay a few MB
-whatever the batch size. The chunks give the same bytes as one pass.
+whatever the batch size. The chunks give the same bytes as one pass. Each
+row's knot interval is found once, from a bucket table over the mixing cdf,
+and serves as the checked guess of its cell and of its level's cubic piece.
 
 The Cauchy mixers need numpy only; scipy is imported by the quadrature
 paths of generic densities (``DensityKernel``, ``generic_admissibility``).
@@ -61,6 +63,10 @@ T_MIN = 1e-6
 _CELL_BLOCK_ENTRIES = 1 << 18
 # rows of one chunk of a draw's per-row work
 _DRAW_CHUNK_ROWS = 1 << 16
+# Newton passes of the c = 0 radius solve, and the passes whose iterates it
+# keeps to recognise elements that have entered a cycle
+_RADIUS_PASSES = 60
+_RADIUS_SNAPSHOTS = (3, 5, 8, 13, 21, 34)
 
 
 def _as_arrays(t, y):
@@ -136,74 +142,112 @@ class CauchyKernel:
         pass's iterates (the 60th pass's if none is).
 
         A step is elementwise: an element's next iterate depends only on its
-        own iterate and its own u. So once an element's new iterate equals
-        its current one (a fixed point) or the one before (a 2-cycle at ulp
-        level, which about a quarter of a large batch ends in), all its later
-        iterates and steps are known, and it leaves the loop. A fixed point
-        is written out and steps by 0 from then on. A 2-cycle's value at even
-        passes is written out, one more step gives its odd-pass value if the
-        loop stops at an odd pass, and its known steps at later passes still
-        enter the batch-wide stop test. So the output is that of the full
-        loop over the whole batch, bit for bit, and the stop rule keeps its
-        batch dependence: an element's radius can differ in the last bits
-        with the batch it is solved in.
+        own iterate and its own u. So once a finite element's new iterate
+        equals, bit for bit, its iterate at the last snapshot pass
+        (``_RADIUS_SNAPSHOTS``), it repeats that cycle forever. It leaves the
+        loop when at least an eighth of the open elements do so at the same
+        pass (fewer do not pay for the compaction), keeping only its
+        position, its period and the pass of its stored iterate. Its steps
+        at later passes still enter the batch-wide stop test, through a
+        table of their largest value at each pass, filled only once the open
+        elements could stop, and its output is read off its cycle at the
+        final pass. So the output is that of the full loop over the whole
+        batch, bit for bit, and the stop rule keeps its batch dependence: an
+        element's radius can differ in the last bits with the batch it is
+        solved in.
+
+        Each pass runs in ``_DRAW_CHUNK_ROWS`` chunks, and measures its steps
+        only until one chunk shows that it cannot stop.
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
         shape = u.shape
         u_all = u = u.ravel()
-        # small-u: R(a) ~ 4a^3/(3pi); large-u: 1-R(a) ~ 4/(pi*a)
-        a = np.where(
-            u < 0.5,
-            np.cbrt(3.0 * PI * np.maximum(u, 1e-300) / 4.0),
-            4.0 / (PI * np.maximum(1.0 - u, 1e-300)),
-        )
-        # out holds the guesses until elements leave; it is written only where
-        # they do, so open iterates that still share it keep their values
+        a = np.empty(u.size)
+        for rows in _chunks(u.size):
+            # small-u: R(a) ~ 4a^3/(3pi); large-u: 1-R(a) ~ 4/(pi*a)
+            x = u[rows]
+            a[rows] = np.where(
+                x < 0.5,
+                np.cbrt(3.0 * PI * np.maximum(x, 1e-300) / 4.0),
+                4.0 / (PI * np.maximum(1.0 - x, 1e-300)),
+            )
+        # the guesses become the output: the open iterates are stepped in
+        # place until the first compaction, and each element that leaves
+        # has its stored iterate written there
         out = a
-        idx = np.arange(a.size)     # output position of each open element
-        prev = None                 # the open elements' iterate before a
-        cycle = None                # mask of the 2-cycles that left (out: even-pass value)
-        cycle_step = [0.0, 0.0]     # their largest step at even / odd passes
-        passes = 60
-        for k in range(60):
-            a_new = self._radius_step(a, u)
-            rel = np.abs(a_new - a) / np.maximum(a, 1e-300)
-            if np.max(rel, initial=0.0) < 1e-14 and cycle_step[k % 2] < 1e-14:
-                passes = k + 1
-                out[idx] = a_new
+        idx = None                  # output position of each open element
+        cycles = []                 # (positions, period, pass of the stored iterate)
+        # largest step of the left elements at each pass, filled from their
+        # cycles (``folded`` of them) only when the open ones could stop
+        left_step = np.zeros(_RADIUS_PASSES)
+        folded = 0
+        snap, snap_pass = None, 0
+        final = _RADIUS_PASSES
+        for k in range(_RADIUS_PASSES):
+            if k in _RADIUS_SNAPSHOTS:
+                snap, snap_pass = a.copy(), k
+            measure = left_step[k] < 1e-14
+            hits = []
+            for rows in _chunks(a.size):
+                a_k = a[rows]
+                a_new = self._radius_step(a_k, u[rows])
+                if measure:
+                    rel = np.abs(a_new - a_k)
+                    rel /= np.maximum(a_k, 1e-300)
+                    measure = np.max(rel, initial=0.0) < 1e-14
+                if snap is not None:
+                    # bitwise, so 0.0 and -0.0 differ; inf and nan never leave
+                    hit = np.flatnonzero(a_new.view(np.int64) == snap[rows].view(np.int64))
+                    hit = hit[np.isfinite(a_new[hit])]
+                    if hit.size:
+                        hits.append(hit + rows.start)
+                a[rows] = a_new
+            if measure and folded < len(cycles):
+                for where, period, stored in cycles[folded:]:
+                    steps = self._cycle_steps(out[where], u_all[where], period)
+                    later = left_step[stored:]
+                    np.maximum(later, np.resize(steps, later.size), out=later)
+                folded = len(cycles)
+                measure = left_step[k] < 1e-14
+            if measure:
+                final = k + 1
                 break
-            # rel == 0 rather than a_new == a: inf steps by nan, so stays open
-            fixed = rel == 0.0
-            del rel     # freed before the compaction copies, which set the peak
-            leave = fixed if prev is None else fixed | (a_new == prev)
-            if np.count_nonzero(leave) * 8 < a.size:
-                # too few to pay for the compaction: they stay open a pass more
-                prev, a = a, a_new
+            if not hits:
                 continue
-            out[idx[fixed]] = a_new[fixed]
-            two = leave & ~fixed
-            if two.any():
-                x, y = a_new[two], a[two]   # iterates k+1 and k
-                # at pass j > k the step is from x if j - k is odd, else from y
-                for val, other, parity in ((x, y, (k + 1) % 2), (y, x, k % 2)):
-                    worst = np.max(np.abs(other - val) / np.maximum(val, 1e-300))
-                    cycle_step[parity] = max(cycle_step[parity], worst)
-                if cycle is None:
-                    cycle = np.zeros(out.size, dtype=bool)
-                where = idx[two]
-                cycle[where] = True
-                out[where] = x if k % 2 else y
-            keep = np.flatnonzero(~leave)
-            idx = idx[keep]
+            hits = np.concatenate(hits)
+            if hits.size * 8 < a.size:
+                continue
+            where = hits if idx is None else idx[hits]
+            if idx is not None:
+                out[where] = a[hits]
+            if k + 1 - snap_pass > 1:
+                cycles.append((where, k + 1 - snap_pass, k + 1))
+            keep = np.ones(a.size, dtype=bool)
+            keep[hits] = False
+            keep = np.flatnonzero(keep)
+            # one at a time, so each old array is freed before the next copy
+            a = a[keep]
             u = u[keep]
-            prev = a[keep]
-            a = a_new[keep]
-        else:
+            snap = snap[keep]
+            idx = keep if idx is None else idx[keep]
+        if idx is not None:
             out[idx] = a
-        if passes % 2 and cycle is not None:
-            where = np.flatnonzero(cycle)
-            out[where] = self._radius_step(out[where], u_all[where])
+        for where, period, stored in cycles:
+            a = out[where]
+            for _ in range((final - stored) % period):
+                a = self._radius_step(a, u_all[where])
+            out[where] = a
         return out.reshape(shape)
+
+    def _cycle_steps(self, a, u, period):
+        """Largest relative step over the elements at each pass of a cycle
+        of ``period`` that starts from iterates ``a``."""
+        steps = np.empty(period)
+        for q in range(period):
+            a_new = self._radius_step(a, u)
+            steps[q] = np.max(np.abs(a_new - a) / np.maximum(a, 1e-300))
+            a = a_new
+        return steps
 
     def _radius_step(self, a, u):
         """One clipped Newton step of radius_cdf(a) = u."""
@@ -343,12 +387,17 @@ def _permute_rows(values, rng):
 
     ``rng.permuted(..., axis=1)`` draws row by row, so permuting a chunk of
     rows at a time, in row order, takes the draws of one call over all rows.
+    Each chunk gathers its coordinates through flat row offsets.
     """
     n = values.shape[1]
+    offsets = np.arange(0, min(len(values), _DRAW_CHUNK_ROWS) * n, n)[:, None]
     for rows in _chunks(len(values)):
-        perm = np.broadcast_to(np.arange(n), (rows.stop - rows.start, n)).copy()
+        size = rows.stop - rows.start
+        perm = np.broadcast_to(np.arange(n), (size, n)).copy()
         rng.permuted(perm, axis=1, out=perm)
-        values[rows] = np.take_along_axis(values[rows], perm, axis=1)
+        perm += offsets[:size]
+        block = values[rows]
+        block[...] = block.reshape(-1)[perm]
 
 
 class SymmetricMixer:
@@ -417,6 +466,91 @@ def _raise_at(t, bad, message, value=None):
         raise ConstructionError(f"{text} at t={float(t[i])}")
 
 
+class _Intervals:
+    """The interval of a sorted grid that holds each x:
+    ``clip(searchsorted(grid, x, "right") - 1, 0, len(grid) - 2)``, so the
+    end intervals extend outward.
+
+    Given a guess of each interval, the guess is checked against the
+    interval's two ends and searched for only where it fails.
+    """
+
+    def __init__(self, grid):
+        self.grid = grid
+        # ends of each interval, the outer ends of the end intervals open
+        self.lo = np.concatenate([[-np.inf], grid[1:-1]])
+        self.hi = np.concatenate([grid[1:-1], [np.inf]])
+
+    def __call__(self, x, guess=None):
+        """The intervals of ``x``; a ``guess`` array is corrected in place
+        and returned."""
+        if guess is None:
+            return np.clip(np.searchsorted(self.grid, x, side="right") - 1, 0, self.grid.size - 2)
+        miss = np.flatnonzero(~((self.lo[guess] <= x) & (x < self.hi[guess])))
+        if miss.size:
+            guess[miss] = self(x[miss])
+        return guess
+
+
+class _CdfInverse:
+    """``np.interp(u, cdf, knots)`` for u in [0, 1], by np.interp's own
+    arithmetic, and the interval of ``knots`` each result lies in.
+
+    With j + 1 = #(cdf <= u), np.interp returns ``slope[j]*(u - cdf[j]) +
+    knots[j]`` with ``slope = diff(knots) / diff(cdf)``, ``knots[j]`` where
+    u == cdf[j], and the end knots where j < 0 or j >= K - 1. The tables are
+    indexed by j + 1 and padded with a zero slope at both ends, so the end
+    knots come out of the same arithmetic. j + 1 is read from a table over
+    B equal buckets of u, B a power of two (so ``u*B`` is exact): a bucket
+    that holds no knot gives it outright, one that holds one knot through
+    one comparison, and rows in a bucket that holds more search the cdf.
+    """
+
+    def __init__(self, cdf, knots):
+        self.cdf = cdf
+        self.knots = knots
+        # a flat piece of the cdf holds no u; on a piece of subnormal width
+        # the slope is infinite, and only its left end takes the knot itself
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            slope = np.diff(knots) / np.diff(cdf)
+        self.slope_at = np.concatenate([[0.0], slope, [0.0]])
+        self.cdf_at = np.concatenate([[0.0], cdf])
+        self.knot_at = np.concatenate([knots[:1], knots])
+        # about two buckets per knot; bucket B holds u = 1 alone
+        self.buckets = 2 << (cdf.size - 1).bit_length()
+        edges = np.arange(self.buckets + 1) / self.buckets
+        first = np.searchsorted(cdf, edges, side="right")
+        inside = np.append(np.searchsorted(cdf, edges[1:], side="left"), cdf.size) - first
+        self.first = np.where(inside < 2, first, -1).astype(np.int32)   # -1: search
+        self.edge = np.full(self.buckets + 1, np.inf)
+        one = np.flatnonzero(inside == 1)
+        self.edge[one] = cdf[first[one]]
+
+    def invert(self, u):
+        """Overwrite ``u`` with its t, one ``_DRAW_CHUNK_ROWS`` chunk at a
+        time; returns each row's knot interval clipped to the cells, int32."""
+        cells = np.empty(u.size, dtype=np.int32)
+        for rows in _chunks(u.size):
+            x = u[rows]
+            bucket = (x * self.buckets).astype(np.intp)
+            j1 = self.first[bucket]
+            j1 += x >= self.edge[bucket]
+            search = np.flatnonzero(j1 < 0)
+            if search.size:
+                j1[search] = np.searchsorted(self.cdf, x[search], side="right")
+            knot = self.knot_at[j1]
+            cdf = self.cdf_at[j1]
+            t = x - cdf
+            with np.errstate(invalid="ignore"):     # inf * 0, replaced below
+                t *= self.slope_at[j1]
+            t += knot
+            np.copyto(t, knot, where=x == cdf)
+            u[rows] = t
+            j1 -= 1
+            np.clip(j1, 0, self.knots.size - 2, out=cells[rows])
+        return cells
+
+
 class _Pchip:
     """Monotone piecewise cubic through (x, y), x strictly increasing.
 
@@ -444,6 +578,7 @@ class _Pchip:
             d[-1] = self._end_slope(h[-1], h[-2], m[-1], m[-2])
         t = (d[:-1] + d[1:] - 2 * m) / h
         self.x = x
+        self._pieces = _Intervals(x)
         # power-sum coefficients of s^3, s^2, s and 1 on each piece
         self.coef = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
 
@@ -458,9 +593,11 @@ class _Pchip:
             return 3.0 * m0
         return d
 
-    def __call__(self, x):
+    def __call__(self, x, piece=None):
+        """The cubic at ``x``; ``piece``, a guess of each x's piece, is
+        checked and corrected in place."""
         x = np.asarray(x, dtype=float)
-        i = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, self.x.size - 2)
+        i = self._pieces(x, piece)
         s = x - self.x[i]
         c3, c2, c1, c0 = (np.take(c, i) for c in self.coef)
         # summed from 0.0 upward in powers of s, as scipy's evaluation does
@@ -555,10 +692,6 @@ class _CellTable:
         self.t_hat = np.empty(cells)
         self.bound = np.empty(cells)
         self.built = np.zeros(cells, dtype=bool)
-
-    def cells_at(self, law, t):
-        """The cell of ``law`` holding each ``t``."""
-        return np.clip(np.searchsorted(law.knots, t, side="right") - 1, 0, self.built.size - 1)
 
     def build(self, law, wanted):
         """Build the cells flagged in the mask ``wanted`` that are missing."""
@@ -748,11 +881,14 @@ class ConstructiveMixer:
                 f"a finer grid is needed"
             )
         self.mixing_cdf = cdf / self.raw_mass
+        self._t_of_u = _CdfInverse(self.mixing_cdf, self.knots)
+        self._cells = _Intervals(self.knots)
 
-    def level_at(self, t):
-        """Tabulated clip level (monotone cubic through the solved knots)."""
+    def level_at(self, t, piece=None):
+        """Tabulated clip level (monotone cubic through the solved knots);
+        ``piece``, a guess of each t's knot interval, is checked before use."""
         t_arr = np.clip(np.asarray(t, dtype=float), self.knots[0], self.knots[-1])
-        out = np.clip(self._level_interp(np.log(t_arr)), 0.0, None)
+        out = np.clip(self._level_interp(np.log(t_arr), piece), 0.0, None)
         return float(out) if out.ndim == 0 else out
 
     def weights_at(self, t, level=None):
@@ -786,9 +922,10 @@ class ConstructiveMixer:
         return _CellCoupling(**{k: v[0] if v.ndim == 3 else float(v[0])
                                 for k, v in built.items()})
 
-    def _sample_at(self, ts, rng) -> SampleBatch:
+    def _sample_at(self, ts, rng, cells) -> SampleBatch:
         """Rows at the drawn mixing parameters ``ts``, a float array that
-        becomes the batch's ``t``: coupling rows snap theirs in place."""
+        becomes the batch's ``t``: coupling rows snap theirs in place.
+        ``cells``, an int32 guess of each row's cell, becomes its cell."""
         n, c, table = self.n, self.c, self._coupling
         count = len(ts)
         coin = rng.random(count)
@@ -797,17 +934,17 @@ class ConstructiveMixer:
 
         # each row's branch, and its cell if it is a coupling row
         branch = np.empty(count, dtype=np.int8)
-        cells = np.empty(count, dtype=np.intp)
         wanted = np.zeros(table.built.size, dtype=bool)
         for rows in _chunks(count):
-            w = self.weights_at(ts[rows])
+            t = ts[rows]
+            # a row's cell is its level's cubic piece, up to rounding of the log
+            cell = self._cells(t, cells[rows])
+            w = self.weights_at(t, self.level_at(t, cell.copy()))
             with np.errstate(divide="ignore", invalid="ignore"):
                 p_cyclic = np.clip(n * w["w_hi"] / np.maximum(w["rate"], 1e-300), 0.0, 1.0)
             is_cyclic = coin[rows] < p_cyclic
             branch[rows] = np.where(is_cyclic, 1, 2)
-            idx2 = np.flatnonzero(~is_cyclic) + rows.start
-            cells[idx2] = table.cells_at(self, ts[idx2])
-            wanted[cells[idx2]] = True
+            wanted[cell[~is_cyclic]] = True
         del coin
         table.build(self, wanted)
 
@@ -841,7 +978,8 @@ class ConstructiveMixer:
 
     def sample(self, count, rng) -> SampleBatch:
         """``count`` rows with standard-Cauchy coordinates summing to n*c."""
-        return self._sample_at(np.interp(rng.random(count), self.mixing_cdf, self.knots), rng)
+        ts = rng.random(count)
+        return self._sample_at(ts, rng, self._t_of_u.invert(ts))
 
     def _cyclic_bound(self, t):
         """Sum bound of a cyclic row at ``t``: rounding of n coordinates of

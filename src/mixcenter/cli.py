@@ -325,7 +325,8 @@ def _write_csv(path, values, ts, branch):
         for start in range(0, values.shape[0], _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)
             chunk = np.column_stack([values[rows], ts[rows], branch[rows], sums[rows]])
-            fh.write("".join([row % tuple(r) for r in chunk.tolist()]))
+            # one format of the whole chunk: the same bytes as one row at a time
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _read_csv(path):

@@ -62,14 +62,16 @@ def _stable_argsort_rows(key):
     The default (unstable) argsort orders each row, then every run of tied
     keys is put back in index order: codes ``run * m + index`` are distinct
     and sort as (run, index) pairs, and the run part is subtracted again.
+    The codes are int32 when ``m * m < 2**31``, so they sort faster.
     """
-    m = key.shape[1]
+    rows, m = key.shape
+    dtype = np.int32 if m * m < 2**31 else np.intp
     order = np.argsort(key, axis=1)
-    ranked = np.take_along_axis(key, order, axis=1)
-    run = np.zeros(key.shape, dtype=np.intp)
+    ranked = key.reshape(-1)[order + np.arange(0, rows * m, m)[:, None]]
+    run = np.zeros(key.shape, dtype=dtype)
     np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=run[:, 1:])
     run *= m
-    code = run + order
+    code = np.add(run, order, dtype=dtype)
     code.sort(axis=1)
     code -= run
     return code
@@ -106,46 +108,59 @@ def ra_flatten_stack(stack, max_sweeps: int = 100) -> list:
     Each cell's floor is its ``default_spread_tol``. The stack is flattened
     as given (no shuffles) and not modified; returns one ``FlattenResult``
     per cell.
-    """
-    cur = np.array(stack, dtype=float, copy=True)
-    if cur.ndim != 3:
-        raise DomainError("stack must be three-dimensional")
-    cells, m, n = cur.shape
-    tol = default_spread_tol(cur)
 
-    sums = cur.sum(axis=2)
-    best = cur.copy()
+    The sweeps work column by column, so the state is held column-major:
+    one contiguous (live cells, m) array per column, and each new column is
+    written through flat row offsets.
+    """
+    stack = np.ascontiguousarray(stack, dtype=float)
+    if stack.ndim != 3:
+        raise DomainError("stack must be three-dimensional")
+    cells, m, n = stack.shape
+    tol = default_spread_tol(stack)
+
+    sums = stack.sum(axis=2)
     best_spread = sums.max(axis=1) - sums.min(axis=1)
     sweep_spreads = [[float(s)] for s in best_spread]
     stall = np.zeros(cells, dtype=int)
-    # live cells, compacted: positions ``live`` of the stack, state in cur/sums
+    # the best matrices seen, column-major: best[j] is column j of every cell
+    best = np.ascontiguousarray(stack.transpose(2, 0, 1))
+    # live cells, compacted: positions ``live`` of the stack, state in cols/sums
     live = np.nonzero(best_spread > tol)[0]
-    cur, sums = cur[live], sums[live]
+    cols = [best[j, live] for j in range(n)]
+    sums = sums[live]
     # every column stays a permutation of its start, so its descending
     # values are sorted once here
-    desc = np.sort(cur, axis=1)[:, ::-1]
-    rows = np.arange(live.size)[:, None]
+    desc = [np.ascontiguousarray(np.sort(col, axis=1)[:, ::-1]) for col in cols]
+    index = np.int32 if live.size * m < 2**31 else np.intp
+    offsets = np.arange(0, live.size * m, m, dtype=index)[:, None]
     for _ in range(max_sweeps):
         if live.size == 0:
             break
         for j in range(n):
-            col = cur[:, :, j]
-            order = _stable_argsort_rows(sums - col)
+            col = cols[j]
+            flat = _stable_argsort_rows(sums - col) + offsets
             newcol = np.empty_like(col)
-            newcol[rows, order] = desc[:, :, j]
+            newcol.reshape(-1)[flat.reshape(-1)] = desc[j].reshape(-1)
             sums += newcol - col
-            cur[:, :, j] = newcol
+            cols[j] = newcol
         spread = sums.max(axis=1) - sums.min(axis=1)
         better = spread < best_spread[live] - 1e-15
-        best[live[better]] = cur[better]
+        if better.any():
+            where = live[better]
+            for j in range(n):
+                best[j, where] = cols[j][better]
         best_spread[live[better]] = spread[better]
         stall[live] = np.where(better, 0, stall[live] + 1)
         for k in live:
             sweep_spreads[k].append(float(best_spread[k]))
         keep = (stall[live] < 2) & (best_spread[live] > tol[live])
         if not keep.all():
-            live, cur, sums, desc = live[keep], cur[keep], sums[keep], desc[keep]
-            rows = rows[: live.size]
+            live, sums = live[keep], sums[keep]
+            cols = [col[keep] for col in cols]
+            desc = [d[keep] for d in desc]
+            offsets = offsets[: live.size]
+    best = np.ascontiguousarray(best.transpose(1, 2, 0))
     return [
         FlattenResult(best[k], float(best_spread[k]), sweep_spreads[k],
                       bool(best_spread[k] <= tol[k]))

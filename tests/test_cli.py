@@ -12,6 +12,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mixcenter
 from mixcenter import anchors, cli
@@ -336,7 +337,42 @@ def _reference_csv(path, values, ts, branch):
             writer.writerow(row)
 
 
+def _per_row_csv(path, values, ts, branch):
+    """``_write_csv`` as one ``%`` format per row."""
+    n = values.shape[1]
+    row = ",".join(["%.17g"] * (n + 1) + ["%d", "%.17g"]) + "\r\n"
+    chunk = np.column_stack([values, ts, branch, values.sum(axis=1)])
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join([f"x{j + 1}" for j in range(n)] + ["t", "branch", "row_sum"]) + "\r\n")
+        fh.write("".join([row % tuple(r) for r in chunk.tolist()]))
+
+
+_CSV_DOUBLES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                     2.2250738585072009e-308, 1e300, -1e300, 1.7976931348623157e308]),
+)
+
+
 class TestCsvIo:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 5), data=st.data())
+    def test_chunk_format_equals_per_row_format(self, tmp_path_factory, n, data):
+        count = data.draw(st.sampled_from([1, 2, 7, cli._CSV_CHUNK_ROWS + 3]))
+        cells = data.draw(st.lists(_CSV_DOUBLES, min_size=(n + 1) * 4, max_size=(n + 1) * 4))
+        # a few drawn rows tiled over the count, so chunks of 8192 rows are cheap
+        block = np.array(cells).reshape(4, n + 1)
+        tiled = np.resize(block, (count, n + 1))
+        values, ts = tiled[:, :n], tiled[:, n].copy()
+        branch = np.resize(np.array(data.draw(st.lists(st.integers(1, 3), min_size=4,
+                                                         max_size=4)), dtype=np.int8), count)
+        path = tmp_path_factory.mktemp("csv")
+        ours, ref = path / "ours.csv", path / "ref.csv"
+        with np.errstate(invalid="ignore", over="ignore"):
+            cli._write_csv(str(ours), values, ts, branch)
+            _per_row_csv(str(ref), values, ts, branch)
+        assert ours.read_bytes() == ref.read_bytes()
+
     @pytest.mark.parametrize("count", [1, cli._CSV_CHUNK_ROWS + 37])
     def test_bytes_match_csv_module_and_read_back_exactly(self, tmp_path, count):
         rng = np.random.default_rng(count)
