@@ -932,7 +932,7 @@ class ConstructiveMixer:
         hot = rng.integers(0, n, size=count)
         row_idx = rng.integers(0, self.config.ra_grid_m, size=count)
 
-        # each row's branch, and its cell if it is a coupling row
+        # each row's cell and branch; the cells of coupling rows are wanted
         branch = np.empty(count, dtype=np.int8)
         wanted = np.zeros(table.built.size, dtype=bool)
         for rows in _chunks(count):
