@@ -92,6 +92,8 @@ CERTIFY_DIGESTS = {
     "feasible-exact-triple15-c4": "b5a29f504226e79e42d89e0b3ee750ef55fab201afea4726ceb748343758a5ed",
     "feasible-exact-uniform9-c12": "11879b0fd33bef6eef23b26fdb0bc50506e3a43db2267e4348502983fff973c1",
     "feasible-exact-uniform9-c13": "ea72a4b8e1c3f89120e02cafb4b8f64108ad5831f9703f8f8a5cf00a44e5702d",
+    "feasible-triple15-c4": "255a7ef8a83feb0ed78d6124f6da8e760486e628687b9c73fd3425e3c591133d",
+    "feasible-triple15-c5": "95222e35f41dbf8242b334279e38844f9ae7b55f0ea605e4590580c7256fdbbc",
     "feasible-uniform9-c12": "983ad01bb0e6db30c3163547ece159302b1f398602963373eaaf499600a05536",
     "feasible-uniform9-c13": "7edf63beb0357247391c1cc76338aa7add0e665e233927cd2366e96a9aaeec9c",
     "interval-n10": "7bceb303c7ea287bc252343c4fdeb60ecfb8741e57c9927290d62cb3a1a05781",
@@ -259,6 +261,9 @@ CERTIFY_RUNS = {
     "feasible-uniform9-c13": ["feasible", "--marginals", "{uniform9}", "--center", "13"],
     "feasible-exact-triple15-c4": ["feasible", "--marginals", "{triple15}", "--center", "4",
                                    "--exact"],
+    # distinct marginals: the float coupling (4) and Farkas dual (5) of the full slice LP
+    "feasible-triple15-c4": ["feasible", "--marginals", "{triple15}", "--center", "4"],
+    "feasible-triple15-c5": ["feasible", "--marginals", "{triple15}", "--center", "5"],
     "centers-triple15": ["centers", "--marginals", "{triple15}"],
 }
 
