@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import tracemalloc
@@ -17,7 +18,7 @@ from mixcenter.discrete_mix import (
     feasible_center,
     zero_one_couplings,
 )
-from mixcenter.distributions import FiniteDiscrete, point_mass
+from mixcenter.distributions import Cauchy, FiniteDiscrete, point_mass
 from mixcenter.errors import DomainError, SizeError
 
 
@@ -264,6 +265,155 @@ class TestFeasibleCenter:
         assert tol == 0 and all(isinstance(v, Fraction) for v in (*y, *b))
         assert all(sum(y[r] for r in row) <= 0 for row in cells)
         assert sum(yi * bi for yi, bi in zip(y, b)) > 0
+
+    def test_uniform_k31_triple_exact(self):
+        # 721 slice tuples at the forced center 45, 720 at 46
+        m = FiniteDiscrete([(float(v), 1.0 / 31) for v in range(31)])
+        assert feasible_center([m, m, m], 45.0, exact=True).verdict == "feasible"
+        assert feasible_center([m, m, m], 46.0, exact=True).verdict == "infeasible"
+
+    def test_uniform_k115_triple_float_infeasible(self):
+        # 9918 slice tuples beside the forced center 171
+        m = FiniteDiscrete([(float(v), 1.0 / 115) for v in range(115)])
+        res = feasible_center([m, m, m], 172.0)
+        assert res.verdict == "infeasible" and res.candidates == 9918
+
+
+@contextlib.contextmanager
+def _spy(name):
+    """Record the arguments and result of every call to a ``discrete_mix``
+    function while the block runs."""
+    real = getattr(discrete_mix, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    setattr(discrete_mix, name, spy)
+    try:
+        yield calls
+    finally:
+        setattr(discrete_mix, name, real)
+
+
+def _full_slice_lp(marginals, center, tol, exact):
+    """The phase-1 LP over every ordered slice tuple, one row per atom of
+    each marginal: the oracle for the orbit LP of ``feasible_center``.
+    Returns the slice, the right-hand side and ``(objective, x, y)``."""
+    cells = discrete_mix._slice_cells(marginals, center, tol)
+    if exact:
+        b = [f for m in marginals for f in discrete_mix._exact_probs(list(m.probs))]
+        return cells, b, discrete_mix._phase1_exact(cells, b)
+    b = [float(p) for m in marginals for p in m.probs]
+    return cells, b, discrete_mix._phase1_float(cells, np.array(b))
+
+
+def _assert_exchangeable(coupling, layout):
+    """Within each class of ``layout``: every permutation of a support row
+    is a support row of the same weight, and the marginals are equal
+    (summed as exact rationals, so float summation order cannot show)."""
+    weight = dict(zip(coupling.support, coupling.weights))
+    assert len(weight) == len(coupling.support)
+    for label in set(layout):
+        pos = [i for i, lab in enumerate(layout) if lab == label]
+        for row, w in weight.items():
+            for perm in itertools.permutations(pos):
+                image = list(row)
+                for src, dst in zip(pos, perm):
+                    image[dst] = row[src]
+                assert weight.get(tuple(image)) == w
+        marginals = []
+        for i in pos:
+            mass = {}
+            for row, w in weight.items():
+                mass[row[i]] = mass.get(row[i], 0) + Fraction(w)
+            marginals.append(mass)
+        assert all(mg == marginals[0] for mg in marginals)
+
+
+# class layouts of the coordinates: equal labels mean equal marginals
+LAYOUTS = [(0, 0), (0, 1), (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 2),
+           (0, 1, 1, 0), (0, 0, 0, 0), (0, 1, 2, 3)]
+
+
+class TestOrbitLP:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_full_slice_lp(self, data):
+        layout = data.draw(st.sampled_from(LAYOUTS), label="layout")
+        atoms = {}
+        for label in sorted(set(layout)):
+            vals = data.draw(st.lists(st.integers(-2, 3), min_size=1, max_size=4,
+                                      unique=True), label="values")
+            weights = data.draw(st.lists(st.integers(1, 6), min_size=len(vals),
+                                         max_size=len(vals)), label="weights")
+            atoms[label] = [(float(v), w / sum(weights)) for v, w in zip(vals, weights)]
+        # equal by value but distinct objects, as the CLI builds them, or one
+        # object per class
+        shared = data.draw(st.booleans(), label="shared")
+        laws = {label: FiniteDiscrete(a) for label, a in atoms.items()}
+        marginals = [laws[lab] if shared else FiniteDiscrete(atoms[lab]) for lab in layout]
+        center = float(sum(data.draw(st.sampled_from(list(m.values)), label="atom")
+                           for m in marginals))
+        tol = 1e-9
+        for exact in (False, True):
+            solver = "_phase1_exact" if exact else "_phase1_float"
+            with _spy(solver) as solves, _spy("_check_farkas") as checks:
+                res = feasible_center(marginals, center, tol=tol, exact=exact)
+            cells, b, (objective, _, _) = _full_slice_lp(marginals, center, tol, exact)
+            assert res.candidates == len(cells)
+            [((orbit_cells, _), (orbit_objective, _, _))] = solves
+            assert len(orbit_cells) <= len(cells)
+            if exact:
+                assert isinstance(orbit_objective, Fraction)
+                assert orbit_objective == objective
+                verdict = "feasible" if objective == 0 else "infeasible"
+            else:
+                assert abs(orbit_objective - objective) <= 1e-12
+                verdict = ("feasible" if objective <= tol else
+                           "borderline" if objective <= 10 * tol else "infeasible")
+            assert res.verdict == verdict
+            if res.feasible:
+                _assert_exchangeable(res.coupling, layout)
+            elif exact:
+                # the lifted dual, checked on the full slice with the full b
+                [((y, checked_cells, checked_b, checked_tol), _)] = checks
+                assert checked_tol == 0 and checked_b == b
+                assert (checked_cells == cells).all()
+                discrete_mix._check_farkas(y, cells, b, 0)
+
+    def test_distinct_marginals_solve_the_slice_lp(self):
+        # singleton classes: the orbit LP is the slice LP, column for column
+        marginals = [FiniteDiscrete([(0.0, 0.25), (1.0, 0.75)]),
+                     FiniteDiscrete([(0.0, 0.5), (1.0, 0.5)]),
+                     FiniteDiscrete([(0.0, 0.75), (1.0, 0.25)])]
+        with _spy("_phase1_float") as solves:
+            feasible_center(marginals, 1.0)
+        [((orbit_cells, orbit_b), _)] = solves
+        assert (orbit_cells == discrete_mix._slice_cells(marginals, 1.0, 1e-9)).all()
+        assert orbit_b.tolist() == [0.25, 0.75, 0.5, 0.5, 0.75, 0.25]
+
+    def test_equal_marginals_share_rows(self):
+        # three copies of one law: one row per atom, one column per orbit (the 13
+        # partitions of 12 into three atoms)
+        m = FiniteDiscrete([(float(v), 1.0 / 9) for v in range(9)])
+        with _spy("_phase1_float") as solves:
+            res = feasible_center([m, FiniteDiscrete(zip(m.values, m.probs)), m], 12.0)
+        [((orbit_cells, orbit_b), _)] = solves
+        assert res.candidates == 61 and len(orbit_cells) == 13
+        assert orbit_b.tolist() == [3 * (1.0 / 9)] * 9
+
+    def test_slice_not_closed_under_permutations(self):
+        # at tol 0 only the orders 0.2 + 0.3 + 0.1 and 0.3 + 0.2 + 0.1 sum to
+        # 0.6 in floats; the orbit of (0.1, 0.2, 0.3) is not in the slice
+        # whole, so the LP runs on the slice tuples, as the full LP does
+        m = FiniteDiscrete([(0.1, 1 / 3), (0.2, 1 / 3), (0.3, 1 / 3)])
+        cells, b, (objective, _, _) = _full_slice_lp([m, m, m], 0.6, 0.0, False)
+        assert len(cells) == 2 and objective > 0
+        res = feasible_center([m, m, m], 0.6, tol=0.0)
+        assert res.verdict == "infeasible" and res.residual == objective
 
 
 def _slice_tuples(marginals, center, tol):
@@ -522,11 +672,30 @@ class TestEnumerateCenters:
         cs = enumerate_centers([u, u])
         assert cs.centers == [0.0]
 
-    def test_centers_within_jm_bounds(self):
+    def test_one_candidate(self):
+        # the forced center, the sum of the means, is the one LP
         m = two_point_third()
-        cs = enumerate_centers([m, m, m])
-        # all returned centers were pre-filtered by the window bounds
-        assert cs.candidates_examined <= 4
+        with _spy("feasible_center") as calls:
+            cs = enumerate_centers([m, m, m])
+        assert cs.candidates_examined == 1 and len(calls) == 1
+        assert calls[0][0][1] == 2.0
+
+    def test_forced_center_off_the_sumset(self):
+        # the means sum to 1.5, which no pair of atoms does: an empty slice
+        m = FiniteDiscrete([(0.0, 0.25), (1.0, 0.75)])
+        cs = enumerate_centers([m, m])
+        assert cs.centers == [] and cs.certificates == {} and cs.candidates_examined == 0
+
+    def test_needs_finite_marginals(self):
+        with pytest.raises(DomainError, match="FiniteDiscrete"):
+            enumerate_centers([Cauchy()] * 3)
+
+    def test_forced_center_infeasible(self):
+        # the means sum to 2, but (0, 2) is the only pair of atoms that does
+        m1 = FiniteDiscrete([(0.0, 0.5), (1.0, 0.25), (3.0, 0.25)])
+        m2 = FiniteDiscrete([(0.0, 0.5), (2.0, 0.5)])
+        cs = enumerate_centers([m1, m2])
+        assert cs.centers == [] and cs.candidates_examined == 1
 
 
 class TestZeroOneCouplings:

@@ -90,12 +90,12 @@ CERTIFY_DIGESTS = {
     "dual-finite": "e4671c268d5b2f313b3d752ad732f428d6e95648411708256fac30b68a0cbfe2",
     "dual-uniform": "d733584fd65f6613a8a06dfd4441f5857e16a5d61ab1ff92c50a72ba6460112a",
     "feasible-exact-triple15-c4": "b5a29f504226e79e42d89e0b3ee750ef55fab201afea4726ceb748343758a5ed",
-    "feasible-exact-uniform9-c12": "11879b0fd33bef6eef23b26fdb0bc50506e3a43db2267e4348502983fff973c1",
+    "feasible-exact-uniform9-c12": "2765f2547750e55513537092823d3aa94641a08eb2b83b11626623ed5439105f",
     "feasible-exact-uniform9-c13": "ea72a4b8e1c3f89120e02cafb4b8f64108ad5831f9703f8f8a5cf00a44e5702d",
     "feasible-triple15-c4": "255a7ef8a83feb0ed78d6124f6da8e760486e628687b9c73fd3425e3c591133d",
     "feasible-triple15-c5": "95222e35f41dbf8242b334279e38844f9ae7b55f0ea605e4590580c7256fdbbc",
-    "feasible-uniform9-c12": "983ad01bb0e6db30c3163547ece159302b1f398602963373eaaf499600a05536",
-    "feasible-uniform9-c13": "7edf63beb0357247391c1cc76338aa7add0e665e233927cd2366e96a9aaeec9c",
+    "feasible-uniform9-c12": "2765f2547750e55513537092823d3aa94641a08eb2b83b11626623ed5439105f",
+    "feasible-uniform9-c13": "9e626dc714171c56d8310ce43dbee904b29e4921bda1fd67923fcc5a488d7150",
     "interval-n10": "7bceb303c7ea287bc252343c4fdeb60ecfb8741e57c9927290d62cb3a1a05781",
     "interval-n3": "deb02da21d44444595aa5f72ccf61b2eabdefd0e3ee77aaadb27ade02d11b47e",
     "repro": "0f319aaae651ad68da425e053d8bfe1c2e91235941ecebf82345b205f7f48102",
