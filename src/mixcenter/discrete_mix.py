@@ -507,12 +507,20 @@ def enumerate_centers(marginals, tol: float = 1e-9) -> CenterSet:
     """Certified centers of finitely supported marginals.
 
     With finite means, every joint mix sums to the sum of the means, so
-    that forced center (``math.fsum`` of the means) is the one candidate,
-    decided by one ``feasible_center`` call. ``candidates_examined`` is 1,
-    or 0 when no support tuple sums to the forced center.
+    that forced center is the one candidate, decided by one
+    ``feasible_center`` call. The center is summed exactly over the
+    rationals exact mode reads the probabilities as, then rounded once, so
+    w/W weights give the atom sum itself; where the probabilities do not
+    reconstruct, it is ``math.fsum`` of the float means.
+    ``candidates_examined`` is 1, or 0 when no support tuple sums to the
+    forced center.
     """
     marginals = _finite(marginals)
-    center = math.fsum(m.mean for m in marginals)
+    try:
+        center = float(sum(Fraction(v) * f for m in marginals
+                           for v, f in zip(m.values.tolist(), _exact_probs(m.probs.tolist()))))
+    except DomainError:
+        center = math.fsum(m.mean for m in marginals)
     res = feasible_center(marginals, center, tol=tol)
     certs = {center: res.coupling} if res.feasible else {}
     return CenterSet(centers=list(certs), candidates_examined=int(res.candidates > 0),

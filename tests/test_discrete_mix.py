@@ -686,6 +686,23 @@ class TestEnumerateCenters:
         cs = enumerate_centers([m, m])
         assert cs.centers == [] and cs.certificates == {} and cs.candidates_examined == 0
 
+    def test_forced_center_is_the_atom_sum(self):
+        # the float means of uniform {0, ..., 14} fsum to 20.999999999999996
+        m = FiniteDiscrete([(float(v), 1.0 / 15) for v in range(15)])
+        assert math.fsum(m.mean for _ in range(3)) != 21.0
+        cs = enumerate_centers([m, m, m])
+        assert cs.centers == [21.0] and list(cs.certificates) == [21.0]
+
+    def test_forced_center_of_unreconstructible_probabilities(self):
+        # no rationals with denominator up to 1e12 sum to 1 here, so the
+        # float means are summed; the antithetic pair sums to 1
+        p = 0.123456789012345
+        with pytest.raises(DomainError, match="reconstruct"):
+            discrete_mix._exact_probs([p, 1 - p])
+        m1 = FiniteDiscrete([(0.0, p), (1.0, 1 - p)])
+        m2 = FiniteDiscrete([(0.0, 1 - p), (1.0, p)])
+        assert enumerate_centers([m1, m2]).centers == [1.0]
+
     def test_needs_finite_marginals(self):
         with pytest.raises(DomainError, match="FiniteDiscrete"):
             enumerate_centers([Cauchy()] * 3)
