@@ -159,7 +159,7 @@ def _phase1_float(cells, b: np.ndarray):
     starts = np.flatnonzero(first)
     counts = np.diff(np.append(starts, k * n))
     A_eq = sparse.csc_array((
-        np.concatenate([counts, np.ones(m, dtype=counts.dtype)]).astype(float),
+        np.concatenate([counts.astype(float), np.ones(m)]),
         np.concatenate([rows.ravel()[starts], np.arange(m)]),
         np.concatenate([[0], np.cumsum(first.sum(axis=1)), len(starts) + 1 + np.arange(m)]),
     ), shape=(m, k + m))
