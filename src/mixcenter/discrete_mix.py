@@ -152,17 +152,14 @@ def _phase1_float(cells, b: np.ndarray):
     from scipy.optimize import linprog
 
     (k, n), m = cells.shape, len(b)
-    # one stored entry per distinct row of a column, holding its count
-    rows = np.sort(cells, axis=1)
-    first = np.ones((k, n), dtype=bool)
-    first[:, 1:] = rows[:, 1:] != rows[:, :-1]
-    starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, k * n))
     A_eq = sparse.csc_array((
-        np.concatenate([counts.astype(float), np.ones(m)]),
-        np.concatenate([rows.ravel()[starts], np.arange(m)]),
-        np.concatenate([[0], np.cumsum(first.sum(axis=1)), len(starts) + 1 + np.arange(m)]),
+        np.ones(k * n + m),
+        np.concatenate([cells.ravel(), np.arange(m)]),
+        np.concatenate([np.arange(0, k * n, n), k * n + np.arange(m + 1)]),
     ), shape=(m, k + m))
+    # an orbit can hit one row up to n times: merge its entries into one
+    # holding the count, in place (a no-op when no column repeats a row)
+    A_eq.sum_duplicates()
     cost = np.concatenate([np.zeros(k), np.ones(m)])
     res = linprog(cost, A_eq=A_eq, b_eq=b, bounds=(0, None), method="highs-ds",
                   options={"primal_feasibility_tolerance": HIGHS_TOL,
@@ -326,46 +323,48 @@ def _orbits(marginals, cells, b):
     Returns ``(orbit_cells, orbit_b, inverse, counts, row_of)``: the orbits
     in lexicographic order as class rows, the orbit LP's right-hand side,
     the orbit of each slice tuple, the slice tuples per orbit, and the class
-    row of each slice row. With every class a singleton this is the slice LP
-    itself, in the same order. A slice that is not closed under the class
-    permutations (a float sum within tol of the center in one order of its
-    terms but not in another) is solved with singleton classes.
+    row of each slice row. With every class a singleton, the slice LP
+    itself is returned as it is, with ``inverse`` and ``counts`` None, and
+    so is a slice that is not closed under the class permutations (a float
+    sum within tol of the center in one order of its terms but not in
+    another).
     """
-    n = len(marginals)
+    n, k = len(marginals), len(cells)
     keys = {}
-    keyed = [keys.setdefault((m.values.tobytes(), m.probs.tobytes()), len(keys))
-             for m in marginals]
+    classes = [keys.setdefault((m.values.tobytes(), m.probs.tobytes()), len(keys))
+               for m in marginals]
+    identity = (cells, b, None, None, np.arange(len(b)))
+    if len(keys) == n:
+        return identity
     lens = [len(m.values) for m in marginals]
     offsets = np.cumsum([0] + lens[:-1])
-    local = cells - offsets
-    for classes in (keyed, list(range(n))):
-        rep = local.copy()
-        # each tuple's orbit size: the product over classes of |C|! / prod(m!)
-        # over its atom multiplicities m, as the running product of (j + 1) / run
-        size = np.ones(len(cells))
-        for c in range(max(classes) + 1):
-            pos = [i for i, ci in enumerate(classes) if ci == c]
-            block = np.sort(local[:, pos], axis=1)
-            rep[:, pos] = block
-            run = np.ones(len(cells))
-            for j in range(1, len(pos)):
-                run = np.where(block[:, j] == block[:, j - 1], run + 1, 1)
-                size *= (j + 1) / run
-        order = np.lexsort(rep.T[::-1])
-        rep = rep[order]
-        new = np.ones(len(rep), dtype=bool)
-        new[1:] = (rep[1:] != rep[:-1]).any(axis=1)
-        inverse = np.empty(len(rep), dtype=np.intp)
-        inverse[order] = np.cumsum(new) - 1
-        counts = np.diff(np.append(np.flatnonzero(new), len(rep)))
-        if np.array_equal(np.rint(size), counts[inverse]):
-            break
-    members = [classes.count(c) for c in range(max(classes) + 1)]
-    heads = [classes.index(c) for c in range(len(members))]
+    rep = cells - offsets
+    # each tuple's orbit size: the product over classes of |C|! / prod(m!)
+    # over its atom multiplicities m, as the running product of (j + 1) / run
+    size = np.ones(k)
+    for c in range(len(keys)):
+        pos = [i for i, ci in enumerate(classes) if ci == c]
+        block = np.sort(rep[:, pos], axis=1)
+        rep[:, pos] = block
+        run = np.ones(k)
+        for j in range(1, len(pos)):
+            run = np.where(block[:, j] == block[:, j - 1], run + 1, 1)
+            size *= (j + 1) / run
+    order = np.lexsort(rep.T[::-1])
+    rep = rep[order]
+    new = np.ones(k, dtype=bool)
+    new[1:] = (rep[1:] != rep[:-1]).any(axis=1)
+    inverse = np.empty(k, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    counts = np.diff(np.append(np.flatnonzero(new), k))
+    if not np.array_equal(np.rint(size), counts[inverse]):
+        return identity
+    members = [classes.count(c) for c in range(len(keys))]
+    heads = [classes.index(c) for c in range(len(keys))]
     class_offsets = np.cumsum([0] + [lens[i] for i in heads[:-1]])
     row_of = np.concatenate([class_offsets[c] + np.arange(len_i)
                              for c, len_i in zip(classes, lens)])
-    orbit_b = [k * p for k, i in zip(members, heads)
+    orbit_b = [size_c * p for size_c, i in zip(members, heads)
                for p in b[offsets[i]:offsets[i] + lens[i]]]
     return class_offsets[classes] + rep[new], orbit_b, inverse, counts, row_of
 
@@ -451,10 +450,11 @@ def feasible_center(marginals, center: float, tol: float = 1e-9,
     # lift to the slice: each row takes its class row's dual
     y = [y[q] for q in row_of.tolist()]
     if feasible:
+        if inverse is not None:
+            # each slice tuple takes an equal share of its orbit's mass
+            x = [x[o] / share for o, share in zip(inverse.tolist(), counts[inverse].tolist())]
         support, weights = [], []
-        # each slice tuple takes an equal share of its orbit's mass
-        for row, o, share in zip(cells, inverse.tolist(), counts[inverse].tolist()):
-            w = x[o] / share
+        for row, w in zip(cells, x):
             if (w > 0) if exact else (w > 1e-14):
                 support.append(tuple(atoms[row]))
                 weights.append(w)
@@ -510,8 +510,10 @@ def enumerate_centers(marginals, tol: float = 1e-9) -> CenterSet:
     that forced center is the one candidate, decided by one
     ``feasible_center`` call. The center is summed exactly over the
     rationals exact mode reads the probabilities as, then rounded once, so
-    w/W weights give the atom sum itself; where the probabilities do not
-    reconstruct, it is ``math.fsum`` of the float means.
+    w/W weights give the atom sum itself (summing the float means, or even
+    the float probabilities exactly, can miss it by an ulp: uniform
+    {0, ..., 74} three times gives 111.00000000000001); where the
+    probabilities do not reconstruct, it is ``math.fsum`` of the float means.
     ``candidates_examined`` is 1, or 0 when no support tuple sums to the
     forced center.
     """

@@ -405,6 +405,25 @@ class TestOrbitLP:
         assert res.candidates == 61 and len(orbit_cells) == 13
         assert orbit_b.tolist() == [3 * (1.0 / 9)] * 9
 
+    def test_float_matrix_counts_repeated_rows(self, monkeypatch):
+        # orbits hitting one class row twice: HiGHS gets one entry of 2, not
+        # two entries of 1 (the singleton columns of the artificials follow)
+        import scipy.optimize
+        real, seen = scipy.optimize.linprog, []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["A_eq"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        objective, _, _ = discrete_mix._phase1_float(np.array([[0, 0, 1], [1, 0, 1]]),
+                                                     np.array([1.0, 1.0]))
+        [A] = seen
+        assert A.indptr.tolist() == [0, 2, 4, 5, 6]
+        assert A.indices.tolist() == [0, 1, 0, 1, 0, 1]
+        assert A.data.tolist() == [2.0, 1.0, 1.0, 2.0, 1.0, 1.0]
+        assert abs(objective) <= 1e-12  # x = (1/3, 1/3)
+
     def test_slice_not_closed_under_permutations(self):
         # at tol 0 only the orders 0.2 + 0.3 + 0.1 and 0.3 + 0.2 + 0.1 sum to
         # 0.6 in floats; the orbit of (0.1, 0.2, 0.3) is not in the slice
@@ -692,6 +711,15 @@ class TestEnumerateCenters:
         assert math.fsum(m.mean for _ in range(3)) != 21.0
         cs = enumerate_centers([m, m, m])
         assert cs.centers == [21.0] and list(cs.certificates) == [21.0]
+
+    def test_forced_center_reads_the_rational_probabilities(self):
+        # the exact sum over the float probabilities of uniform {0, ..., 74}
+        # three times rounds to 111.00000000000001: 1/75 must be read as 1/75
+        m = FiniteDiscrete([(float(v), 1.0 / 75) for v in range(75)])
+        float_probs = sum(Fraction(v) * Fraction(p) for v, p in zip(m.values.tolist(),
+                                                                    m.probs.tolist()))
+        assert float(3 * float_probs) != 111.0
+        assert enumerate_centers([m, m, m]).centers == [111.0]
 
     def test_forced_center_of_unreconstructible_probabilities(self):
         # no rationals with denominator up to 1e12 sum to 1 here, so the
