@@ -705,21 +705,20 @@ class TestEnumerateCenters:
         cs = enumerate_centers([m, m])
         assert cs.centers == [] and cs.certificates == {} and cs.candidates_examined == 0
 
-    def test_forced_center_is_the_atom_sum(self):
-        # the float means of uniform {0, ..., 14} fsum to 20.999999999999996
-        m = FiniteDiscrete([(float(v), 1.0 / 15) for v in range(15)])
-        assert math.fsum(m.mean for _ in range(3)) != 21.0
+    @pytest.mark.parametrize("k", [15, 75])
+    def test_forced_center_is_the_atom_sum(self, k):
+        # uniform {0, ..., k - 1} three times: the float means fsum to
+        # 20.999999999999996 at k = 15, and the exact sum over the float
+        # probabilities rounds to 111.00000000000001 at k = 75, so 1/k must
+        # be read as the rational 1/k
+        m = FiniteDiscrete([(float(v), 1.0 / k) for v in range(k)])
+        center = 3 * (k - 1) / 2
+        naive = (math.fsum(m.mean for _ in range(3)) if k == 15 else
+                 float(3 * sum(Fraction(v) * Fraction(p)
+                               for v, p in zip(m.values.tolist(), m.probs.tolist()))))
+        assert naive != center
         cs = enumerate_centers([m, m, m])
-        assert cs.centers == [21.0] and list(cs.certificates) == [21.0]
-
-    def test_forced_center_reads_the_rational_probabilities(self):
-        # the exact sum over the float probabilities of uniform {0, ..., 74}
-        # three times rounds to 111.00000000000001: 1/75 must be read as 1/75
-        m = FiniteDiscrete([(float(v), 1.0 / 75) for v in range(75)])
-        float_probs = sum(Fraction(v) * Fraction(p) for v, p in zip(m.values.tolist(),
-                                                                    m.probs.tolist()))
-        assert float(3 * float_probs) != 111.0
-        assert enumerate_centers([m, m, m]).centers == [111.0]
+        assert cs.centers == [center] and list(cs.certificates) == [center]
 
     def test_forced_center_of_unreconstructible_probabilities(self):
         # no rationals with denominator up to 1e12 sum to 1 here, so the
