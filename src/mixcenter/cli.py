@@ -523,7 +523,10 @@ def _build_parser():
     p.add_argument("--exact", action="store_true",
                    help="exact rationals: a fraction-free (integer, Bareiss) Bland "
                         "simplex with the same pivots and rationals as a Fraction "
-                        "tableau; 169 columns in about 0.04 s, 721 in about 5 s")
+                        "tableau. Equal marginals solve on orbits: uniform k=31 (721 "
+                        "slice tuples) in about 0.02 s, k=61 in about 0.3 s. Distinct "
+                        "marginals pay the full slice: 169 tuples in about 0.03 s, "
+                        "721 in about 3 s")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_feasible)
 

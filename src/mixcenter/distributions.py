@@ -402,9 +402,11 @@ def _power_two_survival_integral(model, a, b, positive_weight):
 
 
 class CountableMixture:
-    """Finite mixture of countable power-of-two laws (exact atom merging)."""
+    """Finite mixture of countable power-of-two laws (exact atom merging).
 
-    mean_status = "undefined"
+    The mean is +inf when every weighted component is positive, -inf when
+    every one is negative, and undefined when both signs carry weight.
+    """
 
     def __init__(self, components):
         # components: [(weight Fraction-able, PowerTwoGeometric)]
@@ -413,7 +415,9 @@ class CountableMixture:
             raise DomainError("mixture weights must sum to 1 exactly")
         self._views = {}
         # the weight of the components on positive powers of two
-        self._positive = float(sum(w for w, comp in self.components if comp.sign == "positive"))
+        positive = sum(w for w, comp in self.components if comp.sign == "positive")
+        self._positive = float(positive)
+        self.mean_status = {1: "+inf", 0: "-inf"}.get(positive, "undefined")
 
     def truncated(self, kmax) -> FiniteDiscrete:
         """Finite view of the merged atoms up to index kmax, built once per kmax."""

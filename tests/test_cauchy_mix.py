@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
@@ -100,6 +100,23 @@ class TestClipLevel:
             fd = (mixer.clip_level(t + h) - mixer.clip_level(t - h)) / (2 * h)
             w = _solved_weights(mixer, t)
             assert_allclose(w["w_unif"], -fd * (w["cut"] - w["lo"]), rtol=5e-4, atol=1e-14)
+
+
+class TestRootResidual:
+    """The Brent solve alone leaves every clip level within ``ROOT_TOL`` of
+    a root, from n = 3 to 100 and c from 0+ to the endpoint. Builds refuse
+    c below about 1e-29 (the rate trapezoid check), so f starts at 1e-20."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(3, 100), f=st.floats(1e-20, 1.0))
+    @example(n=100, f=1.0)
+    @example(n=100, f=1e-9 * PI / math.log(99))
+    @example(n=3, f=1e-9 * PI / math.log(2))
+    def test_residual_within_root_tol(self, n, f):
+        mx = ConstructiveMixer(MixerConfig(n, f * math.log(n - 1) / PI, t_grid=256))
+        mids = np.sqrt(mx.knots[:-1] * mx.knots[1:])
+        assert np.max(np.abs(mx.imbalance(mx.knots, mx.levels))) <= ROOT_TOL
+        assert np.max(np.abs(mx.imbalance(mids, mx.clip_level(mids)))) <= ROOT_TOL
 
 
 def _solved_weights(mixer, t):

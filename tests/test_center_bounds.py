@@ -26,6 +26,7 @@ from mixcenter.center_bounds import (
 from mixcenter.distributions import (
     AtomUniform,
     Cauchy,
+    CountableMixture,
     FiniteDiscrete,
     Pareto,
     PowerTwoGeometric,
@@ -172,6 +173,12 @@ class TestCmBounds:
         res = cm_bounds(Pareto(0.5), 3)
         assert res.a_star == math.inf
         assert math.isfinite(res.b_star)
+
+    def test_one_sided_mixture_sentinel(self):
+        pos = cm_bounds(CountableMixture([(1, PowerTwoGeometric("positive"))]), 3)
+        neg = cm_bounds(CountableMixture([(1, PowerTwoGeometric("negative"))]), 3)
+        assert pos.a_star == math.inf and math.isfinite(pos.b_star)
+        assert neg.b_star == -math.inf and math.isfinite(neg.a_star)
 
     def test_bracket_consistency_n3_to_10(self):
         for n in range(3, 11):
@@ -348,3 +355,8 @@ class TestInfiniteMeanClassifier:
     def test_negative_side_excluded(self):
         marg = [PowerTwoGeometric("negative"), point_mass(0.0)]
         assert infinite_mean_classifier(marg) == "excluded"
+
+    def test_one_sided_mixture_excluded(self):
+        mix = CountableMixture([(1, PowerTwoGeometric("positive"))])
+        assert infinite_mean_classifier([mix, point_mass(0.0), point_mass(0.0)]) == "excluded"
+        assert infinite_mean_classifier([ex01_mixture()] * 3) == "inconclusive"

@@ -12,6 +12,7 @@ from mixcenter.anchors import CAUCHY_WINDOW_02_09, EX01_WEIGHTS, cauchy_like_den
 from mixcenter.distributions import (
     AtomUniform,
     Cauchy,
+    CountableMixture,
     FiniteDiscrete,
     GenericDensity,
     Pareto,
@@ -495,6 +496,14 @@ class TestPowerTwoGeometric:
     def test_mean_statuses(self):
         assert PowerTwoGeometric("positive").mean_status == "+inf"
         assert PowerTwoGeometric("negative").mean_status == "-inf"
+
+    def test_mixture_mean_status_follows_component_signs(self):
+        pos, neg = PowerTwoGeometric("positive"), PowerTwoGeometric("negative")
+        assert CountableMixture([(1, pos)]).mean_status == "+inf"
+        assert CountableMixture([(Fraction(1, 2), neg), (Fraction(1, 2), neg)]).mean_status == "-inf"
+        # a component of weight 0 adds no tail
+        assert CountableMixture([(1, pos), (0, neg)]).mean_status == "+inf"
+        assert ex01_mixture().mean_status == "undefined"
 
     WINDOWS = [(-3.5, 7.25), (0.3, 0.9), (1.0, 2.0), (-100.0, -2.0), (-9.0, -3.0),
                (-5.0, 1000.5), (-1e6, 1e6), (2.0 ** 40 - 1, 2.0 ** 41 + 3)]
