@@ -64,10 +64,11 @@ T_MIN = 1e-6
 _CELL_BLOCK_ENTRIES = 1 << 18
 # rows of one chunk of a draw's per-row work
 _DRAW_CHUNK_ROWS = 1 << 16
-# Newton passes of the c = 0 radius solve, and the passes whose iterates it
-# keeps to recognise elements that have entered a cycle
-_RADIUS_PASSES = 60
-_RADIUS_SNAPSHOTS = (3, 5, 8, 13, 21, 34)
+# (-1)^k / (2k+3)! for k = 9 down to 0: (phi - sin phi) / phi^3 as a
+# polynomial in phi^2, which the c = 0 radius solve uses below phi = 1, where
+# phi - sin phi cancels (cut at phi = 1/2, radii just above it were off by up
+# to 4.3 eps)
+_KEPLER_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(9, -1, -1))
 
 
 def _as_arrays(t, y):
@@ -87,6 +88,48 @@ def _atan_diff(u, el):
     corr = np.where(denom > 0, 0.0, np.where(u >= el, PI, -PI))
     out = base + corr
     return float(out) if out.ndim == 0 else out
+
+
+def _kepler_low(target):
+    """tan(phi/2) at the root of phi - sin(phi) = target, for target < pi/2.
+
+    Six Newton passes from cbrt(6*target), the root of the cubic term (on a
+    dense grid of targets the iterates reach rounding level by the fourth);
+    the derivative 1 - cos(phi) = 2 sin^2(phi/2) does not cancel. The start's
+    mantissa is cut to 20 bits: the last bit of np.cbrt depends on numpy's
+    SIMD dispatch, and the last iterate keeps an ulp-level trace of its start.
+    """
+    mant, expo = np.frexp(np.cbrt(6.0 * target))
+    phi = np.ldexp(np.round(np.ldexp(mant, 20)), expo - 20)
+    for _ in range(6):
+        step = phi - np.sin(phi)
+        small = phi < 1.0
+        x = phi[small]
+        z = x * x
+        step[small] = np.polyval(_KEPLER_SERIES, z) * z * x
+        step -= target
+        half = np.sin(0.5 * phi)
+        # the floor keeps the root phi = 0 of target = 0 from a 0/0
+        phi -= step / np.maximum(2.0 * half * half, 1e-300)
+    half = 0.5 * phi
+    return np.sin(half) / np.cos(half)
+
+
+def _kepler_high(target):
+    """cot(psi/2) at the root of psi + sin(psi) = target, for target <= pi/2;
+    +inf at target = 0.
+
+    Five Newton passes from target/2, which is below the root as
+    psi + sin psi <= 2*psi (the iterates reach rounding level by the
+    fourth); the derivative 2 cos^2(psi/2) is at least 1.
+    """
+    psi = 0.5 * target
+    for _ in range(5):
+        half = np.cos(0.5 * psi)
+        psi -= (psi + np.sin(psi) - target) / (2.0 * half * half)
+    half = 0.5 * psi
+    with np.errstate(divide="ignore"):
+        return np.cos(half) / np.sin(half)
 
 
 class CauchyKernel:
@@ -128,135 +171,26 @@ class CauchyKernel:
         out = (2.0 / PI) * (np.arctan(a) - a / (1.0 + a * a))
         return float(out) if out.ndim == 0 else out
 
-    def radius_pdf(self, a):
-        a = np.asarray(a, dtype=float)
-        out = 4.0 * a * a / (PI * (1.0 + a * a) ** 2)
-        return float(out) if out.ndim == 0 else out
-
     def radius_quantile(self, u):
-        """Vectorized inverse of radius_cdf by clipped Newton steps in a.
+        """Vectorized inverse of radius_cdf, solved in Kepler form.
 
-        The start guesses are the two asymptotes: R(a) ~ 4a^3/(3pi) for
-        u < 1/2 and 1 - R(a) ~ 4/(pi*a) above. Up to 60 passes run over the
-        batch. The loop stops after the first pass whose largest relative
-        step, taken over the whole batch, is below 1e-14, and returns that
-        pass's iterates (the 60th pass's if none is).
-
-        A step is elementwise: an element's next iterate depends only on its
-        own iterate and its own u. So once a finite element's new iterate
-        equals, bit for bit, its iterate at the last snapshot pass
-        (``_RADIUS_SNAPSHOTS``), it repeats that cycle forever. It leaves the
-        loop when at least an eighth of the open elements do so at the same
-        pass (fewer do not pay for the compaction), keeping only its
-        position, its period and the pass of its stored iterate. Its steps
-        at later passes still enter the batch-wide stop test, through a
-        table of their largest value at each pass, filled only once the open
-        elements could stop, and its output is read off its cycle at the
-        final pass. So the output is that of the full loop over the whole
-        batch, bit for bit, and the stop rule keeps its batch dependence: an
-        element's radius can differ in the last bits with the batch it is
-        solved in.
-
-        Each pass runs in ``_DRAW_CHUNK_ROWS`` chunks, and measures its steps
-        only until one chunk shows that it cannot stop.
+        With phi = 2*arctan(a), radius_cdf(a) = (phi - sin phi)/pi: Kepler's
+        equation at eccentricity 1. Below u = 1/2 the solve is in phi, from
+        u = 1/2 on in psi = pi - phi, where 1 - u is exact; u = 1 gives +inf.
+        Each takes a fixed number of Newton passes and no stop test, so a
+        radius depends on its own u only, not on the batch it is solved in.
+        The work runs in ``_DRAW_CHUNK_ROWS`` chunks.
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        shape = u.shape
-        u_all = u = u.ravel()
-        a = np.empty(u.size)
-        for rows in _chunks(u.size):
-            # small-u: R(a) ~ 4a^3/(3pi); large-u: 1-R(a) ~ 4/(pi*a)
-            x = u[rows]
-            a[rows] = np.where(
-                x < 0.5,
-                np.cbrt(3.0 * PI * np.maximum(x, 1e-300) / 4.0),
-                4.0 / (PI * np.maximum(1.0 - x, 1e-300)),
-            )
-        # the guesses become the output: the open iterates are stepped in
-        # place until the first compaction, and each element that leaves
-        # has its stored iterate written there
-        out = a
-        idx = None                  # output position of each open element
-        cycles = []                 # (positions, period, pass of the stored iterate)
-        # largest step of the left elements at each pass, filled from their
-        # cycles (``folded`` of them) only when the open ones could stop
-        left_step = np.zeros(_RADIUS_PASSES)
-        folded = 0
-        snap, snap_pass = None, 0
-        final = _RADIUS_PASSES
-        for k in range(_RADIUS_PASSES):
-            if k in _RADIUS_SNAPSHOTS:
-                snap, snap_pass = a.copy(), k
-            measure = left_step[k] < 1e-14
-            hits = []
-            for rows in _chunks(a.size):
-                a_k = a[rows]
-                a_new = self._radius_step(a_k, u[rows])
-                if measure:
-                    rel = np.abs(a_new - a_k)
-                    rel /= np.maximum(a_k, 1e-300)
-                    measure = np.max(rel, initial=0.0) < 1e-14
-                if snap is not None:
-                    # bitwise, so 0.0 and -0.0 differ; inf and nan never leave
-                    hit = np.flatnonzero(a_new.view(np.int64) == snap[rows].view(np.int64))
-                    hit = hit[np.isfinite(a_new[hit])]
-                    if hit.size:
-                        hits.append(hit + rows.start)
-                a[rows] = a_new
-            if measure and folded < len(cycles):
-                for where, period, stored in cycles[folded:]:
-                    steps = self._cycle_steps(out[where], u_all[where], period)
-                    later = left_step[stored:]
-                    np.maximum(later, np.resize(steps, later.size), out=later)
-                folded = len(cycles)
-                measure = left_step[k] < 1e-14
-            if measure:
-                final = k + 1
-                break
-            if not hits:
-                continue
-            hits = np.concatenate(hits)
-            if hits.size * 8 < a.size:
-                continue
-            where = hits if idx is None else idx[hits]
-            if idx is not None:
-                out[where] = a[hits]
-            if k + 1 - snap_pass > 1:
-                cycles.append((where, k + 1 - snap_pass, k + 1))
-            keep = np.ones(a.size, dtype=bool)
-            keep[hits] = False
-            keep = np.flatnonzero(keep)
-            # one at a time, so each old array is freed before the next copy
-            a = a[keep]
-            u = u[keep]
-            snap = snap[keep]
-            idx = keep if idx is None else idx[keep]
-        if idx is not None:
-            out[idx] = a
-        for where, period, stored in cycles:
-            a = out[where]
-            for _ in range((final - stored) % period):
-                a = self._radius_step(a, u_all[where])
-            out[where] = a
-        return out.reshape(shape)
-
-    def _cycle_steps(self, a, u, period):
-        """Largest relative step over the elements at each pass of a cycle
-        of ``period`` that starts from iterates ``a``."""
-        steps = np.empty(period)
-        for q in range(period):
-            a_new = self._radius_step(a, u)
-            steps[q] = np.max(np.abs(a_new - a) / np.maximum(a, 1e-300))
-            a = a_new
-        return steps
-
-    def _radius_step(self, a, u):
-        """One clipped Newton step of radius_cdf(a) = u."""
-        step = self.radius_cdf(a)
-        step -= u
-        step /= np.maximum(self.radius_pdf(a), 1e-300)
-        np.clip(step, -a * 0.9, a * 9.0, out=step)
-        return a - step
+        flat = u.ravel()
+        out = np.empty(flat.size)
+        for rows in _chunks(flat.size):
+            x, a = flat[rows], out[rows]
+            low = x < 0.5
+            a[low] = _kepler_low(PI * x[low])
+            high = ~low
+            a[high] = _kepler_high(PI * (1.0 - x[high]))
+        return out.reshape(u.shape)
 
 
 class DensityKernel:
@@ -291,9 +225,6 @@ class DensityKernel:
 
     def radius_cdf(self, a):
         return 2.0 * self.density.cdf(a) - 1.0 - 2.0 * a * self.density.pdf(a)
-
-    def radius_pdf(self, a):
-        return -2.0 * a * self.density.dpdf(a)
 
     def radius_quantile(self, u):
         """Inverse of radius_cdf by ``_brent_roots`` on [0, 2^k], with k the
@@ -421,8 +352,6 @@ class SymmetricMixer:
 
     def sample(self, count, rng) -> SampleBatch:
         n = self.n
-        # the stop rule of radius_quantile depends on the batch, so it solves
-        # the whole batch at once
         radius = self.kernel.radius_quantile(rng.random(count))
         # (2 * rows - 1) * radius, formed in place
         values = _uniform_block_rows(n, count, rng)

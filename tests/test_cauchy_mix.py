@@ -1,8 +1,10 @@
 import functools
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -297,7 +299,7 @@ class TestGenericSolvesMatchBrentq:
     def test_kernel_shapes(self):
         kern = cauchy_mix.DensityKernel(cauchy_like_density(), LOG2_PI)
         a = np.array([[0.5, 2.0], [3.0, 40.0]])
-        for fn, arg in ((kern.radius_cdf, a), (kern.radius_pdf, a), (kern.inverse_pdf, a / 200)):
+        for fn, arg in ((kern.radius_cdf, a), (kern.inverse_pdf, a / 200)):
             out = fn(arg)
             assert out.shape == (2, 2)
             assert isinstance(fn(float(arg[1, 0])), float)
@@ -636,94 +638,88 @@ class TestSymmetricMixer:
         assert np.all(batch.values[:, 0] == -batch.values[:, 1])
 
 
-def _radius_quantile_full_loop(u):
-    """Reference: every element takes every Newton pass until the batch-wide
-    stop, as ``CauchyKernel.radius_quantile`` did before elements could
-    leave the loop."""
-    kern = CauchyKernel()
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    a = np.where(
-        u < 0.5,
-        np.cbrt(3.0 * PI * np.maximum(u, 1e-300) / 4.0),
-        4.0 / (PI * np.maximum(1.0 - u, 1e-300)),
-    )
-    for _ in range(60):
-        resid = kern.radius_cdf(a) - u
-        step = resid / np.maximum(kern.radius_pdf(a), 1e-300)
-        step = np.clip(step, -a * 0.9, a * 9.0)
-        a_new = a - step
-        if np.max(np.abs(a_new - a) / np.maximum(a, 1e-300)) < 1e-14:
-            return a_new
-        a = a_new
-    return a
+def _mp_radius(u):
+    """The root a of radius_cdf(a) = u by mpmath, solved in phi = 2*arctan(a)
+    from the asymptotes of phi - sin(phi), with the digits raised by those
+    phi - sin(phi) cancels at tiny u."""
+    u = mpmath.mpf(float(u))
+    with mpmath.workdps(40 + max(0, int(-mpmath.log10(u)))):
+        start = mpmath.cbrt(6 * mpmath.pi * u) if u < 0.5 else mpmath.pi * (1 + u) / 2
+        phi = mpmath.findroot(lambda p: p - mpmath.sin(p) - mpmath.pi * u, start)
+        return mpmath.tan(phi / 2)
 
 
 _UNIT = st.one_of(
     st.floats(0.0, 1.0, exclude_max=True),
-    st.sampled_from([0.0, 1.0 - 2.0**-53, 2.0**-1074, 1e-300]),
+    st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53, 2.0**-1074, 1e-300]),
     st.floats(0.0, 1e-12),
     st.floats(1.0 - 1e-12, 1.0, exclude_max=True),
 )
 
 
 class TestRadiusQuantile:
-    """The loop that retires settled elements returns the full loop's bytes."""
+    """The c = 0 radius in Kepler form: within 4 eps of mpmath, and each
+    element's radius independent of the batch it is solved in."""
 
-    def test_seeded_batch_equals_full_loop(self):
-        u = np.random.default_rng(1).random(200_000)
+    @pytest.mark.parametrize("region", ["uniform", "log-uniform", "near-one", "near-half",
+                                        "series-edge"])
+    def test_matches_mpmath(self, region):
+        rng = np.random.default_rng(6)
+        u = {
+            "uniform": lambda: rng.random(150),
+            "log-uniform": lambda: np.append(10.0 ** rng.uniform(-300, 0, 150), [1e-20, 1e-12]),
+            "near-one": lambda: np.append(1.0 - np.ldexp(1.0, -np.arange(1, 54)),
+                                          1.0 - 10.0 ** rng.uniform(-15, 0, 50)),
+            "near-half": lambda: np.append(0.5 + rng.uniform(-1e-6, 1e-6, 20),
+                                           [0.5, np.nextafter(0.5, 0.0)]),
+            # phi just above 1/2, where phi - sin(phi) taken directly is off
+            # by more than 4 eps at these pinned u
+            "series-edge": lambda: np.append(rng.uniform(0.006, 0.05, 150),
+                                             [0.007777819036534349, 0.007996609405539434,
+                                              0.007671802967952217]),
+        }[region]()
         got = CauchyKernel().radius_quantile(u)
-        assert got.tobytes() == _radius_quantile_full_loop(u).tobytes()
+        rel = [abs((mpmath.mpf(float(a)) - want) / want)
+               for a, want in zip(got, map(_mp_radius, u))]
+        assert max(rel) <= 4 * np.finfo(float).eps
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(u=st.lists(_UNIT, min_size=1, max_size=64))
-    def test_small_batches_equal_full_loop(self, u):
-        got = CauchyKernel().radius_quantile(u)
-        assert got.tobytes() == _radius_quantile_full_loop(u).tobytes()
-
-    def test_random_small_batches_equal_full_loop(self):
-        # most batches of this size stop early, many at an odd pass
-        rng = np.random.default_rng(5)
+    def test_each_element_is_its_own_solve(self, u):
         kern = CauchyKernel()
-        for _ in range(300):
-            u = rng.random(rng.integers(1, 50))
-            assert kern.radius_quantile(u).tobytes() == _radius_quantile_full_loop(u).tobytes()
+        got = kern.radius_quantile(u)
+        each = np.array([kern.radius_quantile([x])[0] for x in u])
+        assert got.tobytes() == each.tobytes()
 
-    @pytest.mark.parametrize("u", [
-        # stops at 0-based pass 10; three elements entered 2-cycles at passes 4-5
-        [0.9592515184827413, 0.0705004912734214, 0.3227503900601669,
-         0.0001818671423938767, 0.6245421949462643],
-        # stops at pass 50; cycles of period 3 and 4 from passes 6-8
-        [0.36710647040172373, 0.8328278436034366, 0.9912795522730433,
-         0.031911619932832425, 0.3981623183788927, 0.3961113803786983,
-         0.41063440548272345],
-        # never stops early: the second element's 2-cycle, from pass 3,
-        # steps by more than the stop threshold
-        [0.24768744719771107, 0.9923789530443482],
-        # stops at pass 20, not 19: the first element's cycle of period 9,
-        # from pass 3, steps by more than the threshold at passes 10, 19, ...
-        [0.0007049976357390575, 0.9934039676592344, 0.9840635277940486],
-        # never stops early: cycles of period 5, 12, 13, 26 and 53 from
-        # passes 3 to 5, and a last element that never repeats
-        [0.5277499332135033, 0.00470778467592281, 0.001148413743897403,
-         0.0011783292553660951, 0.00039623096650731604, 0.9961907252715225],
-    ])
-    def test_pinned_batches_equal_full_loop(self, u):
-        got = CauchyKernel().radius_quantile(u)
-        assert got.tobytes() == _radius_quantile_full_loop(u).tobytes()
+    # 200,000 rows cross three draw chunk boundaries
+    def test_seeded_batch_independent_of_order(self):
+        kern = CauchyKernel()
+        u = np.random.default_rng(1).random(200_000)
+        order = np.random.default_rng(2).permutation(u.size)
+        assert kern.radius_quantile(u[order]).tobytes() == kern.radius_quantile(u)[order].tobytes()
 
-    @pytest.mark.parametrize("size", [1, 7, 65_537, 200_000])
-    def test_special_values_equal_full_loop(self, size):
-        # 1 and nan step to nan and never leave; 0 and 5e-324 start at the
-        # 1e-300 floor; the larger batches cross draw chunk boundaries
-        special = [0.0, 1.0, np.nan, 5e-324, 1e-300, 1.0 - 2.0**-53, 0.5]
-        u = np.random.default_rng(size).random(size)
-        for start in range(0, size, max(1, size // 3)):
-            u[start:start + len(special)] = special[:size - start]
-        # the steps from 1 overflow and those from nan are nan, in both loops
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = CauchyKernel().radius_quantile(u)
-            want = _radius_quantile_full_loop(u)
-        assert got.tobytes() == want.tobytes()
+    def test_seeded_batch_independent_of_split(self):
+        kern = CauchyKernel()
+        u = np.random.default_rng(1).random(200_000)
+        cuts = np.sort(np.random.default_rng(3).integers(0, u.size, 20))
+        pieces = [kern.radius_quantile(part) for part in np.split(u, cuts)]
+        assert np.concatenate(pieces).tobytes() == kern.radius_quantile(u).tobytes()
+
+    def test_monotone_across_branches(self):
+        u = np.sort(np.concatenate([np.random.default_rng(7).random(100_000),
+                                    0.5 + np.arange(-50, 50) * 2.0**-53]))
+        assert np.all(np.diff(CauchyKernel().radius_quantile(u)) >= 0.0)
+
+    @pytest.mark.parametrize("u,check", [
+        (0.0, lambda a: a == 0.0 and not np.signbit(a)),
+        (1.0, lambda a: a == math.inf),
+        (math.nan, np.isnan),
+    ], ids=["zero", "one", "nan"])
+    def test_special_values(self, u, check):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = CauchyKernel().radius_quantile([0.3, u, 0.7])
+        assert check(got[1])
 
     def test_memory(self):
         # the solve's peak allocation against the bytes of its input
@@ -735,15 +731,16 @@ class TestRadiusQuantile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - start <= 7.5 * u.nbytes
+        assert peak - start <= 2.0 * u.nbytes
 
     def test_shape_and_empty(self):
         kern = CauchyKernel()
         u = np.random.default_rng(2).random((3, 4))
         got = kern.radius_quantile(u)
         assert got.shape == (3, 4)
-        assert got.tobytes() == _radius_quantile_full_loop(u.ravel()).tobytes()
+        assert got.tobytes() == kern.radius_quantile(u.ravel()).tobytes()
         assert kern.radius_quantile(np.empty(0)).shape == (0,)
+        assert kern.radius_quantile(0.3).shape == (1,)
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "constructive", "reflected", "convex"])

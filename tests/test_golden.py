@@ -7,21 +7,30 @@ a finding to report, not a digest to update.
 
 The digests were taken on x86-64 with AVX-512, and many depend on numpy's
 SIMD dispatch. Run with ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
-AVX512_SPR"`` (as a machine without AVX-512 would dispatch), 21 of these 43
-tests fail and 22 hold. The failures are every sample/verify digest (10),
-``repro`` and ``repro-seed7``, every library draw (7, the c = 0 ones
-included) and ``radius_quantile`` at 1e6 and 65,537 rows. The 7-row radius
-case, both ``ra_flatten_stack`` digests and the other 19 certify digests
-hold. A portable rearrangement bank on an exact lattice is the planned mend.
+AVX512_SPR"`` (as a machine without AVX-512 would dispatch), 15 of these 44
+tests fail, 28 hold and the cross-dispatch test skips. The failures are the
+sample/verify digests of the four c != 0 centers (8), ``repro`` and
+``repro-seed7``, and the five library draws at c != 0. Every c = 0 digest
+(both sample/verify cases, both draws, all three radius cases), both
+``ra_flatten_stack`` digests and the other 19 certify digests hold. Where
+numpy dispatches AVX-512, the cross-dispatch test checks the c = 0 bytes
+under both dispatches in every run. A portable rearrangement bank on an
+exact lattice is the planned mend for the rest.
 """
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
+import mixcenter
 from mixcenter import cauchy_mix
 from mixcenter.cauchy_mix import CauchyKernel, ConvexCombinationSampler, MixerConfig, build_mixer
 from mixcenter.rearrangement import ra_flatten_stack
@@ -65,14 +74,14 @@ SAMPLE_DIGESTS = {
         "verify": "242373e9fb881578fc3ba0ca6aa19cdf9c65329a957e90d66a1606e52554688f",
     },
     (4, "0.0", 7): {
-        "csv": "734c66570211e61186095b5816d2e8f4052d71c8d2930f1056d1d5f9f947e408",
+        "csv": "f51fd70099f94c81623f299a836b48582e8cba0b4a2d09bdbf63277c203b3cbb",
         "meta": "cb5f91f9a7945e32779a108e017f937d37ecc64db4d888a72a325197e69c2faa",
-        "verify": "5fd2649461bd4edc0b214b36cb9fb71c91cc8da9be2eeecb8c3f0814ddb27181",
+        "verify": "ba5b4a44d7031747827e26a46356e5c0bfafeb52e856cffd1d450e069650914b",
     },
     (4, "0.0", 11): {
-        "csv": "6856ca2e49f4aaff14037a3556a3b8be0ac29c0b78ebf8abf8d8d2f14c640a4e",
+        "csv": "7d76bf8cb0836185aab0b0a1a2df67d16000b64a6cf39a775867eb444b53074b",
         "meta": "ec59496978b9c4b8df9b9a7c62ba44be008546f3aeb530f53d4b7918fe26be30",
-        "verify": "ffb31285e71f391b7a747aad7424b8e42b06733d1c90094541bce1cc4f2a60d9",
+        "verify": "c6febbf639b7456653d4daee998e300ddbfe03a9263c9463a98e439f86745c66",
     },
     (5, "0.3", 7): {
         "csv": "c45d76b2b2da8ca2b369eef9876c91f8b3abd79aa91722af5214ca23a4469a94",
@@ -107,8 +116,8 @@ CERTIFY_DIGESTS = {
     "feasible-uniform9-c13": "9e626dc714171c56d8310ce43dbee904b29e4921bda1fd67923fcc5a488d7150",
     "interval-n10": "7bceb303c7ea287bc252343c4fdeb60ecfb8741e57c9927290d62cb3a1a05781",
     "interval-n3": "deb02da21d44444595aa5f72ccf61b2eabdefd0e3ee77aaadb27ade02d11b47e",
-    "repro": "0f319aaae651ad68da425e053d8bfe1c2e91235941ecebf82345b205f7f48102",
-    "repro-seed7": "a651c496f0a78bca14b452b54778d325c5246e88110aafa1bf65b5a8b9d28fc3",
+    "repro": "9399b5da801a5a2cb69cce47ad4a7ad2d6150643cc441c16ede73a5e9d114ecb",
+    "repro-seed7": "480df6d6f7111b45e8c85b41cffac3b623928ce01e27ea29f3749c51d85ff860",
 }
 
 # library draws of 200,001 rows: more than three 65,536-row draw chunks, so
@@ -147,16 +156,16 @@ DRAW_DIGESTS = {
     },
     "n4-c0-default": {
         "cold": {
-            "values": "f77b017a5e7da8b0abe429a56d6f19a015b3f98a89d8858c09905678c2b7514a",
-            "t": "0a8d99e37ba6b5724b49f1f22573826b4fd3dd853b72e9da8bbfa435182fed4c",
+            "values": "d7676d7969a837ae886a89fa8e495abb97a3d2665871f602183fad910985bb24",
+            "t": "0190fac29f5648c92ec9309c4fcceb962e17001dad6b590a743fd2db1b592853",
             "branch": "9e0cec517573ad60217de0e8225360fdfa550b7c03719a42950e90f2e1fbcd2f",
-            "row_bound": "2228af45d9508dd299a23bb3c0b903b1ef152bedd85a610b009b58355d024535",
+            "row_bound": "d77f8494a385a665b6a89f4b1cda96fba949615657eb5fa5ed15c3a209350f3d",
         },
         "warm": {
-            "values": "2d39ae621206388e381084a50e873e0a73574ef801d3f611e27bad477d7e4cc9",
-            "t": "80f821fa10e9f19dc2b0583105d57ccbc58248425d9cfa1725314197c9e3e5e4",
+            "values": "b040fdbe4c36e57eeed1570539a33e7ce97f76d4c64aa5abe5c76ed5f8aaf448",
+            "t": "e3f655cda35f8a39982665af7d0aac555d3b965b741b2c47aad080c78597f37b",
             "branch": "9e0cec517573ad60217de0e8225360fdfa550b7c03719a42950e90f2e1fbcd2f",
-            "row_bound": "b94440bbab3816e059b71af3b1f1891d21845b353946407135678646ff46710a",
+            "row_bound": "260f9709af8936e948f10e657128ffae560a79ecc36753fead84b2ee32b77f33",
         },
     },
     "convex": {
@@ -217,16 +226,16 @@ DRAW_DIGESTS = {
     },
     "n4-c0": {
         "cold": {
-            "values": "75cbec1677a41e2dc3c281336c6a2b734b15c9624348f56b8ebbcf42c48ef494",
-            "t": "ee527a649467dd2e92850704698a3ae40322ef552441c18104c2593bd8461ad7",
+            "values": "9a4148bebfe4ffa8db4b27a2824123492e991266fe80c60f3033f265d7799c90",
+            "t": "eac885eff21fff9a2b92c8f073352949e6b10393ee6651afad5f8a2180527f56",
             "branch": "9e0cec517573ad60217de0e8225360fdfa550b7c03719a42950e90f2e1fbcd2f",
-            "row_bound": "f7bd05e94c0e1babd7bacc12bc24e34bd317b3521f400273ed4e0b4e74124505",
+            "row_bound": "e5dafda87171001fa9bb9ce50004c1f12d38e12778016af108ce75628558760f",
         },
         "warm": {
-            "values": "2adbef09b30553e496de683d32ea2afe950388ea4003ec6de8116f810e08ba0c",
-            "t": "aa4f3cbf79ea4622d07899c0d957a6c26ea89f5575a6aea0dd60982904b6d408",
+            "values": "e0ea5f19185121d0ecf4d3be6ce4163d326b6516e28b6e6ddfa1cf0196691362",
+            "t": "c84d86739c620513b4de91edf9a3e54b43a74d7da3757bb5fc5a62a9af790d3d",
             "branch": "9e0cec517573ad60217de0e8225360fdfa550b7c03719a42950e90f2e1fbcd2f",
-            "row_bound": "f1c678b1b01c0b3018e00f160d8008505b616b198f89ea0e57d145e86393da04",
+            "row_bound": "8fa5150c48c711603e33791e2dd5035905d336ab2ab5548b010e097198da1c6f",
         },
     },
 }
@@ -363,13 +372,12 @@ def test_library_draw_bytes(case):
 
 
 # rows -> digest of ``CauchyKernel().radius_quantile`` on seeded uniforms;
-# at 1e6 rows no pass stops the loop early and elements sit in cycles of
-# period 3 to 12, at 65,537 rows the batch crosses a draw chunk boundary
+# at 65,537 rows the batch crosses a draw chunk boundary
 RADIUS_ROWS = (1_000_000, 65_537, 7)
 RADIUS_DIGESTS = {
-    1_000_000: "fa77961d9e00675cadde53b52290c21628a1d8a1ae958e11516ab282b88724ea",
-    65_537: "272feae628290c9d8dfd3a11cd141ae5fc0a571e5863172cd460014e8ed38733",
-    7: "fe579a31f9cdb3d766eb98683b10dae0e1b505579b178a9e22b88a5a5e081b57",
+    1_000_000: "47af3c092550b0f1f4f0a5536c845ca70a206b0d33bdebe03f8299ef48278334",
+    65_537: "c229a74dff12fbdd2849aec3cf8484f5455ab52e73009d237c385554c862625f",
+    7: "fa4613998d7fe11153e27435a3095c8ca413e872af711c850bbe0aba970257bd",
 }
 
 
@@ -378,6 +386,33 @@ def test_radius_quantile_bytes(rows):
     u = substream(7, "golden-radius", str(rows)).random(rows)
     got = hashlib.sha256(CauchyKernel().radius_quantile(u).tobytes()).hexdigest()
     _check(f"radius_quantile of {rows} uniforms", got, RADIUS_DIGESTS[rows])
+
+
+# numpy's AVX-512 dispatch targets that this machine runs; disabling them
+# dispatches as a machine without AVX-512 would
+LOWERED = [name for name in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+           if name in __cpu_dispatch__ and __cpu_features__.get(name)]
+
+
+def c0_digests():
+    """Digests of the radius of 65,537 seeded uniforms and of the n4-c0 draws."""
+    u = substream(7, "golden-radius", "65537").random(65_537)
+    return {"radius": hashlib.sha256(CauchyKernel().radius_quantile(u).tobytes()).hexdigest(),
+            "draw": draw_digests("n4-c0")}
+
+
+@pytest.mark.skipif(not LOWERED, reason="numpy dispatches no AVX-512 target here")
+def test_c0_bytes_across_dispatch():
+    # the c = 0 bytes at this dispatch against those of a child process
+    # whose numpy dispatches without AVX-512
+    tests = pathlib.Path(__file__).resolve().parent
+    src = pathlib.Path(mixcenter.__file__).resolve().parent.parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(LOWERED),
+               PYTHONPATH=os.pathsep.join([str(tests), str(src)]))
+    code = "import json, test_golden; print(json.dumps(test_golden.c0_digests()))"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True)
+    assert json.loads(child.stdout) == c0_digests()
 
 
 # case -> digest of ``ra_flatten_stack`` on the first block of coupling
