@@ -2,19 +2,19 @@
 
 Feasibility of a prescribed sum value C for finitely supported marginals
 is a transportation problem restricted to the slice of support tuples
-whose coordinates add to C. It is decided by a phase-1 LP on the orbits
-of the slice under permutations of coordinates with equal marginals: one
-column per orbit, one row per atom of each class of equal marginals. The
-LP is solved by HiGHS's dual simplex on a sparse constraint matrix in
-floats, or in exact mode by a fraction-free (integer, Bareiss) Bland
-simplex with the same pivots and rationals as a Fraction tableau. On three
-equal uniform marginals (2-core Xeon), exact mode decides k=31 (721 slice
-tuples, 128 orbits) in about 0.02 s and k=61 (2791 tuples, 481 orbits) in
-about 0.35 s; floats decide k=115 (9919 tuples) in about 0.05 s. Solver
-output is lifted back to the slice and checked before it is reported:
-feasible instances return the coupling found, validated against the
-marginals; infeasible ones a separating dual vector (Farkas certificate),
-verified against every slice tuple.
+whose coordinates add to C: their ``math.fsum`` lies within tol of C, the
+test a coupling's rows must pass. It is decided by a phase-1 LP built on
+the orbits of the slice under permutations of coordinates with equal
+marginals: one column per orbit, one row per atom of each class. The LP is
+solved by HiGHS's dual simplex on a sparse constraint matrix in floats, or
+in exact mode by a fraction-free (integer, Bareiss) Bland simplex with the
+same pivots and rationals as a Fraction tableau. On equal uniform marginals
+(2-core Xeon), exact mode decides k=31, n=3 (721 slice tuples, 128 orbits)
+in about 0.01 s and k=61 in about 0.2 s; floats decide k=115, n=3 in about
+0.02 s and k=20, n=6 (1.76e6 tuples) in about 0.06 s.
+Feasible instances return the coupling found, lifted to the slice and
+validated against the marginals; infeasible ones a separating dual vector
+(Farkas certificate), checked on every orbit column.
 """
 from __future__ import annotations
 
@@ -110,18 +110,17 @@ def _is_exact(seq):
 
 def exchangeable_permute(coupling: Coupling) -> Coupling:
     """Exchangeable version of a coupling: the average over all n!
-    coordinate permutations, with duplicate rows merged, so all marginals
-    become the average marginal. Row sums are invariant. Guarded at n <= 8."""
+    coordinate permutations, which spreads each row's weight evenly over
+    its distinct orderings, so all marginals become the average marginal.
+    Row sums are invariant. Guarded at n <= 8."""
     n = coupling.n
     if n > 8:
         raise SizeError("exact symmetrization is guarded at n <= 8")
-    perms = list(itertools.permutations(range(n)))
-    fac = Fraction(1, len(perms)) if _is_exact(coupling.weights) else 1.0 / len(perms)
     merged = {}
     for row, wgt in zip(coupling.support, coupling.weights):
-        for order in perms:
-            key = tuple(row[j] for j in order)
-            merged[key] = merged.get(key, 0 * wgt) + wgt * fac
+        orders = list(_members(sorted(row), [range(n)]))
+        for key in orders:
+            merged[key] = merged.get(key, 0 * wgt) + wgt / len(orders)
     support = sorted(merged)
     return Coupling(n, support, [merged[k] for k in support],
                     coupling.total_mass, coupling.residual)
@@ -146,7 +145,7 @@ def _phase1_float(cells, b: np.ndarray):
     Solves min sum(a) subject to [A | I] [x; a] = b, x, a >= 0, and
     returns (objective, x, y) with y the equality duals: a Farkas
     certificate when the objective is > 0. ``A[r, j]`` counts the entries
-    of ``cells[j]`` equal to r (see ``_slice_cells`` and ``_orbits``).
+    of ``cells[j]`` equal to r (see ``feasible_center``).
     """
     from scipy import sparse
     from scipy.optimize import linprog
@@ -261,112 +260,105 @@ class FeasibilityResult:
         return self.verdict == "feasible"
 
 
-def _slice_cells(marginals, center, tol):
-    """The support tuples whose coordinate sums land within tol of center,
-    as constraint-row indices: ``cells[j, i]`` is the row of coordinate i
-    of tuple j, and the rows run over the atoms of every marginal in turn.
+def _slice_orbits(marginals, center, tol):
+    """The sum slice, one tuple per orbit of the permutations within each
+    class of coordinates whose marginals agree bit for bit.
 
-    The sumset grows one marginal at a time: each surviving prefix sum
-    ``acc`` takes every atom ``v`` of the next marginal, and ``acc + v``
-    survives while the remaining marginals can still bring it within tol
-    of center. Survivors are kept in C order (prefix, then atom), so the
-    tuples come out in lexicographic order. Prefixes are expanded in
-    chunks of about ``VARIABLE_GUARD // 8`` sums, and ``SizeError`` is
-    raised as soon as the survivors of one marginal pass the guard.
+    A tuple is in the slice when ``abs(math.fsum(row) - center) <= tol``,
+    the test of ``Coupling.invariants``; ``fsum`` is the exact sum rounded
+    once, so whole orbits are in or out. The sumset grows one marginal at a
+    time, in chunks of about ``VARIABLE_GUARD // 8`` sums: a prefix takes
+    every atom of the next marginal not below its last atom of the same
+    class, in C order, so each orbit comes out once, sorted within classes,
+    in lexicographic order. It survives while the remaining marginals can
+    still bring its float sum within tol of center, up to a slack bounding
+    the rounding; ``fsum`` decides the complete tuples within the slack of
+    an end of the tol window. ``SizeError`` is raised as soon as the
+    survivors of one marginal pass ``VARIABLE_GUARD``.
+
+    Returns ``(classes, reps, sizes)``: the class of each coordinate (in
+    order of first appearance), the orbits as atom indices (``reps[j, i]``
+    is the atom of coordinate i) and the slice tuples in each orbit.
     """
+    keys = {}
+    classes = [keys.setdefault((m.values.tobytes(), m.probs.tobytes()), len(keys))
+               for m in marginals]
     values = [m.values for m in marginals]
+    n = len(values)
+    # each float sum below rounds at most n + 1 times, by at most eps/2 of
+    # the largest magnitude it reaches; twice that bound
+    slack = 2 * n * np.finfo(float).eps * (sum(abs(v).max() for v in values) + abs(center) + tol)
     acc = np.zeros(1)
-    # per marginal, the flat (prefix, atom) index of each survivor
+    # per class with a member still to come, each prefix's last atom of it
+    last = {}
     steps = []
     for i, vals in enumerate(values):
         rest_min = sum(v.min() for v in values[i + 1:])
         rest_max = sum(v.max() for v in values[i + 1:])
+        floor = last.get(classes[i])
         per_chunk = max(1, VARIABLE_GUARD // 8 // len(vals))
         flat, sums, count = [np.zeros(0, dtype=np.intp)], [np.zeros(0)], 0
         for lo in range(0, len(acc), per_chunk):
-            s = (acc[lo:lo + per_chunk, None] + vals).ravel()
-            keep = np.flatnonzero((s + rest_min <= center + tol)
-                                  & (s + rest_max >= center - tol))
+            s = acc[lo:lo + per_chunk, None] + vals
+            ok = (s + rest_min <= center + tol + slack) & (s + rest_max >= center - tol - slack)
+            if floor is not None:
+                ok &= np.arange(len(vals)) >= floor[lo:lo + per_chunk, None]
+            keep = np.flatnonzero(ok)
             count += len(keep)
             if count > VARIABLE_GUARD:
-                raise SizeError(
-                    f"slice enumeration exceeds the {VARIABLE_GUARD} variable guard"
-                )
+                raise SizeError(f"slice enumeration exceeds the {VARIABLE_GUARD} variable guard")
             flat.append(keep + lo * len(vals))
-            sums.append(s[keep])
+            sums.append(s.ravel()[keep])
         steps.append(np.concatenate(flat))
         acc = np.concatenate(sums)
-    # walk the survivors at the center back to their atoms, last marginal first
-    idx = np.flatnonzero(abs(acc - center) <= tol)
-    cells = np.empty((len(idx), len(values)), dtype=np.intp)
-    start = sum(len(vals) for vals in values)
-    for i in reversed(range(len(values))):
-        start -= len(values[i])
-        prefix, atom = np.divmod(steps[i][idx], len(values[i]))
-        cells[:, i] = atom + start
-        idx = prefix
-    return cells
-
-
-def _orbits(marginals, cells, b):
-    """The slice LP on the orbits of coordinates with equal marginals.
-
-    Coordinates whose marginals agree bit for bit (``values`` and
-    ``probs``) form a class. Permuting a class maps the slice LP to itself,
-    so averaging any optimum over those permutations gives an optimum that
-    is constant on orbits. An orbit is represented by a slice tuple with
-    its atoms sorted within each class. The orbit LP has one row per atom of
-    each class, classes in order of first appearance, and right-hand side
-    the class size times the atom's entry of ``b``; a column counts how
-    often its orbit hits each row.
-
-    Returns ``(orbit_cells, orbit_b, inverse, counts, row_of)``: the orbits
-    in lexicographic order as class rows, the orbit LP's right-hand side,
-    the orbit of each slice tuple, the slice tuples per orbit, and the class
-    row of each slice row. With every class a singleton, the slice LP
-    itself is returned as it is, with ``inverse`` and ``counts`` None, and
-    so is a slice that is not closed under the class permutations (a float
-    sum within tol of the center in one order of its terms but not in
-    another).
-    """
-    n, k = len(marginals), len(cells)
-    keys = {}
-    classes = [keys.setdefault((m.values.tobytes(), m.probs.tobytes()), len(keys))
-               for m in marginals]
-    identity = (cells, b, None, None, np.arange(len(b)))
-    if len(keys) == n:
-        return identity
-    lens = [len(m.values) for m in marginals]
-    offsets = np.cumsum([0] + lens[:-1])
-    rep = cells - offsets
-    # each tuple's orbit size: the product over classes of |C|! / prod(m!)
-    # over its atom multiplicities m, as the running product of (j + 1) / run
-    size = np.ones(k)
+        later = classes[i + 1:]
+        if last or classes[i] in later:
+            prefix, atom = np.divmod(steps[-1], len(vals))
+            last = {c: a[prefix] for c, a in last.items() if c in later}
+            if classes[i] in later:
+                last[classes[i]] = atom
+    # walk the survivors back to their atoms, last marginal first
+    reps = np.empty((len(acc), n), dtype=np.intp)
+    idx = np.arange(len(acc))
+    for i in reversed(range(n)):
+        idx, reps[:, i] = np.divmod(steps[i][idx], len(values[i]))
+    keep = abs(acc - center) <= tol - slack
+    edge = np.flatnonzero(~keep)
+    points = np.stack([v[reps[edge, i]] for i, v in enumerate(values)], axis=1)
+    keep[edge] = [abs(math.fsum(row) - center) <= tol for row in points.tolist()]
+    reps = reps[keep]
+    # the multinomial coefficients as running products of (j + 1) / run over
+    # each class's sorted atoms, exact in int64 while n! fits
+    sizes = np.ones(len(reps), dtype=np.int64 if n <= 20 else object)
     for c in range(len(keys)):
         pos = [i for i, ci in enumerate(classes) if ci == c]
-        block = np.sort(rep[:, pos], axis=1)
-        rep[:, pos] = block
-        run = np.ones(k)
+        run = np.ones(len(reps), dtype=sizes.dtype)
         for j in range(1, len(pos)):
-            run = np.where(block[:, j] == block[:, j - 1], run + 1, 1)
-            size *= (j + 1) / run
-    order = np.lexsort(rep.T[::-1])
-    rep = rep[order]
-    new = np.ones(k, dtype=bool)
-    new[1:] = (rep[1:] != rep[:-1]).any(axis=1)
-    inverse = np.empty(k, dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    counts = np.diff(np.append(np.flatnonzero(new), k))
-    if not np.array_equal(np.rint(size), counts[inverse]):
-        return identity
-    members = [classes.count(c) for c in range(len(keys))]
-    heads = [classes.index(c) for c in range(len(keys))]
-    class_offsets = np.cumsum([0] + [lens[i] for i in heads[:-1]])
-    row_of = np.concatenate([class_offsets[c] + np.arange(len_i)
-                             for c, len_i in zip(classes, lens)])
-    orbit_b = [size_c * p for size_c, i in zip(members, heads)
-               for p in b[offsets[i]:offsets[i] + lens[i]]]
-    return class_offsets[classes] + rep[new], orbit_b, inverse, counts, row_of
+            run = np.where(reps[:, pos[j]] == reps[:, pos[j - 1]], run + 1, 1)
+            sizes = sizes * (j + 1) // run
+    return classes, reps, sizes
+
+
+def _arrangements(items):
+    """The distinct orderings of the sorted tuple ``items``, in
+    lexicographic order."""
+    if len(items) <= 1:
+        yield items
+        return
+    for j, v in enumerate(items):
+        if j == 0 or v != items[j - 1]:
+            for rest in _arrangements(items[:j] + items[j + 1:]):
+                yield (v,) + rest
+
+
+def _members(rep, groups):
+    """The distinct tuples that permuting ``rep`` within each group of
+    coordinates gives; ``rep`` is sorted within each group."""
+    where = np.argsort([i for pos in groups for i in pos]).tolist()
+    for parts in itertools.product(*(_arrangements(tuple(rep[i] for i in pos))
+                                     for pos in groups)):
+        flat = sum(parts, ())
+        yield tuple(flat[j] for j in where)
 
 
 def _exact_probs(probs):
@@ -406,58 +398,55 @@ def feasible_center(marginals, center: float, tol: float = 1e-9,
                     exact: bool = False) -> FeasibilityResult:
     """Decide whether the marginals admit a joint law with sum == center.
 
-    Builds variables only on support tuples whose coordinate sum matches
-    ``center`` within ``tol`` and solves the transportation feasibility
-    problem, on the orbits of coordinates with equal marginals (see
-    ``_orbits``). The solution is lifted back to the slice before it is
-    checked. Feasible instances return a certificate coupling (marginal
-    residuals <= tol), exchangeable within each class of equal marginals;
-    infeasible ones the phase-1 dual, after checking that it is a Farkas
-    certificate on every slice tuple (DomainError if the solver's dual is
-    not). A phase-1 residual inside (tol, 10 tol] yields the "borderline"
+    Solves the transportation feasibility problem on the orbits of the sum
+    slice (see ``_slice_orbits``): one column per orbit, one row per atom of
+    each class, right-hand side the class size times the atom's
+    probability. Feasible instances return a certificate coupling (marginal
+    residuals <= tol), each orbit's mass spread evenly over its distinct
+    tuples; infeasible ones the phase-1 dual, each row taking its class
+    row's entry, once it is checked as a Farkas certificate on every orbit
+    column (DomainError if not), which is the check on every slice tuple.
+    A phase-1 residual inside (tol, 10 tol] yields the "borderline"
     verdict. ``candidates`` counts slice tuples, not orbits.
     """
     marginals = _finite(marginals)
     n = len(marginals)
     if n < 2:
         raise DomainError("need at least two marginals")
-    cells = _slice_cells(marginals, center, tol)
-    atoms = np.concatenate([m.values for m in marginals])
-    b = [float(p) for m in marginals for p in m.probs]
+    classes, cells, sizes = _slice_orbits(marginals, center, tol)
+    candidates = int(sizes.sum())
+    lens = [len(m.values) for m in marginals]
     if not len(cells):
         # no column to match: y = 1 on every row is a Farkas certificate
         return FeasibilityResult(
-            verdict="infeasible", center=center, dual=[1.0] * len(b),
-            residual=float(sum(b)) / n, candidates=0,
+            verdict="infeasible", center=center, dual=[1.0] * sum(lens),
+            residual=sum(float(p) for m in marginals for p in m.probs) / n, candidates=0,
         )
+    if exact and candidates > EXACT_VARIABLE_GUARD:
+        raise SizeError(f"exact mode is guarded at {EXACT_VARIABLE_GUARD} variables")
+    groups = [[i for i, c in enumerate(classes) if c == label]
+              for label in range(max(classes) + 1)]
+    probs = [marginals[pos[0]].probs.tolist() for pos in groups]
     if exact:
-        if len(cells) > EXACT_VARIABLE_GUARD:
-            raise SizeError(
-                f"exact mode is guarded at {EXACT_VARIABLE_GUARD} variables"
-            )
-        b = [f for m in marginals for f in _exact_probs([float(p) for p in m.probs])]
-    orbit_cells, orbit_b, inverse, counts, row_of = _orbits(marginals, cells, b)
-    if exact:
-        objective, x, y = _phase1_exact(orbit_cells, orbit_b)
-        resid = float(objective)
-        feasible = objective == 0
-        borderline = False
-    else:
-        objective, x, y = _phase1_float(orbit_cells, np.array(orbit_b))
-        resid = float(objective)
-        feasible = resid <= tol
-        borderline = tol < resid <= 10 * tol
-    # lift to the slice: each row takes its class row's dual
-    y = [y[q] for q in row_of.tolist()]
+        probs = [_exact_probs(p) for p in probs]
+    b = [len(pos) * p for pos, class_probs in zip(groups, probs) for p in class_probs]
+    class_offsets = np.cumsum([0] + [len(p) for p in probs[:-1]])[classes]
+    cells += class_offsets  # atoms to class rows, in place
+    objective, x, y = _phase1_exact(cells, b) if exact else _phase1_float(cells, np.array(b))
+    resid = float(objective)
+    feasible = objective == 0 if exact else resid <= tol
+    borderline = not exact and tol < resid <= 10 * tol
     if feasible:
-        if inverse is not None:
-            # each slice tuple takes an equal share of its orbit's mass
-            x = [x[o] / share for o, share in zip(inverse.tolist(), counts[inverse].tolist())]
-        support, weights = [], []
-        for row, w in zip(cells, x):
+        # each distinct tuple of an orbit takes an equal share of its mass
+        rows = []
+        for j, size in enumerate(sizes.tolist()):
+            w = x[j] / size
             if (w > 0) if exact else (w > 1e-14):
-                support.append(tuple(atoms[row]))
-                weights.append(w)
+                rows += [(member, w) for member in
+                         _members((cells[j] - class_offsets).tolist(), groups)]
+        rows.sort(key=lambda row: row[0])
+        support = [tuple(m.values[a] for m, a in zip(marginals, member)) for member, _ in rows]
+        weights = [w for _, w in rows]
         total = sum(weights) if exact else math.fsum(weights)
         coupling = Coupling(n, support, weights, total_mass=1 if exact else 1.0)
         if not exact:
@@ -467,14 +456,16 @@ def feasible_center(marginals, center: float, tol: float = 1e-9,
                           marginal_tol=max(1e-10, 10 * tol))
         return FeasibilityResult(
             verdict="feasible", center=center, coupling=coupling,
-            residual=resid, candidates=len(cells),
+            residual=resid, candidates=candidates,
         )
     if not borderline:
         _check_farkas(y, cells, b, 0 if exact else tol)
     verdict = "borderline" if borderline else "infeasible"
+    # lift to the slice rows: each takes its class row's entry
+    dual = [float(y[c + a]) for c, n_atoms in zip(class_offsets.tolist(), lens)
+            for a in range(n_atoms)]
     return FeasibilityResult(
-        verdict=verdict, center=center,
-        dual=[float(v) for v in y], residual=resid, candidates=len(cells),
+        verdict=verdict, center=center, dual=dual, residual=resid, candidates=candidates,
     )
 
 
@@ -483,12 +474,15 @@ def _check_farkas(y, cells, b, tol):
 
     A Farkas certificate has y.A <= tol on every slice column (the sum of
     y over the rows a tuple hits) and y.b > tol. Exact duals are checked
-    in rationals, float duals in floats.
+    in rationals, float duals in floats, where y.A may exceed tol by the
+    rounding of its n terms, n eps max|y|: y.A is 0 on the solver's basic
+    columns, and its float value lands on either side of 0.
     """
     y = np.asarray(y)
     worst = y[cells].sum(axis=1).max()
     gain = sum(yi * bi for yi, bi in zip(y, b))
-    if not worst <= tol:
+    rounding = 0 if y.dtype == object else cells.shape[1] * np.finfo(float).eps * abs(y).max()
+    if not worst <= tol + rounding:
         raise DomainError(f"solver dual is not a certificate: y.A reaches {float(worst)!r}")
     if not gain > tol:
         raise DomainError(f"solver dual is not a certificate: y.b = {float(gain)!r}")

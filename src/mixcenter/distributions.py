@@ -40,9 +40,13 @@ def _quantile_levels(t):
 
 
 def cauchy_quantile(t):
-    """Quantile of the standard Cauchy law, tan(pi*(t - 1/2))."""
+    """Quantile of the standard Cauchy law, tan(pi*(t - 1/2)); beyond
+    |t - 1/2| = 1/4, -1/tan(pi*t) or 1/tan(pi*(1 - t)) (1 - t exact), so
+    that the argument of tan is not rounded next to its pole."""
     t = _quantile_levels(t)
-    out = np.tan(PI * (t - 0.5))
+    tail = np.minimum(t, 1.0 - t)
+    out = np.where(tail < 0.25, np.copysign(1.0 / np.tan(PI * tail), t - 0.5),
+                   np.tan(PI * (t - 0.5)))
     return float(out) if out.ndim == 0 else out
 
 

@@ -298,16 +298,41 @@ def _spy(name):
         setattr(discrete_mix, name, real)
 
 
+def _slice_tuples(marginals, center, tol):
+    """The sum slice by brute force: every support tuple, in lexicographic
+    order, kept when ``abs(math.fsum(row) - center) <= tol``, the test of
+    ``Coupling.invariants``. Returned as constraint-row indices, ``cells[j,
+    i]`` the row of coordinate i of tuple j, the rows running over the
+    atoms of every marginal in turn."""
+    offsets = np.cumsum([0] + [len(m.values) for m in marginals[:-1]])
+    cells = [offsets + idx for idx in itertools.product(*(range(len(m.values))
+                                                          for m in marginals))
+             if abs(math.fsum(m.values[a] for m, a in zip(marginals, idx)) - center) <= tol]
+    return np.array(cells, dtype=np.intp).reshape(len(cells), len(marginals))
+
+
 def _full_slice_lp(marginals, center, tol, exact):
     """The phase-1 LP over every ordered slice tuple, one row per atom of
     each marginal: the oracle for the orbit LP of ``feasible_center``.
     Returns the slice, the right-hand side and ``(objective, x, y)``."""
-    cells = discrete_mix._slice_cells(marginals, center, tol)
+    cells = _slice_tuples(marginals, center, tol)
     if exact:
         b = [f for m in marginals for f in discrete_mix._exact_probs(list(m.probs))]
         return cells, b, discrete_mix._phase1_exact(cells, b)
     b = [float(p) for m in marginals for p in m.probs]
     return cells, b, discrete_mix._phase1_float(cells, np.array(b))
+
+
+def _class_rows(marginals):
+    """The orbit LP row of each slice row: marginals equal bit for bit share
+    their rows, classes numbered in order of first appearance."""
+    start, rows, count = {}, [], 0
+    for m in marginals:
+        key = (m.values.tobytes(), m.probs.tobytes())
+        if key not in start:
+            start[key], count = count, count + len(m.values)
+        rows += [start[key] + a for a in range(len(m.values))]
+    return rows
 
 
 def _assert_exchangeable(coupling, layout):
@@ -335,29 +360,35 @@ def _assert_exchangeable(coupling, layout):
 
 # class layouts of the coordinates: equal labels mean equal marginals
 LAYOUTS = [(0, 0), (0, 1), (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 2),
-           (0, 1, 1, 0), (0, 0, 0, 0), (0, 1, 2, 3)]
+           (0, 1, 1, 0), (0, 0, 0, 0), (0, 1, 2, 3),
+           (0, 0, 0, 0, 0), (0, 1, 0, 1, 0), (0, 0, 1, 2, 2),
+           (0, 0, 0, 0, 0, 0), (0, 1, 1, 0, 1, 0), (0, 1, 2, 0, 1, 2)]
 
 
 class TestOrbitLP:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_matches_full_slice_lp(self, data):
         layout = data.draw(st.sampled_from(LAYOUTS), label="layout")
+        # atoms on a grid of 1 or of 0.1, whose float sums depend on the order
+        # of their terms
+        step = data.draw(st.sampled_from([1.0, 0.1]), label="step")
         atoms = {}
         for label in sorted(set(layout)):
-            vals = data.draw(st.lists(st.integers(-2, 3), min_size=1, max_size=4,
+            vals = data.draw(st.lists(st.integers(-2, 3), min_size=1,
+                                      max_size=4 if len(layout) <= 4 else 3,
                                       unique=True), label="values")
             weights = data.draw(st.lists(st.integers(1, 6), min_size=len(vals),
                                          max_size=len(vals)), label="weights")
-            atoms[label] = [(float(v), w / sum(weights)) for v, w in zip(vals, weights)]
+            atoms[label] = [(v * step, w / sum(weights)) for v, w in zip(vals, weights)]
         # equal by value but distinct objects, as the CLI builds them, or one
         # object per class
         shared = data.draw(st.booleans(), label="shared")
         laws = {label: FiniteDiscrete(a) for label, a in atoms.items()}
         marginals = [laws[lab] if shared else FiniteDiscrete(atoms[lab]) for lab in layout]
-        center = float(sum(data.draw(st.sampled_from(list(m.values)), label="atom")
-                           for m in marginals))
-        tol = 1e-9
+        center = math.fsum(data.draw(st.sampled_from(list(m.values)), label="atom")
+                           for m in marginals)
+        tol = data.draw(st.sampled_from([0.0, 1e-9]), label="tol")
         for exact in (False, True):
             solver = "_phase1_exact" if exact else "_phase1_float"
             with _spy(solver) as solves, _spy("_check_farkas") as checks:
@@ -377,12 +408,15 @@ class TestOrbitLP:
             assert res.verdict == verdict
             if res.feasible:
                 _assert_exchangeable(res.coupling, layout)
-            elif exact:
-                # the lifted dual, checked on the full slice with the full b
-                [((y, checked_cells, checked_b, checked_tol), _)] = checks
-                assert checked_tol == 0 and checked_b == b
-                assert (checked_cells == cells).all()
-                discrete_mix._check_farkas(y, cells, b, 0)
+            elif res.verdict == "infeasible":
+                # the class dual, lifted to every row, separates on the brute-force
+                # slice; exact duals are lifted as the checked rationals
+                [((y, _, _, checked_tol), _)] = checks
+                rows = _class_rows(marginals)
+                assert res.dual == [float(y[q]) for q in rows]
+                assert checked_tol == (0 if exact else tol)
+                lifted = [y[q] for q in rows] if exact else res.dual
+                discrete_mix._check_farkas(lifted, cells, b, checked_tol)
 
     def test_distinct_marginals_solve_the_slice_lp(self):
         # singleton classes: the orbit LP is the slice LP, column for column
@@ -392,7 +426,7 @@ class TestOrbitLP:
         with _spy("_phase1_float") as solves:
             feasible_center(marginals, 1.0)
         [((orbit_cells, orbit_b), _)] = solves
-        assert (orbit_cells == discrete_mix._slice_cells(marginals, 1.0, 1e-9)).all()
+        assert (orbit_cells == _slice_tuples(marginals, 1.0, 1e-9)).all()
         assert orbit_b.tolist() == [0.25, 0.75, 0.5, 0.5, 0.75, 0.25]
 
     def test_equal_marginals_share_rows(self):
@@ -424,67 +458,99 @@ class TestOrbitLP:
         assert A.data.tolist() == [2.0, 1.0, 1.0, 2.0, 1.0, 1.0]
         assert abs(objective) <= 1e-12  # x = (1/3, 1/3)
 
-    def test_slice_not_closed_under_permutations(self):
-        # at tol 0 only the orders 0.2 + 0.3 + 0.1 and 0.3 + 0.2 + 0.1 sum to
-        # 0.6 in floats; the orbit of (0.1, 0.2, 0.3) is not in the slice
-        # whole, so the LP runs on the slice tuples, as the full LP does
+    def test_slice_closed_under_permutations(self):
+        # at tol 0 the running sums of (0.1, 0.2, 0.3) in its six orders are
+        # 0.6 or 0.6000000000000001, but its fsum is 0.6 in every order, so the
+        # orbit is wholly in the slice
         m = FiniteDiscrete([(0.1, 1 / 3), (0.2, 1 / 3), (0.3, 1 / 3)])
-        cells, b, (objective, _, _) = _full_slice_lp([m, m, m], 0.6, 0.0, False)
-        assert len(cells) == 2 and objective > 0
+        cells, _, (objective, _, _) = _full_slice_lp([m, m, m], 0.6, 0.0, False)
+        assert len(cells) == 6 and objective <= 1e-12
         res = feasible_center([m, m, m], 0.6, tol=0.0)
-        assert res.verdict == "infeasible" and res.residual == objective
+        assert res.verdict == "feasible" and res.candidates == 6
+        assert sorted(res.coupling.support) == sorted(itertools.permutations((0.1, 0.2, 0.3)))
 
+    def test_point_masses_sum_exactly(self):
+        # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right and 0.6 by fsum
+        # (the exact sum rounded); the slice, the coupling check and the
+        # forced center agree on 0.6
+        pts = [point_mass(v) for v in (0.1, 0.2, 0.3)]
+        assert 0.1 + 0.2 + 0.3 != 0.6
+        res = feasible_center(pts, 0.6, tol=0.0)
+        assert res.verdict == "feasible" and res.candidates == 1
+        assert res.coupling.support == [(0.1, 0.2, 0.3)]
+        assert feasible_center(pts, 0.1 + 0.2 + 0.3, tol=0.0).verdict == "infeasible"
+        assert enumerate_centers(pts, tol=0.0).centers == [0.6]
 
-def _slice_tuples(marginals, center, tol):
-    """The sum slice enumerated one tuple at a time, prefix by prefix: the
-    reference for the sumset of ``discrete_mix._slice_cells``."""
-    values = [list(m.values) for m in marginals]
-    tuples = [((), 0.0)]
-    start = 0
-    for i, vals in enumerate(values):
-        rest_min = sum(min(v) for v in values[i + 1:])
-        rest_max = sum(max(v) for v in values[i + 1:])
-        nxt = []
-        for prefix, acc in tuples:
-            for r, v in enumerate(vals, start):
-                s = acc + v
-                if s + rest_min <= center + tol and s + rest_max >= center - tol:
-                    nxt.append((prefix + (r,), s))
-        tuples = nxt
-        start += len(vals)
-    cells = [prefix for prefix, acc in tuples if abs(acc - center) <= tol]
-    return np.array(cells, dtype=np.intp).reshape(len(cells), len(values))
+    def test_uniform_k20_n6_decides(self):
+        # 1,762,004 slice tuples, past the variable guard, on 4,370 orbits
+        m = FiniteDiscrete([(float(v), 1.0 / 20) for v in range(20)])
+        res = feasible_center([m] * 6, 57.0)
+        assert res.verdict == "feasible" and res.candidates == 1_762_004
+        res.coupling.validate(marginals=[m] * 6, center=57.0)
+
+    def test_float_dual_at_tol_zero(self):
+        # the dual is (-1/3, 1) per copy: on the tuples with a single one,
+        # y.A is 0 for the exact dual, and the float dual summed in floats
+        # gives 1.1e-16, 5.6e-17 or 0, depending on where the one comes
+        m = FiniteDiscrete([(0.0, 0.5), (1.0, 0.5)])
+        res = feasible_center([m] * 4, 1.0, tol=0.0)
+        assert res.verdict == "infeasible"
+        discrete_mix._check_farkas(res.dual, _slice_tuples([m] * 4, 1.0, 0.0),
+                                   [0.5] * 8, 0.0)
+
+    def test_orbit_sizes_past_int64_factorials(self):
+        # 21 coordinates: the orbit of ten ones among 21 holds C(21, 10)
+        # tuples, counted in Python ints
+        m = FiniteDiscrete([(0.0, 0.5), (1.0, 0.5)])
+        res = feasible_center([m] * 21, 10.0)
+        assert res.verdict == "infeasible" and res.candidates == math.comb(21, 10)
 
 
 class TestSliceSumset:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_tuple_enumeration(self, data):
-        n = data.draw(st.integers(2, 4), label="n")
-        marginals = []
-        for _ in range(n):
+        # the orbit representatives are the brute-force slice tuples sorted
+        # within each class, deduplicated, in lexicographic order
+        layout = data.draw(st.sampled_from(LAYOUTS[:9]), label="layout")
+        laws = {}
+        for label in sorted(set(layout)):
             vals = data.draw(st.lists(st.one_of(st.integers(-5, 5).map(float),
                                                 st.floats(-5.0, 5.0, allow_subnormal=False)),
                                       min_size=1, max_size=6, unique=True), label="values")
-            marginals.append(FiniteDiscrete([(v, 1.0 / len(vals)) for v in vals],
-                                            total_mass=len(vals) * (1.0 / len(vals))))
+            laws[label] = FiniteDiscrete([(v, 1.0 / len(vals)) for v in vals],
+                                         total_mass=len(vals) * (1.0 / len(vals)))
+        marginals = [laws[lab] for lab in layout]
         center = sum(data.draw(st.sampled_from(list(m.values)), label="atom")
                      for m in marginals)
         center += data.draw(st.sampled_from([0.0, 1e-9, -1e-9, 0.25]), label="offset")
         tol = data.draw(st.sampled_from([0.0, 1e-9, 0.3]), label="tol")
-        got = discrete_mix._slice_cells(marginals, center, tol)
-        want = _slice_tuples(marginals, center, tol)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert (got == want).all()
+        _, reps, sizes = discrete_mix._slice_orbits(marginals, center, tol)
+        offsets = np.cumsum([0] + [len(m.values) for m in marginals[:-1]])
+        # laws drawn equal for two labels share a class
+        groups = {}
+        for i, m in enumerate(marginals):
+            groups.setdefault((m.values.tobytes(), m.probs.tobytes()), []).append(i)
+        orbits = {}
+        for row in (_slice_tuples(marginals, center, tol) - offsets).tolist():
+            for pos in groups.values():
+                for i, v in zip(pos, sorted(row[i] for i in pos)):
+                    row[i] = v
+            orbits[tuple(row)] = orbits.get(tuple(row), 0) + 1
+        assert reps.dtype == np.intp and reps.shape == (len(orbits), len(layout))
+        assert reps.tolist() == [list(rep) for rep in sorted(orbits)]
+        assert sizes.tolist() == [orbits[rep] for rep in sorted(orbits)]
 
     def test_guard_counts_every_survivor(self, monkeypatch):
-        # 10^3 tuples survive at tol 1e9, more than a guard of 999
+        # the C(12, 3) = 220 sorted triples of ten atoms survive at tol 1e9,
+        # more than a guard of 219
         m = FiniteDiscrete([(float(v), 0.1) for v in range(10)])
-        monkeypatch.setattr(discrete_mix, "VARIABLE_GUARD", 1000)
-        assert len(discrete_mix._slice_cells([m, m, m], 13.5, 1e9)) == 1000
-        monkeypatch.setattr(discrete_mix, "VARIABLE_GUARD", 999)
+        monkeypatch.setattr(discrete_mix, "VARIABLE_GUARD", 220)
+        _, reps, sizes = discrete_mix._slice_orbits([m, m, m], 13.5, 1e9)
+        assert len(reps) == 220 and sizes.sum() == 1000
+        monkeypatch.setattr(discrete_mix, "VARIABLE_GUARD", 219)
         with pytest.raises(SizeError):
-            discrete_mix._slice_cells([m, m, m], 13.5, 1e9)
+            discrete_mix._slice_orbits([m, m, m], 13.5, 1e9)
 
 
 def _dense_phase1_exact(A_rows, b):
@@ -618,7 +684,7 @@ class TestExactSimplexPythonInts:
         assume(sum(int(bi * D) for bi in b) >= discrete_mix._INT64_LIMIT)
         m = FiniteDiscrete([(0.0, 0.25), (1.0, 0.5), (2.0, 0.25)])
         center = data.draw(st.integers(1, 5), label="center")
-        cells = discrete_mix._slice_cells([m, m, m], float(center), 0.0)
+        cells = _slice_tuples([m, m, m], float(center), 0.0)
         spy = _OuterSpy()
         discrete_mix.np = spy
         try:
@@ -633,7 +699,7 @@ class TestExactSimplexPythonInts:
         # uniform on {0, ..., 8}, three times: a limit of 2^10 lets the first
         # pivots run in int64 and stops them once the entries grow
         marginals = [FiniteDiscrete([(float(v), 1.0 / 9) for v in range(9)])] * 3
-        cells = discrete_mix._slice_cells(marginals, center, 0.0)
+        cells = _slice_tuples(marginals, center, 0.0)
         b = [Fraction(float(p)).limit_denominator(10 ** 12) for m in marginals for p in m.probs]
         spy = _OuterSpy()
         monkeypatch.setattr(discrete_mix, "_INT64_LIMIT", 2 ** 10)
@@ -793,6 +859,18 @@ class TestExchangeablePermute:
         mix_x, _ = zero_one_couplings(6)
         sym = exchangeable_permute(mix_x)
         assert set(sym.row_sums()) == {0}
+
+    def test_matches_permutation_average(self):
+        # the average over all 3! orders, merged, as exact rationals
+        mix_x, mix_y = zero_one_couplings(6)
+        for coupling in (mix_x, mix_y):
+            merged = {}
+            for row, w in zip(coupling.support, coupling.weights):
+                for order in itertools.permutations(row):
+                    merged[order] = merged.get(order, 0) + w / 6
+            sym = exchangeable_permute(coupling)
+            assert sym.support == sorted(merged)
+            assert sym.weights == [merged[row] for row in sym.support]
 
     def test_factorial_guard(self):
         coupling = Coupling(9, [tuple(range(9))], [1.0])

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,18 @@ class TestCauchyQuantile:
     def test_domain(self, t):
         with pytest.raises(DomainError):
             cauchy_quantile(t)
+
+    def test_tails_against_mpmath(self):
+        # log-uniform levels toward both ends; tan(pi*(t - 1/2)) alone lost
+        # about 1e-16/(pi*min(t, 1 - t)) relative there (1.7e-9 at t = 1e-8)
+        lows = np.geomspace(1e-15, 0.3, 300)
+        ts = np.concatenate([lows, 1.0 - lows])
+        got = cauchy_quantile(ts)
+        with mpmath.workdps(40):
+            want = [mpmath.tan(mpmath.pi * (mpmath.mpf(float(t)) - 0.5)) for t in ts]
+        rel = [float(abs((g - w) / w)) for g, w in zip(got.tolist(), want)]
+        assert max(rel) <= 4 * np.finfo(float).eps
+        assert [cauchy_quantile(float(t)) for t in ts[::37]] == got[::37].tolist()
 
 
 class TestCauchyInverseDensity:
