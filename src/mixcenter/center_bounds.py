@@ -98,8 +98,10 @@ def jm_center_bounds(inp: JmBoundsInput) -> tuple:
     lower <= C <= upper.
     """
     beta = sum(inp.betas)
+    # 1 - (beta - b_i), not 1 - beta + b_i: a pair at equal betas then gets
+    # the same float window on both sides, so its bounds cannot cross
     lower = sum(
-        avg_quantile(m, b_i, 1.0 - beta + b_i)
+        avg_quantile(m, b_i, 1.0 - (beta - b_i))
         for m, b_i in zip(inp.marginals, inp.betas)
     )
     upper = sum(
@@ -224,10 +226,7 @@ def dual_bound(model, n: int, c: float) -> DualBoundResult:
     """
     if n < 2:
         raise DomainError("need n >= 2")
-    try:
-        iqr = float(model.quantile(0.75)) - float(model.quantile(0.25))
-    except Exception:
-        iqr = 1.0
+    iqr = float(model.quantile(0.75)) - float(model.quantile(0.25))
     # degenerate laws have iqr 0; fall back to the scale set by c itself
     span = 50.0 * max(iqr, abs(c) * 0.5, 1e-6)
     gaps = np.geomspace(span, span * 1e-9, DUAL_GRID_SIZE)

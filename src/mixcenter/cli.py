@@ -41,6 +41,12 @@ from .verify import (
 
 SCHEMA_VERSION = 1
 
+# the sample run's configuration, field by field: ``sample``'s build flags,
+# the sidecar's config entries and ``verify``'s reading of them
+_CONFIG_TYPES = {f.name: typing.get_type_hints(MixerConfig)[f.name]
+                 for f in dataclasses.fields(MixerConfig)}
+_JSON_TYPES = {int: "integer", float: "number"}
+
 SCHEMAS = {
     "mixcenter.interval/1": {
         "type": "object",
@@ -105,18 +111,12 @@ SCHEMAS = {
     },
     "mixcenter.sample_meta/1": {
         "type": "object",
-        "required": ["schema", "n", "c", "t_grid", "tail_eps", "ra_grid_m", "seed",
-                     "mass_deficit", "count", "engine"],
+        "required": ["schema", *_CONFIG_TYPES, "mass_deficit", "count", "engine"],
         "properties": {
             "schema": {"type": "string"},
-            "n": {"type": "integer"},
-            "c": {"type": "number"},
-            "tail_eps": {"type": "number"},
-            "ra_grid_m": {"type": "integer"},
-            "seed": {"type": "integer"},
+            **{name: {"type": _JSON_TYPES[tp]} for name, tp in _CONFIG_TYPES.items()},
             "mass_deficit": {"type": "number"},
             "count": {"type": "integer"},
-            "t_grid": {"type": "integer"},
             "engine": {"enum": ["mix"]},
         },
     },
@@ -234,10 +234,9 @@ def _cmd_bounds(args):
             "grid_resolution": 1.0 / res.grid_size,
         }
     else:
-        if args.betas:
-            betas = tuple(float(b) for b in args.betas.split(","))
-        else:
-            betas = (args.beta,) * len(marginals)
+        betas = tuple(float(b) for b in args.betas.split(","))
+        if len(betas) == 1:
+            betas *= len(marginals)
         lo, hi = center_bounds.jm_center_bounds(
             center_bounds.JmBoundsInput(tuple(marginals), betas)
         )
@@ -345,7 +344,7 @@ def _cmd_sample(args):
     if args.count < 1:
         raise DomainError("need --count >= 1")
     out = _out_path(args.out)
-    cfg = MixerConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(MixerConfig)})
+    cfg = MixerConfig(**{name: getattr(args, name) for name in _CONFIG_TYPES})
     mixer = build_mixer(cfg)
     batch = mixer.sample(args.count, substream(cfg.seed, "sample", "rows"))
     _write_csv(out, batch.values, batch.t, batch.branch)
@@ -369,9 +368,7 @@ def _cmd_verify(args):
     if meta["engine"] != "mix":
         raise DomainError(f"sidecar engine {meta['engine']!r} is not supported; "
                           "only mixer samples can be verified")
-    types = typing.get_type_hints(MixerConfig)
-    cfg = MixerConfig(**{f.name: types[f.name](meta[f.name])
-                         for f in dataclasses.fields(MixerConfig)})
+    cfg = MixerConfig(**{name: tp(meta[name]) for name, tp in _CONFIG_TYPES.items()})
     values, ts, branch, recorded = _read_csv(path)
     n, c = cfg.n, cfg.c
     count = values.shape[0]
@@ -430,11 +427,7 @@ def _cmd_verify(args):
             for r in checks
         ],
         "config": meta,
-        "sum_stats": {
-            "mean_dev": stats.mean_dev,
-            "max_abs_dev": stats.max_abs_dev,
-            "per_branch": {str(lab): entry for lab, entry in stats.per_branch.items()},
-        },
+        "sum_stats": dataclasses.asdict(stats),
     }
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
@@ -500,12 +493,13 @@ def _build_parser():
     p.add_argument("--out")
     p.set_defaults(func=_cmd_interval)
 
-    p = sub.add_parser("bounds", help="window-average center bounds")
+    # no abbreviations, so that --beta is an error and not --betas
+    p = sub.add_parser("bounds", help="window-average center bounds", allow_abbrev=False)
     p.add_argument("--marginals", required=True, help="JSON distribution spec file")
     p.add_argument("--n", type=int, help="n for single-marginal complete-mix bounds")
-    p.add_argument("--betas", help="comma-separated beta levels for joint bounds")
-    p.add_argument("--beta", type=float, default=0.01,
-                   help="common beta when --betas is omitted")
+    p.add_argument("--betas", default="0.01",
+                   help="joint-bound beta levels, comma-separated: one per marginal, "
+                        "or one common level")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bounds)
 
@@ -521,13 +515,8 @@ def _build_parser():
     p.add_argument("--center", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--exact", action="store_true",
-                   help="exact rationals: a fraction-free (integer, Bareiss) Bland "
-                        "simplex with the same pivots and rationals as a Fraction "
-                        "tableau, on the LP enumerated on orbits of equal marginals, "
-                        "its certificate checked on the orbit columns: uniform k=31 "
-                        "(721 slice tuples) in about 0.01 s, k=61 in about 0.2 s. "
-                        "Distinct marginals have one tuple per orbit: 169 tuples in "
-                        "about 0.03 s, 721 in about 3 s")
+                   help="decide in exact rationals: a fraction-free Bland simplex "
+                        "instead of the float LP, its certificate checked exactly")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_feasible)
 
@@ -538,13 +527,10 @@ def _build_parser():
     p.set_defaults(func=_cmd_centers)
 
     p = sub.add_parser("sample", help="emit constant-sum Cauchy rows as CSV")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=float, required=True)
+    for f in dataclasses.fields(MixerConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=_CONFIG_TYPES[f.name],
+                       required=f.default is dataclasses.MISSING, default=f.default)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--ra-grid-m", type=int, default=MixerConfig.ra_grid_m)
-    p.add_argument("--tail-eps", type=float, default=MixerConfig.tail_eps)
-    p.add_argument("--t-grid", type=int, default=MixerConfig.t_grid)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 

@@ -850,6 +850,62 @@ class TestCdfLookup:
         assert np.array_equal(cells, np.clip(j, 0, knots.size - 2))
 
 
+def _cell_law_p(mixer, t):
+    """p-value of the recorded t per knot interval against the increments
+    of the mixing cdf: a chi-square, adjacent intervals pooled until each
+    expects at least 5 rows. The first interval also holds the rows drawn
+    below the first knot."""
+    from scipy.stats import chi2
+
+    expected = np.diff(mixer.mixing_cdf) * t.size
+    expected[0] += mixer.mixing_cdf[0] * t.size
+    cells = np.clip(np.searchsorted(mixer.knots, t, side="right") - 1, 0, expected.size - 1)
+    counts = np.bincount(cells, minlength=expected.size)
+    pooled_e, pooled_k = [], []
+    e_run = k_run = 0
+    for e, k in zip(expected, counts):
+        e_run, k_run = e_run + e, k_run + k
+        if e_run >= 5.0:
+            pooled_e.append(e_run)
+            pooled_k.append(k_run)
+            e_run = k_run = 0
+    pooled_e[-1] += e_run
+    pooled_k[-1] += k_run
+    e, k = np.array(pooled_e), np.array(pooled_k)
+    return float(chi2.sf(np.sum((k - e) ** 2 / e), e.size - 1))
+
+
+class _SkewedFirstDraw:
+    """A generator whose first ``random`` draw is raised to the power 1.05,
+    as a sampler that distorts the mixing parameter's uniforms would draw."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._skew = True
+
+    def random(self, size):
+        u = self._rng.random(size)
+        if self._skew:
+            self._skew = False
+            u **= 1.05
+        return u
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("n,c", LOOKUP_CENTERS[:2], ids=["n3", "n10-endpoint"])
+def test_cell_law(n, c):
+    # a coupling row's t_hat stays in its knot interval, so the rows per
+    # interval follow the mixing cdf exactly, snap or no snap
+    mixer = ConstructiveMixer(MixerConfig(n=n, c=c, t_grid=512, seed=7))
+    for s in range(3):
+        batch = mixer.sample(100_000, substream(7, "cell-law", str(s)))
+        assert _cell_law_p(mixer, batch.t) >= 0.01
+    skewed = mixer.sample(100_000, _SkewedFirstDraw(substream(7, "cell-law", "0")))
+    assert _cell_law_p(mixer, skewed.t) < 1e-6
+
+
 class TestDrawChunks:
     @settings(max_examples=24, deadline=None)
     @given(kind=st.sampled_from(["symmetric-n3", "symmetric-n4", "constructive", "reflected",

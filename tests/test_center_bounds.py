@@ -123,6 +123,16 @@ class TestJmBounds:
         lo, hi = jm_center_bounds(JmBoundsInput((Cauchy(), Cauchy()), (0.1, 0.1)))
         assert_allclose(lo, -hi, atol=1e-12)
 
+    @given(law=st.sampled_from([Cauchy(), Cauchy(2.0), Uniform(-1.0, 1.0),
+                                FiniteDiscrete([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])]),
+           beta=st.floats(1e-6, 0.5, exclude_max=True))
+    @example(law=Cauchy(), beta=0.05)
+    def test_symmetric_pair_bounds_meet(self, law, beta):
+        # X and -X sum to 0 and both have the law, so the outer set holds
+        # 0; the lower and upper windows are the same, and so are the bounds
+        lo, hi = jm_center_bounds(JmBoundsInput((law, law), (beta, beta)))
+        assert lo == hi
+
     def test_cauchy_triple_upper(self):
         lo, hi = jm_center_bounds(JmBoundsInput((Cauchy(),) * 3, (0.1,) * 3))
         assert_allclose(hi, TRIPLE_UPPER, atol=1e-9)

@@ -79,11 +79,18 @@ class TestBounds:
 
     def test_jm_list(self, capsys, triple_spec):
         code, payload = run_json(
-            capsys, "bounds", "--marginals", triple_spec, "--beta", "0.05"
+            capsys, "bounds", "--marginals", triple_spec, "--betas", "0.05"
         )
         assert code == 0
         assert payload["mode"] == "jm"
         assert payload["lo"] <= 2.0 <= payload["hi"]
+        # one level is the common level of every marginal
+        _, each = run_json(capsys, "bounds", "--marginals", triple_spec,
+                           "--betas", "0.05,0.05,0.05")
+        assert each == payload
+        # --betas alone takes levels: --beta is not an abbreviation of it
+        code, _ = run_cli(capsys, "bounds", "--marginals", triple_spec, "--beta", "0.05")
+        assert code == 2
 
     def test_missing_n_for_single(self, capsys, cauchy_spec):
         code, _ = run_cli(capsys, "bounds", "--marginals", cauchy_spec)
@@ -322,6 +329,35 @@ class TestSampleVerify:
         assert code == 0
         header = text.splitlines()[0]
         assert header == "name,passed,measured,threshold"
+
+    @pytest.mark.parametrize("count", [2000, 60_000])
+    def test_verify_thresholds_pinned(self, capsys, tmp_path, count):
+        # every gate of verify, on either side of the pairwise KS floor of
+        # 0.01. Gates only tighten: one that tightens updates this pin
+        out = str(tmp_path / "rows.csv")
+        code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0.15", "--count", str(count),
+                          "--t-grid", "512", "--out", out)
+        assert code == 0
+        _, payload = run_json(capsys, "verify", out)
+        want = {f"ks_coordinate_{j}": 0.01 + 1.628 / math.sqrt(count) for j in (1, 2, 3)}
+        want.update({
+            "exchangeability_pairwise_ks": max(0.01, 1.628 * math.sqrt(2 / count)),
+            "sum_mean_dev": 1e-3,
+            "row_sum_bounds": 1e-15,
+            "clip_level_monotone": 1e-12,
+            "clip_level_bounds": 1e-15,
+            "root_residual": 1e-12,
+            "zero_level_nonnegative": -1e-10,
+            "edge_balance_single_sign_change": 1.0,
+            "mixing_mass": 1e-4 + 1e-6,
+            "slice_mean": 1e-8,
+            "slice_weight_inequality": -1e-12,
+            "measure_reconstruction": 1e-4,
+            "coupling_cells_valid": 0.0,
+            "metadata_mass_deficit": 1e-12,
+        })
+        got = {check["name"]: check["threshold"] for check in payload["checks"]}
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def _reference_csv(path, values, ts, branch):

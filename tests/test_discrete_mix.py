@@ -278,6 +278,18 @@ class TestFeasibleCenter:
         res = feasible_center([m, m, m], 172.0)
         assert res.verdict == "infeasible" and res.candidates == 9918
 
+    def test_exact_mode_decides_below_solver_tolerance(self):
+        # P(Y = 1) falls 1e-11 short of P(X = 0), so X + Y = 1 has no
+        # coupling; the float LP cannot see the gap, exact mode must
+        fair = FiniteDiscrete([(0.0, 0.5), (1.0, 0.5)])
+        tilted = FiniteDiscrete([(0.0, 0.5 + 1e-11), (1.0, 0.5 - 1e-11)])
+        exact = feasible_center([fair, tilted], 1.0, exact=True)
+        assert exact.verdict == "infeasible"
+        assert exact.residual == pytest.approx(2e-11, rel=1e-6)
+        assert exact.dual == [1.0, -1.0, 1.0, -1.0]
+        floats = feasible_center([fair, tilted], 1.0)
+        assert floats.verdict == "feasible" and floats.residual == 0.0
+
 
 @contextlib.contextmanager
 def _spy(name):
