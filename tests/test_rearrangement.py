@@ -1,3 +1,9 @@
+import os
+import signal
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,6 +162,87 @@ class TestFlattenStack:
         key[rng.random((rows, m)) < 0.1] *= -1.0
         want = np.argsort(key, axis=1, kind="stable")
         assert np.array_equal(rearrangement._stable_argsort_rows(key), want)
+
+
+def _atom_stack(cells, m, n, atom, seed):
+    """Shuffled stacks of atom-plus-uniform columns: the atoms give tie runs."""
+    stack = np.empty((cells, m, n))
+    for k in range(cells):
+        stack[k] = discretize(AtomUniform(-1.0 - k, 1.0 + k / 7.0, atom), m)[:, None]
+        shuffle_columns(stack[k], np.random.default_rng([seed, k]))
+    return stack
+
+
+def _flatten_on(cpus, stack, max_sweeps=64):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rearrangement, "_cpu_count", lambda: cpus)
+        return ra_flatten_stack(stack, max_sweeps=max_sweeps)
+
+
+class TestTwoHalves:
+    """With two CPUs the stack is flattened in two halves, one on a thread
+    started for the call; the results must be those of the one-CPU path."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(cells=st.integers(1, 12), m=st.sampled_from([8, 33, 512]), n=st.integers(2, 10),
+           atom=st.floats(0.2, 0.6), seed=st.integers(0, 2**32 - 1))
+    def test_halves_equal_one_cpu(self, cells, m, n, atom, seed):
+        stack = _atom_stack(cells, m, n, atom, seed)
+        threads = threading.active_count()
+        got, want = _flatten_on(2, stack), _flatten_on(1, stack)
+        assert threading.active_count() == threads
+        assert len(got) == len(want) == cells
+        for res, ref in zip(got, want):
+            assert res.matrix.tobytes() == ref.matrix.tobytes()
+            assert res.spread == ref.spread
+            assert res.sweep_spreads == ref.sweep_spreads
+            assert res.converged is ref.converged
+
+    @pytest.mark.parametrize("in_worker", [True, False], ids=["first-half", "second-half"])
+    def test_error_in_a_half_is_raised_after_the_join(self, monkeypatch, in_worker):
+        kernel = rearrangement._flatten_cells
+
+        def failing(stack, max_sweeps):
+            if (threading.current_thread() is not threading.main_thread()) == in_worker:
+                raise FloatingPointError("half failed")
+            return kernel(stack, max_sweeps)
+
+        monkeypatch.setattr(rearrangement, "_flatten_cells", failing)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="half failed"):
+            _flatten_on(2, _atom_stack(4, 33, 3, 0.3, 0))
+        assert threading.active_count() == threads
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_flattens(self):
+        # no worker outlives a call, so a child forked after a two-half call
+        # can flatten again (process workers will fork such a process)
+        stack = _atom_stack(4, 33, 3, 0.3, 1)
+        want = b"".join(r.matrix.tobytes() for r in _flatten_on(2, stack))
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with native threads (such as
+            # BLAS pools) forks; this test is about the threads of the call
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                got = b"".join(r.matrix.tobytes() for r in _flatten_on(2, stack))
+                code = 0 if got == want else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child did not finish within 60 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestRowSampler:
