@@ -6,8 +6,8 @@ expected to catch it. For each mutant the runner copies the tree to a
 temporary directory, applies the edit there, and runs Tier-1 without
 ``tests/test_golden.py``, stopping at the first failure. It prints one JSON
 line per mutant: the test that caught it and whether that is the listed
-test, or "survived". It exits 1 if any mutant survives or cannot be run,
-else 0.
+test, or "survived". It exits 1 if any mutant survives, is caught by a
+test other than its listed one, or cannot be run, else 0.
 
 Usage, from anywhere, with the test dependencies installed:
 
@@ -78,7 +78,7 @@ def main(names):
         if names and mutant["name"] not in names:
             continue
         result = run_mutant(mutant)
-        bad += "error" in result or result["caught_by"] == "survived"
+        bad += "error" in result or not result.get("as_listed", False)
         print(json.dumps({"mutant": mutant["name"], **result, "listed": mutant["caught_by"]}),
               flush=True)
     return 1 if bad else 0

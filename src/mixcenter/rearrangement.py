@@ -10,8 +10,6 @@ discretization floor.
 """
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,14 +99,6 @@ def ra_flatten(matrix, max_sweeps: int = 100, rng=None) -> FlattenResult:
     return ra_flatten_stack(cur[None], max_sweeps)[0]
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def ra_flatten_stack(stack, max_sweeps: int = 100) -> list:
     """``ra_flatten`` on every cell of a (cells, m, n) stack, in lock step.
 
@@ -119,36 +109,26 @@ def ra_flatten_stack(stack, max_sweeps: int = 100) -> list:
     as given (no shuffles) and not modified; returns one ``FlattenResult``
     per cell.
 
-    When the process may use two or more CPUs, a thread started for this
-    call flattens the first half of the cells while the caller flattens
-    the second; numpy's sorts and gathers release the GIL, so the halves
-    run at once. Since no cell depends on the others, the results are the
-    same bytes as on one CPU. An exception in either half is raised here
-    after both halves have finished.
+    A stack of two or more cells is flattened in two halves: a thread
+    started for this call flattens the first half while the caller
+    flattens the second, and numpy's sorts and gathers release the GIL, so
+    on two CPUs the halves run at once. Since no cell depends on the
+    others, the results are the same bytes as one serial pass. The thread
+    is joined before the call returns or raises; an exception in the first
+    half is raised here.
     """
     stack = np.ascontiguousarray(stack, dtype=float)
     if stack.ndim != 3:
         raise DomainError("stack must be three-dimensional")
     half = len(stack) // 2
-    if half == 0 or _cpu_count() < 2:
+    if half == 0:
         return _flatten_cells(stack, max_sweeps)
-    first = {}
+    from concurrent.futures import ThreadPoolExecutor
 
-    def flatten_first():
-        try:
-            first["results"] = _flatten_cells(stack[:half], max_sweeps)
-        except BaseException as exc:  # handed to the caller after the join
-            first["error"] = exc
-
-    worker = threading.Thread(target=flatten_first, name="ra_flatten_stack")
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1) as pool:
+        first = pool.submit(_flatten_cells, stack[:half], max_sweeps)
         second = _flatten_cells(stack[half:], max_sweeps)
-    finally:
-        worker.join()
-    if "error" in first:
-        raise first["error"]
-    return first["results"] + second
+    return first.result() + second
 
 
 def _flatten_cells(stack, max_sweeps):

@@ -116,9 +116,11 @@ def _ra_reference(cur, max_sweeps):
 
 class TestFlattenStack:
     @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(2, 12), m=st.sampled_from([8, 33, 128]),
-           cells=st.integers(1, 5), atom=st.floats(0.0, 0.6), seed=st.integers(0, 2**32 - 1))
+    @given(n=st.integers(2, 12), m=st.sampled_from([8, 33, 512]),
+           cells=st.integers(1, 12), atom=st.floats(0.0, 0.6), seed=st.integers(0, 2**32 - 1))
     def test_stack_equals_per_cell_calls(self, n, m, cells, atom, seed):
+        # a stack of two or more cells is flattened in two halves, one on a
+        # thread of the call; a one-cell call is the serial kernel
         rng = np.random.default_rng(seed)
         stack = np.empty((cells, m, n))
         singles = []
@@ -129,8 +131,11 @@ class TestFlattenStack:
             singles.append(ra_flatten(stack[k], max_sweeps=64, rng=cell_rng))
             shuffle_columns(stack[k], np.random.default_rng([seed, k]))
         before = stack.copy()
+        threads = threading.active_count()
         got = ra_flatten_stack(stack, max_sweeps=64)
+        assert threading.active_count() == threads
         assert np.array_equal(stack, before)
+        assert len(got) == cells
         for k, (res, ref) in enumerate(zip(got, singles)):
             assert res.matrix.tobytes() == ref.matrix.tobytes()
             assert res.spread == ref.spread
@@ -173,30 +178,10 @@ def _atom_stack(cells, m, n, atom, seed):
     return stack
 
 
-def _flatten_on(cpus, stack, max_sweeps=64):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rearrangement, "_cpu_count", lambda: cpus)
-        return ra_flatten_stack(stack, max_sweeps=max_sweeps)
-
-
 class TestTwoHalves:
-    """With two CPUs the stack is flattened in two halves, one on a thread
-    started for the call; the results must be those of the one-CPU path."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(cells=st.integers(1, 12), m=st.sampled_from([8, 33, 512]), n=st.integers(2, 10),
-           atom=st.floats(0.2, 0.6), seed=st.integers(0, 2**32 - 1))
-    def test_halves_equal_one_cpu(self, cells, m, n, atom, seed):
-        stack = _atom_stack(cells, m, n, atom, seed)
-        threads = threading.active_count()
-        got, want = _flatten_on(2, stack), _flatten_on(1, stack)
-        assert threading.active_count() == threads
-        assert len(got) == len(want) == cells
-        for res, ref in zip(got, want):
-            assert res.matrix.tobytes() == ref.matrix.tobytes()
-            assert res.spread == ref.spread
-            assert res.sweep_spreads == ref.sweep_spreads
-            assert res.converged is ref.converged
+    """A stack of two or more cells is flattened in two halves, one on a
+    thread started for the call; identity with one serial pass is checked
+    by ``TestFlattenStack::test_stack_equals_per_cell_calls``."""
 
     @pytest.mark.parametrize("in_worker", [True, False], ids=["first-half", "second-half"])
     def test_error_in_a_half_is_raised_after_the_join(self, monkeypatch, in_worker):
@@ -210,7 +195,7 @@ class TestTwoHalves:
         monkeypatch.setattr(rearrangement, "_flatten_cells", failing)
         threads = threading.active_count()
         with pytest.raises(FloatingPointError, match="half failed"):
-            _flatten_on(2, _atom_stack(4, 33, 3, 0.3, 0))
+            ra_flatten_stack(_atom_stack(4, 33, 3, 0.3, 0))
         assert threading.active_count() == threads
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -218,7 +203,7 @@ class TestTwoHalves:
         # no worker outlives a call, so a child forked after a two-half call
         # can flatten again (process workers will fork such a process)
         stack = _atom_stack(4, 33, 3, 0.3, 1)
-        want = b"".join(r.matrix.tobytes() for r in _flatten_on(2, stack))
+        want = b"".join(r.matrix.tobytes() for r in ra_flatten_stack(stack))
         with warnings.catch_warnings():
             # Python 3.12+ warns when a process with native threads (such as
             # BLAS pools) forks; this test is about the threads of the call
@@ -228,7 +213,7 @@ class TestTwoHalves:
         if pid == 0:
             code = 1
             try:
-                got = b"".join(r.matrix.tobytes() for r in _flatten_on(2, stack))
+                got = b"".join(r.matrix.tobytes() for r in ra_flatten_stack(stack))
                 code = 0 if got == want else 2
             finally:
                 os._exit(code)
