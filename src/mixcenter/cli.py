@@ -1,11 +1,13 @@
 """Command-line surface.
 
 Subcommands: bounds, interval, dual, feasible, centers, sample, verify,
-ex01, repro. JSON results carry a versioned "schema" field; sample output
-is CSV (17 significant digits, so doubles round-trip) plus a metadata
-sidecar. ``repro`` replays the checks of ``mixcenter.anchors``. All
-randomness flows from one master seed through named substreams, so every
-run is reproducible from its flags.
+ex01, repro. Every JSON command returns its payload, and ``main`` writes it
+to stdout or ``--out`` through one writer, which stamps the versioned
+"schema" field ``mixcenter.<command>/<version>``. Sample output is CSV (17
+significant digits, so doubles round-trip) plus a metadata sidecar, which
+``sample`` writes itself. ``repro`` replays the checks of
+``mixcenter.anchors``. All randomness flows from one master seed through
+named substreams, so every run is reproducible from its flags.
 
 Exit codes: 0 success, 1 domain or verification failures, 2 I/O or
 argument parse errors.
@@ -13,7 +15,6 @@ argument parse errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -204,18 +205,13 @@ def _inf_to_json(x):
 
 def _cmd_interval(args):
     iv = center_bounds.cauchy_center_interval(args.n)
-    _emit(
-        {
-            "schema": f"mixcenter.interval/{SCHEMA_VERSION}",
-            "n": iv.n,
-            "lo": iv.lo,
-            "hi": iv.hi,
-            "method": iv.kind,
-            "grid_resolution": 0.0,
-        },
-        _out_path(args.out),
-    )
-    return 0
+    return {
+        "n": iv.n,
+        "lo": iv.lo,
+        "hi": iv.hi,
+        "method": iv.kind,
+        "grid_resolution": 0.0,
+    }, 0
 
 
 def _cmd_bounds(args):
@@ -225,7 +221,6 @@ def _cmd_bounds(args):
             raise DomainError("single-marginal bounds need --n")
         res = center_bounds.cm_bounds(marginals[0], args.n)
         payload = {
-            "schema": f"mixcenter.bounds/{SCHEMA_VERSION}",
             "mode": "cm",
             "n": args.n,
             "lo": _inf_to_json(res.a_star),
@@ -241,7 +236,6 @@ def _cmd_bounds(args):
             center_bounds.JmBoundsInput(tuple(marginals), betas)
         )
         payload = {
-            "schema": f"mixcenter.bounds/{SCHEMA_VERSION}",
             "mode": "jm",
             "n": len(marginals),
             "lo": lo,
@@ -249,26 +243,20 @@ def _cmd_bounds(args):
             "method": "window_average",
             "grid_resolution": 0.0,
         }
-    _emit(payload, _out_path(args.out))
-    return 0
+    return payload, 0
 
 
 def _cmd_dual(args):
     model = _load_marginals(args.marginal)[0] if args.marginal else Cauchy()
     res = center_bounds.dual_bound(model, args.n, args.c)
-    _emit(
-        {
-            "schema": f"mixcenter.dual/{SCHEMA_VERSION}",
-            "n": args.n,
-            "c": args.c,
-            "value": res.value,
-            "method": "piecewise_linear_dual_grid",
-            "grid_resolution": res.grid_resolution,
-            "excludes_center": bool(res.value < 1.0 - 1e-9),
-        },
-        _out_path(args.out),
-    )
-    return 0
+    return {
+        "n": args.n,
+        "c": args.c,
+        "value": res.value,
+        "method": "piecewise_linear_dual_grid",
+        "grid_resolution": res.grid_resolution,
+        "excludes_center": bool(res.value < 1.0 - 1e-9),
+    }, 0
 
 
 def _cmd_feasible(args):
@@ -277,7 +265,6 @@ def _cmd_feasible(args):
         marginals, args.center, tol=args.tol, exact=args.exact
     )
     payload = {
-        "schema": f"mixcenter.feasible/{SCHEMA_VERSION}",
         "verdict": res.verdict,
         "center": res.center,
         "residual": float(res.residual),
@@ -287,25 +274,19 @@ def _cmd_feasible(args):
         payload["coupling"] = res.coupling.to_json_dict()
     if res.dual is not None:
         payload["dual"] = res.dual
-    _emit(payload, _out_path(args.out))
-    return 0
+    return payload, 0
 
 
 def _cmd_centers(args):
     marginals = _load_marginals(args.marginals)
     cs = discrete_mix.enumerate_centers(marginals, tol=args.tol)
-    _emit(
-        {
-            "schema": f"mixcenter.centers/{SCHEMA_VERSION}",
-            "centers": cs.centers,
-            "candidates_examined": cs.candidates_examined,
-            "couplings": {
-                repr(c): coup.to_json_dict() for c, coup in cs.certificates.items()
-            },
+    return {
+        "centers": cs.centers,
+        "candidates_examined": cs.candidates_examined,
+        "couplings": {
+            repr(c): coup.to_json_dict() for c, coup in cs.certificates.items()
         },
-        _out_path(args.out),
-    )
-    return 0
+    }, 0
 
 
 # rows formatted per write: bounds the temporary Python objects of tolist()
@@ -356,7 +337,16 @@ def _cmd_sample(args):
         "engine": "mix",
     }
     _emit(meta, out + ".meta.json")
-    return 0
+    return None, 0
+
+
+def _sidecar_value(meta, name, tp):
+    """``meta[name]`` as ``tp``: an int field needs a JSON integer and a float
+    field a JSON number (a bool is neither); a wrong type exits 2 naming it."""
+    value = meta[name]
+    if isinstance(value, bool) or not isinstance(value, int if tp is int else (int, float)):
+        raise ValueError(f"sidecar {name!r} = {value!r} is not a JSON {_JSON_TYPES[tp]}")
+    return tp(value)
 
 
 def _cmd_verify(args):
@@ -368,7 +358,8 @@ def _cmd_verify(args):
     if meta["engine"] != "mix":
         raise DomainError(f"sidecar engine {meta['engine']!r} is not supported; "
                           "only mixer samples can be verified")
-    cfg = MixerConfig(**{name: tp(meta[name]) for name, tp in _CONFIG_TYPES.items()})
+    cfg = MixerConfig(**{name: _sidecar_value(meta, name, tp)
+                         for name, tp in _CONFIG_TYPES.items()})
     values, ts, branch, recorded = _read_csv(path)
     n, c = cfg.n, cfg.c
     count = values.shape[0]
@@ -418,44 +409,22 @@ def _cmd_verify(args):
                                   worst_pair, pair_lim))
 
     all_pass = all(r.passed for r in checks)
-    payload = {
-        "schema": f"mixcenter.verify/{SCHEMA_VERSION}",
+    return {
         "all_pass": all_pass,
-        "checks": [
-            {"name": r.name, "passed": bool(r.passed), "measured": float(r.measured),
-             "threshold": float(r.threshold)}
-            for r in checks
-        ],
+        "checks": [r.to_dict() for r in checks],
         "config": meta,
         "sum_stats": dataclasses.asdict(stats),
-    }
-    if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["name", "passed", "measured", "threshold"])
-        for r in checks:
-            writer.writerow([r.name, int(r.passed), f"{r.measured:.17g}", f"{r.threshold:.17g}"])
-    else:
-        _emit(payload, _out_path(args.out))
-    return 0 if all_pass else 1
+    }, 0 if all_pass else 1
 
 
 def _cmd_ex01(args):
     mix_x, mix_y = discrete_mix.zero_one_couplings(args.K)
-    payload = {
-        "schema": f"mixcenter.ex01/{SCHEMA_VERSION}",
+    return {
         "truncation": args.K,
         "residual": float(mix_x.residual),
         "mix_x": mix_x.to_json_dict(),
         "mix_y": mix_y.to_json_dict(),
-    }
-    if args.out_x or args.out_y:
-        if args.out_x:
-            _emit(payload["mix_x"], _out_path(args.out_x))
-        if args.out_y:
-            _emit(payload["mix_y"], _out_path(args.out_y))
-    else:
-        _emit(payload, _out_path(args.out))
-    return 0
+    }, 0
 
 
 # ----------------------------------------------------------------------
@@ -467,15 +436,9 @@ def _cmd_repro(args):
     for c in checks:
         print(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: "
               f"measured={c['measured']} expected={c['expected']}")
-    payload = {
-        "schema": f"mixcenter.repro/{SCHEMA_VERSION}",
-        "all_pass": all_pass,
-        "checks": checks,
-        "seed": args.seed,
-    }
-    if args.out:
-        _emit(payload, _out_path(args.out))
-    return 0 if all_pass else 1
+    # the check lines are the stdout report, so the JSON is written only to --out
+    payload = {"all_pass": all_pass, "checks": checks, "seed": args.seed}
+    return payload if args.out else None, 0 if all_pass else 1
 
 
 # ----------------------------------------------------------------------
@@ -536,14 +499,11 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="verify a sample CSV against its metadata")
     p.add_argument("csv")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("ex01", help="exact couplings with centers 0 and 1")
     p.add_argument("--K", type=int, default=20)
-    p.add_argument("--out-x")
-    p.add_argument("--out-y")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_ex01)
 
@@ -562,7 +522,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        if payload is not None:
+            _emit({"schema": f"mixcenter.{args.command}/{SCHEMA_VERSION}", **payload},
+                  _out_path(args.out))
+        return code
     except (DomainError, ConstructionError, SizeError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -45,9 +45,6 @@ class FlattenResult:
     sweep_spreads: list
     converged: bool
 
-    def row_sums(self):
-        return self.matrix.sum(axis=1)
-
 
 def shuffle_columns(matrix: np.ndarray, rng) -> None:
     """Apply an independent ``rng.permutation`` to each column, in place."""

@@ -97,6 +97,10 @@ class InvariantResult:
     measured: float
     threshold: float
 
+    def to_dict(self) -> dict:
+        return {"name": self.name, "passed": bool(self.passed),
+                "measured": float(self.measured), "threshold": float(self.threshold)}
+
 
 @dataclass
 class VerificationReport:
@@ -116,15 +120,7 @@ class VerificationReport:
         return {
             "target": self.target,
             "all_pass": self.all_pass,
-            "invariants": [
-                {
-                    "name": r.name,
-                    "passed": bool(r.passed),
-                    "measured": float(r.measured),
-                    "threshold": float(r.threshold),
-                }
-                for r in self.invariants
-            ],
+            "invariants": [r.to_dict() for r in self.invariants],
             "config": self.config,
             "seed": self.seed,
         }

@@ -29,9 +29,7 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     payload = json.loads(out)
-    schema = SCHEMAS.get(payload.get("schema"))
-    if schema is not None:
-        jsonschema.validate(payload, schema)
+    jsonschema.validate(payload, SCHEMAS[payload["schema"]])
     return code, payload
 
 
@@ -303,6 +301,26 @@ class TestSampleVerify:
         captured = capsys.readouterr()
         assert captured.out == "" and repr(key) in captured.err
 
+    @pytest.mark.parametrize("key,value", [
+        ("t_grid", 512.9),
+        ("seed", 3.5),
+        ("c", "0.15"),
+        ("ra_grid_m", "512"),
+    ], ids=["t_grid", "seed", "c", "ra_grid_m"])
+    def test_verify_rejects_sidecar_value_of_wrong_type(self, capsys, tmp_path,
+                                                        key, value):
+        # each value would read back as the sample's own (512, 3, 0.15, 512)
+        # if it were truncated or parsed, so the rows would verify
+        out = tmp_path / "rows.csv"
+        code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0.15", "--count", "2000",
+                          "--seed", "3", "--t-grid", "512", "--out", str(out))
+        assert code == 0
+        sidecar = tmp_path / "rows.csv.meta.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
+        assert main(["verify", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and repr(key) in captured.err
+
     def test_verify_checks_row_sum_column_against_x_columns(self, capsys, tmp_path):
         # row_sum_bounds certifies the sums of the x columns, so a row whose
         # x1 moved while its recorded row_sum did not must fail verify
@@ -320,15 +338,6 @@ class TestSampleVerify:
         assert captured.out == ""
         assert "CSV line 7: row_sum" in captured.err
         assert "is not the sum of its x columns" in captured.err
-
-    def test_verify_csv_format(self, capsys, tmp_path):
-        out = str(tmp_path / "rows.csv")
-        run_cli(capsys, "sample", "--n", "3", "--c", "0", "--count", "2000",
-                "--seed", "9", "--out", out)
-        code, text = run_cli(capsys, "verify", out, "--format", "csv")
-        assert code == 0
-        header = text.splitlines()[0]
-        assert header == "name,passed,measured,threshold"
 
     @pytest.mark.parametrize("count", [2000, 60_000])
     def test_verify_thresholds_pinned(self, capsys, tmp_path, count):
@@ -437,13 +446,6 @@ class TestEx01:
         y_sums = {sum(row) for row in payload["mix_y"]["support"]}
         assert x_sums == {0.0} and y_sums == {1.0}
         assert payload["residual"] == pytest.approx(2.0 ** -9)
-
-    def test_split_outputs(self, capsys, tmp_path):
-        fx, fy = str(tmp_path / "x.json"), str(tmp_path / "y.json")
-        code, _ = run_cli(capsys, "ex01", "--K", "4", "--out-x", fx, "--out-y", fy)
-        assert code == 0
-        mix_x = json.loads(Path(fx).read_text())
-        assert {sum(r) for r in mix_x["support"]} == {0.0}
 
 
 class TestCliPlumbing:

@@ -608,6 +608,12 @@ class TestGenericDensity:
         for t in np.concatenate([tail, 1.0 - tail]):
             assert abs(g.cdf(g.quantile(t)) - t) <= 1e-13, t
 
+    def test_avg_quantile_falls_back_to_quadrature(self):
+        # no closed form, so avg_quantile integrates the quantile numerically
+        g = cauchy_like_density()
+        assert not hasattr(g, "_avg_quantile")
+        assert abs(avg_quantile(g, 0.2, 0.9) - CAUCHY_WINDOW_02_09) <= 1e-10
+
 
 class TestReflection:
     def test_avg_quantile_identity(self):
