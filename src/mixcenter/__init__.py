@@ -71,6 +71,7 @@ from .verify import (
     ks_distance,
     ks_threshold,
     ks_two_sample,
+    max_pairwise_ks,
     run_invariant_suite,
     sum_stats,
 )

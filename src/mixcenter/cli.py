@@ -19,8 +19,12 @@ import dataclasses
 import json
 import math
 import os
+import shutil
+import signal
 import sys
+import tempfile
 import typing
+import warnings
 
 import numpy as np
 
@@ -35,12 +39,14 @@ from .verify import (
     InvariantResult,
     ks_distance,
     ks_threshold,
-    ks_two_sample,
+    ks_two_sample,  # noqa: F401  (the traced benchmark run wraps it here by name)
+    max_pairwise_ks,
     run_invariant_suite,
     sum_stats,
 )
 
 SCHEMA_VERSION = 1
+_SIDECAR_SCHEMA = f"mixcenter.sample_meta/{SCHEMA_VERSION}"
 
 # the sample run's configuration, field by field: ``sample``'s build flags,
 # the sidecar's config entries and ``verify``'s reading of them
@@ -295,18 +301,64 @@ _CSV_CHUNK_ROWS = 8192
 
 def _write_csv(path, values, ts, branch):
     """Write ``x1..xn, t, branch, row_sum`` rows: doubles as ``%.17g``,
-    ``branch`` as an integer, CRLF line ends (the csv module's dialect)."""
+    ``branch`` as an integer, CRLF line ends (the csv module's dialect).
+
+    ``%`` formatting holds the GIL, so the rows are formatted in two halves
+    in two processes: where ``os.fork`` exists, a forked child formats the
+    second half into an unnamed temporary file in the output's directory
+    while this process writes the header and the first half, and the
+    child's file is appended once it has exited 0. The bytes do not depend
+    on the split. The child is reaped before this returns or raises, and
+    killed first if this process fails.
+    """
     n = values.shape[1]
     header = [f"x{j + 1}" for j in range(n)] + ["t", "branch", "row_sum"]
     row = ",".join(["%.17g"] * (n + 1) + ["%d", "%.17g"]) + "\r\n"
-    sums = values.sum(axis=1)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, values.shape[0], _CSV_CHUNK_ROWS):
-            rows = slice(start, start + _CSV_CHUNK_ROWS)
-            chunk = np.column_stack([values[rows], ts[rows], branch[rows], sums[rows]])
-            # one format of the whole chunk: the same bytes as one row at a time
-            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+    columns = (values, ts, branch, values.sum(axis=1))
+    count = len(values)
+    head, rest = slice(0, count // 2), slice(count // 2, count)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        if not hasattr(os, "fork"):
+            _write_rows(fh, row, columns, slice(0, count))
+            return
+        with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as tail:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns when a process with native threads (such
+                # as BLAS pools) forks; the child calls no BLAS
+                warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                        DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    _write_rows(tail, row, columns, rest)
+                    tail.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            try:
+                _write_rows(fh, row, columns, head)
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status != 0:
+                raise OSError(f"the process formatting rows {rest.start + 1}-{count} "
+                              f"of {path} exited with status {status}")
+            tail.seek(0)
+            shutil.copyfileobj(tail, fh)
+
+
+def _write_rows(fh, row, columns, rows):
+    """The ``rows`` slice of ``columns`` through the ``row`` format, chunk
+    by chunk."""
+    for start in range(rows.start, rows.stop, _CSV_CHUNK_ROWS):
+        chunk = slice(start, min(start + _CSV_CHUNK_ROWS, rows.stop))
+        block = np.column_stack([col[chunk] for col in columns])
+        # one format of the whole chunk: the same bytes as one row at a time
+        fh.write(((row * len(block)) % tuple(block.ravel().tolist())).encode())
 
 
 def _read_csv(path):
@@ -330,7 +382,7 @@ def _cmd_sample(args):
     batch = mixer.sample(args.count, substream(cfg.seed, "sample", "rows"))
     _write_csv(out, batch.values, batch.t, batch.branch)
     meta = {
-        "schema": f"mixcenter.sample_meta/{SCHEMA_VERSION}",
+        "schema": _SIDECAR_SCHEMA,
         **dataclasses.asdict(cfg),
         "mass_deficit": mixer.mass_deficit,
         "count": args.count,
@@ -355,6 +407,8 @@ def _cmd_verify(args):
         meta = json.load(fh)
     # the sidecar is outside input: it must describe a mixer sample of this
     # CSV, and a key that ``sample`` writes but the sidecar lacks exits 2
+    if meta.get("schema") != _SIDECAR_SCHEMA:
+        raise ValueError(f"sidecar 'schema' = {meta.get('schema')!r} is not {_SIDECAR_SCHEMA!r}")
     if meta["engine"] != "mix":
         raise DomainError(f"sidecar engine {meta['engine']!r} is not supported; "
                           "only mixer samples can be verified")
@@ -365,7 +419,7 @@ def _cmd_verify(args):
     count = values.shape[0]
     if n != values.shape[1]:
         raise DomainError(f"sidecar n = {n}, but the CSV has {values.shape[1]} x columns")
-    if int(meta["count"]) != count:
+    if _sidecar_value(meta, "count", int) != count:
         raise DomainError(f"sidecar count = {meta['count']}, but the CSV has {count} rows")
     # the bounds certify the rows' own sums, so the recorded row_sum column
     # must be those sums bit for bit (NaN included)
@@ -378,11 +432,13 @@ def _cmd_verify(args):
     checks = []
     cauchy = Cauchy()
 
-    # each column is sorted once, for its own KS test and every pair it is in
-    cols = np.sort(values, axis=0)
+    # each column is sorted once, as a contiguous row, for its own KS test
+    # and every pair it is in
+    cols = values.T.copy()
+    cols.sort(axis=1)
     ks_lim = 0.01 + ks_threshold(count)
     for j in range(n):
-        d = ks_distance(cols[:, j], cauchy.cdf)
+        d = ks_distance(cols[j], cauchy.cdf)
         checks.append(InvariantResult("ks_coordinate_%d" % (j + 1), d <= ks_lim, d, ks_lim))
 
     stats = sum_stats(values, target, branch)
@@ -393,15 +449,15 @@ def _cmd_verify(args):
     bounds = mixer.row_bound_for(ts, branch)
     excess = float(np.max(np.abs(sums - target) - bounds))
     checks.append(InvariantResult("row_sum_bounds", excess <= 1e-15, excess, 1e-15))
+    # the rest needs only the sorted columns: letting the CSV's table go
+    # here makes room for the temporaries of the two pair-KS threads
+    del values, ts, branch, recorded, sums, bounds
     suite = run_invariant_suite(mixer)
     checks += suite.invariants
-    mass_err = abs(float(meta["mass_deficit"]) - mixer.mass_deficit)
+    mass_err = abs(_sidecar_value(meta, "mass_deficit", float) - mixer.mass_deficit)
     checks.append(InvariantResult("metadata_mass_deficit", mass_err <= 1e-12, mass_err, 1e-12))
 
-    worst_pair = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            worst_pair = max(worst_pair, ks_two_sample(cols[:, i], cols[:, j]))
+    worst_pair = max_pairwise_ks(cols)
     # 0.01 is the calibration at 1e5 rows; below that the 99% two-sample
     # critical value dominates
     pair_lim = max(0.01, KS_99 * math.sqrt(2.0 / count))

@@ -43,21 +43,73 @@ def ks_threshold(count: int) -> float:
 def ks_two_sample(a, b) -> float:
     """Two-sample KS statistic sup |F_a - F_b| over the pooled sample.
 
-    Both samples are sorted by a stable sort, which takes linear time on
-    sorted input, so a caller comparing many pairs can sort each sample
-    once. A stable merge of the two counts how many values of each sample
+    A stable merge of the two sorted samples counts how many values of each
     lie at or below every pooled value; the cdfs are compared at the last
-    value of each run of ties.
+    value of each run of ties. ``max_pairwise_ks`` compares many samples,
+    each sorted once.
     """
     a = np.sort(np.asarray(a, dtype=float), kind="stable")
     b = np.sort(np.asarray(b, dtype=float), kind="stable")
+    return _ks_sorted(a, b)
+
+
+def max_pairwise_ks(rows) -> float:
+    """The largest ``ks_two_sample`` over all pairs of rows of ``rows``, a
+    2-d float array whose rows are each sorted ascending (0.0 for fewer
+    than two rows).
+
+    The pairs are compared in two halves: a thread started for this call
+    takes the first half while the caller takes the second, and numpy's
+    merge sort and cumulative sum release the GIL, so on two CPUs the
+    halves run at once. The maximum does not depend on the split. The
+    thread is joined before the call returns or raises.
+    """
+    k = len(rows)
+    pairs = [(rows[i], rows[j]) for i in range(k) for j in range(i + 1, k)]
+    half = len(pairs) // 2
+    if half == 0:
+        return _max_ks(pairs)
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as pool:
+        first = pool.submit(_max_ks, pairs[:half])
+        second = _max_ks(pairs[half:])
+    return max(first.result(), second)
+
+
+def _max_ks(pairs) -> float:
+    worst = 0.0
+    for a, b in pairs:
+        worst = max(worst, _ks_sorted(a, b))
+    return worst
+
+
+def _ks_sorted(a, b) -> float:
+    """``ks_two_sample`` of two sorted 1-d float arrays, which it does not
+    copy or re-sort: the stable argsort of the pooled pair merges its two
+    runs in linear time. Each temporary is dropped once used, so two calls
+    at once hold about three pooled-size arrays each."""
     pooled = np.concatenate([a, b])
     order = np.argsort(pooled, kind="stable")
-    from_a = np.cumsum(order < a.size)
-    from_b = np.arange(1, pooled.size + 1) - from_a
     merged = pooled[order]
-    last = np.append(merged[1:] != merged[:-1], True)
-    return float(np.abs(from_a[last] / a.size - from_b[last] / b.size).max())
+    del pooled
+    # the last value of each run of ties in the merge
+    last = np.empty(merged.size, dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=last[:-1])
+    last[-1] = True
+    del merged
+    from_a = np.cumsum(order < a.size)
+    del order
+    ends = np.flatnonzero(last)
+    del last
+    from_a = from_a[ends]
+    # values of b at or below each run end: its pooled count less from_a
+    ends += 1
+    ends -= from_a
+    gap = from_a / a.size
+    del from_a
+    gap -= ends / b.size
+    return float(np.abs(gap, out=gap).max())
 
 
 @dataclass

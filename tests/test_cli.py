@@ -306,20 +306,49 @@ class TestSampleVerify:
         ("seed", 3.5),
         ("c", "0.15"),
         ("ra_grid_m", "512"),
-    ], ids=["t_grid", "seed", "c", "ra_grid_m"])
+        ("count", "2000"),
+        ("count", 2000.7),
+        ("mass_deficit", repr),
+    ], ids=["t_grid", "seed", "c", "ra_grid_m", "count-string", "count-fraction",
+            "mass_deficit-string"])
     def test_verify_rejects_sidecar_value_of_wrong_type(self, capsys, tmp_path,
                                                         key, value):
-        # each value would read back as the sample's own (512, 3, 0.15, 512)
-        # if it were truncated or parsed, so the rows would verify
+        # each value would read back as the sample's own (512, 3, 0.15, 512,
+        # 2000 rows, and its mass deficit as the string of its repr) if it
+        # were truncated or parsed, so the rows would verify
         out = tmp_path / "rows.csv"
         code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0.15", "--count", "2000",
                           "--seed", "3", "--t-grid", "512", "--out", str(out))
         assert code == 0
         sidecar = tmp_path / "rows.csv.meta.json"
-        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
+        meta = json.loads(sidecar.read_text())
+        meta[key] = value(meta[key]) if callable(value) else value
+        sidecar.write_text(json.dumps(meta))
         assert main(["verify", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and repr(key) in captured.err
+
+    @pytest.mark.parametrize("schema", [None, "mixcenter.sample_meta/9", "mixcenter.verify/1",
+                                        1], ids=["missing", "future", "other", "integer"])
+    def test_verify_requires_sidecar_schema(self, capsys, tmp_path, schema):
+        # a sidecar of another version or command is not read under this
+        # version's keys
+        out = tmp_path / "rows.csv"
+        code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0", "--count", "500",
+                          "--seed", "3", "--out", str(out))
+        assert code == 0
+        sidecar = tmp_path / "rows.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        assert main(["verify", str(out)]) == 0
+        capsys.readouterr()
+        if schema is None:
+            del meta["schema"]
+        else:
+            meta["schema"] = schema
+        sidecar.write_text(json.dumps(meta))
+        assert main(["verify", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "sidecar 'schema'" in captured.err
 
     def test_verify_checks_row_sum_column_against_x_columns(self, capsys, tmp_path):
         # row_sum_bounds certifies the sums of the x columns, so a row whose
@@ -436,6 +465,49 @@ class TestCsvIo:
         assert got_ts.tobytes() == ts.tobytes()
         assert np.array_equal(got_branch, branch)
         assert got_sums.tobytes() == values.sum(axis=1).tobytes()
+
+    # where os.fork exists, _write_csv formats the second half of the rows
+    # in a forked child and appends it to the first
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
+    @pytest.mark.parametrize("count", [2, 3, 2 * cli._CSV_CHUNK_ROWS + 1,
+                                       3 * cli._CSV_CHUNK_ROWS])
+    def test_halves_equal_one_pass(self, tmp_path, monkeypatch, fork, count):
+        # the split falls inside the first chunk (2, 3 rows), on a chunk edge
+        # (2 chunks + 1) and inside a chunk (3 chunks)
+        if fork and not hasattr(os, "fork"):
+            pytest.skip("needs os.fork")
+        if not fork:
+            monkeypatch.delattr(os, "fork", raising=False)
+        rng = np.random.default_rng(count)
+        values = rng.standard_cauchy((count, 3))
+        ts = rng.random(count)
+        branch = rng.integers(1, 4, size=count).astype(np.int8)
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        cli._write_csv(str(ours), values, ts, branch)
+        _per_row_csv(str(ref), values, ts, branch)
+        assert ours.read_bytes() == ref.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["ours.csv", "ref.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("in_child", [True, False], ids=["child-half", "parent-half"])
+    def test_failure_in_a_half_raises_and_leaves_no_child(self, tmp_path, monkeypatch,
+                                                          in_child):
+        parent = os.getpid()
+        write_rows = cli._write_rows
+
+        def failing(fh, row, columns, rows):
+            if (os.getpid() != parent) == in_child:
+                raise OSError("half failed")
+            return write_rows(fh, row, columns, rows)
+
+        monkeypatch.setattr(cli, "_write_rows", failing)
+        count = 2 * cli._CSV_CHUNK_ROWS + 1
+        message = "rows 8193-16385 .* exited with status 1" if in_child else "half failed"
+        with pytest.raises(OSError, match=message):
+            cli._write_csv(str(tmp_path / "rows.csv"), np.ones((count, 3)), np.zeros(count),
+                           np.ones(count, dtype=np.int8))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestEx01:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from mixcenter.verify import (
     ks_distance,
     ks_threshold,
     ks_two_sample,
+    max_pairwise_ks,
     run_invariant_suite,
     sum_stats,
 )
@@ -68,6 +71,36 @@ class TestKsDistance:
         fa = np.searchsorted(sa, pooled, side="right") / sa.size
         fb = np.searchsorted(sb, pooled, side="right") / sb.size
         assert ks_two_sample(a, b) == float(np.abs(fa - fb).max())
+
+
+class TestMaxPairwiseKs:
+    """The pairs are compared in two halves, the first on a thread started
+    for the call."""
+
+    @pytest.mark.parametrize("apart", ["first", "last"])
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_equals_largest_pair_bit_for_bit(self, k, apart):
+        # tie-heavy rows, as coupling rows are: about half of each row sits
+        # on three atoms. One pair is pulled apart, so the largest statistic
+        # is the first pair's or the last pair's, in one half or the other
+        rng = np.random.default_rng(k)
+        on_atom = rng.random((k, 1000)) < 0.5
+        rows = np.where(on_atom, rng.choice([-1.5, 0.25, 2.0], (k, 1000)),
+                        rng.standard_cauchy((k, 1000)))
+        i = 0 if apart == "first" else k - 2
+        rows[i] -= 0.5
+        rows[i + 1] += 0.5
+        rows.sort(axis=1)
+        threads = threading.active_count()
+        got = max_pairwise_ks(rows)
+        assert threading.active_count() == threads
+        pairs = [ks_two_sample(rows[a], rows[b]) for a in range(k) for b in range(a + 1, k)]
+        assert pairs.index(max(pairs)) == (0 if apart == "first" else len(pairs) - 1)
+        assert got == max(pairs)
+
+    def test_fewer_than_two_rows(self):
+        assert max_pairwise_ks(np.zeros((1, 5))) == 0.0
+        assert max_pairwise_ks(np.zeros((0, 5))) == 0.0
 
 
 class TestSumStats:
