@@ -60,15 +60,13 @@ def max_pairwise_ks(rows) -> float:
 
     The pairs are compared in two halves: a thread started for this call
     takes the first half while the caller takes the second, and numpy's
-    merge sort and cumulative sum release the GIL, so on two CPUs the
+    stable argsort and cumulative sum release the GIL, so on two CPUs the
     halves run at once. The maximum does not depend on the split. The
     thread is joined before the call returns or raises.
     """
     k = len(rows)
     pairs = [(rows[i], rows[j]) for i in range(k) for j in range(i + 1, k)]
     half = len(pairs) // 2
-    if half == 0:
-        return _max_ks(pairs)
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1) as pool:
