@@ -286,6 +286,11 @@ class SampleBatch:
         return self.values.shape[0]
 
 
+def _exact_row_bound(n, size):
+    """Sum bound of an exact row: rounding of n coordinates of size <= ``size``."""
+    return 64.0 * _EPS * n * np.maximum(1.0, size)
+
+
 def _uniform_block_rows(n, count, rng):
     """count x n matrix, coordinates U(0,1), every row summing to n/2.
 
@@ -369,8 +374,8 @@ class SymmetricMixer:
         )
 
     def row_bound_for(self, t, branch):
-        """Per-row sum bound at radius ``t``: rounding of n coordinates in [-t, t]."""
-        return 64.0 * _EPS * self.n * np.maximum(1.0, np.asarray(t, dtype=float))
+        """Per-row sum bound at radius ``t``: n coordinates in [-t, t]."""
+        return _exact_row_bound(self.n, np.asarray(t, dtype=float))
 
 
 @dataclass
@@ -728,8 +733,7 @@ class ConstructiveMixer:
         if level is None:
             level = self.clip_level(t)
         scalar, t, level = _as_arrays(t, level)
-        lo = self.c - t
-        cut = np.minimum(self.c + (self.n - 1) * t, self.kernel.inverse_pdf(level))
+        lo, cut = self._slice_cut(t, level)
         top = np.minimum(cut, y)
         out = np.atleast_1d(self.kernel.cdf_diff(lo, top)) - level * (top - lo)
         out = np.where(top > lo, out, 0.0)
@@ -803,6 +807,10 @@ class ConstructiveMixer:
         out = np.clip(self._level_interp(np.log(t_arr), piece), 0.0, None)
         return float(out) if out.ndim == 0 else out
 
+    def _slice_cut(self, t, level):
+        """(lo, cut): the slice's left end c - t and its uniform part's end."""
+        return self.c - t, np.minimum(self.c + (self.n - 1) * t, self.kernel.inverse_pdf(level))
+
     def weights_at(self, t, level=None):
         """The one evaluation of the slice law, vectorized over t: at the
         tabulated clip level by default (draws, row bounds, verify), at the
@@ -811,11 +819,10 @@ class ConstructiveMixer:
         n, c, kern = self.n, self.c, self.kernel
         t = np.asarray(t, dtype=float)
         level = self.level_at(t) if level is None else np.asarray(level, dtype=float)
-        lo = c - t
+        lo, cut = self._slice_cut(t, level)
         hi = c + (n - 1) * t
         w_lo = kern.pdf(lo) - level
         w_hi = (n - 1) * np.maximum(kern.pdf(hi) - level, 0.0)
-        cut = np.minimum(hi, kern.inverse_pdf(level))
         d_y = -0.5 * (cut - lo) * (cut + lo - 2.0 * c)
         d_t = t * ((n - 1) ** 2 * np.maximum(kern.pdf(hi) - level, 0.0) - np.maximum(w_lo, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -894,18 +901,15 @@ class ConstructiveMixer:
         return self._sample_at(ts, rng, self._t_of_u.invert(ts))
 
     def _cyclic_bound(self, t):
-        """Sum bound of a cyclic row at ``t``: rounding of n coordinates of
-        size at most |c| + (n-1)t."""
-        n = self.n
-        return 64.0 * _EPS * n * np.maximum(1.0, abs(self.c) + (n - 1) * t)
+        """Sum bound of a cyclic row at ``t``: its coordinates are <= |c| + (n-1)t."""
+        return _exact_row_bound(self.n, abs(self.c) + (self.n - 1) * t)
 
     def row_bound_for(self, t, branch):
         """Recompute the per-row sum bound from the recorded (t, branch)."""
         t = np.asarray(t, dtype=float)
         branch = np.asarray(branch)
-        w = self.weights_at(t)
-        width = w["cut"] - w["lo"]
-        coupling = self.n * width / self.config.ra_grid_m
+        lo, cut = self._slice_cut(t, self.level_at(t))
+        coupling = self.n * (cut - lo) / self.config.ra_grid_m
         return np.where(branch == 1, self._cyclic_bound(t), coupling)
 
 

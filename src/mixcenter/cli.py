@@ -309,7 +309,8 @@ def _write_csv(path, values, ts, branch):
     while this process writes the header and the first half, and the
     child's file is appended once it has exited 0. The bytes do not depend
     on the split. The child is reaped before this returns or raises, and
-    killed first if this process fails.
+    killed first if this process fails. ``two_halves`` leaves no thread
+    behind, so the fork is safe after a mixer build or a pair KS.
     """
     n = values.shape[1]
     header = [f"x{j + 1}" for j in range(n)] + ["t", "branch", "row_sum"]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._halves import two_halves
 from .errors import DomainError
 
 
@@ -104,28 +105,12 @@ def ra_flatten_stack(stack, max_sweeps: int = 100) -> list:
     count, so the result for a cell does not depend on the other cells.
     Each cell's floor is its ``default_spread_tol``. The stack is flattened
     as given (no shuffles) and not modified; returns one ``FlattenResult``
-    per cell.
-
-    A stack of two or more cells is flattened in two halves: a thread
-    started for this call flattens the first half while the caller
-    flattens the second, and numpy's sorts and gathers release the GIL, so
-    on two CPUs the halves run at once. Since no cell depends on the
-    others, the results are the same bytes as one serial pass. The thread
-    is joined before the call returns or raises; an exception in the first
-    half is raised here.
-    """
+    per cell, its halves flattened through ``two_halves``."""
     stack = np.ascontiguousarray(stack, dtype=float)
     if stack.ndim != 3:
         raise DomainError("stack must be three-dimensional")
-    half = len(stack) // 2
-    if half == 0:
-        return _flatten_cells(stack, max_sweeps)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(1) as pool:
-        first = pool.submit(_flatten_cells, stack[:half], max_sweeps)
-        second = _flatten_cells(stack[half:], max_sweeps)
-    return first.result() + second
+    first, second = two_halves(_flatten_cells, stack, max_sweeps)
+    return first + second
 
 
 def _flatten_cells(stack, max_sweeps):

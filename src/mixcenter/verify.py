@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._halves import two_halves
 from .cauchy_mix import ROOT_TOL, ConstructiveMixer, ReflectedMixer, SymmetricMixer
 from .discrete_mix import Coupling
 from .distributions import AtomUniform
@@ -56,30 +57,14 @@ def ks_two_sample(a, b) -> float:
 def max_pairwise_ks(rows) -> float:
     """The largest ``ks_two_sample`` over all pairs of rows of ``rows``, a
     2-d float array whose rows are each sorted ascending (0.0 for fewer
-    than two rows).
-
-    The pairs are compared in two halves: a thread started for this call
-    takes the first half while the caller takes the second, and numpy's
-    stable argsort and cumulative sum release the GIL, so on two CPUs the
-    halves run at once. The maximum does not depend on the split. The
-    thread is joined before the call returns or raises.
-    """
+    than two rows), its pairs compared through ``two_halves``."""
     k = len(rows)
     pairs = [(rows[i], rows[j]) for i in range(k) for j in range(i + 1, k)]
-    half = len(pairs) // 2
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(1) as pool:
-        first = pool.submit(_max_ks, pairs[:half])
-        second = _max_ks(pairs[half:])
-    return max(first.result(), second)
+    return max(two_halves(_max_ks, pairs))
 
 
 def _max_ks(pairs) -> float:
-    worst = 0.0
-    for a, b in pairs:
-        worst = max(worst, _ks_sorted(a, b))
-    return worst
+    return max([0.0, *(_ks_sorted(a, b) for a, b in pairs)])
 
 
 def _ks_sorted(a, b) -> float:

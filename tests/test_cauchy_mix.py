@@ -492,6 +492,18 @@ class TestSliceWeights:
         masses = np.array([_slice_cdf_below(mixer, ts, y) for y in ys])
         assert np.all(np.diff(masses, axis=0) >= -1e-15)
 
+    def test_coupling_row_bound_from_weights(self, mixer):
+        # row_bound_for evaluates the slice ends alone; its coupling-row
+        # bound is the one the weight bundle gives, bit for bit
+        first, last = mixer.knots[0], mixer.knots[-1]
+        inside = np.exp(np.random.default_rng(3).uniform(np.log(first), np.log(last), 500))
+        ends = [first, last, np.nextafter(first, 0.0), np.nextafter(last, np.inf)]
+        t = np.concatenate([inside, mixer.knots, ends])
+        w = mixer.weights_at(t)
+        want = mixer.n * (w["cut"] - w["lo"]) / mixer.config.ra_grid_m
+        got = mixer.row_bound_for(t, np.full(t.size, 2))
+        assert got.tobytes() == want.tobytes()
+
 
 class TestMixingMeasure:
     def test_total_mass(self, mixer):

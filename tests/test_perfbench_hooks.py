@@ -6,11 +6,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mixcenter
+from mixcenter.cauchy_mix import MixerConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -71,3 +74,41 @@ def test_install_loads_no_scipy(cli):
         [sys.executable, "-c", script, str(PERFBENCH), "cli" if cli else "library"],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("cli", [False, True], ids=["library", "cli"])
+def test_halves_call_no_traced_function(layers, capsys, tmp_path, cli):
+    """The span recorder keeps one stack of open spans per process, so a
+    half of ``two_halves`` must call nothing that ``install`` wraps: every
+    traced call of a draw, or of a CLI sample and verify, is made on the
+    main thread."""
+    import spans
+
+    callers = set()
+
+    class ThreadRecorder(spans.Recorder):
+        def wrap(self, name, fn, attrs=None):
+            traced = super().wrap(name, fn, attrs)
+
+            def wrapper(*args, **kwargs):
+                callers.add(threading.current_thread())
+                return traced(*args, **kwargs)
+
+            return wrapper
+
+    rec = ThreadRecorder()
+    layers.install(rec, cli=cli)
+    try:
+        if cli:
+            out = str(tmp_path / "rows.csv")
+            assert mixcenter.cli.main(["sample", "--n", "3", "--c", "0.15", "--count", "2000",
+                                       "--seed", "7", "--t-grid", "512", "--out", out]) == 0
+            mixcenter.cli.main(["verify", out])
+            capsys.readouterr()
+        else:
+            mixer = mixcenter.cauchy_mix.build_mixer(MixerConfig(n=3, c=0.15, t_grid=512, seed=7))
+            mixer.sample(2000, np.random.default_rng(7))
+    finally:
+        rec.uninstall()
+    assert rec.spans
+    assert callers == {threading.main_thread()}

@@ -1,8 +1,4 @@
-import os
-import signal
 import threading
-import time
-import warnings
 
 import numpy as np
 import pytest
@@ -119,8 +115,7 @@ class TestFlattenStack:
     @given(n=st.integers(2, 12), m=st.sampled_from([8, 33, 512]),
            cells=st.integers(1, 12), atom=st.floats(0.0, 0.6), seed=st.integers(0, 2**32 - 1))
     def test_stack_equals_per_cell_calls(self, n, m, cells, atom, seed):
-        # a stack of two or more cells is flattened in two halves, one on a
-        # thread of the call; a one-cell call is the serial kernel
+        # the stack is flattened in two halves through two_halves
         rng = np.random.default_rng(seed)
         stack = np.empty((cells, m, n))
         singles = []
@@ -167,67 +162,6 @@ class TestFlattenStack:
         key[rng.random((rows, m)) < 0.1] *= -1.0
         want = np.argsort(key, axis=1, kind="stable")
         assert np.array_equal(rearrangement._stable_argsort_rows(key), want)
-
-
-def _atom_stack(cells, m, n, atom, seed):
-    """Shuffled stacks of atom-plus-uniform columns: the atoms give tie runs."""
-    stack = np.empty((cells, m, n))
-    for k in range(cells):
-        stack[k] = discretize(AtomUniform(-1.0 - k, 1.0 + k / 7.0, atom), m)[:, None]
-        shuffle_columns(stack[k], np.random.default_rng([seed, k]))
-    return stack
-
-
-class TestTwoHalves:
-    """A stack of two or more cells is flattened in two halves, one on a
-    thread started for the call; identity with one serial pass is checked
-    by ``TestFlattenStack::test_stack_equals_per_cell_calls``."""
-
-    @pytest.mark.parametrize("in_worker", [True, False], ids=["first-half", "second-half"])
-    def test_error_in_a_half_is_raised_after_the_join(self, monkeypatch, in_worker):
-        kernel = rearrangement._flatten_cells
-
-        def failing(stack, max_sweeps):
-            if (threading.current_thread() is not threading.main_thread()) == in_worker:
-                raise FloatingPointError("half failed")
-            return kernel(stack, max_sweeps)
-
-        monkeypatch.setattr(rearrangement, "_flatten_cells", failing)
-        threads = threading.active_count()
-        with pytest.raises(FloatingPointError, match="half failed"):
-            ra_flatten_stack(_atom_stack(4, 33, 3, 0.3, 0))
-        assert threading.active_count() == threads
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_flattens(self):
-        # no worker outlives a call, so a child forked after a two-half call
-        # can flatten again (process workers will fork such a process)
-        stack = _atom_stack(4, 33, 3, 0.3, 1)
-        want = b"".join(r.matrix.tobytes() for r in ra_flatten_stack(stack))
-        with warnings.catch_warnings():
-            # Python 3.12+ warns when a process with native threads (such as
-            # BLAS pools) forks; this test is about the threads of the call
-            warnings.filterwarnings("ignore", "This process .* is multi-threaded",
-                                    DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                got = b"".join(r.matrix.tobytes() for r in ra_flatten_stack(stack))
-                code = 0 if got == want else 2
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 60.0
-        while True:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("forked child did not finish within 60 s")
-            time.sleep(0.01)
-        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestRowSampler:

@@ -74,8 +74,7 @@ class TestKsDistance:
 
 
 class TestMaxPairwiseKs:
-    """The pairs are compared in two halves, the first on a thread started
-    for the call."""
+    """The pairs are compared in two halves through ``two_halves``."""
 
     @pytest.mark.parametrize("apart", ["first", "last"])
     @pytest.mark.parametrize("k", [2, 3, 10])
