@@ -67,7 +67,6 @@ from .verify import (
     COUPLING_INVARIANTS,
     MIXER_INVARIANTS,
     SYMMETRIC_MIXER_INVARIANTS,
-    VerificationReport,
     ks_distance,
     ks_threshold,
     ks_two_sample,

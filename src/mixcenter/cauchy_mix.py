@@ -275,7 +275,9 @@ class SampleBatch:
 
     values: np.ndarray          # (count, n)
     t: np.ndarray               # mixing parameter per row
-    branch: np.ndarray          # 1 = exact atom construction, 2 = coupling row
+    # 1 = exact row (cyclic at c != 0, every row at c = 0), 2 = coupling
+    # row, 3 = convex combination of two batches (t is nan)
+    branch: np.ndarray
     row_bound: np.ndarray       # guaranteed |row sum - n*c| bound per row
     target_sum: float
 
@@ -905,12 +907,18 @@ class ConstructiveMixer:
         return _exact_row_bound(self.n, abs(self.c) + (self.n - 1) * t)
 
     def row_bound_for(self, t, branch):
-        """Recompute the per-row sum bound from the recorded (t, branch)."""
+        """Recompute the per-row sum bound from the recorded (t, branch)
+        arrays, one ``_DRAW_CHUNK_ROWS`` chunk at a time, so the level's
+        temporaries stay a few MB; the chunks give the same bytes as one pass."""
         t = np.asarray(t, dtype=float)
         branch = np.asarray(branch)
-        lo, cut = self._slice_cut(t, self.level_at(t))
-        coupling = self.n * (cut - lo) / self.config.ra_grid_m
-        return np.where(branch == 1, self._cyclic_bound(t), coupling)
+        out = np.empty(t.size)
+        for rows in _chunks(t.size):
+            t_rows = t[rows]
+            lo, cut = self._slice_cut(t_rows, self.level_at(t_rows))
+            coupling = self.n * (cut - lo) / self.config.ra_grid_m
+            out[rows] = np.where(branch[rows] == 1, self._cyclic_bound(t_rows), coupling)
+        return out
 
 
 class ReflectedMixer:

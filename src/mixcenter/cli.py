@@ -453,8 +453,7 @@ def _cmd_verify(args):
     # the rest needs only the sorted columns: letting the CSV's table go
     # here makes room for the temporaries of the two pair-KS threads
     del values, ts, branch, recorded, sums, bounds
-    suite = run_invariant_suite(mixer)
-    checks += suite.invariants
+    checks += run_invariant_suite(mixer)
     mass_err = abs(_sidecar_value(meta, "mass_deficit", float) - mixer.mass_deficit)
     checks.append(InvariantResult("metadata_mass_deficit", mass_err <= 1e-12, mass_err, 1e-12))
 

@@ -349,11 +349,7 @@ class PowerTwoGeometric:
 
     def truncated(self, kmax=None) -> FiniteDiscrete:
         """Finite view with mass deficit 2^-(kmax+1), built once per kmax."""
-        kmax = self.truncation if kmax is None else kmax
-        if kmax not in self._views:
-            atoms = [(float(v), float(p)) for v, p in self.pmf_fractions(kmax)]
-            self._views[kmax] = FiniteDiscrete(atoms, total_mass=1.0 - 2.0 ** -(kmax + 1))
-        return self._views[kmax]
+        return _power_two_view(self, self.truncation if kmax is None else kmax)
 
     def cdf(self, x):
         return self.truncated(max(self.truncation, 60)).cdf(x)
@@ -387,6 +383,17 @@ class PowerTwoGeometric:
     def to_spec(self):
         kind = "ex01_nu" if self.sign == "positive" else "ex01_gamma"
         return {"kind": kind, "truncation_K": self.truncation}
+
+
+def _power_two_view(model, kmax):
+    """The finite view of ``model.pmf_fractions(kmax)``, cached in
+    ``model._views``; its total mass is the exact sum of those atoms, so the
+    deficit is the mass of the dropped tail."""
+    if kmax not in model._views:
+        pmf = model.pmf_fractions(kmax)
+        model._views[kmax] = FiniteDiscrete([(float(v), float(p)) for v, p in pmf],
+                                            total_mass=float(sum(p for _, p in pmf)))
+    return model._views[kmax]
 
 
 def _power_two_survival_integral(model, a, b, positive_weight):
@@ -423,19 +430,18 @@ class CountableMixture:
         self._positive = float(positive)
         self.mean_status = {1: "+inf", 0: "-inf"}.get(positive, "undefined")
 
-    def truncated(self, kmax) -> FiniteDiscrete:
-        """Finite view of the merged atoms up to index kmax, built once per kmax."""
-        if kmax in self._views:
-            return self._views[kmax]
+    def pmf_fractions(self, kmax):
+        """Exact pmf as [(value:int, prob:Fraction)], in increasing value: each
+        component's atoms up to geometric index kmax, weighted and merged."""
         merged = {}
-        deficit = Fraction(0)
         for w, comp in self.components:
             for v, p in comp.pmf_fractions(kmax):
                 merged[v] = merged.get(v, Fraction(0)) + w * p
-            deficit += w * Fraction(1, 2 ** (kmax + 1))
-        atoms = [(float(v), float(p)) for v, p in sorted(merged.items())]
-        self._views[kmax] = FiniteDiscrete(atoms, total_mass=float(1 - deficit))
-        return self._views[kmax]
+        return sorted(merged.items())
+
+    def truncated(self, kmax) -> FiniteDiscrete:
+        """Finite view of the merged atoms up to index kmax, built once per kmax."""
+        return _power_two_view(self, kmax)
 
     def _avg_quantile(self, lo, hi):
         kmax = int(math.ceil(-math.log2(min(1 - hi, lo)))) + 6
@@ -670,10 +676,10 @@ class GenericDensity:
 
     ``pdf`` need not be normalized; the normalizing constant is computed
     once by quadrature. ``dpdf`` is the derivative of the *unnormalized*
-    density. Symmetry about 0 and strict unimodality are verified on a
-    sample grid at construction. ``pdf``, ``dpdf``, ``cdf``, ``inverse_pdf``
-    and ``quantile`` take a scalar (giving a float) or an array (keeping its
-    shape).
+    density, read only by the shape check: symmetry about 0 and strict
+    unimodality are verified on a sample grid at construction. ``pdf``,
+    ``cdf``, ``inverse_pdf`` and ``quantile`` take a scalar (giving a float)
+    or an array (keeping its shape).
     """
 
     mean_status = "undefined"
@@ -710,9 +716,6 @@ class GenericDensity:
 
     def pdf(self, x):
         return self._each(self._raw_pdf, x) / self._norm
-
-    def dpdf(self, x):
-        return self._each(self._raw_dpdf, x) / self._norm
 
     def inverse_pdf(self, y):
         """Positive x with pdf(x) = y, for y in (0, pdf(0)]; +inf for y <= 0

@@ -4,14 +4,14 @@ Goodness of fit uses the one-sample Kolmogorov-Smirnov statistic (no
 binning choices, distribution-free thresholds, robust under heavy tails);
 statistical thresholds are quoted at the 99% asymptotic level for the
 declared sample size. The invariant suites walk every structural property
-of a built mixer or a coupling and return machine-readable reports;
-failures are report entries, never exceptions.
+of a built mixer or a coupling and return a list of check rows
+(``InvariantResult``), the rows ``mixcenter verify`` writes under
+``checks``; a failure is a row with ``passed=False``, never an exception.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -135,33 +135,6 @@ class InvariantResult:
     def to_dict(self) -> dict:
         return {"name": self.name, "passed": bool(self.passed),
                 "measured": float(self.measured), "threshold": float(self.threshold)}
-
-
-@dataclass
-class VerificationReport:
-    target: str
-    invariants: list
-    config: dict = field(default_factory=dict)
-    seed: int | None = None
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.invariants)
-
-    def names(self):
-        return tuple(r.name for r in self.invariants)
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "all_pass": self.all_pass,
-            "invariants": [r.to_dict() for r in self.invariants],
-            "config": self.config,
-            "seed": self.seed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 MIXER_INVARIANTS = (
@@ -320,36 +293,21 @@ def _symmetric_suite(mixer: SymmetricMixer) -> list:
     return res
 
 
-def run_invariant_suite(target, marginals=None, center=None) -> VerificationReport:
-    """Execute every structural invariant applicable to the target.
+def run_invariant_suite(target, marginals=None, center=None) -> list:
+    """Every structural invariant applicable to the target, as a list of
+    ``InvariantResult`` rows in the order of its manifest.
 
-    Accepts a built mixer (constructive, symmetric, or reflected) or a
-    Coupling. Failures are entries with ``passed=False``; the function
-    never raises on a failed check.
+    Accepts a built mixer (constructive, symmetric, or reflected, which
+    checks its base) or a Coupling. Failures are rows with
+    ``passed=False``; the function never raises on a failed check.
     """
     if isinstance(target, ReflectedMixer):
-        inner = run_invariant_suite(target.base)
-        inner.config["reflected_center"] = target.c
-        return inner
+        return run_invariant_suite(target.base)
     if isinstance(target, ConstructiveMixer):
-        return VerificationReport(
-            target="constructive_mixer",
-            invariants=_constructive_suite(target),
-            config=asdict(target.config),
-            seed=target.config.seed,
-        )
+        return _constructive_suite(target)
     if isinstance(target, SymmetricMixer):
-        return VerificationReport(
-            target="symmetric_mixer",
-            invariants=_symmetric_suite(target),
-            config=asdict(target.config),
-            seed=target.config.seed,
-        )
+        return _symmetric_suite(target)
     if isinstance(target, Coupling):
-        return VerificationReport(
-            target="coupling",
-            invariants=[InvariantResult(*row)
-                        for row in target.invariants(marginals=marginals, center=center)],
-            config={"n": target.n, "rows": len(target.support)},
-        )
+        return [InvariantResult(*row)
+                for row in target.invariants(marginals=marginals, center=center)]
     raise TypeError(f"no invariant suite for {type(target).__name__}")

@@ -503,6 +503,16 @@ class TestSliceWeights:
         want = mixer.n * (w["cut"] - w["lo"]) / mixer.config.ra_grid_m
         got = mixer.row_bound_for(t, np.full(t.size, 2))
         assert got.tobytes() == want.tobytes()
+        # across chunk boundaries: two chunks and one row of both branches,
+        # against the one-pass expression
+        rng = np.random.default_rng(4)
+        size = 2 * cauchy_mix._DRAW_CHUNK_ROWS + 1
+        t = np.exp(rng.uniform(np.log(first), np.log(last), size))
+        branch = rng.integers(1, 3, size).astype(np.int8)
+        w = mixer.weights_at(t)
+        want = np.where(branch == 1, mixer._cyclic_bound(t),
+                        mixer.n * (w["cut"] - w["lo"]) / mixer.config.ra_grid_m)
+        assert mixer.row_bound_for(t, branch).tobytes() == want.tobytes()
 
 
 class TestMixingMeasure:
@@ -529,7 +539,7 @@ class TestMixingMeasure:
         # log-spaced knots are accurate to about 1e-5 (in t: 1.3e-3, beyond
         # its tail_eps + 1e-3 tolerance)
         mx = ConstructiveMixer(MixerConfig(n=3, c=0.15, t_grid=256))
-        assert run_invariant_suite(mx).all_pass
+        assert all(r.passed for r in run_invariant_suite(mx))
 
 
 class TestSampling:
@@ -618,7 +628,7 @@ class TestSampling:
         from mixcenter.verify import run_invariant_suite
 
         mx = build_mixer(MixerConfig(n=n, c=c, t_grid=512, seed=1))
-        assert run_invariant_suite(mx).all_pass
+        assert all(r.passed for r in run_invariant_suite(mx))
         batch = mx.sample(3000, substream(1, "sweep", f"{n}-{c}"))
         devs = np.abs(batch.row_sums() - batch.target_sum)
         assert np.all(devs <= batch.row_bound)
@@ -967,6 +977,23 @@ def test_drawn_row_bounds_equal_row_bound_for(c):
     assert batch.row_bound[rows].tobytes() == recomputed[rows].tobytes()
 
 
+def test_row_bound_for_memory(mixer):
+    # the peak row_bound_for allocates above its start, against the bytes it
+    # returns; one pass over 1e6 rows put it near 10.0, one chunk at a time
+    # near 1.85
+    rng = np.random.default_rng(5)
+    t = np.exp(rng.uniform(np.log(mixer.knots[0]), np.log(mixer.knots[-1]), 1_000_000))
+    branch = rng.integers(1, 3, t.size).astype(np.int8)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        bound = mixer.row_bound_for(t, branch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 3 * bound.nbytes
+
+
 class TestConvexCombination:
     def test_alpha_one_is_first_mixer(self):
         a = build_mixer(MixerConfig(n=3, c=0.1, **SMALL))
@@ -1045,8 +1072,8 @@ class TestGenericDensityRoute:
 
     def test_center_zero_generic_mixer_passes_its_suite(self):
         # radius_mass reads 1 - radius_cdf(1e12), which needs the cdf's far tail
-        report = run_invariant_suite(build_mixer_for_density(cauchy_like_density(), 3, 0.0))
-        assert report.all_pass, [(r.name, r.measured) for r in report.invariants]
+        rows = run_invariant_suite(build_mixer_for_density(cauchy_like_density(), 3, 0.0))
+        assert all(r.passed for r in rows), [(r.name, r.measured) for r in rows]
 
     def test_center_outside_generic_bound(self):
         with pytest.raises(DomainError):

@@ -629,3 +629,27 @@ class TestScipyFree:
                 if any(module.split(".")[0] == "scipy" for module in modules):
                     found.append(f"{path.name}:{node.lineno}")
         assert not found, f"module-level scipy imports: {found}"
+
+
+def test_only_the_writer_dumps_json():
+    """``cli._emit`` is the package's one JSON writer: no other function
+    names ``json.dump`` or ``json.dumps``, or imports either from json."""
+    found = set()
+
+    def visit(node, path, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            names = [f"json.{alias.name}" for alias in node.names]
+        else:
+            names = []
+        if any(name in ("json.dump", "json.dumps") for name in names):
+            found.add((path.name, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for path in sorted(Path(mixcenter.__file__).parent.rglob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, "<module>")
+    assert found == {("cli.py", "_emit")}

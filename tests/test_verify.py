@@ -13,6 +13,7 @@ from mixcenter.verify import (
     COUPLING_INVARIANTS,
     MIXER_INVARIANTS,
     SYMMETRIC_MIXER_INVARIANTS,
+    InvariantResult,
     ks_distance,
     ks_threshold,
     ks_two_sample,
@@ -126,38 +127,36 @@ class TestSumStats:
 
 class TestInvariantSuite:
     def test_mixer_everything_passes(self, mixer):
-        rep = run_invariant_suite(mixer)
-        assert rep.all_pass
-        assert rep.target == "constructive_mixer"
+        rows = run_invariant_suite(mixer)
+        assert all(r.passed for r in rows)
 
     def test_suite_coverage_matches_manifest(self, mixer):
-        rep = run_invariant_suite(mixer)
-        assert rep.names() == MIXER_INVARIANTS
+        rows = run_invariant_suite(mixer)
+        assert tuple(r.name for r in rows) == MIXER_INVARIANTS
 
     def test_each_invariant_appears_once(self, mixer):
-        names = run_invariant_suite(mixer).names()
+        names = [r.name for r in run_invariant_suite(mixer)]
         assert len(names) == len(set(names))
 
     def test_symmetric_manifest(self):
-        rep = run_invariant_suite(build_mixer(MixerConfig(n=3, c=0.0, seed=1)))
-        assert rep.names() == SYMMETRIC_MIXER_INVARIANTS
-        assert rep.all_pass
+        rows = run_invariant_suite(build_mixer(MixerConfig(n=3, c=0.0, seed=1)))
+        assert tuple(r.name for r in rows) == SYMMETRIC_MIXER_INVARIANTS
+        assert all(r.passed for r in rows)
 
     def test_reflected_unwraps(self):
-        rep = run_invariant_suite(
-            build_mixer(MixerConfig(n=3, c=-0.1, t_grid=512, seed=2))
-        )
-        assert rep.names() == MIXER_INVARIANTS
-        assert rep.all_pass
-        assert rep.config["reflected_center"] == -0.1
+        reflected = build_mixer(MixerConfig(n=3, c=-0.1, t_grid=512, seed=2))
+        rows = run_invariant_suite(reflected)
+        assert tuple(r.name for r in rows) == MIXER_INVARIANTS
+        assert all(r.passed for r in rows)
+        assert rows == run_invariant_suite(reflected.base)
 
     def test_coupling_suite(self):
         mix_x, _ = zero_one_couplings(12)
         nu = PowerTwoGeometric("positive", 12).truncated()
         gamma = PowerTwoGeometric("negative", 12).truncated()
-        rep = run_invariant_suite(mix_x, marginals=[nu, nu, gamma], center=0)
-        assert rep.names() == COUPLING_INVARIANTS
-        assert rep.all_pass
+        rows = run_invariant_suite(mix_x, marginals=[nu, nu, gamma], center=0)
+        assert tuple(r.name for r in rows) == COUPLING_INVARIANTS
+        assert all(r.passed for r in rows)
 
     def test_rejected_config_never_reaches_suite(self):
         with pytest.raises(DomainError):
@@ -167,14 +166,14 @@ class TestInvariantSuite:
         with pytest.raises(TypeError):
             run_invariant_suite(42)
 
-    def test_report_determinism(self):
+    def test_suite_determinism(self):
         cfg = MixerConfig(n=3, c=0.12, t_grid=512, seed=3)
-        rep_a = run_invariant_suite(build_mixer(cfg)).to_json()
-        rep_b = run_invariant_suite(build_mixer(cfg)).to_json()
-        assert rep_a == rep_b
+        rows_a = [r.to_dict() for r in run_invariant_suite(build_mixer(cfg))]
+        rows_b = [r.to_dict() for r in run_invariant_suite(build_mixer(cfg))]
+        assert rows_a == rows_b
 
-    def test_report_dict_shape(self, mixer):
-        d = run_invariant_suite(mixer).to_dict()
-        assert set(d) == {"target", "all_pass", "invariants", "config", "seed"}
-        for row in d["invariants"]:
-            assert set(row) == {"name", "passed", "measured", "threshold"}
+    def test_row_dict_shape(self, mixer):
+        rows = run_invariant_suite(mixer)
+        assert all(isinstance(r, InvariantResult) for r in rows)
+        for r in rows:
+            assert set(r.to_dict()) == {"name", "passed", "measured", "threshold"}
