@@ -3,17 +3,19 @@
 Each entry of ``mutants.json`` is one exact text edit of a program file
 (``old`` occurs there exactly once and becomes ``new``) and names the test
 expected to catch it. For each mutant the runner copies the tree to a
-temporary directory, applies the edit there, and runs Tier-1 without
-``tests/test_golden.py``, stopping at the first failure. It prints one JSON
-line per mutant: the test that caught it and whether that is the listed
-test, or "survived". It exits 1 if any mutant survives, is caught by a
-test other than its listed one, or cannot be run, else 0.
+temporary directory, applies the edit there, and runs the listed test on its
+own. If that test passes, it runs Tier-1 without ``tests/test_golden.py``,
+stopping at the first failure, to name the test that does catch the mutant.
+It prints one JSON line per mutant: the test that caught it and whether that
+is the listed test, or "survived". It exits 1 if any mutant survives, is
+caught by a test other than its listed one, or cannot be run, else 0.
 
 Usage, from anywhere, with the test dependencies installed:
 
     python mutants/run.py [NAME ...]
 
-Stdlib only; a mutant takes one Tier-1 run, about half a minute on two cores.
+Stdlib only; a mutant its listed test catches takes one run of that test, a
+few seconds, and any other one Tier-1 run, about half a minute on two cores.
 """
 import json
 import os
@@ -24,10 +26,10 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+PYTEST = ["-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider"]
 # the list's own test asserts the unedited texts, so it is not run on a mutant
-PYTEST = ["-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
-          "--continue-on-collection-errors",
-          "--ignore=tests/test_golden.py", "--ignore=tests/test_mutants.py"]
+TIER1 = ["--continue-on-collection-errors",
+         "--ignore=tests/test_golden.py", "--ignore=tests/test_mutants.py"]
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                               ".benchmarks", ".out", "*.egg-info")
 
@@ -55,8 +57,11 @@ def run_mutant(mutant):
         src = os.path.join(tree, "src")
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run([sys.executable, *PYTEST], cwd=tree, env=env,
-                              capture_output=True, text=True)
+        for args in ([mutant["caught_by"]], TIER1):
+            proc = subprocess.run([sys.executable, *PYTEST, *args], cwd=tree, env=env,
+                                  capture_output=True, text=True)
+            if proc.returncode != 0:
+                break
     if proc.returncode == 0:
         return {"caught_by": "survived"}
     caught = first_failure(proc.stdout)

@@ -11,10 +11,12 @@ detecting tail-integral divergence from samples or quadrature is
 unreliable, and the center-bound logic only needs the declaration.
 
 Every built-in model has closed-form window averages and survival
-integrals; quadrature runs only for ``GenericDensity`` and
-``quad_avg_quantile`` (the oracle the closed forms are checked against), and
-scipy is imported only there. Root finding is numpy everywhere:
-``_brent_roots`` is the package's one root finder.
+integrals. Quadrature runs only in ``GenericDensity``, whose cdf, survival
+integral and window average integrate the density times a weight through one
+routine, ``GenericDensity._integral``, with no quadrature inside another's
+integrand, and in ``quad_avg_quantile`` (the oracle the window averages are
+checked against); scipy is imported only there. Root finding is numpy
+everywhere: ``_brent_roots`` is the package's one root finder.
 """
 from __future__ import annotations
 
@@ -679,7 +681,9 @@ class GenericDensity:
     density, read only by the shape check: symmetry about 0 and strict
     unimodality are verified on a sample grid at construction. ``pdf``,
     ``cdf``, ``inverse_pdf`` and ``quantile`` take a scalar (giving a float)
-    or an array (keeping its shape).
+    or an array (keeping its shape). The cdf, the survival integral (by
+    parts) and the window average (by the substitution t = F(x)) are each
+    quadratures of the density times a weight, through ``_integral``.
     """
 
     mean_status = "undefined"
@@ -733,17 +737,35 @@ class GenericDensity:
                                 what="inverse density")
         return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
 
-    def _cdf_at(self, x):
+    def _integral(self, weight, a, b):
+        """Integral of ``weight(x) * pdf(x)`` over [a, b] by adaptive quadrature.
+
+        [a, b] is cut at -1 and 1, and each piece beyond |x| = 1 is
+        integrated in u = 1/x (the integrand times 1/u^2 over [1/q, 1/p] for
+        the piece [p, q]): one quad over a long range samples too coarsely
+        near 0 to see the bulk, and in u a heavy tail is a bounded integrand
+        on a short interval. An infinite end is u = 0.
+        """
         from scipy.integrate import quad
 
+        def in_u(u):
+            x = 1.0 / u
+            return weight(x) * self.pdf(x) / (u * u)
+
+        total = 0.0
+        if a < -1.0:
+            total += quad(in_u, 1.0 / min(b, -1.0), 1.0 / a, limit=400)[0]
+        lo, hi = max(a, -1.0), min(b, 1.0)
+        if hi > lo:
+            total += quad(lambda x: weight(x) * self.pdf(x), lo, hi, limit=400)[0]
+        if b > 1.0:
+            total += quad(in_u, 1.0 / b, 1.0 / max(a, 1.0), limit=400)[0]
+        return total
+
+    def _cdf_at(self, x):
         if x not in self._cdf_cache:
-            # past 1 the mass is integrated in u = 1/s: one quad over [0, |x|]
-            # samples too coarsely near 0 to see the bulk once |x| is large
-            a = abs(x)
-            val = quad(self.pdf, 0.0, min(a, 1.0), limit=400)[0]
-            if a > 1.0:
-                val += quad(lambda u: self.pdf(1.0 / u) / (u * u), 1.0 / a, 1.0, limit=400)[0]
-            self._cdf_cache[x] = 0.5 + math.copysign(val, x)
+            mass = self._integral(lambda _: 1.0, 0.0, abs(x))
+            self._cdf_cache[x] = 0.5 + math.copysign(mass, x)
         return self._cdf_cache[x]
 
     def cdf(self, x):
@@ -763,10 +785,15 @@ class GenericDensity:
         return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
     def survival_integral(self, a, b):
-        """Integral of 1 - F over [a, b] by adaptive quadrature."""
-        from scipy.integrate import quad
+        """Integral of 1 - F over [a, b], by parts: (b - a)*(1 - F(b)) plus
+        the integral of (x - a)*pdf(x) over [a, b]."""
+        return (b - a) * (1.0 - self.cdf(b)) + self._integral(lambda x: x - a, a, b)
 
-        return quad(lambda x: 1.0 - self.cdf(x), a, b, limit=400)[0]
+    def _avg_quantile(self, lo, hi):
+        """Mean of the quantile over [lo, hi]: with t = F(x), the integral of
+        Q over [lo, hi] is that of x*pdf(x) between Q(lo) and Q(hi)."""
+        q_lo, q_hi = self.quantile(np.array([lo, hi])).tolist()
+        return self._integral(lambda x: x, q_lo, q_hi) / (hi - lo)
 
     def sample(self, rng, size):
         return self.quantile(rng.random(size))
@@ -780,20 +807,17 @@ def _check_window(lo: float, hi: float) -> None:
 def avg_quantile(model, lo: float, hi: float) -> float:
     """Mean of the quantile function of ``model`` over [lo, hi].
 
-    Models with a ``_avg_quantile`` method use it: plateau summation for
-    discrete models (after truncation for countable ones), the closed forms
-    of the Cauchy, Pareto (power law in 1 - t, in log1p/expm1 form) and
-    atom-plus-uniform laws (the atom's level, then a linear quantile; the
-    uniform law has no atom), and quantile reflection for ``Reflected``.
-    All other models (``GenericDensity``) go to ``quad_avg_quantile``,
-    which is also the independent oracle that the closed forms are checked
-    against.
+    Every model owns its window average, ``_avg_quantile``: plateau
+    summation for discrete models (after truncation for countable ones), the
+    closed forms of the Cauchy, Pareto (power law in 1 - t, in log1p/expm1
+    form) and atom-plus-uniform laws (the atom's level, then a linear
+    quantile; the uniform law has no atom), quantile reflection for
+    ``Reflected``, and for ``GenericDensity`` one quadrature of x*pdf(x)
+    between two quantiles. ``quad_avg_quantile`` is the independent oracle
+    these are checked against.
     """
     _check_window(lo, hi)
-    exact = getattr(model, "_avg_quantile", None)
-    if exact is not None:
-        return float(exact(lo, hi))
-    return quad_avg_quantile(model, lo, hi)
+    return float(model._avg_quantile(lo, hi))
 
 
 def quad_avg_quantile(model, lo: float, hi: float) -> float:

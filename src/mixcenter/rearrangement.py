@@ -90,8 +90,6 @@ def ra_flatten(matrix, max_sweeps: int = 100, rng=None) -> FlattenResult:
     cur = np.array(matrix, dtype=float, copy=True)
     if cur.ndim != 2:
         raise DomainError("matrix must be two-dimensional")
-    if cur.shape[1] == 1:
-        return FlattenResult(cur, 0.0, [0.0], True)
     if rng is not None:
         shuffle_columns(cur, rng)
     return ra_flatten_stack(cur[None], max_sweeps)[0]

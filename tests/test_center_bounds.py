@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from mixcenter import center_bounds
+from mixcenter import center_bounds, distributions
 from mixcenter.anchors import (
     CAUCHY_WINDOW_02_09,
     INTERVAL_N3,
@@ -344,6 +344,28 @@ class TestReflectedDualBound:
         assert isinstance(reflect(g), Reflected)
         assert_allclose(dual_bound(reflect(g), 3, 0.5).value, dual_bound(g, 3, 0.5).value,
                         rtol=1e-7)
+
+
+class TestGenericDensityBounds:
+    """The Cauchy-shaped generic density certifies as ``Cauchy`` does,
+    through its own window average and survival integral, and never through
+    the quantile-quadrature oracle."""
+
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_cm_bounds_match_cauchy(self, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("quad_avg_quantile was called")
+
+        monkeypatch.setattr(distributions, "quad_avg_quantile", refuse)
+        got, want = cm_bounds(cauchy_like_density(), n), cm_bounds(Cauchy(), n)
+        assert abs(got.a_star - want.a_star) <= 1e-9
+        assert abs(got.b_star - want.b_star) <= 1e-9
+
+    # one center inside the n = 3 interval (log 2/pi = 0.2206) and one outside
+    @pytest.mark.parametrize("c", [0.15, 0.5])
+    def test_dual_bound_matches_cauchy(self, c):
+        got = dual_bound(cauchy_like_density(), 3, c).value
+        assert abs(got - dual_bound(Cauchy(), 3, c).value) <= 1e-12
 
 
 class TestInfiniteMeanClassifier:

@@ -608,11 +608,36 @@ class TestGenericDensity:
         for t in np.concatenate([tail, 1.0 - tail]):
             assert abs(g.cdf(g.quantile(t)) - t) <= 1e-13, t
 
-    def test_avg_quantile_falls_back_to_quadrature(self):
-        # no closed form, so avg_quantile integrates the quantile numerically
+    def test_avg_quantile_by_substitution(self):
+        # the integral of x*pdf(x) between Q(0.2) and Q(0.9), over 0.7
         g = cauchy_like_density()
-        assert not hasattr(g, "_avg_quantile")
         assert abs(avg_quantile(g, 0.2, 0.9) - CAUCHY_WINDOW_02_09) <= 1e-10
+
+    def test_avg_quantile_solves_one_quantile_call(self, monkeypatch):
+        # both window ends in one call, and no quantile inside a quadrature
+        g = cauchy_like_density()
+        calls = []
+        quantile = g.quantile
+        monkeypatch.setattr(g, "quantile", lambda t: calls.append(t) or quantile(t))
+        avg_quantile(g, 0.2, 0.9)
+        assert len(calls) == 1
+
+    def test_survival_integral_reads_one_cdf(self, monkeypatch):
+        # the boundary term's F(b), and no cdf inside a quadrature
+        g = cauchy_like_density()
+        calls = []
+        cdf = g.cdf
+        monkeypatch.setattr(g, "cdf", lambda x: calls.append(x) or cdf(x))
+        g.survival_integral(-3.0, 5.0)
+        assert calls == [5.0]
+
+    @pytest.mark.parametrize("a,b", [(-1e4, 2e4), (-3.0, 5.0), (2.0, 7.0), (-0.5, 0.25)])
+    def test_survival_integral_matches_cauchy(self, a, b):
+        # by parts: (b - a)*(1 - F(b)) plus the integral of (x - a)*pdf(x);
+        # 1 - F(b) keeps the rounding of F(b) near 1, so the error grows
+        # with b - a (6.1e-17 times b - a on the widest interval here)
+        got = cauchy_like_density().survival_integral(a, b)
+        assert abs(got - Cauchy().survival_integral(a, b)) <= 2e-16 * max(b - a, 1.0)
 
 
 class TestReflection:
@@ -670,7 +695,7 @@ class TestReflectedSurvivalIntegral:
             want = float(mp.quad(lambda x: mp.mpf(1) / 2 - mp.atan(x) / mp.pi,
                                  [mp.mpf(a), mp.mpf(b)]))
         got = Reflected(cauchy_like_density()).survival_integral(a, b)
-        assert_allclose(got, want, rtol=1e-8)
+        assert_allclose(got, want, rtol=1e-15)
 
     @staticmethod
     def exact_below(components, a, b, kmax=200):

@@ -47,6 +47,14 @@ class TestKsDistance:
         with pytest.raises(ValueError):
             ks_distance(np.array([]), Cauchy().cdf)
 
+    def test_sorted_and_shuffled_agree(self):
+        # sorted input is read as it is, any other order is sorted first
+        c = Cauchy()
+        rng = np.random.default_rng(3)
+        s = np.sort(c.sample(rng, 10_000))
+        shuffled = rng.permutation(s)
+        assert ks_distance(s, c.cdf) == ks_distance(shuffled, c.cdf)
+
     def test_threshold_levels(self):
         assert_allclose(ks_threshold(100_000), 1.628 / np.sqrt(100_000))
 
