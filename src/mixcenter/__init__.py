@@ -9,7 +9,6 @@ functions that call it, so the samplers and verification never load it.
 """
 
 from .cauchy_mix import (
-    AdmissibilityResult,
     CauchyKernel,
     ConstructiveMixer,
     ConvexCombinationSampler,
@@ -18,8 +17,6 @@ from .cauchy_mix import (
     SampleBatch,
     SymmetricMixer,
     build_mixer,
-    build_mixer_for_density,
-    generic_admissibility,
 )
 from .center_bounds import (
     CenterInterval,
@@ -44,6 +41,7 @@ from .discrete_mix import (
     zero_one_couplings,
 )
 from .distributions import (
+    AdmissibilityResult,
     AtomUniform,
     Cauchy,
     CountableMixture,
@@ -55,6 +53,7 @@ from .distributions import (
     avg_quantile,
     cauchy_inverse_density,
     cauchy_quantile,
+    generic_admissibility,
     model_from_spec,
     point_mass,
     quad_avg_quantile,

@@ -16,13 +16,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import center_bounds, discrete_mix
-from .cauchy_mix import ConvexCombinationSampler, MixerConfig, build_mixer, generic_admissibility
+from .cauchy_mix import ConvexCombinationSampler, MixerConfig, build_mixer
 from .distributions import (
     Cauchy,
     CountableMixture,
     GenericDensity,
     Pareto,
     PowerTwoGeometric,
+    generic_admissibility,
     point_mass,
     quad_avg_quantile,
 )

@@ -32,8 +32,9 @@ whatever the batch size. The chunks give the same bytes as one pass. Each
 row's knot interval is found once, from a bucket table over the mixing cdf,
 and serves as the checked guess of its cell and of its level's cubic piece.
 
-The Cauchy mixers need numpy only; scipy is imported by the quadrature
-paths of generic densities (``DensityKernel``, ``generic_admissibility``).
+The module needs numpy only. A mixer runs on any slice kernel: the
+closed-form ``CauchyKernel`` by default, or a ``distributions.GenericDensity``,
+whose quadratures are its own.
 """
 from __future__ import annotations
 
@@ -43,8 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (GENERIC_GRID_HALFWIDTH, AtomUniform, GenericDensity, _brent_roots,
-                            _doubling_brackets, cauchy_inverse_density)
+from .distributions import AtomUniform, _brent_roots, cauchy_inverse_density
 from .errors import ConstructionError, DomainError
 # ra_flatten is not called here, but perfbench/layers.py traces it under
 # this module's name
@@ -193,57 +193,12 @@ class CauchyKernel:
         return out.reshape(u.shape)
 
 
-class DensityKernel:
-    """Quadrature-backed ingredients for a generic admissible density."""
-
-    def __init__(self, density: GenericDensity, center_limit_value: float):
-        self.density = density
-        self._limit = float(center_limit_value)
-
-    def pdf(self, x):
-        return self.density.pdf(x)
-
-    def peak(self):
-        return float(self.density.pdf(0.0))
-
-    def inverse_pdf(self, y):
-        return self.density.inverse_pdf(y)
-
-    def centered_moment(self, el, u, c):
-        from scipy.integrate import quad
-
-        el, u = np.broadcast_arrays(np.asarray(el, dtype=float), np.asarray(u, dtype=float))
-        out = np.array([quad(lambda x: (x - c) * self.density.pdf(x), lo, hi, limit=400)[0]
-                        for lo, hi in zip(el.ravel().tolist(), u.ravel().tolist())])
-        return float(out[0]) if el.ndim == 0 else out.reshape(el.shape)
-
-    def cdf_diff(self, el, u):
-        return self.density.cdf(u) - self.density.cdf(el)
-
-    def center_limit(self, n):
-        return self._limit
-
-    def radius_cdf(self, a):
-        return 2.0 * self.density.cdf(a) - 1.0 - 2.0 * a * self.density.pdf(a)
-
-    def radius_quantile(self, u):
-        """Inverse of radius_cdf by ``_brent_roots`` on [0, 2^k], with k the
-        first power whose radius_cdf reaches u (capped past 1e14)."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        level = u.ravel()
-        hi = _doubling_brackets(lambda a, i: self.radius_cdf(a) < level[i], level.size, 1e14)
-        lo = np.zeros_like(hi)
-        root = _brent_roots(lambda a, uu: self.radius_cdf(a) - uu, lo, hi,
-                            self.radius_cdf(lo) - level, self.radius_cdf(hi) - level, 1e-13,
-                            args=(level,), what="radius")
-        return root.reshape(u.shape)
-
-
 @dataclass(frozen=True)
 class MixerConfig:
     """Build parameters for a constant-sum Cauchy sampler.
 
-    ``c`` is the per-variable center; admissible range |c| <= log(n-1)/pi.
+    ``c`` is the per-variable center; admissible range |c| <= log(n-1)/pi
+    (the kernel's ``center_limit(n)`` for a kernel other than Cauchy).
     ``t_grid`` knots tabulate the slice machinery on a log-spaced grid,
     ``tail_eps`` bounds the truncated mixing-measure mass, ``ra_grid_m``
     is the discretization size of the per-slice rearrangement couplings,
@@ -947,7 +902,8 @@ class ReflectedMixer:
 
 
 def build_mixer(config: MixerConfig, kernel=None):
-    """Dispatch on the sign of c; rejects centers outside the exact interval."""
+    """Dispatch on the sign of c; rejects centers outside the kernel's
+    interval, ``|c| <= kernel.center_limit(n)`` (Cauchy by default)."""
     kernel = kernel or CauchyKernel()
     n, c = config.n, config.c
     limit = kernel.center_limit(n)
@@ -998,55 +954,3 @@ class ConvexCombinationSampler:
             row_bound=al * a.row_bound + (1.0 - al) * b.row_bound,
             target_sum=al * a.target_sum + (1.0 - al) * b.target_sum,
         )
-
-
-@dataclass(frozen=True)
-class AdmissibilityResult:
-    ok: bool
-    q_max: float
-    witness: float | None = None
-
-
-def generic_admissibility(density: GenericDensity, n: int) -> AdmissibilityResult:
-    """Check whether a symmetric unimodal density supports the slice pipeline.
-
-    Requires sqrt(1/g) convex (verified by second differences on 801 points
-    of [-GENERIC_GRID_HALFWIDTH, GENERIC_GRID_HALFWIDTH], tolerance 1e-9)
-    and returns the largest admissible per-variable center, the liminf of
-    integral_t^{(n-1)t} x g(x) dx along a geometric t-sequence.
-    """
-    if n < 2:
-        raise DomainError("need n >= 2")
-    xs = np.linspace(-GENERIC_GRID_HALFWIDTH, GENERIC_GRID_HALFWIDTH, 801)
-    g = np.maximum(density.pdf(xs), 1e-300)
-    s = np.sqrt(1.0 / g)
-    second = s[:-2] - 2.0 * s[1:-1] + s[2:]
-    bad = np.nonzero(second < -1e-9)[0]
-    if bad.size:
-        return AdmissibilityResult(ok=False, q_max=0.0, witness=float(xs[bad[0] + 1]))
-    from scipy.integrate import quad
-
-    vals = []
-    for k in range(0, 36):
-        t = 2.0 ** k
-        v, _ = quad(lambda x: x * density.pdf(x), t, (n - 1) * t, limit=200)
-        vals.append(v)
-    q_max = max(0.0, float(min(vals[-10:])))
-    return AdmissibilityResult(ok=True, q_max=q_max, witness=None)
-
-
-def build_mixer_for_density(density: GenericDensity, n: int, c: float,
-                            t_grid: int = 256, tail_eps: float = 1e-3,
-                            ra_grid_m: int = 128, seed: int = 0):
-    """Run the slice pipeline with a generic admissible density as kernel."""
-    adm = generic_admissibility(density, n)
-    if not adm.ok:
-        raise DomainError(
-            f"density fails the sqrt(1/g) convexity requirement near x={adm.witness}"
-        )
-    if abs(c) > adm.q_max + 1e-9:
-        raise DomainError(f"center {c} outside the admissible bound {adm.q_max:.6g}")
-    kernel = DensityKernel(density, adm.q_max)
-    cfg = MixerConfig(n=n, c=c, t_grid=t_grid, tail_eps=tail_eps,
-                      ra_grid_m=ra_grid_m, seed=seed)
-    return build_mixer(cfg, kernel)

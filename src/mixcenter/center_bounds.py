@@ -221,8 +221,9 @@ def dual_bound(model, n: int, c: float) -> DualBoundResult:
     on ``DUAL_GRID_SIZE`` points log-spaced toward c, with local refinement
     of the best bracket. A value below 1 certifies that c is not an n-center.
     That conclusion holds to rounding for the models with closed-form
-    survival integrals (every built-in model), and only to ``quad``'s
-    tolerance for ``GenericDensity``, whose integral is a quadrature.
+    survival integrals (every built-in model), and for ``GenericDensity``
+    to the 1e-12 relative tolerance of the quadratures of its ``_integral``
+    (an error estimate, not a bound).
     """
     if n < 2:
         raise DomainError("need n >= 2")

@@ -459,7 +459,7 @@ def feasible_center(marginals, center: float, tol: float = 1e-9,
             residual=resid, candidates=candidates,
         )
     if not borderline:
-        _check_farkas(y, cells, b, 0 if exact else tol)
+        _check_farkas(y, cells, b)
     verdict = "borderline" if borderline else "infeasible"
     # lift to the slice rows: each takes its class row's entry
     dual = [float(y[c + a]) for c, n_atoms in zip(class_offsets.tolist(), lens)
@@ -469,23 +469,32 @@ def feasible_center(marginals, center: float, tol: float = 1e-9,
     )
 
 
-def _check_farkas(y, cells, b, tol):
+def _check_farkas(y, cells, b):
     """Raise DomainError unless the dual y certifies infeasibility.
 
-    A Farkas certificate has y.A <= tol on every slice column (the sum of
-    y over the rows a tuple hits) and y.b > tol. Exact duals are checked
-    in rationals, float duals in floats, where y.A may exceed tol by the
-    rounding of its n terms, n eps max|y|: y.A is 0 on the solver's basic
-    columns, and its float value lands on either side of 0.
+    Every column holds n unit entries and b sums to n times the total mass,
+    so any x >= 0 with Ax = b has sum(x) = sum(b)/n and y.b = (y.A).x <=
+    max(y.A) * sum(b)/n. A dual whose y.b exceeds that bound is a Farkas
+    certificate. Exact duals are checked in rationals. Float duals are
+    checked in floats, with the bound raised by the rounding of each sum,
+    at most its term count times eps times the sum of its terms' sizes:
+    y.A is 0 on the solver's basic columns, and its float value lands on
+    either side of 0.
     """
     y = np.asarray(y)
+    n = cells.shape[1]
     worst = y[cells].sum(axis=1).max()
-    gain = sum(yi * bi for yi, bi in zip(y, b))
-    rounding = 0 if y.dtype == object else cells.shape[1] * np.finfo(float).eps * abs(y).max()
-    if not worst <= tol + rounding:
-        raise DomainError(f"solver dual is not a certificate: y.A reaches {float(worst)!r}")
-    if not gain > tol:
-        raise DomainError(f"solver dual is not a certificate: y.b = {float(gain)!r}")
+    terms = [yi * bi for yi, bi in zip(y, b)]
+    gain = sum(terms)
+    mass = sum(b) / n
+    bound = worst * mass
+    if y.dtype != object:
+        eps = np.finfo(float).eps
+        col = abs(y)[cells].sum(axis=1).max()
+        bound += eps * (n * col * mass + len(b) * (sum(map(abs, terms)) + abs(worst) * mass))
+    if not gain > bound:
+        raise DomainError(f"solver dual is not a certificate: y.b = {float(gain)!r} does not "
+                          f"exceed max(y.A) * sum(b)/n = {float(worst * mass)!r}")
 
 
 @dataclass

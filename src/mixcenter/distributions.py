@@ -12,16 +12,19 @@ unreliable, and the center-bound logic only needs the declaration.
 
 Every built-in model has closed-form window averages and survival
 integrals. Quadrature runs only in ``GenericDensity``, whose cdf, survival
-integral and window average integrate the density times a weight through one
+integral, window average, centered moment and admissibility integrals
+(``generic_admissibility``) integrate the density times a weight through one
 routine, ``GenericDensity._integral``, with no quadrature inside another's
 integrand, and in ``quad_avg_quantile`` (the oracle the window averages are
-checked against); scipy is imported only there. Root finding is numpy
+checked against); scipy is imported only there. A ``GenericDensity`` is also
+a slice kernel of the ``cauchy_mix`` mixers. Root finding is numpy
 everywhere: ``_brent_roots`` is the package's one root finder.
 """
 from __future__ import annotations
 
 import bisect
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -671,6 +674,8 @@ def _doubling_brackets(below, size, cap):
 
 # half-width of the sample grids that check a generic density's shape
 GENERIC_GRID_HALFWIDTH = 50.0
+# relative tolerance of every quadrature in ``GenericDensity._integral``
+_QUAD_EPSREL = 1e-12
 
 
 class GenericDensity:
@@ -682,8 +687,13 @@ class GenericDensity:
     unimodality are verified on a sample grid at construction. ``pdf``,
     ``cdf``, ``inverse_pdf`` and ``quantile`` take a scalar (giving a float)
     or an array (keeping its shape). The cdf, the survival integral (by
-    parts) and the window average (by the substitution t = F(x)) are each
-    quadratures of the density times a weight, through ``_integral``.
+    parts), the window average (by the substitution t = F(x)), the centered
+    moment and the admissibility integrals are each quadratures of the
+    density times a weight, through ``_integral``.
+
+    The density is also a slice kernel of ``cauchy_mix``: ``build_mixer(config,
+    density)`` runs the mixers on it, with ``center_limit(n)`` the largest
+    center ``generic_admissibility`` admits.
     """
 
     mean_status = "undefined"
@@ -721,6 +731,9 @@ class GenericDensity:
     def pdf(self, x):
         return self._each(self._raw_pdf, x) / self._norm
 
+    def peak(self):
+        return float(self.pdf(0.0))
+
     def inverse_pdf(self, y):
         """Positive x with pdf(x) = y, for y in (0, pdf(0)]; +inf for y <= 0
         and where pdf stays above y up to 1e12."""
@@ -744,7 +757,8 @@ class GenericDensity:
         integrated in u = 1/x (the integrand times 1/u^2 over [1/q, 1/p] for
         the piece [p, q]): one quad over a long range samples too coarsely
         near 0 to see the bulk, and in u a heavy tail is a bounded integrand
-        on a short interval. An infinite end is u = 0.
+        on a short interval. An infinite end is u = 0. Each piece is taken
+        to ``_QUAD_EPSREL`` relative (or quad's default absolute) error.
         """
         from scipy.integrate import quad
 
@@ -754,12 +768,13 @@ class GenericDensity:
 
         total = 0.0
         if a < -1.0:
-            total += quad(in_u, 1.0 / min(b, -1.0), 1.0 / a, limit=400)[0]
+            total += quad(in_u, 1.0 / min(b, -1.0), 1.0 / a, limit=400, epsrel=_QUAD_EPSREL)[0]
         lo, hi = max(a, -1.0), min(b, 1.0)
         if hi > lo:
-            total += quad(lambda x: weight(x) * self.pdf(x), lo, hi, limit=400)[0]
+            total += quad(lambda x: weight(x) * self.pdf(x), lo, hi, limit=400,
+                          epsrel=_QUAD_EPSREL)[0]
         if b > 1.0:
-            total += quad(in_u, 1.0 / b, 1.0 / max(a, 1.0), limit=400)[0]
+            total += quad(in_u, 1.0 / b, 1.0 / max(a, 1.0), limit=400, epsrel=_QUAD_EPSREL)[0]
         return total
 
     def _cdf_at(self, x):
@@ -795,8 +810,74 @@ class GenericDensity:
         q_lo, q_hi = self.quantile(np.array([lo, hi])).tolist()
         return self._integral(lambda x: x, q_lo, q_hi) / (hi - lo)
 
+    def cdf_diff(self, el, u):
+        """F(u) - F(el)."""
+        return self.cdf(u) - self.cdf(el)
+
+    def centered_moment(self, el, u, c):
+        """Integral of (x - c) * pdf(x) over [el, u], elementwise."""
+        el, u = np.broadcast_arrays(np.asarray(el, dtype=float), np.asarray(u, dtype=float))
+        out = np.array([self._integral(lambda x: x - c, lo, hi)
+                        for lo, hi in zip(el.ravel().tolist(), u.ravel().tolist())])
+        return float(out[0]) if el.ndim == 0 else out.reshape(el.shape)
+
+    def center_limit(self, n):
+        """The largest admissible center for n variables, ``q_max`` of
+        ``generic_admissibility``; DomainError where sqrt(1/g) is not convex."""
+        adm = generic_admissibility(self, n)
+        if not adm.ok:
+            raise DomainError(
+                f"density fails the sqrt(1/g) convexity requirement near x={adm.witness}"
+            )
+        return adm.q_max
+
+    def radius_cdf(self, a):
+        """cdf of the radius law when the density is viewed as a scale
+        mixture of centered uniforms: 2F(a) - 1 - 2a*pdf(a)."""
+        return 2.0 * self.cdf(a) - 1.0 - 2.0 * a * self.pdf(a)
+
+    def radius_quantile(self, u):
+        """Inverse of radius_cdf by ``_brent_roots`` on [0, 2^k], with k the
+        first power whose radius_cdf reaches u (capped past 1e14)."""
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        level = u.ravel()
+        hi = _doubling_brackets(lambda a, i: self.radius_cdf(a) < level[i], level.size, 1e14)
+        lo = np.zeros_like(hi)
+        root = _brent_roots(lambda a, uu: self.radius_cdf(a) - uu, lo, hi,
+                            self.radius_cdf(lo) - level, self.radius_cdf(hi) - level, 1e-13,
+                            args=(level,), what="radius")
+        return root.reshape(u.shape)
+
     def sample(self, rng, size):
         return self.quantile(rng.random(size))
+
+
+@dataclass(frozen=True)
+class AdmissibilityResult:
+    ok: bool
+    q_max: float
+    witness: float | None = None
+
+
+def generic_admissibility(density: GenericDensity, n: int) -> AdmissibilityResult:
+    """Check whether a symmetric unimodal density supports the slice pipeline.
+
+    Requires sqrt(1/g) convex (verified by second differences on 801 points
+    of [-GENERIC_GRID_HALFWIDTH, GENERIC_GRID_HALFWIDTH], tolerance 1e-9)
+    and returns the largest admissible per-variable center, the liminf of
+    integral_t^{(n-1)t} x g(x) dx along a geometric t-sequence.
+    """
+    if n < 2:
+        raise DomainError("need n >= 2")
+    xs = np.linspace(-GENERIC_GRID_HALFWIDTH, GENERIC_GRID_HALFWIDTH, 801)
+    g = np.maximum(density.pdf(xs), 1e-300)
+    s = np.sqrt(1.0 / g)
+    second = s[:-2] - 2.0 * s[1:-1] + s[2:]
+    bad = np.nonzero(second < -1e-9)[0]
+    if bad.size:
+        return AdmissibilityResult(ok=False, q_max=0.0, witness=float(xs[bad[0] + 1]))
+    vals = [density._integral(lambda x: x, 2.0 ** k, (n - 1) * 2.0 ** k) for k in range(36)]
+    return AdmissibilityResult(ok=True, q_max=max(0.0, float(min(vals[-10:]))))
 
 
 def _check_window(lo: float, hi: float) -> None:

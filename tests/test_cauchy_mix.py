@@ -25,10 +25,8 @@ from mixcenter.cauchy_mix import (
     ReflectedMixer,
     SymmetricMixer,
     build_mixer,
-    build_mixer_for_density,
-    generic_admissibility,
 )
-from mixcenter.distributions import Cauchy, GenericDensity
+from mixcenter.distributions import Cauchy, GenericDensity, generic_admissibility
 from mixcenter.errors import DomainError
 from mixcenter.seeding import substream
 from mixcenter.verify import ks_distance, ks_two_sample, run_invariant_suite
@@ -291,13 +289,13 @@ class TestGenericSolvesMatchBrentq:
             [_scalar_quantile(g, t) for t in substream(33, "g").random(40)]).tobytes()
 
     def test_radius_quantile(self):
-        kern = cauchy_mix.DensityKernel(cauchy_like_density(), LOG2_PI)
+        kern = cauchy_like_density()
         us = np.random.default_rng(34).random(300)
         want = np.array([_scalar_radius(kern, u) for u in us])
         assert kern.radius_quantile(us).tobytes() == want.tobytes()
 
     def test_kernel_shapes(self):
-        kern = cauchy_mix.DensityKernel(cauchy_like_density(), LOG2_PI)
+        kern = cauchy_like_density()
         a = np.array([[0.5, 2.0], [3.0, 40.0]])
         for fn, arg in ((kern.radius_cdf, a), (kern.inverse_pdf, a / 200)):
             out = fn(arg)
@@ -1033,9 +1031,8 @@ class TestConvexCombination:
 
 @pytest.fixture(scope="module")
 def generic_mixer():
-    return build_mixer_for_density(
-        cauchy_like_density(), 3, 0.15, t_grid=256, tail_eps=5e-3, ra_grid_m=64
-    )
+    cfg = MixerConfig(n=3, c=0.15, t_grid=256, tail_eps=5e-3, ra_grid_m=64, seed=0)
+    return build_mixer(cfg, cauchy_like_density())
 
 
 class TestGenericDensityRoute:
@@ -1060,6 +1057,17 @@ class TestGenericDensityRoute:
         assert adm.ok
         assert adm.q_max <= 1e-6
 
+    @pytest.mark.parametrize("n,ulps", [(3, 1), (10, 1), (100, 0)])
+    def test_center_limit_meets_the_cauchy_interval(self, n, ulps):
+        # the admissibility integrals of x*pdf(x) over [2^k, (n-1)2^k] end
+        # within one ulp of log(n-1)/pi, and on it at n = 100
+        want = math.log(n - 1) / PI
+        assert abs(cauchy_like_density().center_limit(n) - want) <= ulps * np.spacing(want)
+
+    def test_center_limit_rejects_a_non_convex_shape(self):
+        with pytest.raises(DomainError, match="convexity"):
+            build_mixer(MixerConfig(n=3, c=0.1), power_three_halves_density())
+
     def test_generic_kernel_matches_closed_form(self, generic_mixer):
         exact = ConstructiveMixer(MixerConfig(n=3, c=0.15, t_grid=64, tail_eps=5e-2))
         for t in (0.01, 1.0, 50.0):
@@ -1072,9 +1080,9 @@ class TestGenericDensityRoute:
 
     def test_center_zero_generic_mixer_passes_its_suite(self):
         # radius_mass reads 1 - radius_cdf(1e12), which needs the cdf's far tail
-        rows = run_invariant_suite(build_mixer_for_density(cauchy_like_density(), 3, 0.0))
+        rows = run_invariant_suite(build_mixer(MixerConfig(n=3, c=0.0), cauchy_like_density()))
         assert all(r.passed for r in rows), [(r.name, r.measured) for r in rows]
 
     def test_center_outside_generic_bound(self):
         with pytest.raises(DomainError):
-            build_mixer_for_density(cauchy_like_density(), 3, 0.5, t_grid=64)
+            build_mixer(MixerConfig(n=3, c=0.5, t_grid=64), cauchy_like_density())

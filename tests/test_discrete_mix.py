@@ -155,9 +155,9 @@ class TestFeasibleCenter:
         checked = []
         check_farkas = discrete_mix._check_farkas
 
-        def spy(y, cells, b, tol):
-            check_farkas(y, cells, b, tol)
-            checked.append((y, cells, b, tol))
+        def spy(y, cells, b):
+            check_farkas(y, cells, b)
+            checked.append((y, cells, b))
 
         monkeypatch.setattr(discrete_mix, "_check_farkas", spy)
         res = feasible_center([m, m, m], 21.0, exact=True)
@@ -168,10 +168,10 @@ class TestFeasibleCenter:
         checked.clear()
         res = feasible_center([m, m, m], 22.0, exact=True)
         assert res.verdict == "infeasible"
-        # the rational dual passed _check_farkas at tolerance 0; check it
-        # again here, column by column
-        [(y, cells, b, tol)] = checked
-        assert tol == 0 and all(isinstance(v, Fraction) for v in (*y, *b))
+        # the rational dual passed _check_farkas; check it again here, as
+        # y.A <= 0 column by column and y.b > 0
+        [(y, cells, b)] = checked
+        assert all(isinstance(v, Fraction) for v in (*y, *b))
         assert all(sum(y[r] for r in row) <= 0 for row in cells)
         assert sum(yi * bi for yi, bi in zip(y, b)) > 0
         assert feasible_center([m, m, m], 22.0).verdict == "infeasible"
@@ -187,6 +187,19 @@ class TestFeasibleCenter:
                                                            np.zeros(len(cells)), np.array(y)))
             with pytest.raises(DomainError, match="certificate"):
                 feasible_center([bern, bern], 1.0)
+
+    def test_float_dual_past_rounding_on_every_column_still_certifies(self):
+        # the float dual's y.A reaches 4.7e-15 on some column, past the
+        # rounding allowance of y.A <= 0, while y.b is about 0.63: the mass
+        # normalization sum(x) = sum(b)/n turns it into a certificate
+        a = FiniteDiscrete([(-1.0, 1 / 5), (2.0, 2 / 5), (3.0, 2 / 5)])
+        b = FiniteDiscrete([(0.0, 1 / 7), (2.0, 5 / 7), (3.0, 1 / 7)])
+        c = FiniteDiscrete([(-2.0, 2 / 6), (0.0, 4 / 6)])
+        marginals = [a, b, c, a, b, c]
+        for exact in (False, True):
+            res = feasible_center(marginals, 7.0, tol=0.0, exact=exact)
+            assert res.verdict == "infeasible"
+            assert abs(res.residual - 0.6285714285714286) <= 1e-12
 
     def test_infeasible_duals_are_certificates(self):
         m = two_point_third()
@@ -254,15 +267,15 @@ class TestFeasibleCenter:
         checked = []
         check_farkas = discrete_mix._check_farkas
 
-        def spy(y, cells, b, tol):
-            check_farkas(y, cells, b, tol)
-            checked.append((y, cells, b, tol))
+        def spy(y, cells, b):
+            check_farkas(y, cells, b)
+            checked.append((y, cells, b))
 
         monkeypatch.setattr(discrete_mix, "_check_farkas", spy)
         res = feasible_center([m, m, m], 31.0, exact=True)
         assert res.verdict == "infeasible" and res.candidates == 330
-        [(y, cells, b, tol)] = checked
-        assert tol == 0 and all(isinstance(v, Fraction) for v in (*y, *b))
+        [(y, cells, b)] = checked
+        assert all(isinstance(v, Fraction) for v in (*y, *b))
         assert all(sum(y[r] for r in row) <= 0 for row in cells)
         assert sum(yi * bi for yi, bi in zip(y, b)) > 0
 
@@ -423,12 +436,11 @@ class TestOrbitLP:
             elif res.verdict == "infeasible":
                 # the class dual, lifted to every row, separates on the brute-force
                 # slice; exact duals are lifted as the checked rationals
-                [((y, _, _, checked_tol), _)] = checks
+                [((y, _, _), _)] = checks
                 rows = _class_rows(marginals)
                 assert res.dual == [float(y[q]) for q in rows]
-                assert checked_tol == (0 if exact else tol)
                 lifted = [y[q] for q in rows] if exact else res.dual
-                discrete_mix._check_farkas(lifted, cells, b, checked_tol)
+                discrete_mix._check_farkas(lifted, cells, b)
 
     def test_distinct_marginals_solve_the_slice_lp(self):
         # singleton classes: the orbit LP is the slice LP, column for column
@@ -507,8 +519,7 @@ class TestOrbitLP:
         m = FiniteDiscrete([(0.0, 0.5), (1.0, 0.5)])
         res = feasible_center([m] * 4, 1.0, tol=0.0)
         assert res.verdict == "infeasible"
-        discrete_mix._check_farkas(res.dual, _slice_tuples([m] * 4, 1.0, 0.0),
-                                   [0.5] * 8, 0.0)
+        discrete_mix._check_farkas(res.dual, _slice_tuples([m] * 4, 1.0, 0.0), [0.5] * 8)
 
     def test_orbit_sizes_past_int64_factorials(self):
         # 21 coordinates: the orbit of ten ones among 21 holds C(21, 10)

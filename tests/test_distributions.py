@@ -1,5 +1,7 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+import mixcenter
 from mixcenter.anchors import CAUCHY_WINDOW_02_09, EX01_WEIGHTS, cauchy_like_density, ex01_mixture
 from mixcenter.distributions import (
     AtomUniform,
@@ -638,6 +641,41 @@ class TestGenericDensity:
         # with b - a (6.1e-17 times b - a on the widest interval here)
         got = cauchy_like_density().survival_integral(a, b)
         assert abs(got - Cauchy().survival_integral(a, b)) <= 2e-16 * max(b - a, 1.0)
+
+    def test_survival_integral_far_left(self):
+        # x - a reaches 1e6 on the interval, so quad's default relative
+        # tolerance of 1.5e-8 left 3.8e-6 here
+        got = cauchy_like_density().survival_integral(-1e6, 1e3)
+        assert abs(got - Cauchy().survival_integral(-1e6, 1e3)) <= 1e-9
+
+
+def test_quadrature_call_sites():
+    """``quad`` runs in three places: a generic density's normalization and
+    ``_integral``, and the ``quad_avg_quantile`` oracle; ``cauchy_mix``
+    imports nothing from scipy."""
+    found, scipy_in_mixer = set(), []
+
+    def visit(node, path, owner):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "quad":
+                found.add((path.name, owner))
+        if path.name == "cauchy_mix.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else \
+                [alias.name for alias in node.names]
+            scipy_in_mixer.extend(m for m in modules if m.split(".")[0] == "scipy")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for path in sorted(Path(mixcenter.__file__).parent.rglob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, "")
+    assert found == {("distributions.py", "GenericDensity.__init__"),
+                     ("distributions.py", "GenericDensity._integral"),
+                     ("distributions.py", "quad_avg_quantile")}
+    assert scipy_in_mixer == []
 
 
 class TestReflection:

@@ -116,8 +116,8 @@ CERTIFY_DIGESTS = {
     "feasible-uniform9-c13": "9e626dc714171c56d8310ce43dbee904b29e4921bda1fd67923fcc5a488d7150",
     "interval-n10": "7bceb303c7ea287bc252343c4fdeb60ecfb8741e57c9927290d62cb3a1a05781",
     "interval-n3": "deb02da21d44444595aa5f72ccf61b2eabdefd0e3ee77aaadb27ade02d11b47e",
-    "repro": "9399b5da801a5a2cb69cce47ad4a7ad2d6150643cc441c16ede73a5e9d114ecb",
-    "repro-seed7": "480df6d6f7111b45e8c85b41cffac3b623928ce01e27ea29f3749c51d85ff860",
+    "repro": "60f5d0709f56d192db0d55ebe4a1e94a363e675e0257c62525115b364d052ead",
+    "repro-seed7": "c079f0a899fa8a6b959a2617ce57a7ff672d2a4a8ae0e159a037dba45de8adf4",
 }
 
 # library draws of 200,001 rows: more than three 65,536-row draw chunks, so
