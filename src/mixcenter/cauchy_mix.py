@@ -203,8 +203,8 @@ class MixerConfig:
     ``tail_eps`` bounds the truncated mixing-measure mass, ``ra_grid_m``
     is the discretization size of the per-slice rearrangement couplings,
     and ``seed`` drives their deterministic initial shuffles. Raises
-    DomainError unless n, t_grid and ra_grid_m are at least 2,
-    0 < tail_eps < 1 and seed >= 0.
+    DomainError unless c is finite, n, t_grid and ra_grid_m are at least
+    2, 0 < tail_eps < 1 and seed >= 0.
     """
 
     n: int
@@ -215,6 +215,8 @@ class MixerConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        if not math.isfinite(self.c):
+            raise DomainError(f"need a finite c, got {self.c}")
         for name in ("n", "t_grid", "ra_grid_m"):
             if getattr(self, name) < 2:
                 raise DomainError(f"need {name} >= 2, got {getattr(self, name)}")

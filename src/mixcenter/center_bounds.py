@@ -32,7 +32,7 @@ class CenterInterval:
 
     lo: float
     hi: float
-    kind: str  # "exact_formula" | "numeric_necessary_bound"
+    kind: str  # "exact_formula", the one kind produced
     n: int
 
     def __contains__(self, c):
@@ -225,8 +225,8 @@ def dual_bound(model, n: int, c: float) -> DualBoundResult:
     to the 1e-12 relative tolerance of the quadratures of its ``_integral``
     (an error estimate, not a bound).
     """
-    if n < 2:
-        raise DomainError("need n >= 2")
+    if n < 2 or not math.isfinite(c):
+        raise DomainError(f"need n >= 2 and a finite c, got n = {n} and c = {c}")
     iqr = float(model.quantile(0.75)) - float(model.quantile(0.25))
     # degenerate laws have iqr 0; fall back to the scale set by c itself
     span = 50.0 * max(iqr, abs(c) * 0.5, 1e-6)

@@ -407,8 +407,11 @@ def feasible_center(marginals, center: float, tol: float = 1e-9,
     row's entry, once it is checked as a Farkas certificate on every orbit
     column (DomainError if not), which is the check on every slice tuple.
     A phase-1 residual inside (tol, 10 tol] yields the "borderline"
-    verdict. ``candidates`` counts slice tuples, not orbits.
+    verdict. ``candidates`` counts slice tuples, not orbits. DomainError
+    unless center is finite and tol finite and >= 0.
     """
+    if not (math.isfinite(center) and 0.0 <= tol < math.inf):
+        raise DomainError(f"need a finite center and a finite tol >= 0, got {center} and {tol}")
     marginals = _finite(marginals)
     n = len(marginals)
     if n < 2:
@@ -470,7 +473,7 @@ def feasible_center(marginals, center: float, tol: float = 1e-9,
 
 
 def _check_farkas(y, cells, b):
-    """Raise DomainError unless the dual y certifies infeasibility.
+    """Raise DomainError unless y, one entry per row of b, certifies infeasibility.
 
     Every column holds n unit entries and b sums to n times the total mass,
     so any x >= 0 with Ax = b has sum(x) = sum(b)/n and y.b = (y.A).x <=
@@ -481,6 +484,8 @@ def _check_farkas(y, cells, b):
     y.A is 0 on the solver's basic columns, and its float value lands on
     either side of 0.
     """
+    if len(y) != len(b):
+        raise DomainError(f"solver dual is not a certificate: {len(y)} entries, {len(b)} rows")
     y = np.asarray(y)
     n = cells.shape[1]
     worst = y[cells].sum(axis=1).max()

@@ -107,8 +107,8 @@ class Cauchy:
     mean_status = "undefined"
 
     def __init__(self, scale: float = 1.0):
-        if scale <= 0:
-            raise DomainError("scale must be positive")
+        if not 0.0 < scale < math.inf:
+            raise DomainError(f"need a finite positive scale, got {scale}")
         self.scale = float(scale)
 
     def pdf(self, x):
@@ -157,8 +157,8 @@ class Pareto:
     """
 
     def __init__(self, shape: float, xm: float = 1.0):
-        if shape <= 0 or xm <= 0:
-            raise DomainError("shape and xm must be positive")
+        if not (0.0 < shape < math.inf and 0.0 < xm < math.inf):
+            raise DomainError(f"need a finite positive shape and xm, got {shape} and {xm}")
         self.shape, self.xm = float(shape), float(xm)
 
     @property
@@ -238,8 +238,10 @@ class FiniteDiscrete:
             raise DomainError("need at least one atom")
         if np.any(np.diff(values) <= 0):
             raise DomainError("atom values must be strictly increasing")
-        if np.any(probs <= 0):
-            raise DomainError("atom probabilities must be positive")
+        # NaN fails p > 0; an infinite probability fails the sum below
+        bad = [(v, p) for v, p in atoms if not (math.isfinite(v) and p > 0)]
+        if bad:
+            raise DomainError(f"need a finite value and a positive probability, got {bad[0]}")
         if abs(math.fsum(probs) - total_mass) > 1e-12:
             raise DomainError(
                 f"probabilities sum to {math.fsum(probs)!r}, expected {total_mass!r}"
@@ -482,8 +484,8 @@ class AtomUniform:
     mean_status = "finite"
 
     def __init__(self, atom_x: float, right_y: float, atom_weight: float):
-        if not right_y > atom_x:
-            raise DomainError("need right_y > atom_x")
+        if not -math.inf < atom_x < right_y < math.inf:
+            raise DomainError(f"need finite ends, left below right, got {atom_x} and {right_y}")
         if not 0.0 <= atom_weight <= 1.0:
             raise DomainError("atom_weight must lie in [0, 1]")
         self.atom_x = float(atom_x)
@@ -565,8 +567,6 @@ class Uniform(AtomUniform):
     """Uniform law on [a, b]: the atom-plus-uniform law without an atom."""
 
     def __init__(self, a: float, b: float):
-        if not b > a:
-            raise DomainError("need a < b")
         super().__init__(a, b, 0.0)
 
     @property
@@ -672,8 +672,10 @@ def _doubling_brackets(below, size, cap):
     return hi
 
 
-# half-width of the sample grids that check a generic density's shape
+# the grid of a generic density's shape and convexity checks: step 1/8,
+# exact in binary, so the grid is symmetric and holds 0
 GENERIC_GRID_HALFWIDTH = 50.0
+GENERIC_GRID = np.linspace(-GENERIC_GRID_HALFWIDTH, GENERIC_GRID_HALFWIDTH, 801)
 # relative tolerance of every quadrature in ``GenericDensity._integral``
 _QUAD_EPSREL = 1e-12
 
@@ -682,14 +684,15 @@ class GenericDensity:
     """Law given by a symmetric, strictly unimodal density on the real line.
 
     ``pdf`` need not be normalized; the normalizing constant is computed
-    once by quadrature. ``dpdf`` is the derivative of the *unnormalized*
-    density, read only by the shape check: symmetry about 0 and strict
-    unimodality are verified on a sample grid at construction. ``pdf``,
-    ``cdf``, ``inverse_pdf`` and ``quantile`` take a scalar (giving a float)
-    or an array (keeping its shape). The cdf, the survival integral (by
-    parts), the window average (by the substitution t = F(x)), the centered
-    moment and the admissibility integrals are each quadratures of the
-    density times a weight, through ``_integral``.
+    once by quadrature. At construction ``pdf`` is evaluated on
+    ``GENERIC_GRID``, once: the shape checks ask those values for symmetry
+    about 0 and a strict decrease right of 0, and ``generic_admissibility``
+    reads them for convexity. ``pdf``, ``cdf``, ``inverse_pdf`` and
+    ``quantile`` take a scalar (giving a float) or an array (keeping its
+    shape). The cdf, the survival integral (by parts), the window average
+    (by the substitution t = F(x)), the centered moment and the
+    admissibility integrals are each quadratures of the density times a
+    weight, through ``_integral``.
 
     The density is also a slice kernel of ``cauchy_mix``: ``build_mixer(config,
     density)`` runs the mixers on it, with ``center_limit(n)`` the largest
@@ -698,27 +701,20 @@ class GenericDensity:
 
     mean_status = "undefined"
 
-    def __init__(self, pdf, dpdf):
+    def __init__(self, pdf):
         from scipy.integrate import quad
 
         self._raw_pdf = pdf
-        self._raw_dpdf = dpdf
         z, err = quad(pdf, 0.0, np.inf, limit=400)
         if err > 1e-6 * max(z, 1.0):
             raise QuadratureError("density normalization did not converge", achieved=err)
         self._norm = 2.0 * z
-        self._check_shape()
-        self._cdf_cache = {}
-
-    def _check_shape(self):
-        xs = np.linspace(0.0, GENERIC_GRID_HALFWIDTH, 201)[1:]
-        g, g_neg = self._each(self._raw_pdf, xs), self._each(self._raw_pdf, -xs)
-        if np.max(np.abs(g - g_neg)) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
+        g = self._grid_pdf = self._each(pdf, GENERIC_GRID)   # unnormalized
+        if np.max(np.abs(g - g[::-1])) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
             raise DomainError("density is not symmetric about 0 on the sample grid")
-        if np.any(self._each(self._raw_dpdf, xs) >= 0.0):
+        if np.any(np.diff(g[GENERIC_GRID.size // 2:]) >= 0.0):   # x = 0, 1/8, ..., 50
             raise DomainError("density is not strictly decreasing right of 0")
-        if np.any(self._each(self._raw_dpdf, -xs) <= 0.0):
-            raise DomainError("density is not strictly increasing left of 0")
+        self._cdf_cache = {}
 
     @staticmethod
     def _each(fn, x):
@@ -862,20 +858,19 @@ class AdmissibilityResult:
 def generic_admissibility(density: GenericDensity, n: int) -> AdmissibilityResult:
     """Check whether a symmetric unimodal density supports the slice pipeline.
 
-    Requires sqrt(1/g) convex (verified by second differences on 801 points
-    of [-GENERIC_GRID_HALFWIDTH, GENERIC_GRID_HALFWIDTH], tolerance 1e-9)
-    and returns the largest admissible per-variable center, the liminf of
-    integral_t^{(n-1)t} x g(x) dx along a geometric t-sequence.
+    Requires sqrt(1/g) convex (verified by second differences, tolerance
+    1e-9, of the density's values on ``GENERIC_GRID``, taken once at its
+    construction) and returns the largest admissible per-variable center,
+    the liminf of integral_t^{(n-1)t} x g(x) dx along a geometric t-sequence.
     """
     if n < 2:
         raise DomainError("need n >= 2")
-    xs = np.linspace(-GENERIC_GRID_HALFWIDTH, GENERIC_GRID_HALFWIDTH, 801)
-    g = np.maximum(density.pdf(xs), 1e-300)
+    g = np.maximum(density._grid_pdf / density._norm, 1e-300)
     s = np.sqrt(1.0 / g)
     second = s[:-2] - 2.0 * s[1:-1] + s[2:]
     bad = np.nonzero(second < -1e-9)[0]
     if bad.size:
-        return AdmissibilityResult(ok=False, q_max=0.0, witness=float(xs[bad[0] + 1]))
+        return AdmissibilityResult(ok=False, q_max=0.0, witness=float(GENERIC_GRID[bad[0] + 1]))
     vals = [density._integral(lambda x: x, 2.0 ** k, (n - 1) * 2.0 ** k) for k in range(36)]
     return AdmissibilityResult(ok=True, q_max=max(0.0, float(min(vals[-10:]))))
 

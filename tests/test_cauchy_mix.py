@@ -1044,15 +1044,12 @@ class TestGenericDensityRoute:
     def test_admissibility_power_three_halves_fails(self):
         adm = generic_admissibility(power_three_halves_density(), 3)
         assert not adm.ok
-        assert adm.witness is not None
+        assert adm.witness == -49.875
 
     def test_convex_recipe_with_finite_mean(self):
         # 1/(1+x^2)^2 has sqrt(1/g) convex but a finite mean, so only the
         # zero center remains admissible
-        g = GenericDensity(
-            lambda x: 1.0 / (1 + x * x) ** 2,
-            lambda x: -4 * x / (1 + x * x) ** 3,
-        )
+        g = GenericDensity(lambda x: 1.0 / (1 + x * x) ** 2)
         adm = generic_admissibility(g, 3)
         assert adm.ok
         assert adm.q_max <= 1e-6
@@ -1064,8 +1061,23 @@ class TestGenericDensityRoute:
         want = math.log(n - 1) / PI
         assert abs(cauchy_like_density().center_limit(n) - want) <= ulps * np.spacing(want)
 
+    def test_center_limit_reads_the_construction_grid(self, monkeypatch):
+        # the convexity check reads the values the shape check took, so a
+        # pdf that refuses arrays leaves both limits as they were
+        g = cauchy_like_density()
+        pdf = g.pdf
+
+        def scalar_pdf(x):
+            if np.ndim(x):
+                raise AssertionError("pdf evaluated on an array")
+            return pdf(x)
+
+        monkeypatch.setattr(g, "pdf", scalar_pdf)
+        assert g.center_limit(3) == 0.22063560015265157
+        assert g.center_limit(10) == 0.6993983051321198
+
     def test_center_limit_rejects_a_non_convex_shape(self):
-        with pytest.raises(DomainError, match="convexity"):
+        with pytest.raises(DomainError, match="convexity requirement near x=-49.875"):
             build_mixer(MixerConfig(n=3, c=0.1), power_three_halves_density())
 
     def test_generic_kernel_matches_closed_form(self, generic_mixer):

@@ -160,6 +160,57 @@ class TestFeasibleCenters:
         assert payload["centers"] == [2.0]
 
 
+# specs read by TestNonFiniteInputs, NaN and Infinity as json writes them
+NON_FINITE_SPECS = {
+    "uniform5": [{"kind": "finite", "atoms": [[v, 0.2] for v in range(5)]}] * 3,
+    "nan-prob": {"kind": "finite", "atoms": [[0.0, math.nan]]},
+    "nan-value": {"kind": "finite", "atoms": [[math.nan, 1.0]]},
+    "nan-point": {"kind": "point", "value": math.nan},
+    "nan-cauchy": {"kind": "cauchy", "scale": math.nan},
+    "inf-cauchy": {"kind": "cauchy", "scale": math.inf},
+    "nan-pareto": {"kind": "pareto", "shape": math.nan},
+    "inf-uniform": {"kind": "uniform", "a": 0.0, "b": math.inf},
+    "inf-atom-uniform": {"kind": "atom_uniform", "atom_x": -math.inf, "right_y": 1.0,
+                         "atom_weight": 0.5},
+}
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite number from outside exits 1 with "error: need ...",
+    not a traceback, a verdict or a JSON encoder error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--n", "3", "--c", "nan", "--count", "10", "--out", "{out}"],
+        ["sample", "--n", "3", "--c=-inf", "--count", "10", "--out", "{out}"],
+        ["verify", "{nan-sidecar}"],
+        ["dual", "--n", "3", "--c", "nan"],
+        ["dual", "--n", "3", "--c", "inf"],
+        ["feasible", "--marginals", "{uniform5}", "--center", "6", "--tol", "-1"],
+        ["feasible", "--marginals", "{uniform5}", "--center", "6", "--tol", "nan"],
+        ["feasible", "--marginals", "{uniform5}", "--center", "6", "--tol", "inf"],
+        ["feasible", "--marginals", "{uniform5}", "--center", "inf"],
+        ["feasible", "--marginals", "{uniform5}", "--center", "nan"],
+        ["centers", "--marginals", "{uniform5}", "--tol", "-1"],
+        *[["bounds", "--marginals", "{%s}" % key, "--n", "3"]
+          for key in NON_FINITE_SPECS if key != "uniform5"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_refused(self, capsys, tmp_path, argv):
+        paths = {"out": str(tmp_path / "rows.csv")}
+        for key, spec in NON_FINITE_SPECS.items():
+            paths[key] = str(tmp_path / f"{key}.json")
+            Path(paths[key]).write_text(json.dumps(spec))
+        if "{nan-sidecar}" in argv:
+            assert main(["sample", "--n", "3", "--c", "0.15", "--count", "10",
+                         "--t-grid", "64", "--out", paths["out"]]) == 0
+            sidecar = Path(paths["out"] + ".meta.json")
+            sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "c": math.nan}))
+            paths["nan-sidecar"] = paths["out"]
+        code = main([arg.format_map(paths) if arg.startswith("{") else arg for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("error: need ") and "Traceback" not in err, err
+
+
 class TestSampleVerify:
     def test_round_trip(self, capsys, tmp_path):
         out = str(tmp_path / "rows.csv")

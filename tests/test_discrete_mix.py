@@ -180,13 +180,30 @@ class TestFeasibleCenter:
         bern = FiniteDiscrete([(0.0, 0.7), (1.0, 0.3)])
         honest = feasible_center([bern, bern], 1.0)
         assert honest.verdict == "infeasible"
-        for bogus in ([1.0, 1.0, 1.0, 1.0],       # y.A = 2 on every column
-                      [0.0, 0.0, 0.0, 0.0]):      # y.b = 0
+        for bogus in ([1.0, 1.0],       # y.A = 2 on the one column
+                      [0.0, 0.0]):      # y.b = 0
             monkeypatch.setattr(discrete_mix, "_phase1_float",
                                 lambda cells, b, y=bogus: (honest.residual,
                                                            np.zeros(len(cells)), np.array(y)))
             with pytest.raises(DomainError, match="certificate"):
                 feasible_center([bern, bern], 1.0)
+
+    def test_dual_needs_one_entry_per_row(self, monkeypatch):
+        # the orbit LP has 2 rows; [1, -1] certifies it, and entries past
+        # the rows' end are not part of any certificate
+        bern = FiniteDiscrete([(0.0, 0.7), (1.0, 0.3)])
+        honest = feasible_center([bern, bern], 1.0)
+
+        def solver_dual(y):
+            monkeypatch.setattr(discrete_mix, "_phase1_float",
+                                lambda cells, b: (honest.residual, np.zeros(len(cells)),
+                                                  np.array(y)))
+
+        solver_dual([1.0, -1.0])
+        assert feasible_center([bern, bern], 1.0).verdict == "infeasible"
+        solver_dual([1.0, -1.0, 5.0, 5.0])
+        with pytest.raises(DomainError, match="4 entries, 2 rows"):
+            feasible_center([bern, bern], 1.0)
 
     def test_float_dual_past_rounding_on_every_column_still_certifies(self):
         # the float dual's y.A reaches 4.7e-15 on some column, past the

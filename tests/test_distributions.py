@@ -582,11 +582,16 @@ class TestGenericDensity:
         assert_allclose(g.pdf(0.0), 1.0 / PI, rtol=1e-9)
 
     def test_symmetry_enforced(self):
-        with pytest.raises(DomainError):
-            GenericDensity(
-                lambda x: math.exp(-abs(x - 0.3)),
-                lambda x: -math.copysign(math.exp(-abs(x - 0.3)), x - 0.3),
-            )
+        with pytest.raises(DomainError, match="not symmetric about 0"):
+            GenericDensity(lambda x: math.exp(-abs(x - 0.3)))
+
+    @pytest.mark.parametrize("pdf", [
+        lambda x: 1.0 / (1.0 + (abs(x) - 2.0) ** 2),          # bimodal, modes at +-2
+        lambda x: 1.0 / (1.0 + max(abs(x) - 1.0, 0.0) ** 2),  # flat on [-1, 1]
+    ], ids=["bimodal", "flat-top"])
+    def test_unimodality_enforced(self, pdf):
+        with pytest.raises(DomainError, match="not strictly decreasing right of 0"):
+            GenericDensity(pdf)
 
     def test_quantile_round_trip(self):
         g = cauchy_like_density()

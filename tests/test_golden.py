@@ -7,15 +7,16 @@ a finding to report, not a digest to update.
 
 The digests were taken on x86-64 with AVX-512, and many depend on numpy's
 SIMD dispatch. Run with ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
-AVX512_SPR"`` (as a machine without AVX-512 would dispatch), 15 of these 44
-tests fail, 28 hold and the cross-dispatch test skips. The failures are the
-sample/verify digests of the four c != 0 centers (8), ``repro`` and
+AVX512_SPR"`` (as a machine without AVX-512 would dispatch), 15 of these 45
+tests fail, 28 hold and the two cross-dispatch tests skip. The failures are
+the sample/verify digests of the four c != 0 centers (8), ``repro`` and
 ``repro-seed7``, and the five library draws at c != 0. Every c = 0 digest
 (both sample/verify cases, both draws, all three radius cases), both
 ``ra_flatten_stack`` digests and the other 19 certify digests hold. Where
-numpy dispatches AVX-512, the cross-dispatch test checks the c = 0 bytes
-under both dispatches in every run. A portable rearrangement bank on an
-exact lattice is the planned mend for the rest.
+numpy dispatches AVX-512, the cross-dispatch tests check the c = 0 bytes and
+those 19 certify digests under the lowered dispatch in every run. A
+portable rearrangement bank on an exact lattice is the planned mend for the
+rest.
 """
 import hashlib
 import json
@@ -394,6 +395,11 @@ LOWERED = [name for name in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
            if name in __cpu_dispatch__ and __cpu_features__.get(name)]
 
 
+# the certify outputs whose bytes hold under either dispatch: both repro
+# runs draw from mixers at c != 0
+PORTABLE_CERTIFY = sorted(set(CERTIFY_RUNS) - {"repro", "repro-seed7"})
+
+
 def c0_digests():
     """Digests of the radius of 65,537 seeded uniforms and of the n4-c0 draws."""
     u = substream(7, "golden-radius", "65537").random(65_537)
@@ -401,18 +407,38 @@ def c0_digests():
             "draw": draw_digests("n4-c0")}
 
 
-@pytest.mark.skipif(not LOWERED, reason="numpy dispatches no AVX-512 target here")
-def test_c0_bytes_across_dispatch():
-    # the c = 0 bytes at this dispatch against those of a child process
-    # whose numpy dispatches without AVX-512
+def portable_certify_digests(tmp_path):
+    """Digests of the ``PORTABLE_CERTIFY`` outputs, written under ``tmp_path``."""
+    return {name: certify_digest(tmp_path, name) for name in PORTABLE_CERTIFY}
+
+
+def lowered_dispatch(call, *args):
+    """``call``, an expression over ``test_golden`` and ``sys.argv`` (``args``
+    from index 1), evaluated and JSON-decoded in a child process whose numpy
+    dispatches without AVX-512."""
     tests = pathlib.Path(__file__).resolve().parent
     src = pathlib.Path(mixcenter.__file__).resolve().parent.parent
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(LOWERED),
                PYTHONPATH=os.pathsep.join([str(tests), str(src)]))
-    code = "import json, test_golden; print(json.dumps(test_golden.c0_digests()))"
-    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                           text=True, check=True)
-    assert json.loads(child.stdout) == c0_digests()
+    code = f"import json, pathlib, sys, test_golden; print(json.dumps({call}))"
+    child = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                           capture_output=True, text=True, check=True)
+    return json.loads(child.stdout)
+
+
+@pytest.mark.skipif(not LOWERED, reason="numpy dispatches no AVX-512 target here")
+def test_c0_bytes_across_dispatch():
+    # the c = 0 bytes at this dispatch against those of the lowered one
+    assert lowered_dispatch("test_golden.c0_digests()") == c0_digests()
+
+
+@pytest.mark.skipif(not LOWERED, reason="numpy dispatches no AVX-512 target here")
+def test_certify_bytes_across_dispatch(tmp_path):
+    # the portable certify outputs of the lowered dispatch against the golden
+    # digests, which this dispatch's own test checks
+    got = lowered_dispatch("test_golden.portable_certify_digests(pathlib.Path(sys.argv[1]))",
+                           tmp_path)
+    assert got == {name: CERTIFY_DIGESTS[name] for name in PORTABLE_CERTIFY}
 
 
 # case -> digest of ``ra_flatten_stack`` on the first block of coupling
