@@ -9,7 +9,6 @@ functions that call it, so the samplers and verification never load it.
 """
 
 from .cauchy_mix import (
-    CauchyKernel,
     ConstructiveMixer,
     ConvexCombinationSampler,
     MixerConfig,
@@ -51,7 +50,6 @@ from .distributions import (
     PowerTwoGeometric,
     Uniform,
     avg_quantile,
-    cauchy_inverse_density,
     cauchy_quantile,
     generic_admissibility,
     model_from_spec,

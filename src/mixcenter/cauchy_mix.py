@@ -32,9 +32,9 @@ whatever the batch size. The chunks give the same bytes as one pass. Each
 row's knot interval is found once, from a bucket table over the mixing cdf,
 and serves as the checked guess of its cell and of its level's cubic piece.
 
-The module needs numpy only. A mixer runs on any slice kernel: the
-closed-form ``CauchyKernel`` by default, or a ``distributions.GenericDensity``,
-whose quadratures are its own.
+The module needs numpy only and writes no law down itself. A mixer runs on
+any slice kernel: the closed-form standard ``distributions.Cauchy`` by
+default, or a ``distributions.GenericDensity``, whose quadratures are its own.
 """
 from __future__ import annotations
 
@@ -44,14 +44,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import AtomUniform, _brent_roots, cauchy_inverse_density
+from .distributions import AtomUniform, Cauchy, _brent_roots
 from .errors import ConstructionError, DomainError
 # ra_flatten is not called here, but perfbench/layers.py traces it under
 # this module's name
 from .rearrangement import discretize, ra_flatten, ra_flatten_stack, shuffle_columns  # noqa: F401
 from .seeding import DEFAULT_SEED, substream
 
-PI = math.pi
+CauchyKernel = Cauchy   # the name perfbench/layers.py traces radius_quantile under
+
 _EPS = np.finfo(float).eps
 # largest |imbalance| that verify and the tests accept at a solved clip
 # level; the Brent solve ends far inside it (see clip_level)
@@ -64,11 +65,6 @@ T_MIN = 1e-6
 _CELL_BLOCK_ENTRIES = 1 << 18
 # rows of one chunk of a draw's per-row work
 _DRAW_CHUNK_ROWS = 1 << 16
-# (-1)^k / (2k+3)! for k = 9 down to 0: (phi - sin phi) / phi^3 as a
-# polynomial in phi^2, which the c = 0 radius solve uses below phi = 1, where
-# phi - sin phi cancels (cut at phi = 1/2, radii just above it were off by up
-# to 4.3 eps)
-_KEPLER_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(9, -1, -1))
 
 
 def _as_arrays(t, y):
@@ -79,126 +75,12 @@ def _as_arrays(t, y):
     return scalar, t, y
 
 
-def _atan_diff(u, el):
-    """arctan(u) - arctan(el), computed without cancellation."""
-    u = np.asarray(u, dtype=float)
-    el = np.asarray(el, dtype=float)
-    denom = 1.0 + u * el
-    base = np.arctan((u - el) / denom)
-    corr = np.where(denom > 0, 0.0, np.where(u >= el, PI, -PI))
-    out = base + corr
-    return float(out) if out.ndim == 0 else out
-
-
-def _kepler_low(target):
-    """tan(phi/2) at the root of phi - sin(phi) = target, for target < pi/2.
-
-    Six Newton passes from cbrt(6*target), the root of the cubic term (on a
-    dense grid of targets the iterates reach rounding level by the fourth);
-    the derivative 1 - cos(phi) = 2 sin^2(phi/2) does not cancel. The start's
-    mantissa is cut to 20 bits: the last bit of np.cbrt depends on numpy's
-    SIMD dispatch, and the last iterate keeps an ulp-level trace of its start.
-    """
-    mant, expo = np.frexp(np.cbrt(6.0 * target))
-    phi = np.ldexp(np.round(np.ldexp(mant, 20)), expo - 20)
-    for _ in range(6):
-        step = phi - np.sin(phi)
-        small = phi < 1.0
-        x = phi[small]
-        z = x * x
-        step[small] = np.polyval(_KEPLER_SERIES, z) * z * x
-        step -= target
-        half = np.sin(0.5 * phi)
-        # the floor keeps the root phi = 0 of target = 0 from a 0/0
-        phi -= step / np.maximum(2.0 * half * half, 1e-300)
-    half = 0.5 * phi
-    return np.sin(half) / np.cos(half)
-
-
-def _kepler_high(target):
-    """cot(psi/2) at the root of psi + sin(psi) = target, for target <= pi/2;
-    +inf at target = 0.
-
-    Five Newton passes from target/2, which is below the root as
-    psi + sin psi <= 2*psi (the iterates reach rounding level by the
-    fourth); the derivative 2 cos^2(psi/2) is at least 1.
-    """
-    psi = 0.5 * target
-    for _ in range(5):
-        half = np.cos(0.5 * psi)
-        psi -= (psi + np.sin(psi) - target) / (2.0 * half * half)
-    half = 0.5 * psi
-    with np.errstate(divide="ignore"):
-        return np.cos(half) / np.sin(half)
-
-
-class CauchyKernel:
-    """Closed-form standard Cauchy ingredients for the slice machinery."""
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = 1.0 / (PI * (1.0 + x * x))
-        return float(out) if out.ndim == 0 else out
-
-    def peak(self):
-        return 1.0 / PI
-
-    def inverse_pdf(self, y):
-        """Positive x with pdf(x) = y; +inf for y <= 0."""
-        return cauchy_inverse_density(y)
-
-    def centered_moment(self, el, u, c):
-        """Integral of (x - c) * pdf(x) over [el, u], cancellation-safe."""
-        el = np.asarray(el, dtype=float)
-        u = np.asarray(u, dtype=float)
-        t1 = np.log1p((u - el) * (u + el) / (1.0 + el * el)) / (2.0 * PI)
-        t2 = -(c / PI) * _atan_diff(u, el)
-        out = t1 + t2
-        return float(out) if out.ndim == 0 else out
-
-    def cdf_diff(self, el, u):
-        """F(u) - F(el)."""
-        out = _atan_diff(u, el) / PI
-        return float(out) if np.ndim(out) == 0 else out
-
-    def center_limit(self, n):
-        return math.log(n - 1) / PI
-
-    def radius_cdf(self, a):
-        """cdf of the radius law when the density is viewed as a scale
-        mixture of centered uniforms: 2F(a) - 1 - 2a*pdf(a)."""
-        a = np.asarray(a, dtype=float)
-        out = (2.0 / PI) * (np.arctan(a) - a / (1.0 + a * a))
-        return float(out) if out.ndim == 0 else out
-
-    def radius_quantile(self, u):
-        """Vectorized inverse of radius_cdf, solved in Kepler form.
-
-        With phi = 2*arctan(a), radius_cdf(a) = (phi - sin phi)/pi: Kepler's
-        equation at eccentricity 1. Below u = 1/2 the solve is in phi, from
-        u = 1/2 on in psi = pi - phi, where 1 - u is exact; u = 1 gives +inf.
-        Each takes a fixed number of Newton passes and no stop test, so a
-        radius depends on its own u only, not on the batch it is solved in.
-        The work runs in ``_DRAW_CHUNK_ROWS`` chunks.
-        """
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        flat = u.ravel()
-        out = np.empty(flat.size)
-        for rows in _chunks(flat.size):
-            x, a = flat[rows], out[rows]
-            low = x < 0.5
-            a[low] = _kepler_low(PI * x[low])
-            high = ~low
-            a[high] = _kepler_high(PI * (1.0 - x[high]))
-        return out.reshape(u.shape)
-
-
 @dataclass(frozen=True)
 class MixerConfig:
     """Build parameters for a constant-sum Cauchy sampler.
 
-    ``c`` is the per-variable center; admissible range |c| <= log(n-1)/pi
-    (the kernel's ``center_limit(n)`` for a kernel other than Cauchy).
+    ``c`` is the per-variable center; admissible range |c| <=
+    ``kernel.center_limit(n)``, log(n-1)/pi for the default standard Cauchy.
     ``t_grid`` knots tabulate the slice machinery on a log-spaced grid,
     ``tail_eps`` bounds the truncated mixing-measure mass, ``ra_grid_m``
     is the discretization size of the per-slice rearrangement couplings,
@@ -309,14 +191,16 @@ class SymmetricMixer:
         if config.c != 0.0:
             raise DomainError("symmetric construction only covers c = 0")
         self.config = config
-        self.kernel = kernel or CauchyKernel()
+        self.kernel = kernel or Cauchy()
         self.n = config.n
         self.c = 0.0
         self.mass_deficit = 0.0
 
     def sample(self, count, rng) -> SampleBatch:
         n = self.n
-        radius = self.kernel.radius_quantile(rng.random(count))
+        radius = rng.random(count)   # each u becomes its radius, a chunk at a time
+        for rows in _chunks(count):
+            radius[rows] = self.kernel.radius_quantile(radius[rows])
         # (2 * rows - 1) * radius, formed in place
         values = _uniform_block_rows(n, count, rng)
         values *= 2.0
@@ -599,7 +483,7 @@ class ConstructiveMixer:
     """Sampler for 0 < c <= log(n-1)/pi via the slice decomposition."""
 
     def __init__(self, config: MixerConfig, kernel=None):
-        kernel = kernel or CauchyKernel()
+        kernel = kernel or Cauchy()
         n, c = config.n, config.c
         if n < 3:
             raise DomainError("the constructive route needs n >= 3 (n = 2 only admits c = 0)")
@@ -884,6 +768,7 @@ class ReflectedMixer:
     def __init__(self, base):
         self.base = base
         self.config = base.config
+        self.kernel = base.kernel
         self.n = base.n
         self.c = -base.c
         self.mass_deficit = base.mass_deficit
@@ -905,8 +790,8 @@ class ReflectedMixer:
 
 def build_mixer(config: MixerConfig, kernel=None):
     """Dispatch on the sign of c; rejects centers outside the kernel's
-    interval, ``|c| <= kernel.center_limit(n)`` (Cauchy by default)."""
-    kernel = kernel or CauchyKernel()
+    interval, ``|c| <= kernel.center_limit(n)`` (``Cauchy()`` by default)."""
+    kernel = kernel or Cauchy()
     n, c = config.n, config.c
     limit = kernel.center_limit(n)
     if abs(c) > limit + 1e-12:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import avg_quantile, cauchy_window_mean
+from .distributions import Cauchy, avg_quantile, cauchy_window_mean
 from .errors import DomainError
 
 PI = math.pi
@@ -48,7 +48,7 @@ def cauchy_center_interval(n: int) -> CenterInterval:
     """
     if n < 2:
         raise DomainError("need n >= 2")
-    hi = math.log(n - 1) / PI
+    hi = Cauchy().center_limit(n)
     return CenterInterval(lo=-hi, hi=hi, kind="exact_formula", n=n)
 
 

@@ -431,7 +431,8 @@ def _cmd_verify(args):
                           f"the sum of its x columns, {float(sums[i])!r}")
     target = n * c
     checks = []
-    cauchy = Cauchy()
+    # the columns are tested against the law of the mixer they are rebuilt on
+    mixer = build_mixer(cfg)
 
     # each column is sorted once, as a contiguous row, for its own KS test
     # and every pair it is in
@@ -439,14 +440,13 @@ def _cmd_verify(args):
     cols.sort(axis=1)
     ks_lim = 0.01 + ks_threshold(count)
     for j in range(n):
-        d = ks_distance(cols[j], cauchy.cdf)
+        d = ks_distance(cols[j], mixer.kernel.cdf)
         checks.append(InvariantResult("ks_coordinate_%d" % (j + 1), d <= ks_lim, d, ks_lim))
 
     stats = sum_stats(values, target, branch)
     checks.append(InvariantResult("sum_mean_dev", abs(stats.mean_dev) <= 1e-3,
                                   abs(stats.mean_dev), 1e-3))
 
-    mixer = build_mixer(cfg)
     bounds = mixer.row_bound_for(ts, branch)
     excess = float(np.max(np.abs(sums - target) - bounds))
     checks.append(InvariantResult("row_sum_bounds", excess <= 1e-15, excess, 1e-15))

@@ -16,9 +16,9 @@ integral, window average, centered moment and admissibility integrals
 (``generic_admissibility``) integrate the density times a weight through one
 routine, ``GenericDensity._integral``, with no quadrature inside another's
 integrand, and in ``quad_avg_quantile`` (the oracle the window averages are
-checked against); scipy is imported only there. A ``GenericDensity`` is also
-a slice kernel of the ``cauchy_mix`` mixers. Root finding is numpy
-everywhere: ``_brent_roots`` is the package's one root finder.
+checked against); scipy is imported only there. The standard ``Cauchy`` and
+a ``GenericDensity`` are the slice kernels of the ``cauchy_mix`` mixers. Root
+finding is numpy everywhere: ``_brent_roots`` is the package's one root finder.
 """
 from __future__ import annotations
 
@@ -55,19 +55,64 @@ def cauchy_quantile(t):
     return float(out) if out.ndim == 0 else out
 
 
-def cauchy_inverse_density(y):
-    """Positive x with standard-Cauchy density f(x) = y, elementwise.
-
-    Defined for y in (0, 1/pi]; y <= 0 gives +inf (the density never
-    reaches 0), y > 1/pi is outside the range of f and raises. A scalar
-    gives a float.
-    """
-    y = np.asarray(y, dtype=float)
-    if np.any(y > 1.0 / PI + 1e-15):
-        raise DomainError(f"density level {np.max(y)} exceeds the mode value 1/pi")
-    with np.errstate(divide="ignore", over="ignore"):
-        out = np.where(y <= 0.0, np.inf, np.sqrt(np.maximum(1.0 / (PI * y) - 1.0, 0.0)))
+def _atan_diff(u, el):
+    """arctan(u) - arctan(el), computed without cancellation."""
+    u = np.asarray(u, dtype=float)
+    el = np.asarray(el, dtype=float)
+    denom = 1.0 + u * el
+    base = np.arctan((u - el) / denom)
+    corr = np.where(denom > 0, 0.0, np.where(u >= el, PI, -PI))
+    out = base + corr
     return float(out) if out.ndim == 0 else out
+
+
+# (-1)^k / (2k+3)! for k = 9 down to 0: (phi - sin phi) / phi^3 as a
+# polynomial in phi^2, which the c = 0 radius solve uses below phi = 1, where
+# phi - sin phi cancels (cut at phi = 1/2, radii just above it were off by up
+# to 4.3 eps)
+_KEPLER_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(9, -1, -1))
+
+
+def _kepler_low(target):
+    """tan(phi/2) at the root of phi - sin(phi) = target, for target < pi/2.
+
+    Six Newton passes from cbrt(6*target), the root of the cubic term (on a
+    dense grid of targets the iterates reach rounding level by the fourth);
+    the derivative 1 - cos(phi) = 2 sin^2(phi/2) does not cancel. The start's
+    mantissa is cut to 20 bits: the last bit of np.cbrt depends on numpy's
+    SIMD dispatch, and the last iterate keeps an ulp-level trace of its start.
+    """
+    mant, expo = np.frexp(np.cbrt(6.0 * target))
+    phi = np.ldexp(np.round(np.ldexp(mant, 20)), expo - 20)
+    for _ in range(6):
+        step = phi - np.sin(phi)
+        small = phi < 1.0
+        x = phi[small]
+        z = x * x
+        step[small] = np.polyval(_KEPLER_SERIES, z) * z * x
+        step -= target
+        half = np.sin(0.5 * phi)
+        # the floor keeps the root phi = 0 of target = 0 from a 0/0
+        phi -= step / np.maximum(2.0 * half * half, 1e-300)
+    half = 0.5 * phi
+    return np.sin(half) / np.cos(half)
+
+
+def _kepler_high(target):
+    """cot(psi/2) at the root of psi + sin(psi) = target, for target <= pi/2;
+    +inf at target = 0.
+
+    Five Newton passes from target/2, which is below the root as
+    psi + sin psi <= 2*psi (the iterates reach rounding level by the
+    fourth); the derivative 2 cos^2(psi/2) is at least 1.
+    """
+    psi = 0.5 * target
+    for _ in range(5):
+        half = np.cos(0.5 * psi)
+        psi -= (psi + np.sin(psi) - target) / (2.0 * half * half)
+    half = 0.5 * psi
+    with np.errstate(divide="ignore"):
+        return np.cos(half) / np.sin(half)
 
 
 def _sin_pi(t: float) -> float:
@@ -102,7 +147,12 @@ def cauchy_window_mean(sin_lo, sin_hi, w, d, scale=1.0):
 
 
 class Cauchy:
-    """Cauchy law with scale ``sigma`` (sigma = 1 is the standard law)."""
+    """Cauchy law with scale ``sigma`` (sigma = 1 is the standard law).
+
+    The standard law is the ``cauchy_mix`` mixers' default slice kernel: the
+    methods from ``peak`` on are its closed forms, for scale 1 only, and
+    ``center_limit``, which every mixer build reads first, refuses others.
+    """
 
     mean_status = "undefined"
 
@@ -113,7 +163,9 @@ class Cauchy:
 
     def pdf(self, x):
         s = self.scale
-        return s / (PI * (s * s + np.asarray(x, dtype=float) ** 2))
+        x = np.asarray(x, dtype=float)
+        out = s / (PI * (s * s + x * x))
+        return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
         out = 0.5 + np.arctan(np.asarray(x, dtype=float) / self.scale) / PI
@@ -138,6 +190,63 @@ class Cauchy:
         """Mean of the quantile over [lo, hi] by ``cauchy_window_mean``."""
         d = (1.0 - hi) - lo if hi >= 0.5 else (0.5 - lo) + (0.5 - hi)
         return cauchy_window_mean(_sin_pi(lo), _sin_pi(hi), hi - lo, d, self.scale)
+
+    def peak(self):
+        return 1.0 / PI
+
+    def inverse_pdf(self, y):
+        """Positive x with pdf(x) = y, elementwise, for y in (0, 1/pi]; +inf
+        for y <= 0, DomainError above 1/pi. A scalar gives a float."""
+        y = np.asarray(y, dtype=float)
+        if np.any(y > 1.0 / PI + 1e-15):
+            raise DomainError(f"density level {np.max(y)} exceeds the mode value 1/pi")
+        with np.errstate(divide="ignore", over="ignore"):
+            out = np.where(y <= 0.0, np.inf, np.sqrt(np.maximum(1.0 / (PI * y) - 1.0, 0.0)))
+        return float(out) if out.ndim == 0 else out
+
+    def centered_moment(self, el, u, c):
+        """Integral of (x - c) * pdf(x) over [el, u], cancellation-safe."""
+        el = np.asarray(el, dtype=float)
+        u = np.asarray(u, dtype=float)
+        t1 = np.log1p((u - el) * (u + el) / (1.0 + el * el)) / (2.0 * PI)
+        t2 = -(c / PI) * _atan_diff(u, el)
+        out = t1 + t2
+        return float(out) if out.ndim == 0 else out
+
+    def cdf_diff(self, el, u):
+        """F(u) - F(el)."""
+        out = _atan_diff(u, el) / PI
+        return float(out) if np.ndim(out) == 0 else out
+
+    def center_limit(self, n):
+        """log(n-1)/pi, the largest center of n standard Cauchy variables."""
+        if self.scale != 1.0:
+            raise DomainError(f"the slice kernel is the standard law, got scale {self.scale}")
+        return math.log(n - 1) / PI
+
+    def radius_cdf(self, a):
+        """cdf of the radius law when the density is viewed as a scale
+        mixture of centered uniforms: 2F(a) - 1 - 2a*pdf(a)."""
+        a = np.asarray(a, dtype=float)
+        out = (2.0 / PI) * (np.arctan(a) - a / (1.0 + a * a))
+        return float(out) if out.ndim == 0 else out
+
+    def radius_quantile(self, u):
+        """Vectorized inverse of radius_cdf, solved in Kepler form.
+
+        With phi = 2*arctan(a), radius_cdf(a) = (phi - sin phi)/pi: Kepler's
+        equation at eccentricity 1. Below u = 1/2 the solve is in phi, from
+        u = 1/2 on in psi = pi - phi, where 1 - u is exact; u = 1 gives +inf.
+        Each takes a fixed number of Newton passes and no stop test, so a
+        radius depends on its own u only, not on the batch it is solved in.
+        """
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        out = np.empty(u.shape)
+        low = u < 0.5
+        out[low] = _kepler_low(PI * u[low])
+        high = ~low
+        out[high] = _kepler_high(PI * (1.0 - u[high]))
+        return out
 
     def sample(self, rng, size):
         return self.quantile(rng.random(size))
@@ -709,6 +818,8 @@ class GenericDensity:
         if err > 1e-6 * max(z, 1.0):
             raise QuadratureError("density normalization did not converge", achieved=err)
         self._norm = 2.0 * z
+        if not 0.0 < self._norm < math.inf:
+            raise DomainError(f"density normalization is {self._norm}, need finite and positive")
         g = self._grid_pdf = self._each(pdf, GENERIC_GRID)   # unnormalized
         if np.max(np.abs(g - g[::-1])) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
             raise DomainError("density is not symmetric about 0 on the sample grid")

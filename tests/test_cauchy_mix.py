@@ -18,7 +18,6 @@ from mixcenter.anchors import LOG2_PI, cauchy_like_density, power_three_halves_d
 from mixcenter.cauchy_mix import (
     ROOT_TOL,
     T_MIN,
-    CauchyKernel,
     ConstructiveMixer,
     ConvexCombinationSampler,
     MixerConfig,
@@ -307,6 +306,39 @@ class TestGenericSolvesMatchBrentq:
         assert kern.centered_moment(-a, a, 0.1).shape == (2, 2)
         assert isinstance(kern.centered_moment(-1.0, 2.0, 0.1), float)
         assert kern.radius_quantile(0.3).shape == (1,)
+
+
+@pytest.fixture(scope="module")
+def kernels():
+    """The standard Cauchy law twice: in closed form and by quadrature."""
+    return {"closed-form": Cauchy(), "quadrature": cauchy_like_density()}
+
+
+class TestSliceKernelProtocol:
+    """Each slice-kernel method over both statements of the standard Cauchy
+    law, so each kernel checks the other."""
+
+    @pytest.mark.parametrize("name", ["closed-form", "quadrature"])
+    def test_kernel_protocol(self, kernels, name):
+        kern = kernels[name]
+        other = kernels["quadrature" if name == "closed-form" else "closed-form"]
+        el = np.array([-40.0, -2.5, -0.3, 0.1, 1.5])
+        u = np.array([-3.0, 0.5, 0.7, 8.0, 1e3])
+        assert_allclose(kern.cdf_diff(el, u), kern.cdf(u) - kern.cdf(el), rtol=0, atol=1e-14)
+        assert_allclose(kern.centered_moment(el, u, 0.15), other.centered_moment(el, u, 0.15),
+                        rtol=0, atol=1e-11)
+        levels = np.array([1e-6, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-6])
+        assert_allclose(kern.radius_cdf(kern.radius_quantile(levels)), levels, rtol=0, atol=1e-12)
+        ys = np.array([1e-6, 0.01, 0.1, 0.3])
+        assert_allclose(kern.pdf(kern.inverse_pdf(ys)), ys, rtol=1e-12, atol=0)
+        assert kern.peak() == kern.pdf(0.0)
+        assert abs(kern.center_limit(3) - LOG2_PI) <= 1e-12
+
+    @pytest.mark.parametrize("c", [-0.1, 0.0, 0.1])
+    def test_scaled_cauchy_refused(self, c):
+        # the slice methods are those of scale 1
+        with pytest.raises(DomainError, match="standard law, got scale 2.0"):
+            build_mixer(MixerConfig(n=3, c=c, **SMALL), Cauchy(2.0))
 
 
 class TestPchipOracle:
@@ -647,7 +679,7 @@ class TestSymmetricMixer:
             assert ks_distance(batch.values[:, j], cdf) <= 0.015
 
     def test_radius_quantile_round_trip(self):
-        kern = CauchyKernel()
+        kern = Cauchy()
         u = np.linspace(1e-6, 1 - 1e-6, 999)
         a = kern.radius_quantile(u)
         assert_allclose(kern.radius_cdf(a), u, atol=1e-12)
@@ -698,7 +730,7 @@ class TestRadiusQuantile:
                                              [0.007777819036534349, 0.007996609405539434,
                                               0.007671802967952217]),
         }[region]()
-        got = CauchyKernel().radius_quantile(u)
+        got = Cauchy().radius_quantile(u)
         rel = [abs((mpmath.mpf(float(a)) - want) / want)
                for a, want in zip(got, map(_mp_radius, u))]
         assert max(rel) <= 4 * np.finfo(float).eps
@@ -706,20 +738,19 @@ class TestRadiusQuantile:
     @settings(max_examples=200, deadline=None)
     @given(u=st.lists(_UNIT, min_size=1, max_size=64))
     def test_each_element_is_its_own_solve(self, u):
-        kern = CauchyKernel()
+        kern = Cauchy()
         got = kern.radius_quantile(u)
         each = np.array([kern.radius_quantile([x])[0] for x in u])
         assert got.tobytes() == each.tobytes()
 
-    # 200,000 rows cross three draw chunk boundaries
     def test_seeded_batch_independent_of_order(self):
-        kern = CauchyKernel()
+        kern = Cauchy()
         u = np.random.default_rng(1).random(200_000)
         order = np.random.default_rng(2).permutation(u.size)
         assert kern.radius_quantile(u[order]).tobytes() == kern.radius_quantile(u)[order].tobytes()
 
     def test_seeded_batch_independent_of_split(self):
-        kern = CauchyKernel()
+        kern = Cauchy()
         u = np.random.default_rng(1).random(200_000)
         cuts = np.sort(np.random.default_rng(3).integers(0, u.size, 20))
         pieces = [kern.radius_quantile(part) for part in np.split(u, cuts)]
@@ -728,7 +759,7 @@ class TestRadiusQuantile:
     def test_monotone_across_branches(self):
         u = np.sort(np.concatenate([np.random.default_rng(7).random(100_000),
                                     0.5 + np.arange(-50, 50) * 2.0**-53]))
-        assert np.all(np.diff(CauchyKernel().radius_quantile(u)) >= 0.0)
+        assert np.all(np.diff(Cauchy().radius_quantile(u)) >= 0.0)
 
     @pytest.mark.parametrize("u,check", [
         (0.0, lambda a: a == 0.0 and not np.signbit(a)),
@@ -738,23 +769,28 @@ class TestRadiusQuantile:
     def test_special_values(self, u, check):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = CauchyKernel().radius_quantile([0.3, u, 0.7])
+            got = Cauchy().radius_quantile([0.3, u, 0.7])
         assert check(got[1])
 
     def test_memory(self):
-        # the solve's peak allocation against the bytes of its input
-        u = np.random.default_rng(4).random(1_000_000)
+        # a draw solves its radii one chunk at a time, so beyond the batch it
+        # returns it holds about one row-length float array (near 1.0003 of
+        # one here); one solve over all rows would hold about six
+        rows = 1_000_000
+        mixer = build_mixer(MixerConfig(n=2, c=0.0))
+        mixer.sample(10, substream(4, "radius-memory"))   # first-call allocations
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            CauchyKernel().radius_quantile(u)
+            batch = mixer.sample(rows, substream(4, "radius-memory"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - start <= 2.0 * u.nbytes
+        returned = sum(getattr(batch, name).nbytes for name in BATCH_FIELDS)
+        assert peak - start - returned <= 1.05 * rows * 8
 
     def test_shape_and_empty(self):
-        kern = CauchyKernel()
+        kern = Cauchy()
         u = np.random.default_rng(2).random((3, 4))
         got = kern.radius_quantile(u)
         assert got.shape == (3, 4)

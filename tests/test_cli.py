@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import mixcenter
 from mixcenter import anchors, cli
-from mixcenter.cauchy_mix import MixerConfig
+from mixcenter.cauchy_mix import MixerConfig, build_mixer
+from mixcenter.distributions import Cauchy
 from mixcenter.cli import SCHEMAS, main
 
 
@@ -418,6 +419,40 @@ class TestSampleVerify:
         assert captured.out == ""
         assert "CSV line 7: row_sum" in captured.err
         assert "is not the sum of its x columns" in captured.err
+
+    def test_verify_tests_columns_against_the_mixers_law(self, capsys, tmp_path, monkeypatch):
+        # the KS rows read the rebuilt mixer's kernel: one whose cdf is
+        # shifted by 1 fails every column of an honest c = 0 sample
+        out = str(tmp_path / "rows.csv")
+        code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0", "--count", "4000",
+                          "--seed", "2", "--out", out)
+        assert code == 0
+
+        class Shifted:
+            """The mixer's own kernel with its cdf moved right by 1."""
+
+            def __init__(self, kernel):
+                self.kernel = kernel
+
+            def __getattr__(self, name):
+                return getattr(self.kernel, name)
+
+            def cdf(self, x):
+                return Cauchy().cdf(np.asarray(x) - 1.0)
+
+        def build_shifted(cfg):
+            mixer = build_mixer(cfg)
+            mixer.kernel = Shifted(mixer.kernel)
+            return mixer
+
+        monkeypatch.setattr(cli, "build_mixer", build_shifted)
+        code, payload = run_json(capsys, "verify", out)
+        ks = {r["name"]: r["passed"] for r in payload["checks"]
+              if r["name"].startswith("ks_coordinate_")}
+        assert code == 1
+        assert ks == {"ks_coordinate_1": False, "ks_coordinate_2": False,
+                      "ks_coordinate_3": False}
+        assert all(r["passed"] for r in payload["checks"] if r["name"] not in ks)
 
     @pytest.mark.parametrize("count", [2000, 60_000])
     def test_verify_thresholds_pinned(self, capsys, tmp_path, count):

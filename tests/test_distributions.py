@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 import mixcenter
 from mixcenter.anchors import CAUCHY_WINDOW_02_09, EX01_WEIGHTS, cauchy_like_density, ex01_mixture
@@ -24,7 +25,6 @@ from mixcenter.distributions import (
     Reflected,
     Uniform,
     avg_quantile,
-    cauchy_inverse_density,
     cauchy_quantile,
     model_from_spec,
     quad_avg_quantile,
@@ -73,36 +73,36 @@ class TestCauchyQuantile:
 
 class TestCauchyInverseDensity:
     def test_mode(self):
-        assert cauchy_inverse_density(1.0 / PI) == 0.0
+        assert Cauchy().inverse_pdf(1.0 / PI) == 0.0
 
     def test_unit(self):
-        assert_allclose(cauchy_inverse_density(1.0 / (2 * PI)), 1.0, rtol=1e-14)
+        assert_allclose(Cauchy().inverse_pdf(1.0 / (2 * PI)), 1.0, rtol=1e-14)
 
     def test_two(self):
-        assert_allclose(cauchy_inverse_density(1.0 / (5 * PI)), 2.0, rtol=1e-14)
+        assert_allclose(Cauchy().inverse_pdf(1.0 / (5 * PI)), 2.0, rtol=1e-14)
 
     def test_zero_level_sentinel(self):
-        assert cauchy_inverse_density(0.0) == math.inf
-        assert cauchy_inverse_density(-1.0) == math.inf
+        assert Cauchy().inverse_pdf(0.0) == math.inf
+        assert Cauchy().inverse_pdf(-1.0) == math.inf
 
     def test_above_mode_rejected(self):
         with pytest.raises(DomainError):
-            cauchy_inverse_density(0.5)
+            Cauchy().inverse_pdf(0.5)
 
     def test_round_trip(self):
         f = Cauchy().pdf
         for y in (1e-6, 1e-3, 0.05, 0.3):
-            assert abs(f(cauchy_inverse_density(y)) - y) <= 1e-12
+            assert abs(f(Cauchy().inverse_pdf(y)) - y) <= 1e-12
 
     def test_array_matches_scalars(self):
         ys = np.array([[-1.0, 0.0, 1e-300], [1e-6, 0.05, 1.0 / PI]])
-        out = cauchy_inverse_density(ys)
+        out = Cauchy().inverse_pdf(ys)
         assert out.shape == ys.shape
-        assert isinstance(cauchy_inverse_density(0.05), float)
-        assert out.tolist() == [[cauchy_inverse_density(float(y)) for y in row] for row in ys]
+        assert isinstance(Cauchy().inverse_pdf(0.05), float)
+        assert out.tolist() == [[Cauchy().inverse_pdf(float(y)) for y in row] for row in ys]
         assert out[0, :2].tolist() == [math.inf, math.inf] and out[1, 2] == 0.0
         with pytest.raises(DomainError):
-            cauchy_inverse_density(np.array([0.1, 0.5]))
+            Cauchy().inverse_pdf(np.array([0.1, 0.5]))
 
 
 class TestCauchyModel:
@@ -593,6 +593,14 @@ class TestGenericDensity:
         with pytest.raises(DomainError, match="not strictly decreasing right of 0"):
             GenericDensity(pdf)
 
+    def test_normalization_must_be_finite_and_positive(self):
+        # NaN beyond |x| = 60 makes the normalization NaN, which every later
+        # check would let through; quad's roundoff warning is not the refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            with pytest.raises(DomainError, match="density normalization is nan"):
+                GenericDensity(lambda x: math.nan if abs(x) > 60.0 else 1.0 / (1.0 + x * x))
+
     def test_quantile_round_trip(self):
         g = cauchy_like_density()
         for t in (0.1, 0.4, 0.5, 0.8, 0.95):
@@ -681,6 +689,25 @@ def test_quadrature_call_sites():
                      ("distributions.py", "GenericDensity._integral"),
                      ("distributions.py", "quad_avg_quantile")}
     assert scipy_in_mixer == []
+
+
+def test_cauchy_mix_holds_no_cauchy_closed_form():
+    """The standard Cauchy law is written in ``distributions`` alone:
+    ``cauchy_mix`` defines no class with a ``pdf`` and names none of
+    arctan, tan, pi or PI."""
+    tree = ast.parse((Path(mixcenter.__file__).parent / "cauchy_mix.py").read_text())
+    with_pdf = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                and any(isinstance(f, ast.FunctionDef) and f.name == "pdf" for f in node.body)]
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update([node.name, node.asname])
+    assert with_pdf == []
+    assert names & {"arctan", "tan", "pi", "PI"} == set()
 
 
 class TestReflection:

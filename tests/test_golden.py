@@ -33,7 +33,8 @@ from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import mixcenter
 from mixcenter import cauchy_mix
-from mixcenter.cauchy_mix import CauchyKernel, ConvexCombinationSampler, MixerConfig, build_mixer
+from mixcenter.cauchy_mix import ConvexCombinationSampler, MixerConfig, build_mixer
+from mixcenter.distributions import Cauchy
 from mixcenter.rearrangement import ra_flatten_stack
 from mixcenter.cli import main
 from mixcenter.seeding import substream
@@ -372,8 +373,8 @@ def test_library_draw_bytes(case):
                    DRAW_DIGESTS[case][draw][name])
 
 
-# rows -> digest of ``CauchyKernel().radius_quantile`` on seeded uniforms;
-# at 65,537 rows the batch crosses a draw chunk boundary
+# rows -> digest of ``Cauchy().radius_quantile`` on seeded uniforms;
+# 65,537 rows are one more than a c = 0 draw solves in one chunk
 RADIUS_ROWS = (1_000_000, 65_537, 7)
 RADIUS_DIGESTS = {
     1_000_000: "47af3c092550b0f1f4f0a5536c845ca70a206b0d33bdebe03f8299ef48278334",
@@ -385,7 +386,7 @@ RADIUS_DIGESTS = {
 @pytest.mark.parametrize("rows", RADIUS_ROWS)
 def test_radius_quantile_bytes(rows):
     u = substream(7, "golden-radius", str(rows)).random(rows)
-    got = hashlib.sha256(CauchyKernel().radius_quantile(u).tobytes()).hexdigest()
+    got = hashlib.sha256(Cauchy().radius_quantile(u).tobytes()).hexdigest()
     _check(f"radius_quantile of {rows} uniforms", got, RADIUS_DIGESTS[rows])
 
 
@@ -403,7 +404,7 @@ PORTABLE_CERTIFY = sorted(set(CERTIFY_RUNS) - {"repro", "repro-seed7"})
 def c0_digests():
     """Digests of the radius of 65,537 seeded uniforms and of the n4-c0 draws."""
     u = substream(7, "golden-radius", "65537").random(65_537)
-    return {"radius": hashlib.sha256(CauchyKernel().radius_quantile(u).tobytes()).hexdigest(),
+    return {"radius": hashlib.sha256(Cauchy().radius_quantile(u).tobytes()).hexdigest(),
             "draw": draw_digests("n4-c0")}
 
 
