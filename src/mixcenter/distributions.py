@@ -793,15 +793,15 @@ class GenericDensity:
     """Law given by a symmetric, strictly unimodal density on the real line.
 
     ``pdf`` need not be normalized; the normalizing constant is computed
-    once by quadrature. At construction ``pdf`` is evaluated on
-    ``GENERIC_GRID``, once: the shape checks ask those values for symmetry
-    about 0 and a strict decrease right of 0, and ``generic_admissibility``
-    reads them for convexity. ``pdf``, ``cdf``, ``inverse_pdf`` and
-    ``quantile`` take a scalar (giving a float) or an array (keeping its
-    shape). The cdf, the survival integral (by parts), the window average
-    (by the substitution t = F(x)), the centered moment and the
-    admissibility integrals are each quadratures of the density times a
-    weight, through ``_integral``.
+    once by quadrature and must be finite and positive. At construction
+    ``pdf`` is evaluated on ``GENERIC_GRID``, once: the shape checks ask
+    those values for symmetry about 0 and a strict decrease right of 0, and
+    ``generic_admissibility`` reads them for convexity. ``pdf``, ``cdf``,
+    ``inverse_pdf`` and ``quantile`` take a scalar (giving a float) or an
+    array (keeping its shape). The cdf, the survival integral (by parts),
+    the window average (by the substitution t = F(x)), the centered moment
+    and the admissibility integrals are each quadratures of the density
+    times a weight, through ``_integral``.
 
     The density is also a slice kernel of ``cauchy_mix``: ``build_mixer(config,
     density)`` runs the mixers on it, with ``center_limit(n)`` the largest
