@@ -123,9 +123,6 @@ class SampleBatch:
     def row_sums(self):
         return self.values.sum(axis=1)
 
-    def __len__(self):
-        return self.values.shape[0]
-
 
 def _exact_row_bound(n, size):
     """Sum bound of an exact row: rounding of n coordinates of size <= ``size``."""
@@ -192,6 +189,7 @@ class SymmetricMixer:
             raise DomainError("symmetric construction only covers c = 0")
         self.config = config
         self.kernel = kernel or Cauchy()
+        self.kernel.center_limit(config.n)   # refuses a kernel the mixers cannot serve
         self.n = config.n
         self.c = 0.0
         self.mass_deficit = 0.0

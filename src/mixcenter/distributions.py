@@ -1,10 +1,14 @@
 """One-dimensional distribution models.
 
-Every model exposes ``cdf``, ``quantile``, ``sample`` and a declared
-``mean_status`` in {"finite", "+inf", "-inf", "undefined"}. Continuous
-models additionally expose ``pdf`` and ``survival_integral`` (the integral
-of 1 - F over an interval, needed by the dual center bound). Quantiles are
-generalized inverses, so everything here also works for step cdfs.
+Every model exposes ``cdf``, ``quantile``, ``survival_integral`` (the
+integral of 1 - F over an interval, needed by the dual center bound),
+``_avg_quantile`` (its window average, read through ``avg_quantile``) and a
+declared ``mean_status`` in {"finite", "+inf", "-inf", "undefined"}.
+Quantiles are generalized inverses, so everything here also works for step
+cdfs, and a law is its quantile: a draw of ``size`` values is
+``model.quantile(rng.random(size))``, by inverse transform. ``pdf`` and the
+slice methods exist only on the two slice kernels, ``Cauchy`` and
+``GenericDensity``. ``model_from_spec`` reads a model from its JSON form.
 
 Mean status is declared by each model rather than inferred numerically:
 detecting tail-integral divergence from samples or quadrature is
@@ -248,14 +252,8 @@ class Cauchy:
         out[high] = _kepler_high(PI * (1.0 - u[high]))
         return out
 
-    def sample(self, rng, size):
-        return self.quantile(rng.random(size))
-
     def reflected(self):
         return self
-
-    def to_spec(self):
-        return {"kind": "cauchy", "scale": self.scale}
 
 
 class Pareto:
@@ -273,12 +271,6 @@ class Pareto:
     @property
     def mean_status(self):
         return "+inf" if self.shape <= 1.0 else "finite"
-
-    @property
-    def mean(self):
-        if self.shape <= 1.0:
-            return math.inf
-        return self.shape * self.xm / (self.shape - 1.0)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -321,12 +313,6 @@ class Pareto:
             tail = log_ratio if q == 0.0 else math.expm1(q * log_ratio) / q
             total += u * (self.xm / u) ** self.shape * tail
         return total
-
-    def sample(self, rng, size):
-        return self.quantile(rng.random(size))
-
-    def to_spec(self):
-        return {"kind": "pareto", "shape": self.shape, "xm": self.xm}
 
 
 class FiniteDiscrete:
@@ -408,21 +394,10 @@ class FiniteDiscrete:
             total += (hi - lo) * (mass - level)
         return total
 
-    def sample(self, rng, size):
-        u = rng.random(size) * self.total_mass
-        idx = np.searchsorted(self._cum, u, side="right")
-        return self.values[np.minimum(idx, len(self.values) - 1)]
-
     def reflected(self):
         return FiniteDiscrete(
             zip(-self.values[::-1], self.probs[::-1]), total_mass=self.total_mass
         )
-
-    def to_spec(self):
-        return {
-            "kind": "finite",
-            "atoms": [[float(v), float(p)] for v, p in zip(self.values, self.probs)],
-        }
 
 
 def point_mass(c: float) -> FiniteDiscrete:
@@ -489,16 +464,6 @@ class PowerTwoGeometric:
 
     def survival_integral(self, a, b):
         return _power_two_survival_integral(self, a, b, float(self.sign == "positive"))
-
-    def sample(self, rng, size):
-        z = rng.geometric(0.5, size) - 1  # P(z=k) = 2^-(k+1), k >= 0
-        if self.sign == "positive":
-            return np.exp2(z).astype(float)
-        return -np.exp2(z + 1).astype(float)
-
-    def to_spec(self):
-        kind = "ex01_nu" if self.sign == "positive" else "ex01_gamma"
-        return {"kind": kind, "truncation_K": self.truncation}
 
 
 def _power_two_view(model, kmax):
@@ -571,15 +536,6 @@ class CountableMixture:
 
     def quantile(self, t):
         return self.truncated(60).quantile(t)
-
-    def sample(self, rng, size):
-        ws = np.array([float(w) for w, _ in self.components])
-        which = rng.choice(len(ws), size=size, p=ws)
-        out = np.empty(size, dtype=float)
-        for i, (_, comp) in enumerate(self.components):
-            mask = which == i
-            out[mask] = comp.sample(rng, int(mask.sum()))
-        return out
 
 
 class AtomUniform:
@@ -658,19 +614,6 @@ class AtomUniform:
                       * ((y - left) + (y - right)) / (2.0 * (y - x)))
         return total
 
-    def sample(self, rng, size):
-        u = rng.random(size)
-        unif = self.atom_x + (self.right_y - self.atom_x) * rng.random(size)
-        return np.where(u < self.atom_weight, self.atom_x, unif)
-
-    def to_spec(self):
-        return {
-            "kind": "atom_uniform",
-            "atom_x": self.atom_x,
-            "right_y": self.right_y,
-            "atom_weight": self.atom_weight,
-        }
-
 
 class Uniform(AtomUniform):
     """Uniform law on [a, b]: the atom-plus-uniform law without an atom."""
@@ -686,18 +629,8 @@ class Uniform(AtomUniform):
     def b(self):
         return self.right_y
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= self.a) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
-
-    def sample(self, rng, size):
-        return self.a + (self.b - self.a) * rng.random(size)
-
     def reflected(self):
         return Uniform(-self.b, -self.a)
-
-    def to_spec(self):
-        return {"kind": "uniform", "a": self.a, "b": self.b}
 
 
 def _brent_roots(f, lo, hi, f_lo, f_hi, xtol, args=(), maxiter=100, what="root"):
@@ -793,7 +726,8 @@ class GenericDensity:
     """Law given by a symmetric, strictly unimodal density on the real line.
 
     ``pdf`` need not be normalized; the normalizing constant is computed
-    once by quadrature and must be finite and positive. At construction
+    once by quadrature and must be finite and positive, and a quadrature that
+    reports trouble (a divergent integral, say) is refused. At construction
     ``pdf`` is evaluated on ``GENERIC_GRID``, once: the shape checks ask
     those values for symmetry about 0 and a strict decrease right of 0, and
     ``generic_admissibility`` reads them for convexity. ``pdf``, ``cdf``,
@@ -814,12 +748,14 @@ class GenericDensity:
         from scipy.integrate import quad
 
         self._raw_pdf = pdf
-        z, err = quad(pdf, 0.0, np.inf, limit=400)
-        if err > 1e-6 * max(z, 1.0):
-            raise QuadratureError("density normalization did not converge", achieved=err)
+        # quad returns a message only where it did not meet its tolerance
+        z, err, _, *msg = quad(pdf, 0.0, np.inf, limit=400, full_output=1)
         self._norm = 2.0 * z
         if not 0.0 < self._norm < math.inf:
             raise DomainError(f"density normalization is {self._norm}, need finite and positive")
+        if msg:
+            raise QuadratureError(f"density normalization: {' '.join(msg[0].split())}",
+                                  achieved=err)
         g = self._grid_pdf = self._each(pdf, GENERIC_GRID)   # unnormalized
         if np.max(np.abs(g - g[::-1])) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
             raise DomainError("density is not symmetric about 0 on the sample grid")
@@ -955,9 +891,6 @@ class GenericDensity:
                             args=(level,), what="radius")
         return root.reshape(u.shape)
 
-    def sample(self, rng, size):
-        return self.quantile(rng.random(size))
-
 
 @dataclass(frozen=True)
 class AdmissibilityResult:
@@ -1066,9 +999,6 @@ class Reflected:
         of [a, b] less the base law's survival integral over [-b, -a] (the
         atoms where P(X >= u) and P(X > u) differ have measure zero)."""
         return (b - a) - self.base.survival_integral(-b, -a)
-
-    def sample(self, rng, size):
-        return -self.base.sample(rng, size)
 
 
 def reflect(model):

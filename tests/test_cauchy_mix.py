@@ -284,8 +284,6 @@ class TestGenericSolvesMatchBrentq:
         want = np.array([_scalar_quantile(g, t) for t in ts])
         assert g.quantile(ts).tobytes() == want.tobytes()
         assert g.quantile(float(ts[7])) == want[7]
-        assert g.sample(substream(33, "g"), 40).tobytes() == np.array(
-            [_scalar_quantile(g, t) for t in substream(33, "g").random(40)]).tobytes()
 
     def test_radius_quantile(self):
         kern = cauchy_like_density()
@@ -334,6 +332,11 @@ class TestSliceKernelProtocol:
         # the slice methods are those of scale 1
         with pytest.raises(DomainError, match="standard law, got scale 2.0"):
             build_mixer(MixerConfig(n=3, c=c, **SMALL), Cauchy(2.0))
+
+    def test_symmetric_mixer_refuses_scaled_cauchy(self):
+        # built directly, without build_mixer's check of the center
+        with pytest.raises(DomainError, match="standard law, got scale 2.0"):
+            SymmetricMixer(MixerConfig(n=3, c=0.0, **SMALL), Cauchy(2.0))
 
 
 class TestPchipOracle:
