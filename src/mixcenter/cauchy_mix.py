@@ -157,24 +157,6 @@ def _chunks(count):
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
-def _permute_rows(values, rng):
-    """Shuffle the coordinates of each row of ``values`` in place.
-
-    ``rng.permuted(..., axis=1)`` draws row by row, so permuting a chunk of
-    rows at a time, in row order, takes the draws of one call over all rows.
-    Each chunk gathers its coordinates through flat row offsets.
-    """
-    n = values.shape[1]
-    offsets = np.arange(0, min(len(values), _DRAW_CHUNK_ROWS) * n, n)[:, None]
-    for rows in _chunks(len(values)):
-        size = rows.stop - rows.start
-        perm = np.broadcast_to(np.arange(n), (size, n)).copy()
-        rng.permuted(perm, axis=1, out=perm)
-        perm += offsets[:size]
-        block = values[rows]
-        block[...] = block.reshape(-1)[perm]
-
-
 class SymmetricMixer:
     """Exact center-0 sampler for a symmetric unimodal kernel.
 
@@ -204,7 +186,7 @@ class SymmetricMixer:
         values *= 2.0
         values -= 1.0
         values *= radius[:, None]
-        _permute_rows(values, rng)
+        rng.permuted(values, axis=1, out=values)   # unshuffled, column pairs differ in law
         branch = np.ones(count, dtype=np.int8)
         return SampleBatch(
             values=values,
@@ -724,7 +706,7 @@ class ConstructiveMixer:
             if idx2.size:
                 cell = cells[idx2]
                 coupled = table.rows[cell, row_idx[idx2]]
-                _permute_rows(coupled, rng)
+                rng.permuted(coupled, axis=1, out=coupled)
                 values[idx2] = coupled
                 ts[idx2], bound[idx2] = table.t_hat[cell], table.bound[cell]
 
@@ -774,13 +756,8 @@ class ReflectedMixer:
     def sample(self, count, rng) -> SampleBatch:
         batch = self.base.sample(count, rng)
         np.negative(batch.values, out=batch.values)
-        return SampleBatch(
-            values=batch.values,
-            t=batch.t,
-            branch=batch.branch,
-            row_bound=batch.row_bound,
-            target_sum=-batch.target_sum,
-        )
+        batch.target_sum = -batch.target_sum
+        return batch
 
     def row_bound_for(self, t, branch):
         return self.base.row_bound_for(t, branch)

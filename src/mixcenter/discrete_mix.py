@@ -366,24 +366,17 @@ def _exact_probs(probs):
 
     The bounds 10, 100, ..., 10**11 on the denominator are tried in turn:
     the first whose nearest fractions sum to 1 and each round back to their
-    own float is taken. The last try is the nearest fractions with
-    denominator at most 10**12, which need only sum to 1. Trying the small
+    own float is taken, else DomainError (no probability is read as a
+    rational that is not its float, such as 1e-15 as 0). Trying the small
     bounds first matters: for w/W with W above about 1e4, the nearest
-    fraction with denominator up to 10**12 is seldom w/W. Raises
-    DomainError if no try succeeds.
+    fraction with a large denominator bound is seldom w/W.
     """
     for k in range(1, 12):
         fracs = [Fraction(p).limit_denominator(10 ** k) for p in probs]
         if sum(fracs) == 1 and all(float(f) == p for f, p in zip(fracs, probs)):
             return fracs
-    fracs = [Fraction(p).limit_denominator(10 ** 12) for p in probs]
-    share = sum(fracs)
-    if share != 1:
-        raise DomainError(
-            "exact mode needs probabilities that reconstruct to "
-            f"rationals summing to 1 (marginal total {share})"
-        )
-    return fracs
+    raise DomainError("exact mode needs probabilities that reconstruct to rationals "
+                      "summing to 1, with denominators up to 10**11, each its own float")
 
 
 def _finite(marginals):
@@ -419,12 +412,6 @@ def feasible_center(marginals, center: float, tol: float = 1e-9,
     classes, cells, sizes = _slice_orbits(marginals, center, tol)
     candidates = int(sizes.sum())
     lens = [len(m.values) for m in marginals]
-    if not len(cells):
-        # no column to match: y = 1 on every row is a Farkas certificate
-        return FeasibilityResult(
-            verdict="infeasible", center=center, dual=[1.0] * sum(lens),
-            residual=sum(float(p) for m in marginals for p in m.probs) / n, candidates=0,
-        )
     if exact and candidates > EXACT_VARIABLE_GUARD:
         raise SizeError(f"exact mode is guarded at {EXACT_VARIABLE_GUARD} variables")
     groups = [[i for i, c in enumerate(classes) if c == label]
@@ -477,8 +464,8 @@ def _check_farkas(y, cells, b):
 
     Every column holds n unit entries and b sums to n times the total mass,
     so any x >= 0 with Ax = b has sum(x) = sum(b)/n and y.b = (y.A).x <=
-    max(y.A) * sum(b)/n. A dual whose y.b exceeds that bound is a Farkas
-    certificate. Exact duals are checked in rationals. Float duals are
+    max(y.A, 0) * sum(b)/n, the 0 standing in for an empty slice's missing
+    columns. A dual whose y.b exceeds that bound is a Farkas certificate. Exact duals are checked in rationals. Float duals are
     checked in floats, with the bound raised by the rounding of each sum,
     at most its term count times eps times the sum of its terms' sizes:
     y.A is 0 on the solver's basic columns, and its float value lands on
@@ -488,14 +475,14 @@ def _check_farkas(y, cells, b):
         raise DomainError(f"solver dual is not a certificate: {len(y)} entries, {len(b)} rows")
     y = np.asarray(y)
     n = cells.shape[1]
-    worst = y[cells].sum(axis=1).max()
+    worst = y[cells].sum(axis=1).max(initial=0)
     terms = [yi * bi for yi, bi in zip(y, b)]
     gain = sum(terms)
     mass = sum(b) / n
     bound = worst * mass
     if y.dtype != object:
         eps = np.finfo(float).eps
-        col = abs(y)[cells].sum(axis=1).max()
+        col = abs(y)[cells].sum(axis=1).max(initial=0)
         bound += eps * (n * col * mass + len(b) * (sum(map(abs, terms)) + abs(worst) * mass))
     if not gain > bound:
         raise DomainError(f"solver dual is not a certificate: y.b = {float(gain)!r} does not "

@@ -48,10 +48,9 @@ class FlattenResult:
 
 
 def shuffle_columns(matrix: np.ndarray, rng) -> None:
-    """Apply an independent ``rng.permutation`` to each column, in place."""
-    m, n = matrix.shape
-    for j in range(n):
-        matrix[:, j] = matrix[rng.permutation(m), j]
+    """Shuffle each column independently, in place, with the draws of one
+    ``rng.permutation(m)`` per column in column order."""
+    rng.permuted(matrix, axis=0, out=matrix)
 
 
 def _stable_argsort_rows(key):

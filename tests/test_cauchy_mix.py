@@ -28,7 +28,7 @@ from mixcenter.cauchy_mix import (
 from mixcenter.distributions import Cauchy, GenericDensity, generic_admissibility
 from mixcenter.errors import DomainError
 from mixcenter.seeding import substream
-from mixcenter.verify import ks_distance, ks_two_sample, run_invariant_suite
+from mixcenter.verify import KS_99, ks_distance, ks_two_sample, run_invariant_suite
 
 PI = math.pi
 
@@ -624,6 +624,20 @@ class TestSampling:
         for i in range(3):
             for j in range(i + 1, 3):
                 assert ks_two_sample(batch.values[:, i], batch.values[:, j]) <= 0.01
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_c0_rows_exchangeable_in_pairs(self, n):
+        # the c = 0 columns are antithetic pairs and a three-block map, whose
+        # marginals agree even unshuffled; a pair's sum or difference does
+        # not: unshuffled, x0 + x1 is 0 on every n = 4 row. Halves of the
+        # batch are independent, so each two-sample KS gets the 99% limit
+        batch = build_mixer(MixerConfig(n=n, c=0.0)).sample(100_000, substream(23, "pairs"))
+        first, second = batch.values[:50_000], batch.values[50_000:]
+        lim = KS_99 * math.sqrt(2.0 / 50_000)
+        for sign in (1.0, -1.0):
+            ks = ks_two_sample(first[:, 0] + sign * first[:, 1],
+                               second[:, 0] + sign * second[:, 2])
+            assert ks <= lim, (sign, ks)
 
     def test_slice_sampler_sums(self, mixer):
         rng = substream(6, "test", "slice")

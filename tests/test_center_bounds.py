@@ -37,6 +37,7 @@ from mixcenter.distributions import (
     quad_avg_quantile,
     reflect,
 )
+from mixcenter.cauchy_mix import ConvexCombinationSampler, MixerConfig, SymmetricMixer
 from mixcenter.errors import DomainError
 
 PI = math.pi
@@ -392,3 +393,29 @@ class TestInfiniteMeanClassifier:
         mix = CountableMixture([(1, PowerTwoGeometric("positive"))])
         assert infinite_mean_classifier([mix, point_mass(0.0), point_mass(0.0)]) == "excluded"
         assert infinite_mean_classifier([ex01_mixture()] * 3) == "inconclusive"
+
+
+def _convex(n_b, alpha):
+    return ConvexCombinationSampler(SymmetricMixer(MixerConfig(3, 0.0)),
+                                    SymmetricMixer(MixerConfig(n_b, 0.0)), alpha)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cauchy_avg_quantile_upper(1, 0.1), "need n >= 2"),
+    (lambda: cauchy_avg_quantile_upper(3, 0.0), r"need 0 < alpha < 1/n"),
+    (lambda: cauchy_avg_quantile_upper(3, 1 / 3), r"need 0 < alpha < 1/n"),
+    (lambda: JmBoundsInput((Cauchy(),), (0.1,)), "need at least two marginals"),
+    (lambda: JmBoundsInput((Cauchy(), Cauchy()), (0.1,)), "need one beta per marginal"),
+    (lambda: JmBoundsInput((Cauchy(), Cauchy()), (0.1, 0.0)), r"each beta must lie in \(0, 1\)"),
+    (lambda: cm_bounds(Cauchy(), 1), "need n >= 2"),
+    (lambda: mean_inequality_holds(0.2, 1.0, 1.0, 1.0, 3), "need x < y"),
+    (lambda: mean_inequality_holds(1.5, 0.0, 1.0, 0.5, 3), r"alpha must lie in \[0, 1\]"),
+    (lambda: mean_inequality_holds(0.2, 0.0, 1.0, 0.5, 1), "need n >= 2"),
+    (lambda: _convex(3, 1.5), r"alpha must lie in \[0, 1\]"),
+    (lambda: _convex(4, 0.5), "mixers must share n"),
+], ids=["avg-upper-n", "avg-upper-alpha-0", "avg-upper-alpha-1/n", "jm-one-marginal",
+        "jm-beta-count", "jm-beta-range", "cm-n", "mean-ineq-x-y", "mean-ineq-alpha",
+        "mean-ineq-n", "convex-alpha", "convex-n"])
+def test_domain_errors(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

@@ -91,6 +91,21 @@ class TestBounds:
         code, _ = run_cli(capsys, "bounds", "--marginals", triple_spec, "--beta", "0.05")
         assert code == 2
 
+    @pytest.mark.parametrize("spec, key, value", [
+        ({"kind": "ex01_nu"}, "lo", "inf"),
+        ({"kind": "pareto", "shape": 0.5}, "lo", "inf"),
+        ({"kind": "ex01_gamma"}, "hi", "-inf"),
+    ], ids=["ex01_nu", "pareto-0.5", "ex01_gamma"])
+    def test_infinite_mean_side_is_a_string(self, capsys, tmp_path, spec, key, value):
+        # JSON has no infinity: the diverging side is written as a string
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(spec))
+        code, payload = run_json(capsys, "bounds", "--marginals", str(path), "--n", "3")
+        assert code == 0 and payload["schema"] == "mixcenter.bounds/1"
+        assert payload[key] == value
+        other = payload["hi" if key == "lo" else "lo"]
+        assert isinstance(other, float) and math.isfinite(other)
+
     def test_missing_n_for_single(self, capsys, cauchy_spec):
         code, _ = run_cli(capsys, "bounds", "--marginals", cauchy_spec)
         assert code == 1

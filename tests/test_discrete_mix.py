@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mixcenter import discrete_mix
+from mixcenter import cli, discrete_mix
 from mixcenter.anchors import ex01_symmetrized_marginal
 from mixcenter.discrete_mix import (
     Coupling,
@@ -175,6 +176,25 @@ class TestFeasibleCenter:
         assert all(sum(y[r] for r in row) <= 0 for row in cells)
         assert sum(yi * bi for yi, bi in zip(y, b)) > 0
         assert feasible_center([m, m, m], 22.0).verdict == "infeasible"
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("center", [0.5, 10.0])
+    def test_empty_slice_residual_in_lp_units(self, exact, center):
+        # m uniform on {0, 1}, three times: no triple sums to 0.5 or 10, so
+        # the phase-1 LP has no orbit column and leaves all of b (summing to
+        # n = 3) unmatched; its all-ones dual is checked like any other. The
+        # one-orbit slice at 0 matches half of b, so it reads less
+        m = FiniteDiscrete([(0.0, 0.5), (1.0, 0.5)])
+        checked = []
+        real_check = discrete_mix._check_farkas
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(discrete_mix, "_check_farkas",
+                       lambda y, cells, b: checked.append(len(cells)) or real_check(y, cells, b))
+            res = feasible_center([m] * 3, center, exact=exact)
+        assert res.verdict == "infeasible" and res.candidates == 0
+        assert res.residual == 3.0 and res.dual == [1.0] * 6
+        assert checked == [0]
+        assert feasible_center([m] * 3, 0.0, exact=exact).residual == 1.5
 
     def test_bogus_dual_rejected(self, monkeypatch):
         bern = FiniteDiscrete([(0.0, 0.7), (1.0, 0.3)])
@@ -780,6 +800,23 @@ class TestExactProbs:
         with pytest.raises(DomainError, match="reconstruct"):
             discrete_mix._exact_probs([0.3, 0.3, 0.3])
 
+    def test_positive_probability_never_rounds_to_zero(self, capsys, tmp_path):
+        # no denominator up to 1e11 gives 1e-15 back, and reading it as 0
+        # would make three copies of m summing to 3 "feasible", which no
+        # law with P(X = 0) = 1e-15 allows (only the float mode's tol does)
+        probs = [1e-15, 1 - 1e-15]
+        with pytest.raises(DomainError, match="reconstruct"):
+            discrete_mix._exact_probs(probs)
+        m = FiniteDiscrete(list(zip([0.0, 1.0], probs)))
+        with pytest.raises(DomainError, match="reconstruct"):
+            feasible_center([m] * 3, 3.0, exact=True)
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps([{"kind": "finite", "atoms": [[0.0, probs[0]],
+                                                                 [1.0, probs[1]]]}] * 3))
+        assert cli.main(["feasible", "--marginals", str(spec), "--center", "3",
+                         "--exact"]) == 1
+        assert "reconstruct" in capsys.readouterr().err
+
 
 class TestEnumerateCenters:
     def test_two_point_family(self):
@@ -827,7 +864,7 @@ class TestEnumerateCenters:
         assert cs.centers == [center] and list(cs.certificates) == [center]
 
     def test_forced_center_of_unreconstructible_probabilities(self):
-        # no rationals with denominator up to 1e12 sum to 1 here, so the
+        # no rationals with denominator up to 1e11 sum to 1 here, so the
         # float means are summed; the antithetic pair sums to 1
         p = 0.123456789012345
         with pytest.raises(DomainError, match="reconstruct"):
