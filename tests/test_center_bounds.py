@@ -13,6 +13,7 @@ from mixcenter.anchors import (
     cauchy_like_density,
     ex01_mixture,
 )
+from mixcenter.cauchy_mix import ConvexCombinationSampler, MixerConfig, SymmetricMixer
 from mixcenter.center_bounds import (
     JmBoundsInput,
     cauchy_avg_quantile_upper,
@@ -37,7 +38,6 @@ from mixcenter.distributions import (
     quad_avg_quantile,
     reflect,
 )
-from mixcenter.cauchy_mix import ConvexCombinationSampler, MixerConfig, SymmetricMixer
 from mixcenter.errors import DomainError
 
 PI = math.pi

@@ -179,7 +179,7 @@ class TestFeasibleCenter:
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     @pytest.mark.parametrize("center", [0.5, 10.0])
-    def test_empty_slice_residual_in_lp_units(self, exact, center):
+    def test_empty_slice_residual_in_lp_units(self, monkeypatch, exact, center):
         # m uniform on {0, 1}, three times: no triple sums to 0.5 or 10, so
         # the phase-1 LP has no orbit column and leaves all of b (summing to
         # n = 3) unmatched; its all-ones dual is checked like any other. The
@@ -187,10 +187,9 @@ class TestFeasibleCenter:
         m = FiniteDiscrete([(0.0, 0.5), (1.0, 0.5)])
         checked = []
         real_check = discrete_mix._check_farkas
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(discrete_mix, "_check_farkas",
-                       lambda y, cells, b: checked.append(len(cells)) or real_check(y, cells, b))
-            res = feasible_center([m] * 3, center, exact=exact)
+        monkeypatch.setattr(discrete_mix, "_check_farkas",
+                            lambda y, cells, b: checked.append(len(cells)) or real_check(y, cells, b))
+        res = feasible_center([m] * 3, center, exact=exact)
         assert res.verdict == "infeasible" and res.candidates == 0
         assert res.residual == 3.0 and res.dual == [1.0] * 6
         assert checked == [0]
