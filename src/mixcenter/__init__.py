@@ -11,6 +11,7 @@ functions that call it, so the samplers and verification never load it.
 from .cauchy_mix import (
     ConstructiveMixer,
     ConvexCombinationSampler,
+    ExplicitMixer,
     MixerConfig,
     ReflectedMixer,
     SampleBatch,
@@ -62,6 +63,7 @@ from .rearrangement import discretize, ra_flatten
 from .seeding import substream
 from .verify import (
     COUPLING_INVARIANTS,
+    EXPLICIT_MIXER_INVARIANTS,
     MIXER_INVARIANTS,
     SYMMETRIC_MIXER_INVARIANTS,
     ks_distance,

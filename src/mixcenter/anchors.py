@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import center_bounds, discrete_mix
-from .cauchy_mix import ConvexCombinationSampler, MixerConfig, build_mixer
+from .cauchy_mix import ConstructiveMixer, ConvexCombinationSampler, MixerConfig, build_mixer
 from .distributions import (
     Cauchy,
     CountableMixture,
@@ -150,9 +150,11 @@ def exclusions(seed):
 
 
 def mixer(seed):
-    """The constructive Cauchy mixer at n = 3, c = 0.15, and its domain."""
+    """The constructive Cauchy mixer at n = 3, c = 0.15, and its domain.
+    ``build_mixer`` draws that center explicitly, so the slice mixer whose
+    clip-level imbalance is probed here is built directly."""
     cfg = MixerConfig(n=3, c=0.15, seed=seed)
-    mx = build_mixer(cfg)
+    mx = ConstructiveMixer(cfg)
     t_probe = 2.0
     at_cap = mx.imbalance(t_probe, mx.kernel.pdf(cfg.c + t_probe))
     far = mx.imbalance(1e8, 0.0)

@@ -65,6 +65,16 @@ T_MIN = 1e-6
 _CELL_BLOCK_ENTRIES = 1 << 18
 # rows of one chunk of a draw's per-row work
 _DRAW_CHUNK_ROWS = 1 << 16
+# the explicit mixer's log grid: points per unit of log x (rounded so that
+# each ratio-(n-1) period holds a whole number), and its ends
+_EXPLICIT_STEP = 1.0 / 512
+_EXPLICIT_LO = 1e-8
+_EXPLICIT_HI = 1e9
+# Taylor terms of the odd part D in the t-law series' closure, and the
+# argument below which the closure takes over (its next term is below
+# (1e-2)^10 relative)
+_SKEW_TERMS = 5
+_SKEW_CLOSE = 1e-2
 
 
 def _as_arrays(t, y):
@@ -115,7 +125,8 @@ class SampleBatch:
     values: np.ndarray          # (count, n)
     t: np.ndarray               # mixing parameter per row
     # 1 = exact row (cyclic at c != 0, every row at c = 0), 2 = coupling
-    # row, 3 = convex combination of two batches (t is nan)
+    # row, 3 = convex combination of two batches (t is nan), 4 = explicit
+    # row symmetric about c (t is its radius R)
     branch: np.ndarray
     row_bound: np.ndarray       # guaranteed |row sum - n*c| bound per row
     target_sum: float
@@ -165,6 +176,8 @@ class SymmetricMixer:
     are exact (no discretization or truncation) and row sums vanish to
     machine precision.
     """
+
+    stream = 1
 
     def __init__(self, config: MixerConfig, kernel=None):
         if config.c != 0.0:
@@ -462,6 +475,8 @@ class _CellTable:
 class ConstructiveMixer:
     """Sampler for 0 < c <= log(n-1)/pi via the slice decomposition."""
 
+    stream = 1
+
     def __init__(self, config: MixerConfig, kernel=None):
         kernel = kernel or Cauchy()
         n, c = config.n, config.c
@@ -742,6 +757,286 @@ class ConstructiveMixer:
         return out
 
 
+class _SkewSeries:
+    """The t-law of the explicit mixer's cyclic rows, divided by c.
+
+    With q = n - 1 and D the kernel's odd part about c, its density and cdf
+    are the series mu(x) = n/(n-1) sum_k q^-2k D(x/q^k) and M(y) = n/(n-1)
+    sum_k q^-k int_0^{y/q^k} D. Once an argument x/q^k is below
+    ``_SKEW_CLOSE`` the rest of each series is closed in one step: every
+    Taylor term of D sums as a geometric series over the remaining k.
+    """
+
+    def __init__(self, kernel, n, c):
+        self.kernel, self.n, self.c, self.q = kernel, n, c, float(n - 1)
+        self.gain = n / (n - 1)
+        # the closure's coefficient of x^(2j+1) in mu: d_j times sum_k q^-k(2j+3)
+        self._closed = [self.gain * d / (1.0 - self.q ** -(2 * j + 3))
+                        for j, d in enumerate(kernel.skew_taylor(c, _SKEW_TERMS))]
+
+    def closure(self, x):
+        """(mu, mu', M) / c at small x: the series from x on, in closed form."""
+        xx = x * x
+        mu = slope = cdf = 0.0
+        power = np.ones_like(x)     # x^(2j)
+        for j, coef in enumerate(self._closed):
+            slope = slope + (2 * j + 1) * coef * power
+            mu = mu + coef * power * x
+            cdf = cdf + coef * power * xx / (2 * j + 2)
+            power = power * xx
+        return mu, slope, cdf
+
+    def on_grid(self, x):
+        """(mu, mu', M) / c on a geometric grid, ``x[j] = q * x[j - 1]``: the
+        first row closed, each later row its own term plus the row before,
+        scaled as the series' next term (the series with shared sums)."""
+        mu, slope, cdf = (np.empty_like(x) for _ in range(3))
+        mu[0], slope[0], cdf[0] = self.closure(x[0])
+        odd, odd_slope = self.kernel.skew(self.c, x[1:])
+        mass = self.kernel.skew_mass(self.c, x[1:])
+        q, g = self.q, self.gain
+        for j in range(1, len(x)):
+            mu[j] = g * odd[j - 1] + mu[j - 1] / (q * q)
+            slope[j] = g * odd_slope[j - 1] + slope[j - 1] / (q * q * q)
+            cdf[j] = g * mass[j - 1] + cdf[j - 1] / q
+        return mu, slope, cdf
+
+    def at(self, y):
+        """(mu, M) / c at any y >= 0 (1-d), by the truncated series."""
+        y = np.minimum(np.asarray(y, dtype=float), 1e300)
+        mu, cdf = np.zeros(y.shape), np.zeros(y.shape)
+        live, arg = np.arange(y.size), y.copy()
+        w_mu = w_cdf = self.gain
+        while live.size:
+            x = arg[live]
+            small = x < _SKEW_CLOSE
+            idx = live[small]
+            closed_mu, _, closed_cdf = self.closure(x[small])
+            mu[idx] += w_mu / self.gain * closed_mu
+            cdf[idx] += w_cdf / self.gain * closed_cdf
+            live, x = live[~small], x[~small]
+            mu[live] += w_mu * self.kernel.skew(self.c, x)[0]
+            cdf[live] += w_cdf * self.kernel.skew_mass(self.c, x)
+            arg[live] = x / self.q
+            w_mu /= self.q * self.q
+            w_cdf /= self.q
+        return mu, cdf
+
+
+def _geometric_grid(q, first, periods):
+    """(periods + 1, p) grid: ``first`` spans one ratio-q period, and each
+    row is q times the row before. Python's libm sets ``first`` and every
+    later point is a product, so the grid is the same under every numpy
+    SIMD dispatch."""
+    x = np.empty((periods + 1, len(first)))
+    x[0] = first
+    for j in range(1, periods + 1):
+        x[j] = x[j - 1] * q
+    return x
+
+
+class _LogInverse:
+    """Inverse of a cdf V tabulated on a geometric grid of x (ratio q every
+    row of the grid), with nothing truncated:
+
+    * between the knots, log x is linear in v (``_CdfInverse``);
+    * below the first knot, a power law through it with the first
+      interval's log slope; its u-error is at most the first cdf value;
+    * above the last knot, the law's self-similarity: 1 - V(q x) = (1 -
+      V(x)) / q up to O(1/x), so the tail is mapped into the last row of
+      the grid, inverted there and scaled back.
+    """
+
+    def __init__(self, x, cdf, q):
+        self.q = q
+        x, cdf = x.ravel(), np.maximum.accumulate(cdf.ravel())
+        self._inner = _CdfInverse(cdf, np.log(x))
+        self.x0, self.v0, self.v_end = x[0], cdf[0], cdf[-1]
+        self.power = math.log(cdf[1] / cdf[0]) / math.log(x[1] / x[0])
+
+    def __call__(self, v):
+        """x for each v in [0, 1): a new array."""
+        x = v.copy()
+        self._inner.invert(x)
+        np.exp(x, out=x)
+        low = np.flatnonzero(v < self.v0)
+        if low.size:
+            x[low] = self.x0 * (v[low] / self.v0) ** (1.0 / self.power)
+        high = np.flatnonzero(v > self.v_end)
+        if high.size:
+            tail = 1.0 - v[high]
+            # the fewest periods that carry the tail mass into the table
+            k = np.ceil(np.log((1.0 - self.v_end) / tail) / math.log(self.q))
+            k += tail * self.q ** k < 1.0 - self.v_end
+            inner = 1.0 - tail * self.q ** k
+            self._inner.invert(inner)
+            x[high] = np.exp(inner) * self.q ** k
+        return x
+
+
+def _grid_steps(q):
+    """(first row, periods) of the explicit grid for ratio q."""
+    per = max(2, round(math.log(q) / _EXPLICIT_STEP))
+    first = [_EXPLICIT_LO * math.exp(i * math.log(q) / per) for i in range(per)]
+    periods = math.ceil(math.log(_EXPLICIT_HI / _EXPLICIT_LO) / math.log(q))
+    return first, periods
+
+
+class ExplicitMixer:
+    """Exact sampler for 0 < c <= c_sym(n): cyclic rows plus block rows
+    symmetric about c, with no cells and no rearrangement.
+
+    A cyclic row at t is (c - t, ..., c - t, c + (n-1)t), permuted; it sums
+    to n*c exactly. Giving t the law M above, of total mass the cyclic
+    fraction P = n/(n-2) (2F(c) - 1), the cyclic rows carry exactly the part
+    of the density that is not symmetric about c. What remains, rho(x) =
+    f(c + x) - mu(x/(n-1)) / (n(n-1)) at c + x and at c - x, is symmetric
+    about c; where it is also >= 0 and non-increasing (the admissibility
+    check), Khinchine's theorem makes it a scale mixture of uniforms about
+    c, with radius cdf G(s) = (2 int_0^s rho - 2s rho(s)) / (1 - P). Its rows
+    are ``c + R (2B - 1)``, B the exact c = 0 block rows, which sum to n*c.
+    Every coordinate is exactly standard Cauchy up to the tables' u-error.
+
+    The check decides rho >= 0 and rho' <= 0 on a log grid from 1e-8 to past
+    1e9 in the rational forms of f, f', D and D' alone, so the decision does
+    not depend on numpy's SIMD dispatch. Past the grid x^3 rho' tends to a
+    periodic function of log x, period log(n-1), and at every n tried
+    the first violation as c grows is in the grid's last periods. This is a
+    grid check, not a proof. The kernel supplies the odd part's closed forms
+    (``Cauchy.skew``, ``skew_mass``, ``skew_taylor`` and ``slope``).
+
+    Draws read two inverse tables built here, for t and for R; ``u_error``
+    holds each one's worst u-error, measured against the closed forms at
+    the midpoints of the knots and one period past their ends.
+    """
+
+    stream = 2
+
+    def __init__(self, config: MixerConfig, kernel=None, skew=None):
+        kernel = kernel or Cauchy()
+        n, c = config.n, config.c
+        limit = kernel.center_limit(n)
+        if n < 3 or not 0.0 < c <= limit:
+            raise DomainError(f"the explicit route needs n >= 3 and 0 < c <= {limit:.10g}, "
+                              f"got n={n}, c={c}")
+        self.config, self.kernel, self.n, self.c = config, kernel, n, c
+        self.mass_deficit = 0.0
+        self._skew = skew or _SkewLaw(kernel, n, c)
+        if not self._skew.admissible:
+            raise DomainError(f"center {c} is outside the explicit range at n={n}: the "
+                              f"symmetric remainder is not unimodal near x={self._skew.worst:.6g}")
+        self.cyclic_fraction = n / (n - 2) * kernel.cdf_diff(-c, c)
+        self._t_of_v, self._r_of_w, self.u_error = self._skew.tables(self.cyclic_fraction)
+        # a cyclic row's coordinates, before the scale t and the shift c
+        self._pattern = np.full(n, -1.0)
+        self._pattern[-1] = n - 1.0
+
+    def t_cdf(self, t):
+        """The cyclic rows' t-law cdf, M(t) / P, at any t >= 0."""
+        return self.c * self._skew.series.at(t)[1] / self.cyclic_fraction
+
+    def radius_cdf(self, s):
+        """The symmetric rows' radius cdf G at any s >= 0."""
+        s = np.asarray(s, dtype=float)
+        mu, cdf = self._skew.series.at(s / (self.n - 1))
+        return self._skew.radius_mass(s, mu, cdf) / (1.0 - self.cyclic_fraction)
+
+    def sample(self, count, rng) -> SampleBatch:
+        """``count`` rows: one uniform per row picks the branch (u < P) and,
+        rescaled, the row's t or R; then its block row and its shuffle."""
+        n, c, p = self.n, self.c, self.cyclic_fraction
+        scale = rng.random(count)
+        values = _uniform_block_rows(n, count, rng)
+        branch = np.empty(count, dtype=np.int8)
+        bound = np.empty(count)
+        for rows in _chunks(count):
+            u = scale[rows]
+            cyclic = u < p
+            branch[rows] = np.where(cyclic, 1, 4)
+            idx = np.flatnonzero(cyclic)
+            u[idx] = self._t_of_v(u[idx] / p)
+            idx = np.flatnonzero(~cyclic)
+            u[idx] = self._r_of_w((u[idx] - p) / (1.0 - p))
+            # 2B - 1 on symmetric rows, the cyclic pattern on cyclic ones
+            v = values[rows]
+            v *= 2.0
+            v -= 1.0
+            v[cyclic] = self._pattern
+            v *= u[:, None]
+            v += c
+            bound[rows] = self.row_bound_for(u, branch[rows])
+        rng.permuted(values, axis=1, out=values)
+        return SampleBatch(values=values, t=scale, branch=branch, row_bound=bound,
+                           target_sum=n * c)
+
+    def row_bound_for(self, t, branch):
+        """Per-row sum bound from the recorded (t, branch): a cyclic row's
+        coordinates are <= c + (n-1)t, a symmetric row's <= c + R."""
+        t = np.asarray(t, dtype=float)
+        return _exact_row_bound(self.n, self.c + t * np.where(np.asarray(branch) == 1,
+                                                                self.n - 1.0, 1.0))
+
+
+class _SkewLaw:
+    """The explicit mixer's grid: the admissibility check, then on demand
+    the two inverse tables."""
+
+    def __init__(self, kernel, n, c):
+        self.kernel, self.n, self.c = kernel, n, c
+        self.series = _SkewSeries(kernel, n, c)
+        q = self.series.q
+        first, self.periods = _grid_steps(q)
+        self.first = np.array(first)
+        x = _geometric_grid(q, self.first, self.periods)
+        mu, slope, _ = self.series.on_grid(x)
+        # rho and rho' at s = x[1:], whose mu terms are read at s/q = x[:-1]
+        s = x[1:]
+        rho = kernel.pdf(c + s) - c * mu[:-1] / (n * q)
+        drho = kernel.slope(c + s) - c * slope[:-1] / (n * q * q)
+        bad = (rho < 0.0) | (drho > 0.0)
+        # the single-arctan masses need c < 1
+        self.admissible = c < 1.0 and not bad.any()
+        self.worst = float(s.ravel()[np.argmax(bad.ravel())]) if bad.any() else math.nan
+
+    def radius_mass(self, s, mu, cdf):
+        """(1 - P) G(s) from (mu, M)/c at s/q: 2(F(c + s) - F(c)) - 2s f(c + s)
+        - (2c/n)(M(s/q) - (s/q) mu(s/q))."""
+        kern, c, n = self.kernel, self.c, self.n
+        y = s / self.series.q
+        return (2.0 * kern.cdf_diff(c, c + s) - 2.0 * s * kern.pdf(c + s)
+                - (2.0 * c / n) * (cdf - y * mu))
+
+    def _cdfs(self, x, p):
+        """(t cdf on x, radius cdf on x[1:]) for a grid x."""
+        mu, _, cdf = self.series.on_grid(x)
+        return (self.c * cdf / p,
+                self.radius_mass(x[1:], mu[:-1], cdf[:-1]) / (1.0 - p))
+
+    def tables(self, p):
+        """(t of v, R of w, u_error): the inverse tables for cyclic fraction
+        p, and each one's worst u-error against the closed forms. The grid
+        runs one period past the tables, and the error is read at the
+        geometric midpoints of the knots: inside, against the knots' mean
+        v; in that period, against the tail's self-similar map; below the
+        first knot it is at most the first cdf value."""
+        q, per = self.series.q, len(self.first)
+        x = _geometric_grid(q, self.first, self.periods + 1)
+        mid = _geometric_grid(q, self.first * math.exp(0.5 * math.log(q) / per),
+                              self.periods + 1)
+        (t_cdf, r_cdf), (t_mid, r_mid) = self._cdfs(x, p), self._cdfs(mid, p)
+        inverses, errors = [], {}
+        for name, knots, cdf, at_mid in (("t", x, t_cdf, t_mid), ("radius", x[1:], r_cdf, r_mid)):
+            inverses.append(_LogInverse(knots[:-1], cdf[:-1], q))
+            v, want = cdf.ravel(), at_mid.ravel()
+            size = v.size - per
+            inner = 0.5 * (v[:size - 1] + v[1:size])
+            tail = 1.0 - (1.0 - inner[size - per:]) / q
+            errors[name] = max(float(np.max(np.abs(inner - want[:size - 1]))),
+                               float(np.max(np.abs(tail - want[size:size + per - 1]))),
+                               float(v[0]))
+        return inverses[0], inverses[1], errors
+
+
 class ReflectedMixer:
     """Sampler for c < 0: negation of the mixer for -c, row by row."""
 
@@ -752,6 +1047,7 @@ class ReflectedMixer:
         self.n = base.n
         self.c = -base.c
         self.mass_deficit = base.mass_deficit
+        self.stream = base.stream
 
     def sample(self, count, rng) -> SampleBatch:
         batch = self.base.sample(count, rng)
@@ -764,8 +1060,12 @@ class ReflectedMixer:
 
 
 def build_mixer(config: MixerConfig, kernel=None):
-    """Dispatch on the sign of c; rejects centers outside the kernel's
-    interval, ``|c| <= kernel.center_limit(n)`` (``Cauchy()`` by default)."""
+    """The mixer for (n, c): ``SymmetricMixer`` at c = 0, ``ExplicitMixer``
+    at 0 < c where the kernel has the odd part's closed forms and the
+    admissibility check passes (c <= c_sym(n)), ``ConstructiveMixer`` at
+    other c > 0, and the reflection of the mixer for -c at c < 0. Rejects
+    centers outside the kernel's interval, ``|c| <= kernel.center_limit(n)``
+    (``Cauchy()`` by default)."""
     kernel = kernel or Cauchy()
     n, c = config.n, config.c
     limit = kernel.center_limit(n)
@@ -775,9 +1075,13 @@ def build_mixer(config: MixerConfig, kernel=None):
         )
     if c == 0.0:
         return SymmetricMixer(config, kernel)
-    if c > 0.0:
-        return ConstructiveMixer(config, kernel)
-    return ReflectedMixer(build_mixer(dataclasses.replace(config, c=-c), kernel))
+    if c < 0.0:
+        return ReflectedMixer(build_mixer(dataclasses.replace(config, c=-c), kernel))
+    if hasattr(kernel, "skew"):
+        skew = _SkewLaw(kernel, n, c)
+        if skew.admissible:
+            return ExplicitMixer(config, kernel, skew)
+    return ConstructiveMixer(config, kernel)
 
 
 class ConvexCombinationSampler:

@@ -37,6 +37,7 @@ from .seeding import DEFAULT_SEED, substream
 from .verify import (
     KS_99,
     InvariantResult,
+    explicit_row_checks,
     ks_distance,
     ks_threshold,
     ks_two_sample,  # noqa: F401  (the traced benchmark run wraps it here by name)
@@ -125,6 +126,8 @@ SCHEMAS = {
             "mass_deficit": {"type": "number"},
             "count": {"type": "integer"},
             "engine": {"enum": ["mix"]},
+            # the draw's stream: written from 2 on, absent means 1
+            "stream": {"type": "integer"},
         },
     },
     "mixcenter.verify/1": {
@@ -389,6 +392,9 @@ def _cmd_sample(args):
         "count": args.count,
         "engine": "mix",
     }
+    # stream 1 is written as no key, so its sidecars keep their bytes
+    if mixer.stream > 1:
+        meta["stream"] = mixer.stream
     _emit(meta, out + ".meta.json")
     return None, 0
 
@@ -431,8 +437,13 @@ def _cmd_verify(args):
                           f"the sum of its x columns, {float(sums[i])!r}")
     target = n * c
     checks = []
-    # the columns are tested against the law of the mixer they are rebuilt on
+    # the columns are tested against the law of the mixer they are rebuilt on,
+    # which must draw by the sidecar's stream
     mixer = build_mixer(cfg)
+    stream = _sidecar_value(meta, "stream", int) if "stream" in meta else 1
+    if stream != mixer.stream:
+        raise DomainError(f"sidecar stream {stream}, but this version draws n={n}, c={c} "
+                          f"by stream {mixer.stream}")
 
     # each column is sorted once, as a contiguous row, for its own KS test
     # and every pair it is in
@@ -450,6 +461,7 @@ def _cmd_verify(args):
     bounds = mixer.row_bound_for(ts, branch)
     excess = float(np.max(np.abs(sums - target) - bounds))
     checks.append(InvariantResult("row_sum_bounds", excess <= 1e-15, excess, 1e-15))
+    checks += explicit_row_checks(mixer, ts, branch)
     # the rest needs only the sorted columns: letting the CSV's table go
     # here makes room for the temporaries of the two pair-KS threads
     del values, ts, branch, recorded, sums, bounds

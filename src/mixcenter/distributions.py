@@ -70,6 +70,14 @@ def _atan_diff(u, el):
     return float(out) if out.ndim == 0 else out
 
 
+def _atan_ratio(z):
+    """arctan(z) / z for z >= 0: 1 - z^2/3 below 1e-8, where that is exact
+    to rounding, so z = 0 and subnormal z need no division."""
+    z = np.asarray(z, dtype=float)
+    small = z < 1e-8
+    return np.where(small, 1.0 - z * z / 3.0, np.arctan(z) / np.where(small, 1.0, z))
+
+
 # (-1)^k / (2k+3)! for k = 9 down to 0: (phi - sin phi) / phi^3 as a
 # polynomial in phi^2, which the c = 0 radius solve uses below phi = 1, where
 # phi - sin phi cancels (cut at phi = 1/2, radii just above it were off by up
@@ -251,6 +259,41 @@ class Cauchy:
         high = ~low
         out[high] = _kepler_high(PI * (1.0 - u[high]))
         return out
+
+    # The odd part of the density about a center c > 0, D(x) = pdf(c - x) -
+    # pdf(c + x) for x >= 0, which the explicit mixer's cyclic rows carry.
+    # Each form is divided by c, so that a center near 0 (down to 1e-300)
+    # keeps every value normal.
+
+    def slope(self, x):
+        """The density's derivative, -2x / (pi (1 + x^2)^2) (rational)."""
+        x = np.asarray(x, dtype=float)
+        return -2.0 * x / (PI * (1.0 + x * x) ** 2)
+
+    def skew(self, c, x):
+        """(D(x)/c, D'(x)/c), rational: D(x) = 4cx / (pi ab) with a = 1 +
+        (c - x)^2 and b = 1 + (c + x)^2, and D'(x) = 4c ((1 + c^2)^2 -
+        2(1 - c^2)x^2 - 3x^4) / (pi (ab)^2)."""
+        x = np.asarray(x, dtype=float)
+        ab = (1.0 + (c - x) ** 2) * (1.0 + (c + x) ** 2)
+        xx = x * x
+        top = (1.0 + c * c) ** 2 - 2.0 * (1.0 - c * c) * xx - 3.0 * xx * xx
+        return (4.0 / PI) * x / ab, (4.0 / PI) * top / (ab * ab)
+
+    def skew_mass(self, c, a):
+        """int_0^a D, divided by c, for 0 < c < 1: arctan(2ca^2 / ((1 + c^2)^2
+        + (1 - c^2)a^2)) / pi, one arctan with no cancellation (arctan(z)/z
+        is its series below z = 1e-8)."""
+        a = np.asarray(a, dtype=float)
+        aa = a * a
+        ratio = 2.0 * aa / ((1.0 + c * c) ** 2 + (1.0 - c * c) * aa)
+        return ratio * _atan_ratio(c * ratio) / PI
+
+    def skew_taylor(self, c, terms):
+        """d_0 .. d_{terms-1} with D(x)/c = sum_j d_j x^(2j+1) for |x| <
+        sqrt(1 + c^2): d_j = (2/pi) Im((c - i)^-(2j+2)) / c."""
+        return [(2.0 / PI) * (complex(c, -1.0) ** -(2 * j + 2)).imag / c
+                for j in range(terms)]
 
     def reflected(self):
         return self

@@ -16,12 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._halves import two_halves
-from .cauchy_mix import ROOT_TOL, ConstructiveMixer, ReflectedMixer, SymmetricMixer
+from .cauchy_mix import ROOT_TOL, ConstructiveMixer, ExplicitMixer, ReflectedMixer, SymmetricMixer
 from .discrete_mix import Coupling
 from .distributions import AtomUniform
 from .rearrangement import discretize
 
 KS_99 = 1.628  # asymptotic 99% quantile of the Kolmogorov statistic
+Z_99 = 2.5758  # two-sided 99% quantile of the standard normal
+# largest u-error of an explicit mixer's inverse tables
+U_ERROR_TOL = 1e-6
 
 
 def ks_distance(samples, cdf) -> float:
@@ -159,6 +162,11 @@ MIXER_INVARIANTS = (
 SYMMETRIC_MIXER_INVARIANTS = (
     "radius_mass",
     "block_rows_exact",
+)
+
+EXPLICIT_MIXER_INVARIANTS = (
+    "inverse_u_error",
+    "explicit_rows_exact",
 )
 
 # the rows of ``discrete_mix.Coupling.invariants``, in order
@@ -299,12 +307,47 @@ def _symmetric_suite(mixer: SymmetricMixer) -> list:
     return res
 
 
+def _explicit_suite(mixer: ExplicitMixer) -> list:
+    worst = max(mixer.u_error.values())
+    res = [InvariantResult("inverse_u_error", worst <= U_ERROR_TOL, worst, U_ERROR_TOL)]
+    rng = np.random.default_rng(np.random.SeedSequence(mixer.config.seed))
+    batch = mixer.sample(4096, rng)
+    excess = float(np.max(np.abs(batch.row_sums() - batch.target_sum) - batch.row_bound))
+    res.append(InvariantResult("explicit_rows_exact", excess <= 0.0, excess, 0.0))
+    return res
+
+
+def explicit_row_checks(mixer, t, branch) -> list:
+    """The construction of an explicit mixer's rows, from their recorded
+    (t, branch): the cyclic rows' t against the t-law M/P and the symmetric
+    rows' radius against G, each by KS (with the columns' 0.01 slack), and
+    the number of cyclic rows against the cyclic fraction P by its binomial
+    99% limit (normal, plus one row). Empty for any other mixer; a
+    ``ReflectedMixer`` checks its base, whose rows carry the same (t, branch)."""
+    base = mixer.base if isinstance(mixer, ReflectedMixer) else mixer
+    if not isinstance(base, ExplicitMixer):
+        return []
+    t, branch = np.asarray(t, dtype=float), np.asarray(branch)
+    res = []
+    for name, code, cdf in (("cyclic_t_law_ks", 1, base.t_cdf),
+                            ("radius_law_ks", 4, base.radius_cdf)):
+        rows = np.sort(t[branch == code])
+        d = ks_distance(rows, cdf) if rows.size else 0.0
+        lim = 0.01 + ks_threshold(max(rows.size, 1))
+        res.append(InvariantResult(name, d <= lim, d, lim))
+    p = base.cyclic_fraction
+    dev = abs(np.count_nonzero(branch == 1) - t.size * p)
+    lim = Z_99 * math.sqrt(t.size * p * (1.0 - p)) + 1.0
+    res.append(InvariantResult("cyclic_branch_count", dev <= lim, dev, lim))
+    return res
+
+
 def run_invariant_suite(target, marginals=None, center=None) -> list:
     """Every structural invariant applicable to the target, as a list of
     ``InvariantResult`` rows in the order of its manifest.
 
-    Accepts a built mixer (constructive, symmetric, or reflected, which
-    checks its base) or a Coupling. Failures are rows with
+    Accepts a built mixer (constructive, explicit, symmetric, or reflected,
+    which checks its base) or a Coupling. Failures are rows with
     ``passed=False``; the function never raises on a failed check.
     """
     if isinstance(target, ReflectedMixer):
@@ -313,6 +356,8 @@ def run_invariant_suite(target, marginals=None, center=None) -> list:
         return _constructive_suite(target)
     if isinstance(target, SymmetricMixer):
         return _symmetric_suite(target)
+    if isinstance(target, ExplicitMixer):
+        return _explicit_suite(target)
     if isinstance(target, Coupling):
         return [InvariantResult(*row)
                 for row in target.invariants(marginals=marginals, center=center)]

@@ -246,7 +246,8 @@ class TestSampleVerify:
         devs = values.sum(axis=1) - 3 * 0.15
         stats = payload["sum_stats"]
         assert stats["max_abs_dev"] == float(np.abs(devs).max())
-        assert set(stats["per_branch"]) == {"1", "2"}
+        # cyclic rows and the explicit mixer's rows symmetric about c
+        assert set(stats["per_branch"]) == {"1", "4"}
         for label, entry in stats["per_branch"].items():
             sel = devs[branch == int(label)]
             assert entry["count"] == sel.size
@@ -318,8 +319,10 @@ class TestSampleVerify:
         assert not (tmp_path / "x.csv").exists()
 
     def test_coarse_t_grid_names_itself(self, capsys, tmp_path):
-        # 16 knots pass the domain check but miss the trapezoid calibration
-        code = main(["sample", "--n", "3", "--c", "0.15", "--count", "10",
+        # 16 knots pass the domain check but miss the trapezoid calibration;
+        # the n = 10 endpoint is past the explicit range, so the slice mixer
+        # reads t_grid
+        code = main(["sample", "--n", "10", "--c", repr(math.log(9) / math.pi), "--count", "10",
                      "--t-grid", "16", "--out", str(tmp_path / "x.csv")])
         assert code == 1
         err = capsys.readouterr().err
@@ -469,32 +472,48 @@ class TestSampleVerify:
                       "ks_coordinate_3": False}
         assert all(r["passed"] for r in payload["checks"] if r["name"] not in ks)
 
+    @pytest.mark.parametrize("n,c", [(3, 0.15), (10, math.log(9) / math.pi)],
+                             ids=["explicit", "constructive"])
     @pytest.mark.parametrize("count", [2000, 60_000])
-    def test_verify_thresholds_pinned(self, capsys, tmp_path, count):
+    def test_verify_thresholds_pinned(self, capsys, tmp_path, count, n, c):
         # every gate of verify, on either side of the pairwise KS floor of
-        # 0.01. Gates only tighten: one that tightens updates this pin
+        # 0.01, for both mixers at c > 0. Gates only tighten: one that
+        # tightens updates this pin
         out = str(tmp_path / "rows.csv")
-        code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0.15", "--count", str(count),
+        code, _ = run_cli(capsys, "sample", "--n", str(n), "--c", repr(c), "--count", str(count),
                           "--t-grid", "512", "--out", out)
         assert code == 0
         _, payload = run_json(capsys, "verify", out)
-        want = {f"ks_coordinate_{j}": 0.01 + 1.628 / math.sqrt(count) for j in (1, 2, 3)}
+        want = {f"ks_coordinate_{j + 1}": 0.01 + 1.628 / math.sqrt(count) for j in range(n)}
         want.update({
             "exchangeability_pairwise_ks": max(0.01, 1.628 * math.sqrt(2 / count)),
             "sum_mean_dev": 1e-3,
             "row_sum_bounds": 1e-15,
-            "clip_level_monotone": 1e-12,
-            "clip_level_bounds": 1e-15,
-            "root_residual": 1e-12,
-            "zero_level_nonnegative": -1e-10,
-            "edge_balance_single_sign_change": 1.0,
-            "mixing_mass": 1e-4 + 1e-6,
-            "slice_mean": 1e-8,
-            "slice_weight_inequality": -1e-12,
-            "measure_reconstruction": 1e-4,
-            "coupling_cells_valid": 0.0,
             "metadata_mass_deficit": 1e-12,
         })
+        if n == 3:
+            values, ts, branch, _ = cli._read_csv(out)
+            p = 6 * math.atan(c) / math.pi
+            want.update({
+                "cyclic_t_law_ks": 0.01 + 1.628 / math.sqrt(np.count_nonzero(branch == 1)),
+                "radius_law_ks": 0.01 + 1.628 / math.sqrt(np.count_nonzero(branch == 4)),
+                "cyclic_branch_count": 2.5758 * math.sqrt(count * p * (1 - p)) + 1.0,
+                "inverse_u_error": 1e-6,
+                "explicit_rows_exact": 0.0,
+            })
+        else:
+            want.update({
+                "clip_level_monotone": 1e-12,
+                "clip_level_bounds": 1e-15,
+                "root_residual": 1e-12,
+                "zero_level_nonnegative": -1e-10,
+                "edge_balance_single_sign_change": 1.0,
+                "mixing_mass": 1e-4 + 1e-6,
+                "slice_mean": 1e-8,
+                "slice_weight_inequality": -1e-12,
+                "measure_reconstruction": 1e-4,
+                "coupling_cells_valid": 0.0,
+            })
         got = {check["name"]: check["threshold"] for check in payload["checks"]}
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 

@@ -976,3 +976,54 @@ class TestCouplingValidate:
         c = Coupling(2, [(0.0, 0.0), (1.0, 1.0)], [0.5, 0.5])
         with pytest.raises(DomainError, match="sums_constant fails: measured 2.0"):
             c.validate()
+
+
+def _per_row_invariants(coupling, marginals, center, tol, marginal_tol):
+    """The invariant rows as the per-row path computes them: ``fsum`` of each
+    row and a dict of each marginal, summed in row order."""
+    out = coupling.invariants(tol=tol)[:2]   # the weight rows have one path
+    sums = [math.fsum(row) for row in coupling.support]
+    if center is None:
+        center = sums[0]
+    dev = max(abs(float(s - center)) for s in sums)
+    out.append(("sums_constant", dev <= tol, dev, tol))
+    worst = 0.0
+    for i, m in enumerate(marginals):
+        proj = {}
+        for row, wgt in zip(coupling.support, coupling.weights):
+            proj[row[i]] = proj.get(row[i], 0 * wgt) + wgt
+        declared = dict(zip(m.values, m.probs))
+        for v in set(proj) | set(declared):
+            worst = max(worst, abs(float(proj.get(v, 0)) - float(declared.get(v, 0))))
+    out.append(("marginals_match", worst <= marginal_tol, worst, marginal_tol))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 4), rows=st.integers(1, 40),
+       atoms=st.sampled_from(["int", "float", "half"]),
+       weights=st.sampled_from(["float", "fraction"]),
+       with_center=st.booleans())
+def test_bulk_invariants_equal_per_row(data, n, rows, atoms, weights, with_center):
+    # integer-valued supports take the bulk path (int64 sums, bincount
+    # marginals); half-integer ones and Fraction weights keep the per-row one
+    values = st.integers(-6, 6)
+    support = [tuple(data.draw(values) for _ in range(n)) for _ in range(rows)]
+    if atoms != "int":
+        step = 0.5 if atoms == "half" else 1.0
+        support = [tuple(step * v for v in row) for row in support]
+    counts = [data.draw(st.integers(1, 9)) for _ in range(rows)]
+    total = sum(counts)
+    w = [Fraction(k, total) if weights == "fraction" else k / total for k in counts]
+    coupling = Coupling(n, support, w)
+    marginals = []
+    for i in range(n):
+        atoms_i = sorted({row[i] for row in support} | {data.draw(values)})
+        marginals.append(FiniteDiscrete([(float(a), 1 / len(atoms_i)) for a in atoms_i]))
+    center = float(sum(support[0])) + data.draw(st.sampled_from([0.0, 0.5])) \
+        if with_center else None
+    got = coupling.invariants(marginals=marginals, center=center, tol=1e-9, marginal_tol=1e-10)
+    want = _per_row_invariants(coupling, marginals, center, 1e-9, 1e-10)
+    assert got == want
+    integral = all(float(a).is_integer() for row in support for a in row)
+    assert (coupling._integer_support() is not None) == integral

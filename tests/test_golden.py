@@ -46,14 +46,14 @@ CENTERS = ((3, 0.15), (10, math.log(9) / math.pi), (3, -0.15), (4, 0.0), (5, 0.3
 # (n, repr(c), seed) -> digests of the sample CSV, its sidecar and its verify JSON
 SAMPLE_DIGESTS = {
     (3, "0.15", 7): {
-        "csv": "23c7c09f2fa285f3cb2f417c5b17d389a09650b92d6cd33105632c68419e51b3",
-        "meta": "f5f9c7a10468bd7f42b7764ce9b4d129f0e16aecff74f84d626b165291b2f53a",
-        "verify": "f72bbbf65c1f78ce8fb7bafecd66b76e2247f0cb5d31e382f76ba4303eb9f1d6",
+        "csv": "787519a9cefaea2371062e539688cceede814ed178777a1a1c228dedfddf6e60",
+        "meta": "70643b66e2b0e0e8cdbc2ece20b8faca7c307fde0eca3e8dac4fa9525a717ca3",
+        "verify": "758926d6556363b2e51bc62ae0e20e8afc38342036c55beecd562128ad8b4036",
     },
     (3, "0.15", 11): {
-        "csv": "a1bd688e1208655835e5887ebd5d4fbd70893eff6ac8850a218df33534987fb8",
-        "meta": "648efad25816ab9caa1193a9f504e71c58d67056cf34f45f4df2a0778d23b236",
-        "verify": "a2a52bd8f8c39668ee8d376ef9760c921016244c2166e1535422a82aa930abbc",
+        "csv": "b6ea10c843a1a2b6e0fe05d3c9772e222ad5039fac49296bb5be0a164cd6c656",
+        "meta": "57491f2b082236fd909cd2ca85b1840fbeafcdb8446a00494c94f21a6bfda310",
+        "verify": "d91dec9bfe176be54ae5c691f12e3427d839f602f30e1a64b5554e88e7a69fec",
     },
     (10, "0.6993983051321196", 7): {
         "csv": "c074869d11effe1ec67b76986f948026ce7e43041e529bb1a08e369ebe594653",
@@ -66,14 +66,14 @@ SAMPLE_DIGESTS = {
         "verify": "0095f190f2b534e1ba1099a07e0e0d81ff7dfac3a9d01fd9bd6006f2d075af27",
     },
     (3, "-0.15", 7): {
-        "csv": "18e61325be71060116c04102e4020a12f90aa0773a60e37951fff829499458d0",
-        "meta": "dfa6315640f8f23d2e68ad2c13fe8c40decea97f8a832225cd8d3e3257348bfd",
-        "verify": "ec31bae41fccb23f0b4061e3d36c1414538580b8704c3ce91533709ff339bd35",
+        "csv": "e75df0d468debf5592cd98a97ce775e8d29081ab770369f654358109620cb22e",
+        "meta": "661653da7bbb25bb7650c2a40295a8f55482c53f5f645522138fd20dc9e1b0ea",
+        "verify": "f8f495b0c653e56f21466cd37d299e85a29d18955838ceac36fccc4e611cd07d",
     },
     (3, "-0.15", 11): {
-        "csv": "888d5877c997529944457e9d12136ea4b72049fc8edac5a31169e0835259176d",
-        "meta": "252d04bd1740f03e793db17089131e7961d5c50c8d6990bcfbef9ece4b63bb6e",
-        "verify": "242373e9fb881578fc3ba0ca6aa19cdf9c65329a957e90d66a1606e52554688f",
+        "csv": "92454d6b4c9cb9f0928ffab950b089a9f99c96c2a4c5843496600af812002d27",
+        "meta": "64ec44698d3ae0db8e6bff86b16aa92357f3c3054e245439b2acf176db355b53",
+        "verify": "8020a604e91405e299c99d89377e77ec028d2b4b58f863ecaee107e83d82bdee",
     },
     (4, "0.0", 7): {
         "csv": "f51fd70099f94c81623f299a836b48582e8cba0b4a2d09bdbf63277c203b3cbb",
@@ -86,14 +86,14 @@ SAMPLE_DIGESTS = {
         "verify": "c6febbf639b7456653d4daee998e300ddbfe03a9263c9463a98e439f86745c66",
     },
     (5, "0.3", 7): {
-        "csv": "c45d76b2b2da8ca2b369eef9876c91f8b3abd79aa91722af5214ca23a4469a94",
-        "meta": "766d6204c9550671f0027936ee1a573baef34fd17cf5df9123fed78e6719b3d2",
-        "verify": "07683762b126789939f7f0426a2e2ae8a3c35a51a6e3ccfdb207a160ccbeb33d",
+        "csv": "729c95f7bb2853b6eb095a808078d7e5acd7a18f60bc6494961fb515a1591bee",
+        "meta": "6aa7723275931b6e33f5a9f80890eb9c8f5d88791b8aac21a628bca8cec00745",
+        "verify": "1a73670850f0d8b3445de4d286b0006b35d0e59f8fa3bf8d53fff052d7b8cebb",
     },
     (5, "0.3", 11): {
-        "csv": "6d03e63c9ecd5d582a4e522cd6fbfbb4ab30f4adb53aa89aabf70faae1029a85",
-        "meta": "782c13668ee83cc255f77eca7434a53d9d8abdd2e07732967c193434876c3cc5",
-        "verify": "3b113604abbf731975d7bfd961263e0f574c15a61a13ceaf23249613bf91a1dd",
+        "csv": "4bc2e84b65cd012e42d82ef80e4b5058da5452a85577c086c7a6d39d17dc5083",
+        "meta": "b0ea83335a66d731dc86bd6f2275dc46e6caad12ae5cd83423e77f8c3574eb01",
+        "verify": "d174f2a801cc6b4b523554c79252e748eaa07dd1a6e45f596fe5cd1b63146ad6",
     },
 }
 
@@ -144,16 +144,16 @@ DEFAULT_DRAW_CENTERS = {
 DRAW_DIGESTS = {
     "n3-c0.15-default": {
         "cold": {
-            "values": "9086a2d9ab4fd1f95a4065b51eb9dc9d4edf6bb9f1927e37216e6e863380a4d3",
-            "t": "a22fb36e53b3185ced473dbf27d4eeaeda8088c37d80f879584d7023b55fd3ac",
-            "branch": "aa3a84eef134b5069f1ca41b71327dcad92c835dfc1842ada8959a44ab614d5b",
-            "row_bound": "b696bd33af3845a11c5a4a4886a505e3caf673e427ea75cbda96f5185f19a7d2",
+            "values": "0455e62380da6e741fee9985e1ddec8afe99b0b610b5260b99e8647dc015f7a4",
+            "t": "33ae63fb0dbbf6607a86a89ba72f7c0765038832542a4c63bacdf05550d2d9aa",
+            "branch": "a026eb370627e502d931c101cd69bf211edfbfc4814bb35df56b0c5480a4ab8f",
+            "row_bound": "f2dea297d97ac50617ffad9915e6da01cf33ef502dcb72581476c57468e059e7",
         },
         "warm": {
-            "values": "12bc769baa200d90cff006f3d935d6cf3bbb40166b10fbe58bf7c26c1c538f04",
-            "t": "07ba81851533cdeafa3fb540a1b26df7e871cd3496b8a28d9fc4b3cebf26b7af",
-            "branch": "79e708c021259498004616f842f1bf7fedf832fe80588cdfe79f4172628752dc",
-            "row_bound": "e0c9928e7637a210052473bde18ba7b6293f0e38cc4f3490ad30efaf61a1a01e",
+            "values": "19f01bd0b5a61c907d62d3ddc8665bff8b9b4fc5b197d352eebb0a46b9a1e209",
+            "t": "bde4cf8ac9a55ab86845f568d8061b025404fea3e0161ef27e8078e9d37b88a4",
+            "branch": "2d37a8bdf230ec2e5d8fd47599f88c51b8ad8ac89fea488272730931a79480af",
+            "row_bound": "119111bb3d10da3dccca7add6641fc122e321ff82588101724a51e235bc56228",
         },
     },
     "n4-c0-default": {
@@ -172,16 +172,16 @@ DRAW_DIGESTS = {
     },
     "convex": {
         "cold": {
-            "values": "a6f0da6f4eedcd8d359baa342965e83f219b57358b89814d408c0b47574fd32c",
+            "values": "ae4a99f50c4ec548d41de7483c48182cc0c5831e5ec52a988e3fce1b41a0c3af",
             "t": "33c6ee35224871d24d8dc8916fa94924e66193a8103acf9eb56ff29c89f239d2",
             "branch": "cd28df2811dba9a4fa275bbecced744b05a4e25033ac01bc9c07e1895a338ab4",
-            "row_bound": "1d5f281cba7e7a3e01b82c71a3246133fc9571376fbfd7daddd0b90b4d927ca5",
+            "row_bound": "fe9efb5abecc581426decc91e94d25a614d66bef874150ec6690dacee170c2f7",
         },
         "warm": {
-            "values": "1bedd5231df39aca8bfda325447b400ef005929448dc9d970ddf2e53b6acaecc",
+            "values": "555ab0b80af03b79a36a6b340fd84e4a0363223775db2f16149b40c16664935f",
             "t": "33c6ee35224871d24d8dc8916fa94924e66193a8103acf9eb56ff29c89f239d2",
             "branch": "cd28df2811dba9a4fa275bbecced744b05a4e25033ac01bc9c07e1895a338ab4",
-            "row_bound": "7807236180540620006d536c25b39cdf06520b2df1a72fec947840afa85d2d09",
+            "row_bound": "e67416c04c8b3fcacf407534b8cb32469438eb894388d2419af184aa477db44a",
         },
     },
     "n10-endpoint": {
@@ -200,30 +200,30 @@ DRAW_DIGESTS = {
     },
     "n3-c-0.15": {
         "cold": {
-            "values": "6cebea008fc25b0a456306ca986a201f360d63db39e3b05d7f5b428a937b4b34",
-            "t": "ad218eb5c6115d5ddd29772787f5da738ec053e151619afaa2a8a87ac7f82517",
-            "branch": "e8123d1299e3087750d3ea08654ab99e8c4cc0f01d64d3aa26c08a0007cebca8",
-            "row_bound": "36e0b630e6ca21cf1fe0943a4114c1a533ef7a20c9a44f8bb2765e6a1080a718",
+            "values": "ad40baa09cc778373f49bb3140ac56d86cf3d129f1270f2052cc34b1b1dbc02b",
+            "t": "102ea8668ad1914d7dd81b4cbf3af1a1bd5872c496ee840a7911e64728687e44",
+            "branch": "3a26383884dfa2ffeb9deecc7ebadb4ef2172b7b17fa1f9e51f66518e28a359f",
+            "row_bound": "2f68fecb0d4973c9ee33f1b90b7074ea14fbd832e20a479f741f66833c303049",
         },
         "warm": {
-            "values": "6584778fe6e2c348bb41916f11afc6462882e7aacabf2d21aaf6673d0ad3c3db",
-            "t": "bc19a18a5bbb211f237701e133f442c34c60ec04b02b5568ab65ca143b441c1e",
-            "branch": "4989257404db083b1658262be73298bbd0c64e5e9e0323fa52b84c0f3492d18f",
-            "row_bound": "e92a19aa3d1e9d4ff8b69854c1849bb20df47db7e1b0e03f8136599c29f3d022",
+            "values": "d3605ed03017aab608cde047ecd82b9f0ad0658e53fd87e63069a5856dfeb9fa",
+            "t": "2020fb55c4bebc93f32d592ed0853d7731645f165def00b1684d0bff730df728",
+            "branch": "991ba5391aa7e38c611b65fc912848db00340f4e9963e07ac1e76753cbdb2205",
+            "row_bound": "d70687ef17122c8a8e781fea875caee0229192152c8b606405eaf49bc310ce0b",
         },
     },
     "n3-c0.15": {
         "cold": {
-            "values": "5537d0219e4a42906bc6fc80f91bd99e727bc9cafa1f4c9b7a6280a7ae713bfb",
-            "t": "031b301f78a361bc41171cf8a8f786424958dd19115eaec6611353b99443e118",
-            "branch": "4b1e9e890ec7c2498f873bb137c433e1407753cccf8a9441a160ef5924c4f42b",
-            "row_bound": "ec504067cae5d4cafea906b11145719595b81f5b7e3aecdabe56cbdd83b3f363",
+            "values": "100c7f7b5a755a5b49afa56cca6e7156fa7e5f8fd22ca6481ec0b4cc7422c7e2",
+            "t": "f3aac48f529c1dd55c8a9bdc1c0d1ddda3d0629d8af6490169b89d2830c40499",
+            "branch": "8c6e435fd4a8e7538f86ce35ef9ece641b853f8c247500b9d676b3f6908151b5",
+            "row_bound": "e0f95525382bd905692f56fb16a97079656148079e7bdcaf7db3b8a9b57cf1fc",
         },
         "warm": {
-            "values": "f39625465cfbf0a7d53749f6e7933465b256f32587783115f76833b954ef65ea",
-            "t": "57113bb6a5ffbd619e5ca81f398307360e47d0244e21a86687cfec157df8b332",
-            "branch": "59115b6465f287d38103b871e385dbc6614b1f26dba62877dc6c8f660caffcb1",
-            "row_bound": "5fd7086198f322ad7fd555420143739dba7acbe7212291f73c05460e8dec5921",
+            "values": "2072b55eba8f8cb969ca4e55a6473cba2e46fef4b76745d0cd079c74e55c9b14",
+            "t": "828a3b5655e2c1db877861ff8bc8fbdd3ef056910c47fba621e0d316e3cf0a95",
+            "branch": "6b340ba50ac4a5e07400d995b724989e24a61d9e19e3e04aa768e00f60d9d7c1",
+            "row_bound": "efaa19784f48f65452da29cf3d2657f122bde34a2772ed6dd747d112a2a38cb7",
         },
     },
     "n4-c0": {
@@ -458,8 +458,9 @@ class _Captured(Exception):
 
 def _first_cell_block(n, c):
     """The shuffled (cells, m, n) stack the cell builder hands to its first
-    ``ra_flatten_stack`` call."""
-    mixer = build_mixer(MixerConfig(n=n, c=c, seed=7))
+    ``ra_flatten_stack`` call; (3, 0.15) is drawn explicitly by
+    ``build_mixer``, so the slice mixer is built directly."""
+    mixer = cauchy_mix.ConstructiveMixer(MixerConfig(n=n, c=c, seed=7))
 
     def capture(stack, max_sweeps):
         raise _Captured(stack.copy())

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from mixcenter.cauchy_mix import MixerConfig, build_mixer
+from mixcenter.cauchy_mix import ConstructiveMixer, MixerConfig, build_mixer
 from mixcenter.discrete_mix import zero_one_couplings
 from mixcenter.distributions import Cauchy, PowerTwoGeometric
 from mixcenter.errors import DomainError
 from mixcenter.verify import (
     COUPLING_INVARIANTS,
+    EXPLICIT_MIXER_INVARIANTS,
     MIXER_INVARIANTS,
     SYMMETRIC_MIXER_INVARIANTS,
     InvariantResult,
@@ -25,7 +26,8 @@ from mixcenter.verify import (
 
 @pytest.fixture(scope="module")
 def mixer():
-    return build_mixer(MixerConfig(n=3, c=0.15, t_grid=512, seed=7))
+    # build_mixer draws (3, 0.15) explicitly; the slice mixer's suite is built directly
+    return ConstructiveMixer(MixerConfig(n=3, c=0.15, t_grid=512, seed=7))
 
 
 class TestKsDistance:
@@ -151,10 +153,16 @@ class TestInvariantSuite:
         assert tuple(r.name for r in rows) == SYMMETRIC_MIXER_INVARIANTS
         assert all(r.passed for r in rows)
 
+    def test_explicit_manifest(self):
+        rows = run_invariant_suite(build_mixer(MixerConfig(n=3, c=0.1, seed=1)))
+        assert tuple(r.name for r in rows) == EXPLICIT_MIXER_INVARIANTS
+        assert all(r.passed for r in rows)
+
     def test_reflected_unwraps(self):
+        # (3, 0.1) is drawn by the explicit mixer
         reflected = build_mixer(MixerConfig(n=3, c=-0.1, t_grid=512, seed=2))
         rows = run_invariant_suite(reflected)
-        assert tuple(r.name for r in rows) == MIXER_INVARIANTS
+        assert tuple(r.name for r in rows) == EXPLICIT_MIXER_INVARIANTS
         assert all(r.passed for r in rows)
         assert rows == run_invariant_suite(reflected.base)
 
