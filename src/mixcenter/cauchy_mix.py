@@ -786,24 +786,32 @@ class _SkewSeries:
             power = power * xx
         return mu, slope, cdf
 
-    def on_grid(self, x):
-        """(mu, mu', M) / c on a geometric grid, ``x[j] = q * x[j - 1]``: the
+    def density_on(self, x):
+        """(mu, mu') / c on a geometric grid, ``x[j] = q * x[j - 1]``: the
         first row closed, each later row its own term plus the row before,
-        scaled as the series' next term (the series with shared sums)."""
-        mu, slope, cdf = (np.empty_like(x) for _ in range(3))
-        mu[0], slope[0], cdf[0] = self.closure(x[0])
+        scaled as the series' next term (the series with shared sums).
+        Rational operations only."""
+        mu, slope = np.empty_like(x), np.empty_like(x)
+        mu[0], slope[0], _ = self.closure(x[0])
         odd, odd_slope = self.kernel.skew(self.c, x[1:])
-        mass = self.kernel.skew_mass(self.c, x[1:])
         q, g = self.q, self.gain
         for j in range(1, len(x)):
             mu[j] = g * odd[j - 1] + mu[j - 1] / (q * q)
             slope[j] = g * odd_slope[j - 1] + slope[j - 1] / (q * q * q)
-            cdf[j] = g * mass[j - 1] + cdf[j - 1] / q
-        return mu, slope, cdf
+        return mu, slope
+
+    def cdf_on(self, x):
+        """M / c on a geometric grid, by the same shared sums."""
+        cdf = np.empty_like(x)
+        cdf[0] = self.closure(x[0])[2]
+        mass = self.kernel.skew_mass(self.c, x[1:])
+        for j in range(1, len(x)):
+            cdf[j] = self.gain * mass[j - 1] + cdf[j - 1] / self.q
+        return cdf
 
     def at(self, y):
         """(mu, M) / c at any y >= 0 (1-d), by the truncated series."""
-        y = np.minimum(np.asarray(y, dtype=float), 1e300)
+        y = np.minimum(np.atleast_1d(np.asarray(y, dtype=float)), 1e300)
         mu, cdf = np.zeros(y.shape), np.zeros(y.shape)
         live, arg = np.arange(y.size), y.copy()
         w_mu = w_cdf = self.gain
@@ -848,11 +856,17 @@ class _LogInverse:
     """
 
     def __init__(self, x, cdf, q):
+        """``x`` and ``cdf`` are (periods, p) grids, ``x[j] = q * x[j - 1]``;
+        the cdf is clipped to [0, 1] and made non-decreasing, which moves
+        only values at rounding level."""
         self.q = q
-        x, cdf = x.ravel(), np.maximum.accumulate(cdf.ravel())
+        per = x.shape[1]
+        x, cdf = x.ravel(), np.maximum.accumulate(np.clip(cdf.ravel(), 0.0, 1.0))
         self._inner = _CdfInverse(cdf, np.log(x))
         self.x0, self.v0, self.v_end = x[0], cdf[0], cdf[-1]
-        self.power = math.log(cdf[1] / cdf[0]) / math.log(x[1] / x[0])
+        # the power law's exponent, read over one period, where rounding at
+        # the first knots cannot flatten it
+        self.power = math.log(cdf[per] / cdf[0]) / math.log(q) if cdf[0] > 0.0 else 1.0
 
     def __call__(self, v):
         """x for each v in [0, 1): a new array."""
@@ -988,7 +1002,7 @@ class _SkewLaw:
         first, self.periods = _grid_steps(q)
         self.first = np.array(first)
         x = _geometric_grid(q, self.first, self.periods)
-        mu, slope, _ = self.series.on_grid(x)
+        mu, slope = self.series.density_on(x)
         # rho and rho' at s = x[1:], whose mu terms are read at s/q = x[:-1]
         s = x[1:]
         rho = kernel.pdf(c + s) - c * mu[:-1] / (n * q)
@@ -1008,7 +1022,7 @@ class _SkewLaw:
 
     def _cdfs(self, x, p):
         """(t cdf on x, radius cdf on x[1:]) for a grid x."""
-        mu, _, cdf = self.series.on_grid(x)
+        mu, cdf = self.series.density_on(x)[0], self.series.cdf_on(x)
         return (self.c * cdf / p,
                 self.radius_mass(x[1:], mu[:-1], cdf[:-1]) / (1.0 - p))
 
