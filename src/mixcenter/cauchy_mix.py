@@ -768,7 +768,7 @@ class _SkewSeries:
     """
 
     def __init__(self, kernel, n, c):
-        self.kernel, self.n, self.c, self.q = kernel, n, c, float(n - 1)
+        self.kernel, self.c, self.q = kernel, c, float(n - 1)
         self.gain = n / (n - 1)
         # the closure's coefficient of x^(2j+1) in mu: d_j times sum_k q^-k(2j+3)
         self._closed = [self.gain * d / (1.0 - self.q ** -(2 * j + 3))
@@ -848,8 +848,8 @@ class _LogInverse:
     row of the grid), with nothing truncated:
 
     * between the knots, log x is linear in v (``_CdfInverse``);
-    * below the first knot, a power law through it with the first
-      interval's log slope; its u-error is at most the first cdf value;
+    * below the first knot, a power law through it with the log slope of
+      the first period; its u-error is at most the first cdf value;
     * above the last knot, the law's self-similarity: 1 - V(q x) = (1 -
       V(x)) / q up to O(1/x), so the tail is mapped into the last row of
       the grid, inverted there and scaled back.
@@ -893,7 +893,7 @@ def _grid_steps(q):
     per = max(2, round(math.log(q) / _EXPLICIT_STEP))
     first = [_EXPLICIT_LO * math.exp(i * math.log(q) / per) for i in range(per)]
     periods = math.ceil(math.log(_EXPLICIT_HI / _EXPLICIT_LO) / math.log(q))
-    return first, periods
+    return np.array(first), periods
 
 
 class ExplicitMixer:
@@ -901,8 +901,8 @@ class ExplicitMixer:
     symmetric about c, with no cells and no rearrangement.
 
     A cyclic row at t is (c - t, ..., c - t, c + (n-1)t), permuted; it sums
-    to n*c exactly. Giving t the law M above, of total mass the cyclic
-    fraction P = n/(n-2) (2F(c) - 1), the cyclic rows carry exactly the part
+    to n*c exactly. Giving t the law of ``_SkewSeries``, of total mass the
+    cyclic fraction P = n/(n-2) (2F(c) - 1), the cyclic rows carry exactly the part
     of the density that is not symmetric about c. What remains, rho(x) =
     f(c + x) - mu(x/(n-1)) / (n(n-1)) at c + x and at c - x, is symmetric
     about c; where it is also >= 0 and non-increasing (the admissibility
@@ -999,8 +999,7 @@ class _SkewLaw:
         self.kernel, self.n, self.c = kernel, n, c
         self.series = _SkewSeries(kernel, n, c)
         q = self.series.q
-        first, self.periods = _grid_steps(q)
-        self.first = np.array(first)
+        self.first, self.periods = _grid_steps(q)
         x = _geometric_grid(q, self.first, self.periods)
         mu, slope = self.series.density_on(x)
         # rho and rho' at s = x[1:], whose mu terms are read at s/q = x[:-1]

@@ -320,10 +320,11 @@ def _explicit_suite(mixer: ExplicitMixer) -> list:
 def explicit_row_checks(mixer, t, branch) -> list:
     """The construction of an explicit mixer's rows, from their recorded
     (t, branch): the cyclic rows' t against the t-law M/P and the symmetric
-    rows' radius against G, each by KS (with the columns' 0.01 slack), and
-    the number of cyclic rows against the cyclic fraction P by its binomial
-    99% limit (normal, plus one row). Empty for any other mixer; a
-    ``ReflectedMixer`` checks its base, whose rows carry the same (t, branch)."""
+    rows' radius against G, each by KS, and the share of cyclic rows against
+    the cyclic fraction P by its binomial 99% limit (normal approximation),
+    each with the columns' 0.01 slack, so that an honest file passes. Empty
+    for any other mixer; a ``ReflectedMixer`` checks its base, whose rows
+    carry the same (t, branch)."""
     base = mixer.base if isinstance(mixer, ReflectedMixer) else mixer
     if not isinstance(base, ExplicitMixer):
         return []
@@ -335,9 +336,11 @@ def explicit_row_checks(mixer, t, branch) -> list:
         d = ks_distance(rows, cdf) if rows.size else 0.0
         lim = 0.01 + ks_threshold(max(rows.size, 1))
         res.append(InvariantResult(name, d <= lim, d, lim))
+    # the branch indicator's KS distance, |k/count - P|, under the same
+    # slack, with the binomial 99% limit in place of the KS quantile
     p = base.cyclic_fraction
-    dev = abs(np.count_nonzero(branch == 1) - t.size * p)
-    lim = Z_99 * math.sqrt(t.size * p * (1.0 - p)) + 1.0
+    dev = abs(np.count_nonzero(branch == 1) / t.size - p)
+    lim = 0.01 + Z_99 * math.sqrt(p * (1.0 - p) / t.size)
     res.append(InvariantResult("cyclic_branch_count", dev <= lim, dev, lim))
     return res
 

@@ -617,6 +617,21 @@ class TestSampling:
             for j in range(i + 1, 3):
                 assert ks_two_sample(batch.values[:, i], batch.values[:, j]) <= lim
 
+    def test_coupling_rows_are_shuffled(self):
+        # coupling rows of one cell and one row index hold the same values;
+        # shuffled, their coordinates come in more than one order
+        mx = _fresh_mixer("constructive")
+        batch = mx.sample(20_000, substream(8, "shuffled"))
+        rows = batch.values[batch.branch == 2]
+        keys = np.round(np.sort(rows, axis=1), 12)
+        _, group, size = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+        orders = {}
+        for g, order in zip(group.ravel(), map(tuple, np.argsort(rows, axis=1))):
+            if size[g] >= 4:
+                orders.setdefault(g, set()).add(order)
+        assert len(orders) > 50
+        assert np.mean([len(o) > 1 for o in orders.values()]) > 0.9
+
     def test_exchangeability_at_full_scale(self):
         # per-coordinate empirical cdfs pairwise within 0.01 across 1e5 rows
         mx = build_mixer(MixerConfig(n=3, c=0.15, seed=7))
@@ -811,13 +826,15 @@ class TestRadiusQuantile:
         assert kern.radius_quantile(0.3).shape == (1,)
 
 
-@pytest.mark.parametrize("kind", ["symmetric", "constructive", "reflected", "convex"])
+@pytest.mark.parametrize("kind", ["symmetric", "constructive", "explicit", "reflected",
+                                  "convex"])
 def test_zero_row_draws(kind):
     zero = build_mixer(MixerConfig(n=4, c=0.0, seed=1))
-    pos = build_mixer(MixerConfig(n=4, c=0.2, **SMALL))
+    pos = ConstructiveMixer(MixerConfig(n=4, c=0.2, **SMALL))
     mixer = {
         "symmetric": zero,
         "constructive": pos,
+        "explicit": build_mixer(MixerConfig(n=4, c=0.2)),
         "reflected": build_mixer(MixerConfig(n=4, c=-0.2, **SMALL)),
         "convex": ConvexCombinationSampler(zero, pos, 0.5),
     }[kind]
@@ -830,14 +847,22 @@ BATCH_FIELDS = ("values", "t", "branch", "row_bound")
 
 
 def _fresh_mixer(kind):
-    """A newly built mixer of ``kind``, its cell table empty."""
+    """A newly built mixer of ``kind``, its cell table empty; build_mixer
+    draws (3, 0.2) explicitly, so the slice mixer there is built directly."""
     def build(n, c):
         return build_mixer(MixerConfig(n=n, c=c, t_grid=256, ra_grid_m=32, seed=5))
 
+    def constructive():
+        return ConstructiveMixer(MixerConfig(n=3, c=0.2, t_grid=256, ra_grid_m=32, seed=5))
+
     if kind == "convex":
         return ConvexCombinationSampler(build(3, 0.0), build(3, -0.2), 0.4)
+    if kind == "constructive":
+        return constructive()
+    if kind == "reflected":
+        return ReflectedMixer(constructive())
     return build(*{"symmetric-n3": (3, 0.0), "symmetric-n4": (4, 0.0),
-                   "constructive": (3, 0.2), "reflected": (3, -0.2)}[kind])
+                   "explicit": (3, 0.2)}[kind])
 
 
 LOOKUP_CENTERS = [(3, 0.15), (10, math.log(9) / PI), (5, 0.3), (3, 0.01)]
@@ -977,7 +1002,7 @@ def test_cell_law(n, c):
 class TestDrawChunks:
     @settings(max_examples=24, deadline=None)
     @given(kind=st.sampled_from(["symmetric-n3", "symmetric-n4", "constructive", "reflected",
-                                 "convex"]),
+                                 "explicit", "convex"]),
            count=st.integers(0, 300), chunk=st.sampled_from([1, 7, "above"]))
     def test_chunk_size_changes_no_byte(self, kind, count, chunk):
         # a cold draw, then a warm one: the same stream again on the filled table
@@ -992,13 +1017,17 @@ class TestDrawChunks:
             for name in BATCH_FIELDS:
                 assert getattr(batch, name).tobytes() == getattr(want[0], name).tobytes(), name
 
-    @pytest.mark.parametrize("c,ratio", [(0.15, 2.45), (0.0, 1.40)])
-    def test_warm_draw_memory(self, c, ratio):
+    @pytest.mark.parametrize("kind,ratio", [("constructive", 2.45), ("symmetric", 1.40),
+                                            ("explicit", 1.7)])
+    def test_warm_draw_memory(self, kind, ratio):
         # the peak a warm draw allocates above its start, against the bytes
         # it returns; full-batch temporaries put it near 5.5 (c = 0.15) and
-        # 2.9 (c = 0) at 200,001 rows, chunked ones near 2.4 and 1.35
+        # 2.9 (c = 0) at 200,001 rows, chunked ones near 2.4 and 1.35; the
+        # explicit draw's chunked tables near 1.6
         rows = 200_001
-        mixer = build_mixer(MixerConfig(n=3 if c else 4, c=c, **SMALL))
+        config = MixerConfig(n=4 if kind == "symmetric" else 3,
+                             c=0.0 if kind == "symmetric" else 0.15, **SMALL)
+        mixer = ConstructiveMixer(config) if kind == "constructive" else build_mixer(config)
         mixer.sample(rows, substream(17, "memory"))
         tracemalloc.start()
         try:
@@ -1011,13 +1040,16 @@ class TestDrawChunks:
         assert peak - start < ratio * returned
 
 
-@pytest.mark.parametrize("c", [0.15, -0.15, 0.0])
-def test_drawn_row_bounds_equal_row_bound_for(c):
-    # verify recomputes the bound of cyclic (c != 0) and symmetric (c = 0)
-    # rows from their recorded t; coupling rows keep their cell's bound
-    mixer = build_mixer(MixerConfig(n=3, c=c, **SMALL))
+@pytest.mark.parametrize("c,direct", [(0.15, True), (0.15, False), (-0.15, False),
+                                      (0.0, False)])
+def test_drawn_row_bounds_equal_row_bound_for(c, direct):
+    # verify recomputes the bound of cyclic (c != 0) and symmetric (c = 0,
+    # and branch 4 of the explicit mixer) rows from their recorded t;
+    # coupling rows keep their cell's bound
+    config = MixerConfig(n=3, c=c, **SMALL)
+    mixer = ConstructiveMixer(config) if direct else build_mixer(config)
     batch = mixer.sample(4000, substream(12, "row-bound"))
-    rows = batch.branch == 1
+    rows = batch.branch % 2 == 1
     assert rows.sum() > 100
     recomputed = mixer.row_bound_for(batch.t, batch.branch)
     assert batch.row_bound[rows].tobytes() == recomputed[rows].tobytes()

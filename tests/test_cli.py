@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import mixcenter
 from mixcenter import anchors, cli
-from mixcenter.cauchy_mix import MixerConfig, build_mixer
+from mixcenter.cauchy_mix import ExplicitMixer, MixerConfig, build_mixer
 from mixcenter.distributions import Cauchy
 from mixcenter.cli import SCHEMAS, main
 
@@ -357,6 +357,42 @@ class TestSampleVerify:
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
 
+    @pytest.mark.parametrize("n,c,stream", [(3, 0.15, 2), (10, math.log(9) / math.pi, None)],
+                             ids=["explicit", "constructive"])
+    def test_verify_reads_the_sidecar_stream(self, capsys, tmp_path, n, c, stream):
+        # explicit files carry stream 2; files of stream 1 carry no key, so a
+        # (3, 0.15) sidecar without one names rows this version does not draw
+        out = tmp_path / "rows.csv"
+        code, _ = run_cli(capsys, "sample", "--n", str(n), "--c", repr(c), "--count", "500",
+                          "--seed", "3", "--t-grid", "512", "--out", str(out))
+        assert code == 0
+        sidecar = tmp_path / "rows.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        assert meta.get("stream") == stream
+        meta["stream"] = 1 if stream else 2
+        sidecar.write_text(json.dumps(meta))
+        assert main(["verify", str(out)]) == 1
+        drawn = stream or 1
+        assert (f"sidecar stream {meta['stream']}, but this version draws n={n}, c={c} "
+                f"by stream {drawn}") in capsys.readouterr().err
+
+    def test_verify_checks_the_explicit_construction(self, capsys, tmp_path, monkeypatch):
+        # an explicit file's t-law, radius law and cyclic count pass; a t-law
+        # read at twice its t fails that check alone
+        out = str(tmp_path / "rows.csv")
+        code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0.15", "--count", "20000",
+                          "--seed", "3", "--out", out)
+        assert code == 0
+        construction = {"cyclic_t_law_ks", "radius_law_ks", "cyclic_branch_count"}
+        code, payload = run_json(capsys, "verify", out)
+        assert code == 0
+        assert construction <= {r["name"] for r in payload["checks"] if r["passed"]}
+        t_cdf = ExplicitMixer.t_cdf
+        monkeypatch.setattr(ExplicitMixer, "t_cdf", lambda self, t: t_cdf(self, 2.0 * t))
+        code, payload = run_json(capsys, "verify", out)
+        assert code == 1
+        assert {r["name"] for r in payload["checks"] if not r["passed"]} == {"cyclic_t_law_ks"}
+
     @pytest.mark.parametrize("key", ["t_grid", "count", "engine"])
     def test_verify_requires_every_sidecar_key(self, capsys, tmp_path, key):
         out = tmp_path / "rows.csv"
@@ -379,8 +415,9 @@ class TestSampleVerify:
         ("count", "2000"),
         ("count", 2000.7),
         ("mass_deficit", repr),
+        ("stream", 2.0),
     ], ids=["t_grid", "seed", "c", "ra_grid_m", "count-string", "count-fraction",
-            "mass_deficit-string"])
+            "mass_deficit-string", "stream"])
     def test_verify_rejects_sidecar_value_of_wrong_type(self, capsys, tmp_path,
                                                         key, value):
         # each value would read back as the sample's own (512, 3, 0.15, 512,
@@ -497,7 +534,7 @@ class TestSampleVerify:
             want.update({
                 "cyclic_t_law_ks": 0.01 + 1.628 / math.sqrt(np.count_nonzero(branch == 1)),
                 "radius_law_ks": 0.01 + 1.628 / math.sqrt(np.count_nonzero(branch == 4)),
-                "cyclic_branch_count": 2.5758 * math.sqrt(count * p * (1 - p)) + 1.0,
+                "cyclic_branch_count": 0.01 + 2.5758 * math.sqrt(p * (1 - p) / count),
                 "inverse_u_error": 1e-6,
                 "explicit_rows_exact": 0.0,
             })

@@ -48,12 +48,12 @@ SAMPLE_DIGESTS = {
     (3, "0.15", 7): {
         "csv": "787519a9cefaea2371062e539688cceede814ed178777a1a1c228dedfddf6e60",
         "meta": "70643b66e2b0e0e8cdbc2ece20b8faca7c307fde0eca3e8dac4fa9525a717ca3",
-        "verify": "758926d6556363b2e51bc62ae0e20e8afc38342036c55beecd562128ad8b4036",
+        "verify": "61e99665a18c30387270963c5d490719e95d5a1eb471db633bba962a308b17fd",
     },
     (3, "0.15", 11): {
         "csv": "b6ea10c843a1a2b6e0fe05d3c9772e222ad5039fac49296bb5be0a164cd6c656",
         "meta": "57491f2b082236fd909cd2ca85b1840fbeafcdb8446a00494c94f21a6bfda310",
-        "verify": "d91dec9bfe176be54ae5c691f12e3427d839f602f30e1a64b5554e88e7a69fec",
+        "verify": "23eb78801bf586e704d5ccfcbd79b0afe4562258fedb3380968c99530a74ce71",
     },
     (10, "0.6993983051321196", 7): {
         "csv": "c074869d11effe1ec67b76986f948026ce7e43041e529bb1a08e369ebe594653",
@@ -68,12 +68,12 @@ SAMPLE_DIGESTS = {
     (3, "-0.15", 7): {
         "csv": "e75df0d468debf5592cd98a97ce775e8d29081ab770369f654358109620cb22e",
         "meta": "661653da7bbb25bb7650c2a40295a8f55482c53f5f645522138fd20dc9e1b0ea",
-        "verify": "f8f495b0c653e56f21466cd37d299e85a29d18955838ceac36fccc4e611cd07d",
+        "verify": "12e30a449276ef893175d932558a2a83ad18a697ced3b8c2d674e08ab7123a3e",
     },
     (3, "-0.15", 11): {
         "csv": "92454d6b4c9cb9f0928ffab950b089a9f99c96c2a4c5843496600af812002d27",
         "meta": "64ec44698d3ae0db8e6bff86b16aa92357f3c3054e245439b2acf176db355b53",
-        "verify": "8020a604e91405e299c99d89377e77ec028d2b4b58f863ecaee107e83d82bdee",
+        "verify": "dd24093ae4f82de28c8eca198851a151833ae4d5640fd3fcc6d5e7b9df56492f",
     },
     (4, "0.0", 7): {
         "csv": "f51fd70099f94c81623f299a836b48582e8cba0b4a2d09bdbf63277c203b3cbb",
@@ -88,12 +88,12 @@ SAMPLE_DIGESTS = {
     (5, "0.3", 7): {
         "csv": "729c95f7bb2853b6eb095a808078d7e5acd7a18f60bc6494961fb515a1591bee",
         "meta": "6aa7723275931b6e33f5a9f80890eb9c8f5d88791b8aac21a628bca8cec00745",
-        "verify": "1a73670850f0d8b3445de4d286b0006b35d0e59f8fa3bf8d53fff052d7b8cebb",
+        "verify": "ab80d5e064be2be3c04df9112c597f6abe7ea23e61afdb67123de051d92703f3",
     },
     (5, "0.3", 11): {
         "csv": "4bc2e84b65cd012e42d82ef80e4b5058da5452a85577c086c7a6d39d17dc5083",
         "meta": "b0ea83335a66d731dc86bd6f2275dc46e6caad12ae5cd83423e77f8c3574eb01",
-        "verify": "d174f2a801cc6b4b523554c79252e748eaa07dd1a6e45f596fe5cd1b63146ad6",
+        "verify": "ebe58d860de36b62e834987a849a54bff32ce177ad72b051bdbbda3619d363ed",
     },
 }
 
