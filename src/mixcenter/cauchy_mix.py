@@ -17,7 +17,10 @@ n-tuple coupling with constant sum n*c:
 c = 0 is handled by a separate exact construction (the law is a scale
 mixture of centered uniforms, and centered uniforms combine into constant
 sums by antithetic pairs plus an explicit three-block map); c < 0 by
-reflection of the mixer for -c.
+reflection of the mixer for -c. For 0 < c <= c_sym(n), ``build_mixer``
+uses ``ExplicitMixer`` instead of the slices: cyclic rows carry the part
+of the law that is not symmetric about c, and the c = 0 block rows, scaled
+and shifted by c, carry the rest, with no cells and no rearrangement.
 
 The slice machinery is driven by the clip level h(t): the unique level
 below the density value at c+t for which the level-clipped density over
@@ -926,7 +929,7 @@ class ExplicitMixer:
 
     stream = 2
 
-    def __init__(self, config: MixerConfig, kernel=None, skew=None):
+    def __init__(self, config: MixerConfig, kernel=None, grid=None):
         kernel = kernel or Cauchy()
         n, c = config.n, config.c
         limit = kernel.center_limit(n)
@@ -935,25 +938,25 @@ class ExplicitMixer:
                               f"got n={n}, c={c}")
         self.config, self.kernel, self.n, self.c = config, kernel, n, c
         self.mass_deficit = 0.0
-        self._skew = skew or _SkewLaw(kernel, n, c)
-        if not self._skew.admissible:
+        self._grid = grid or _ExplicitGrid(kernel, n, c)
+        if not self._grid.admissible:
             raise DomainError(f"center {c} is outside the explicit range at n={n}: the "
-                              f"symmetric remainder is not unimodal near x={self._skew.worst:.6g}")
+                              f"symmetric remainder is not unimodal near x={self._grid.worst:.6g}")
         self.cyclic_fraction = n / (n - 2) * kernel.cdf_diff(-c, c)
-        self._t_of_v, self._r_of_w, self.u_error = self._skew.tables(self.cyclic_fraction)
+        self._t_of_v, self._r_of_w, self.u_error = self._grid.tables(self.cyclic_fraction)
         # a cyclic row's coordinates, before the scale t and the shift c
         self._pattern = np.full(n, -1.0)
         self._pattern[-1] = n - 1.0
 
     def t_cdf(self, t):
         """The cyclic rows' t-law cdf, M(t) / P, at any t >= 0."""
-        return self.c * self._skew.series.at(t)[1] / self.cyclic_fraction
+        return self.c * self._grid.series.at(t)[1] / self.cyclic_fraction
 
     def radius_cdf(self, s):
         """The symmetric rows' radius cdf G at any s >= 0."""
         s = np.asarray(s, dtype=float)
-        mu, cdf = self._skew.series.at(s / (self.n - 1))
-        return self._skew.radius_mass(s, mu, cdf) / (1.0 - self.cyclic_fraction)
+        mu, cdf = self._grid.series.at(s / (self.n - 1))
+        return self._grid.radius_mass(s, mu, cdf) / (1.0 - self.cyclic_fraction)
 
     def sample(self, count, rng) -> SampleBatch:
         """``count`` rows: one uniform per row picks the branch (u < P) and,
@@ -991,9 +994,10 @@ class ExplicitMixer:
                                                                 self.n - 1.0, 1.0))
 
 
-class _SkewLaw:
-    """The explicit mixer's grid: the admissibility check, then on demand
-    the two inverse tables."""
+class _ExplicitGrid:
+    """The explicit mixer's log grid at (n, c): the admissibility check at
+    construction, then on demand the two inverse tables. ``build_mixer``
+    hands a grid that passed to the mixer, so the check runs once."""
 
     def __init__(self, kernel, n, c):
         self.kernel, self.n, self.c = kernel, n, c
@@ -1091,9 +1095,9 @@ def build_mixer(config: MixerConfig, kernel=None):
     if c < 0.0:
         return ReflectedMixer(build_mixer(dataclasses.replace(config, c=-c), kernel))
     if hasattr(kernel, "skew"):
-        skew = _SkewLaw(kernel, n, c)
-        if skew.admissible:
-            return ExplicitMixer(config, kernel, skew)
+        grid = _ExplicitGrid(kernel, n, c)
+        if grid.admissible:
+            return ExplicitMixer(config, kernel, grid)
     return ConstructiveMixer(config, kernel)
 
 

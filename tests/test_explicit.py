@@ -40,7 +40,7 @@ def c_sym(n):
     lo, hi = 0.0, endpoint(n)
     for _ in range(48):
         mid = 0.5 * (lo + hi)
-        if cauchy_mix._SkewLaw(Cauchy(), n, mid).admissible:
+        if cauchy_mix._ExplicitGrid(Cauchy(), n, mid).admissible:
             lo = mid
         else:
             hi = mid
@@ -124,11 +124,11 @@ class TestAdmissibility:
         # just past the edge (at n = 3 that is the interval's end) the check
         # names an x where rho' > 0 at 50 digits
         past = min(1.001 * cs, endpoint(n))
-        law = cauchy_mix._SkewLaw(Cauchy(), n, past)
-        assert not law.admissible
-        assert _mp_slope(n, past, law.worst) > 0
+        grid = cauchy_mix._ExplicitGrid(Cauchy(), n, past)
+        assert not grid.admissible
+        assert _mp_slope(n, past, grid.worst) > 0
         # just below it, rho > 0 and rho' < 0 over a period around that x
-        for s in law.worst * (n - 1) ** np.linspace(-0.5, 0.5, 7):
+        for s in grid.worst * (n - 1) ** np.linspace(-0.5, 0.5, 7):
             assert _mp_rho(n, 0.999 * cs, s) > 0
             assert _mp_slope(n, 0.999 * cs, s) < 0
 
@@ -139,8 +139,8 @@ class TestAdmissibility:
 
         for name in ("arctan", "log", "exp"):
             monkeypatch.setattr(np, name, refuse)
-        assert cauchy_mix._SkewLaw(Cauchy(), 3, 0.15).admissible
-        assert not cauchy_mix._SkewLaw(Cauchy(), 10, endpoint(10)).admissible
+        assert cauchy_mix._ExplicitGrid(Cauchy(), 3, 0.15).admissible
+        assert not cauchy_mix._ExplicitGrid(Cauchy(), 10, endpoint(10)).admissible
 
     def test_generic_kernel_keeps_the_slice_mixer(self):
         from mixcenter.anchors import cauchy_like_density
