@@ -1,4 +1,4 @@
-"""The package's one use of the second core."""
+"""One of the package's two uses of the second core; ``cli._write_csv`` forks for the other."""
 
 
 def two_halves(fn, items, *args):

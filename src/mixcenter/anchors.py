@@ -16,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import center_bounds, discrete_mix
-from .cauchy_mix import ConstructiveMixer, ConvexCombinationSampler, MixerConfig, build_mixer
+from .cauchy_mix import (ConstructiveMixer, ConvexCombinationSampler, MixerConfig,
+                         ReflectedMixer, build_mixer)
 from .distributions import (
     Cauchy,
     CountableMixture,
@@ -174,10 +175,9 @@ def mixer(seed):
 
 
 def convex_combination(seed):
-    """Mixers at the two interval ends, combined half and half, center 0."""
-    mix_hi = build_mixer(MixerConfig(n=3, c=LOG2_PI, t_grid=1024, seed=seed))
-    mix_lo = build_mixer(MixerConfig(n=3, c=-LOG2_PI, t_grid=1024, seed=seed))
-    combo = ConvexCombinationSampler(mix_hi, mix_lo, 0.5)
+    """The mixer at the interval's upper end and its reflection, half and half: center 0."""
+    mix_hi = build_mixer(MixerConfig(n=3, c=LOG2_PI, seed=seed))
+    combo = ConvexCombinationSampler(mix_hi, ReflectedMixer(mix_hi), 0.5)
     batch = combo.sample(2000, substream(seed, "repro", "combo"))
     dev = abs(float(batch.row_sums().mean()))
     return [_check("convex_combination_center_zero", dev < 1e-9, dev, "0 within 1e-9")]

@@ -60,8 +60,10 @@ _EPS = np.finfo(float).eps
 # largest |imbalance| that verify and the tests accept at a solved clip
 # level; the Brent solve ends far inside it (see clip_level)
 ROOT_TOL = 1e-12
-# first knot of the log-spaced t grid
+# the log-spaced t grid: first knot, knot count, mixing mass left beyond it
 T_MIN = 1e-6
+T_GRID = 2048
+TAIL_EPS = 1e-4
 # entries (cells * m * n) of one block of coupling cells built together:
 # large enough to amortize the per-sweep numpy calls, small enough that the
 # block's temporaries stay a few MB
@@ -94,29 +96,23 @@ class MixerConfig:
 
     ``c`` is the per-variable center; admissible range |c| <=
     ``kernel.center_limit(n)``, log(n-1)/pi for the default standard Cauchy.
-    ``t_grid`` knots tabulate the slice machinery on a log-spaced grid,
-    ``tail_eps`` bounds the truncated mixing-measure mass, ``ra_grid_m``
-    is the discretization size of the per-slice rearrangement couplings,
-    and ``seed`` drives their deterministic initial shuffles. Raises
-    DomainError unless c is finite, n, t_grid and ra_grid_m are at least
-    2, 0 < tail_eps < 1 and seed >= 0.
+    The slice grid is fixed (``T_GRID``, ``TAIL_EPS``). ``ra_grid_m`` is the
+    discretization size of the per-slice rearrangement couplings, and
+    ``seed`` drives their deterministic initial shuffles. Raises DomainError
+    unless c is finite, n and ra_grid_m are at least 2 and seed >= 0.
     """
 
     n: int
     c: float
-    t_grid: int = 2048
-    tail_eps: float = 1e-4
     ra_grid_m: int = 512
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if not math.isfinite(self.c):
             raise DomainError(f"need a finite c, got {self.c}")
-        for name in ("n", "t_grid", "ra_grid_m"):
+        for name in ("n", "ra_grid_m"):
             if getattr(self, name) < 2:
                 raise DomainError(f"need {name} >= 2, got {getattr(self, name)}")
-        if not 0.0 < self.tail_eps < 1.0:
-            raise DomainError(f"need 0 < tail_eps < 1, got {self.tail_eps}")
         if self.seed < 0:
             raise DomainError(f"need seed >= 0, got {self.seed}")
 
@@ -583,16 +579,15 @@ class ConstructiveMixer:
     # ----- tabulation ---------------------------------------------------
 
     def _build(self):
-        cfg = self.config
-        # grow T until the truncated mixing mass is within tail_eps of 1
+        # grow T until the truncated mixing mass is within TAIL_EPS of 1
         t_max = 16.0 * max(1.0, self.n)
         for _ in range(60):
-            if 1.0 - self.truncated_mass(t_max) <= cfg.tail_eps:
+            if 1.0 - self.truncated_mass(t_max) <= TAIL_EPS:
                 break
             t_max *= 2.0
         else:
             raise ConstructionError("could not reach the requested mixing-measure mass")
-        knots = np.geomspace(T_MIN, t_max, cfg.t_grid)
+        knots = np.geomspace(T_MIN, t_max, T_GRID)
         levels = self.clip_level(knots)
         # the high-atom positive part switches where pdf(c+(n-1)t) crosses the
         # level; pin a knot at each detected crossing so the kink is resolved
@@ -624,19 +619,16 @@ class ConstructiveMixer:
         cdf = self.truncated_mass(self.knots, self.levels)
         self.raw_mass = float(cdf[-1])
         self.mass_deficit = 1.0 - self.raw_mass
-        if not -1e-9 <= self.mass_deficit <= cfg.tail_eps + 1e-6:
+        if not -1e-9 <= self.mass_deficit <= TAIL_EPS + 1e-6:
             raise ConstructionError(
                 f"mixing measure mass {self.raw_mass} deviates from 1 beyond calibration"
             )
         flux = self.rates * self.knots
         increments = 0.5 * (flux[1:] + flux[:-1]) * np.diff(np.log(self.knots))
         trap_mass = cdf[0] + float(np.sum(increments))
-        if abs(trap_mass - self.raw_mass) > cfg.tail_eps + 1e-3:
-            raise ConstructionError(
-                f"rate trapezoid mass {trap_mass} disagrees with the closed form "
-                f"{self.raw_mass} beyond calibration: t_grid={cfg.t_grid} is too coarse, "
-                f"a finer grid is needed"
-            )
+        if abs(trap_mass - self.raw_mass) > TAIL_EPS + 1e-3:
+            raise ConstructionError(f"rate trapezoid mass {trap_mass} disagrees with the "
+                                    f"closed form {self.raw_mass} beyond calibration")
         self.mixing_cdf = cdf / self.raw_mass
         self._t_of_u = _CdfInverse(self.mixing_cdf, self.knots)
         self._cells = _Intervals(self.knots)

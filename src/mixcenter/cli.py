@@ -28,7 +28,7 @@ import warnings
 
 import numpy as np
 
-from . import center_bounds, discrete_mix
+from . import cauchy_mix, center_bounds, discrete_mix
 from .anchors import replay
 from .cauchy_mix import MixerConfig, build_mixer
 from .distributions import Cauchy, model_from_spec
@@ -54,6 +54,12 @@ _SIDECAR_SCHEMA = f"mixcenter.sample_meta/{SCHEMA_VERSION}"
 _CONFIG_TYPES = {f.name: typing.get_type_hints(MixerConfig)[f.name]
                  for f in dataclasses.fields(MixerConfig)}
 _JSON_TYPES = {int: "integer", float: "number"}
+
+
+def _build_facts():
+    """The slice grid's fixed knots and tail, which ``sample`` records and ``verify`` requires."""
+    return {"t_grid": cauchy_mix.T_GRID, "tail_eps": cauchy_mix.TAIL_EPS}
+
 
 SCHEMAS = {
     "mixcenter.interval/1": {
@@ -119,10 +125,11 @@ SCHEMAS = {
     },
     "mixcenter.sample_meta/1": {
         "type": "object",
-        "required": ["schema", *_CONFIG_TYPES, "mass_deficit", "count", "engine"],
+        "required": ["schema", *_CONFIG_TYPES, *_build_facts(), "mass_deficit", "count", "engine"],
         "properties": {
             "schema": {"type": "string"},
             **{name: {"type": _JSON_TYPES[tp]} for name, tp in _CONFIG_TYPES.items()},
+            **{name: {"type": _JSON_TYPES[type(v)]} for name, v in _build_facts().items()},
             "mass_deficit": {"type": "number"},
             "count": {"type": "integer"},
             "engine": {"enum": ["mix"]},
@@ -387,7 +394,7 @@ def _cmd_sample(args):
     _write_csv(out, batch.values, batch.t, batch.branch)
     meta = {
         "schema": _SIDECAR_SCHEMA,
-        **dataclasses.asdict(cfg),
+        **dataclasses.asdict(cfg), **_build_facts(),
         "mass_deficit": mixer.mass_deficit,
         "count": args.count,
         "engine": "mix",
@@ -421,6 +428,9 @@ def _cmd_verify(args):
                           "only mixer samples can be verified")
     cfg = MixerConfig(**{name: _sidecar_value(meta, name, tp)
                          for name, tp in _CONFIG_TYPES.items()})
+    for name, value in _build_facts().items():
+        if _sidecar_value(meta, name, type(value)) != value:
+            raise DomainError(f"sidecar {name} = {meta[name]!r}, not this version's {value!r}")
     values, ts, branch, recorded = _read_csv(path)
     n, c = cfg.n, cfg.c
     count = values.shape[0]

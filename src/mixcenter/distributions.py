@@ -1026,8 +1026,8 @@ class Reflected:
         )
 
     def cdf(self, x):
-        # valid at continuity points; quantile-side identities are exact
-        return 1.0 - self.base.cdf(-np.asarray(x, dtype=float))
+        # P(-X <= x) = 1 - P(X < -x): the base atoms are floats, so P(X < u) is F one float below u
+        return 1.0 - self.base.cdf(np.nextafter(-np.asarray(x, dtype=float), -np.inf))
 
     def quantile(self, t):
         t = np.asarray(t, dtype=float)

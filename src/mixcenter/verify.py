@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import cauchy_mix
 from ._halves import two_halves
 from .cauchy_mix import ROOT_TOL, ConstructiveMixer, ExplicitMixer, ReflectedMixer, SymmetricMixer
 from .discrete_mix import Coupling
@@ -191,7 +192,6 @@ def _sign_changes(values, tol=1e-14):
 def _constructive_suite(mixer: ConstructiveMixer) -> list:
     res = []
     knots, levels = mixer.knots, mixer.levels
-    cfg = mixer.config
 
     inc = float(np.max(np.diff(levels))) if len(levels) > 1 else 0.0
     res.append(InvariantResult("clip_level_monotone", inc <= 1e-12, inc, 1e-12))
@@ -218,8 +218,8 @@ def _constructive_suite(mixer: ConstructiveMixer) -> list:
     ))
 
     mass_err = abs(mixer.raw_mass - 1.0)
-    res.append(InvariantResult("mixing_mass", mass_err <= cfg.tail_eps + 1e-6,
-                               mass_err, cfg.tail_eps + 1e-6))
+    mass_tol = cauchy_mix.TAIL_EPS + 1e-6
+    res.append(InvariantResult("mixing_mass", mass_err <= mass_tol, mass_err, mass_tol))
 
     w = mixer.weights_at(knots, levels)
     num = (
@@ -276,10 +276,8 @@ def _constructive_suite(mixer: ConstructiveMixer) -> list:
     target = mixer.n * mixer.c
     for idx in (0, len(knots) // 2, len(knots) - 2):
         cell = mixer.cell_coupling(int(idx))
-        column = np.sort(
-            discretize(AtomUniform(cell.lo, cell.cut, cell.atom_weight),
-                       cfg.ra_grid_m)
-        )
+        column = np.sort(discretize(AtomUniform(cell.lo, cell.cut, cell.atom_weight),
+                                    mixer.config.ra_grid_m))
         for j in range(mixer.n):
             col_dev = max(col_dev, float(np.max(np.abs(
                 np.sort(cell.raw_matrix[:, j]) - column

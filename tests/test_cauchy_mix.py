@@ -32,12 +32,12 @@ from mixcenter.verify import KS_99, ks_distance, ks_two_sample, run_invariant_su
 
 PI = math.pi
 
-SMALL = dict(t_grid=512, seed=7)
 
 
 @pytest.fixture(scope="module")
 def mixer():
-    return ConstructiveMixer(MixerConfig(n=3, c=0.15, **SMALL))
+    with mock.patch.object(cauchy_mix, "T_GRID", 512):
+        return ConstructiveMixer(MixerConfig(n=3, c=0.15, seed=7))
 
 
 class TestImbalance:
@@ -75,8 +75,9 @@ class TestClipLevel:
         assert level < cap
         assert cap - level <= 1e-5
 
-    def test_endpoint_center_level_vanishes(self):
-        mx = ConstructiveMixer(MixerConfig(n=3, c=LOG2_PI, **SMALL))
+    def test_endpoint_center_level_vanishes(self, slice_grid):
+        slice_grid(512)
+        mx = ConstructiveMixer(MixerConfig(n=3, c=LOG2_PI, seed=7))
         assert mx.clip_level(1e4) <= 1e-10
 
     def test_monotone_on_knots(self, mixer):
@@ -112,7 +113,8 @@ class TestRootResidual:
     @example(n=100, f=1e-9 * PI / math.log(99))
     @example(n=3, f=1e-9 * PI / math.log(2))
     def test_residual_within_root_tol(self, n, f):
-        mx = ConstructiveMixer(MixerConfig(n, f * math.log(n - 1) / PI, t_grid=256))
+        with mock.patch.object(cauchy_mix, "T_GRID", 256):
+            mx = ConstructiveMixer(MixerConfig(n, f * math.log(n - 1) / PI))
         mids = np.sqrt(mx.knots[:-1] * mx.knots[1:])
         assert np.max(np.abs(mx.imbalance(mx.knots, mx.levels))) <= ROOT_TOL
         assert np.max(np.abs(mx.imbalance(mids, mx.clip_level(mids)))) <= ROOT_TOL
@@ -188,8 +190,9 @@ class TestArrayClipLevel:
         [(3, 0.15), (10, math.log(9) / PI), (5, 0.3), (4, 1e-9), (3, LOG2_PI)],
         ids=["n3", "n10-endpoint", "n5", "n4-tiny", "n3-endpoint"],
     )
-    def test_matches_scalar_brentq_bit_for_bit(self, n, c):
-        mx = ConstructiveMixer(MixerConfig(n=n, c=c, t_grid=512, seed=1))
+    def test_matches_scalar_brentq_bit_for_bit(self, n, c, slice_grid):
+        slice_grid(512)
+        mx = ConstructiveMixer(MixerConfig(n=n, c=c, seed=1))
         want = np.array([_scalar_level(mx, t) for t in mx.knots])
         assert mx.levels.tobytes() == want.tobytes()
         assert mx.clip_level(mx.knots).tobytes() == want.tobytes()
@@ -331,12 +334,12 @@ class TestSliceKernelProtocol:
     def test_scaled_cauchy_refused(self, c):
         # the slice methods are those of scale 1
         with pytest.raises(DomainError, match="standard law, got scale 2.0"):
-            build_mixer(MixerConfig(n=3, c=c, **SMALL), Cauchy(2.0))
+            build_mixer(MixerConfig(n=3, c=c, seed=7), Cauchy(2.0))
 
     def test_symmetric_mixer_refuses_scaled_cauchy(self):
         # built directly, without build_mixer's check of the center
         with pytest.raises(DomainError, match="standard law, got scale 2.0"):
-            SymmetricMixer(MixerConfig(n=3, c=0.0, **SMALL), Cauchy(2.0))
+            SymmetricMixer(MixerConfig(n=3, c=0.0, seed=7), Cauchy(2.0))
 
 
 class TestPchipOracle:
@@ -347,8 +350,9 @@ class TestPchipOracle:
         [(3, 0.15), (10, math.log(9) / PI), (5, 0.3), (4, 1e-9), (3, LOG2_PI)],
         ids=["n3", "n10-endpoint", "n5", "n4-tiny", "n3-endpoint"],
     )
-    def test_level_table_matches_scipy(self, n, c):
-        mx = ConstructiveMixer(MixerConfig(n=n, c=c, t_grid=512, seed=1))
+    def test_level_table_matches_scipy(self, n, c, slice_grid):
+        slice_grid(512)
+        mx = ConstructiveMixer(MixerConfig(n=n, c=c, seed=1))
         x = np.log(mx.knots)
         ref = PchipInterpolator(x, mx.levels)
         inner = np.random.default_rng(n).uniform(x[0], x[-1], 5000)
@@ -390,11 +394,11 @@ class TestKinkRoot:
         [(3, 0.15), (10, math.log(9) / PI), (3, LOG2_PI), (50, math.log(49) / PI)],
         ids=["n3", "n10-endpoint", "n3-endpoint", "n50-endpoint"],
     )
-    def test_inserted_knots_match_scipy_brentq(self, n, c):
-        cfg = MixerConfig(n=n, c=c, t_grid=512, seed=1)
-        mx = ConstructiveMixer(cfg)
+    def test_inserted_knots_match_scipy_brentq(self, n, c, slice_grid):
+        slice_grid(512)
+        mx = ConstructiveMixer(MixerConfig(n=n, c=c, seed=1))
         c, kern = mx.c, mx.kernel
-        grid = np.geomspace(T_MIN, mx.knots[-1], cfg.t_grid)
+        grid = np.geomspace(T_MIN, mx.knots[-1], 512)
         levels = mx.clip_level(grid)
         arg = kern.pdf(c + (n - 1) * grid) - levels
         want = []
@@ -435,8 +439,8 @@ class TestBatchedCells:
     @given(nc=_centers(), entries=st.sampled_from([1, 700, 1 << 18]))
     def test_batched_cells_equal_single_builds(self, nc, entries):
         n, c = nc
-        cfg = MixerConfig(n=n, c=c, t_grid=512, ra_grid_m=32, seed=3)
-        mixer = ConstructiveMixer(cfg)
+        with mock.patch.object(cauchy_mix, "T_GRID", 512):
+            mixer = ConstructiveMixer(MixerConfig(n=n, c=c, ra_grid_m=32, seed=3))
         table = mixer._coupling
         with mock.patch.object(cauchy_mix, "_CELL_BLOCK_ENTRIES", entries):
             mixer.sample(400, substream(3, "cells"))
@@ -459,8 +463,9 @@ class TestBatchedCells:
 
     @pytest.mark.parametrize("n,c", [(3, 0.15), (10, math.log(9) / PI)],
                              ids=["n3", "n10-endpoint"])
-    def test_coupling_rows_are_rows_of_fresh_cells(self, n, c):
-        mixer = ConstructiveMixer(MixerConfig(n=n, c=c, **SMALL))
+    def test_coupling_rows_are_rows_of_fresh_cells(self, n, c, slice_grid):
+        slice_grid(512)
+        mixer = ConstructiveMixer(MixerConfig(n=n, c=c, seed=7))
         batch = mixer.sample(20_000, substream(7, "gather"))
         coupling = batch.branch == 2
         t_hat = np.sqrt(mixer.knots[:-1] * mixer.knots[1:])
@@ -545,7 +550,7 @@ class TestSliceWeights:
 
 class TestMixingMeasure:
     def test_total_mass(self, mixer):
-        assert abs(mixer.raw_mass - 1.0) <= mixer.config.tail_eps + 1e-3
+        assert abs(mixer.raw_mass - 1.0) <= cauchy_mix.TAIL_EPS + 1e-3
 
     def test_cdf_starts_near_zero(self, mixer):
         assert mixer.mixing_cdf[0] <= 1e-5
@@ -562,11 +567,12 @@ class TestMixingMeasure:
         exact = mixer.truncated_mass(mixer.knots[idx], mixer.levels[idx])
         assert abs(approx - exact) <= 1e-3
 
-    def test_coarse_grid_builds_and_verifies(self):
+    def test_coarse_grid_builds_and_verifies(self, slice_grid):
         # the build's trapezoid cross-check is taken in log t, where 256
         # log-spaced knots are accurate to about 1e-5 (in t: 1.3e-3, beyond
-        # its tail_eps + 1e-3 tolerance)
-        mx = ConstructiveMixer(MixerConfig(n=3, c=0.15, t_grid=256))
+        # its TAIL_EPS + 1e-3 tolerance)
+        slice_grid(256)
+        mx = ConstructiveMixer(MixerConfig(n=3, c=0.15))
         assert all(r.passed for r in run_invariant_suite(mx))
 
 
@@ -661,8 +667,8 @@ class TestSampling:
             assert abs(row.sum() - 0.45) <= max(1e-9, 3 * (mixer.c + 3 * t) * 1e-12)
 
     def test_reflection_row_by_row(self):
-        pos = build_mixer(MixerConfig(n=3, c=0.15, **SMALL))
-        neg = build_mixer(MixerConfig(n=3, c=-0.15, **SMALL))
+        pos = build_mixer(MixerConfig(n=3, c=0.15, seed=7))
+        neg = build_mixer(MixerConfig(n=3, c=-0.15, seed=7))
         assert isinstance(neg, ReflectedMixer)
         a = pos.sample(500, substream(9, "refl"))
         b = neg.sample(500, substream(9, "refl"))
@@ -670,7 +676,7 @@ class TestSampling:
         assert b.target_sum == -a.target_sum
 
     def test_determinism(self):
-        cfg = MixerConfig(n=3, c=0.1, **SMALL)
+        cfg = MixerConfig(n=3, c=0.1, seed=7)
         a = build_mixer(cfg).sample(300, substream(11, "det"))
         b = build_mixer(cfg).sample(300, substream(11, "det"))
         assert_allclose(a.values, b.values, rtol=0, atol=0)
@@ -681,10 +687,11 @@ class TestSampling:
         [(3, 1e-6), (4, 0.2), (6, 0.5), (12, math.log(11) / PI), (5, 1e-4)],
         ids=["n3-tiny", "n4-mid", "n6-mid", "n12-endpoint", "n5-small"],
     )
-    def test_parameter_sweep(self, n, c):
+    def test_parameter_sweep(self, n, c, slice_grid):
         from mixcenter.verify import run_invariant_suite
 
-        mx = build_mixer(MixerConfig(n=n, c=c, t_grid=512, seed=1))
+        slice_grid(512)
+        mx = build_mixer(MixerConfig(n=n, c=c, seed=1))
         assert all(r.passed for r in run_invariant_suite(mx))
         batch = mx.sample(3000, substream(1, "sweep", f"{n}-{c}"))
         devs = np.abs(batch.row_sums() - batch.target_sum)
@@ -828,14 +835,15 @@ class TestRadiusQuantile:
 
 @pytest.mark.parametrize("kind", ["symmetric", "constructive", "explicit", "reflected",
                                   "convex"])
-def test_zero_row_draws(kind):
+def test_zero_row_draws(kind, slice_grid):
+    slice_grid(512)
     zero = build_mixer(MixerConfig(n=4, c=0.0, seed=1))
-    pos = ConstructiveMixer(MixerConfig(n=4, c=0.2, **SMALL))
+    pos = ConstructiveMixer(MixerConfig(n=4, c=0.2, seed=7))
     mixer = {
         "symmetric": zero,
         "constructive": pos,
         "explicit": build_mixer(MixerConfig(n=4, c=0.2)),
-        "reflected": build_mixer(MixerConfig(n=4, c=-0.2, **SMALL)),
+        "reflected": build_mixer(MixerConfig(n=4, c=-0.2, seed=7)),
         "convex": ConvexCombinationSampler(zero, pos, 0.5),
     }[kind]
     batch = mixer.sample(0, substream(1, "empty"))
@@ -850,10 +858,11 @@ def _fresh_mixer(kind):
     """A newly built mixer of ``kind``, its cell table empty; build_mixer
     draws (3, 0.2) explicitly, so the slice mixer there is built directly."""
     def build(n, c):
-        return build_mixer(MixerConfig(n=n, c=c, t_grid=256, ra_grid_m=32, seed=5))
+        return build_mixer(MixerConfig(n=n, c=c, ra_grid_m=32, seed=5))
 
     def constructive():
-        return ConstructiveMixer(MixerConfig(n=3, c=0.2, t_grid=256, ra_grid_m=32, seed=5))
+        with mock.patch.object(cauchy_mix, "T_GRID", 256):
+            return ConstructiveMixer(MixerConfig(n=3, c=0.2, ra_grid_m=32, seed=5))
 
     if kind == "convex":
         return ConvexCombinationSampler(build(3, 0.0), build(3, -0.2), 0.4)
@@ -871,7 +880,8 @@ LOOKUP_GRIDS = [512, 2048]
 
 @functools.lru_cache(maxsize=None)
 def _lookup_mixer(n, c, t_grid):
-    return ConstructiveMixer(MixerConfig(n=n, c=c, t_grid=t_grid, seed=7))
+    with mock.patch.object(cauchy_mix, "T_GRID", t_grid):
+        return ConstructiveMixer(MixerConfig(n=n, c=c, seed=7))
 
 
 class TestCdfLookup:
@@ -988,10 +998,11 @@ class _SkewedFirstDraw:
 
 
 @pytest.mark.parametrize("n,c", LOOKUP_CENTERS[:2], ids=["n3", "n10-endpoint"])
-def test_cell_law(n, c):
+def test_cell_law(n, c, slice_grid):
     # a coupling row's t_hat stays in its knot interval, so the rows per
     # interval follow the mixing cdf exactly, snap or no snap
-    mixer = ConstructiveMixer(MixerConfig(n=n, c=c, t_grid=512, seed=7))
+    slice_grid(512)
+    mixer = ConstructiveMixer(MixerConfig(n=n, c=c, seed=7))
     for s in range(3):
         batch = mixer.sample(100_000, substream(7, "cell-law", str(s)))
         assert _cell_law_p(mixer, batch.t) >= 0.01
@@ -1019,14 +1030,15 @@ class TestDrawChunks:
 
     @pytest.mark.parametrize("kind,ratio", [("constructive", 2.45), ("symmetric", 1.40),
                                             ("explicit", 1.7)])
-    def test_warm_draw_memory(self, kind, ratio):
+    def test_warm_draw_memory(self, kind, ratio, slice_grid):
         # the peak a warm draw allocates above its start, against the bytes
         # it returns; full-batch temporaries put it near 5.5 (c = 0.15) and
         # 2.9 (c = 0) at 200,001 rows, chunked ones near 2.4 and 1.35; the
         # explicit draw's chunked tables near 1.6
         rows = 200_001
+        slice_grid(512)
         config = MixerConfig(n=4 if kind == "symmetric" else 3,
-                             c=0.0 if kind == "symmetric" else 0.15, **SMALL)
+                             c=0.0 if kind == "symmetric" else 0.15, seed=7)
         mixer = ConstructiveMixer(config) if kind == "constructive" else build_mixer(config)
         mixer.sample(rows, substream(17, "memory"))
         tracemalloc.start()
@@ -1042,11 +1054,12 @@ class TestDrawChunks:
 
 @pytest.mark.parametrize("c,direct", [(0.15, True), (0.15, False), (-0.15, False),
                                       (0.0, False)])
-def test_drawn_row_bounds_equal_row_bound_for(c, direct):
+def test_drawn_row_bounds_equal_row_bound_for(c, direct, slice_grid):
     # verify recomputes the bound of cyclic (c != 0) and symmetric (c = 0,
     # and branch 4 of the explicit mixer) rows from their recorded t;
     # coupling rows keep their cell's bound
-    config = MixerConfig(n=3, c=c, **SMALL)
+    slice_grid(512)
+    config = MixerConfig(n=3, c=c, seed=7)
     mixer = ConstructiveMixer(config) if direct else build_mixer(config)
     batch = mixer.sample(4000, substream(12, "row-bound"))
     rows = batch.branch % 2 == 1
@@ -1074,8 +1087,8 @@ def test_row_bound_for_memory(mixer):
 
 class TestConvexCombination:
     def test_alpha_one_is_first_mixer(self):
-        a = build_mixer(MixerConfig(n=3, c=0.1, **SMALL))
-        b = build_mixer(MixerConfig(n=3, c=0.0, **SMALL))
+        a = build_mixer(MixerConfig(n=3, c=0.1, seed=7))
+        b = build_mixer(MixerConfig(n=3, c=0.0, seed=7))
         combo = ConvexCombinationSampler(a, b, 1.0)
         rng1 = substream(13, "cc")
         rng2 = substream(13, "cc")
@@ -1084,9 +1097,10 @@ class TestConvexCombination:
         b.sample(200, rng2)  # combo consumed the second mixer's draws too
         assert_allclose(got.values, want.values, rtol=0, atol=0)
 
-    def test_midpoint_of_opposite_endpoints(self):
-        hi = build_mixer(MixerConfig(n=3, c=LOG2_PI, **SMALL))
-        lo = build_mixer(MixerConfig(n=3, c=-LOG2_PI, **SMALL))
+    def test_midpoint_of_opposite_endpoints(self, slice_grid):
+        slice_grid(512)
+        hi = build_mixer(MixerConfig(n=3, c=LOG2_PI, seed=7))
+        lo = build_mixer(MixerConfig(n=3, c=-LOG2_PI, seed=7))
         combo = ConvexCombinationSampler(hi, lo, 0.5)
         batch = combo.sample(2000, substream(14, "cc"))
         assert abs(batch.target_sum) <= 1e-15
@@ -1094,15 +1108,15 @@ class TestConvexCombination:
 
     def test_interpolated_center(self):
         a = build_mixer(MixerConfig(n=3, c=0.0, seed=7))
-        b = build_mixer(MixerConfig(n=3, c=0.2, **SMALL))
+        b = build_mixer(MixerConfig(n=3, c=0.2, seed=7))
         combo = ConvexCombinationSampler(a, b, 0.25)
         batch = combo.sample(2000, substream(15, "cc"))
         assert_allclose(batch.target_sum, 3 * 0.15, rtol=1e-12)
         assert abs(batch.row_sums().mean() - 0.45) <= 1e-9
 
     def test_marginals_stay_cauchy(self):
-        hi = build_mixer(MixerConfig(n=3, c=0.2, **SMALL))
-        lo = build_mixer(MixerConfig(n=3, c=-0.2, **SMALL))
+        hi = build_mixer(MixerConfig(n=3, c=0.2, seed=7))
+        lo = build_mixer(MixerConfig(n=3, c=-0.2, seed=7))
         combo = ConvexCombinationSampler(hi, lo, 0.5)
         batch = combo.sample(30_000, substream(16, "cc"))
         for j in range(3):
@@ -1111,8 +1125,8 @@ class TestConvexCombination:
 
 @pytest.fixture(scope="module")
 def generic_mixer():
-    cfg = MixerConfig(n=3, c=0.15, t_grid=256, tail_eps=5e-3, ra_grid_m=64, seed=0)
-    return build_mixer(cfg, cauchy_like_density())
+    with mock.patch.multiple(cauchy_mix, T_GRID=256, TAIL_EPS=5e-3):
+        return build_mixer(MixerConfig(n=3, c=0.15, ra_grid_m=64, seed=0), cauchy_like_density())
 
 
 class TestGenericDensityRoute:
@@ -1160,8 +1174,9 @@ class TestGenericDensityRoute:
         with pytest.raises(DomainError, match="convexity requirement near x=-49.875"):
             build_mixer(MixerConfig(n=3, c=0.1), power_three_halves_density())
 
-    def test_generic_kernel_matches_closed_form(self, generic_mixer):
-        exact = ConstructiveMixer(MixerConfig(n=3, c=0.15, t_grid=64, tail_eps=5e-2))
+    def test_generic_kernel_matches_closed_form(self, generic_mixer, slice_grid):
+        slice_grid(64, 5e-2)
+        exact = ConstructiveMixer(MixerConfig(n=3, c=0.15))
         for t in (0.01, 1.0, 50.0):
             assert_allclose(generic_mixer.clip_level(t), exact.clip_level(t), atol=1e-7)
 
@@ -1177,4 +1192,4 @@ class TestGenericDensityRoute:
 
     def test_center_outside_generic_bound(self):
         with pytest.raises(DomainError):
-            build_mixer(MixerConfig(n=3, c=0.5, t_grid=64), cauchy_like_density())
+            build_mixer(MixerConfig(n=3, c=0.5), cauchy_like_density())

@@ -217,7 +217,7 @@ class TestNonFiniteInputs:
             Path(paths[key]).write_text(json.dumps(spec))
         if "{nan-sidecar}" in argv:
             assert main(["sample", "--n", "3", "--c", "0.15", "--count", "10",
-                         "--t-grid", "64", "--out", paths["out"]]) == 0
+                         "--out", paths["out"]]) == 0
             sidecar = Path(paths["out"] + ".meta.json")
             sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "c": math.nan}))
             paths["nan-sidecar"] = paths["out"]
@@ -232,7 +232,7 @@ class TestSampleVerify:
         out = str(tmp_path / "rows.csv")
         code, _ = run_cli(
             capsys, "sample", "--n", "3", "--c", "0.15", "--count", "8000",
-            "--seed", "7", "--t-grid", "512", "--out", out,
+            "--seed", "7", "--out", out,
         )
         assert code == 0
         meta = json.loads((tmp_path / "rows.csv.meta.json").read_text())
@@ -270,7 +270,7 @@ class TestSampleVerify:
     def test_csv_round_trips_doubles(self, capsys, tmp_path):
         out = str(tmp_path / "rows.csv")
         run_cli(capsys, "sample", "--n", "3", "--c", "0.1", "--count", "50",
-                "--seed", "1", "--t-grid", "512", "--out", out)
+                "--seed", "1", "--out", out)
         with open(out) as fh:
             reader = csv.reader(fh)
             header = next(reader)
@@ -285,7 +285,7 @@ class TestSampleVerify:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         for out in (a, b):
             run_cli(capsys, "sample", "--n", "3", "--c", "0.1", "--count", "200",
-                    "--seed", "5", "--t-grid", "512", "--out", out)
+                    "--seed", "5", "--out", out)
         assert Path(a).read_text() == Path(b).read_text()
 
     def test_c_zero_engine(self, capsys, tmp_path):
@@ -303,11 +303,7 @@ class TestSampleVerify:
 
     @pytest.mark.parametrize("flags", [
         ("--n", "1"),
-        ("--t-grid", "1"),
-        ("--t-grid", "0"),
         ("--ra-grid-m", "0"),
-        ("--tail-eps", "0"),
-        ("--tail-eps", "2"),
         ("--seed", "-1"),
     ], ids=lambda flags: "".join(flags).lstrip("-"))
     def test_config_outside_domain_rejected(self, capsys, tmp_path, flags):
@@ -318,16 +314,14 @@ class TestSampleVerify:
         assert capsys.readouterr().err.startswith("error: need ")
         assert not (tmp_path / "x.csv").exists()
 
-    def test_coarse_t_grid_names_itself(self, capsys, tmp_path):
-        # 16 knots pass the domain check but miss the trapezoid calibration;
-        # the n = 10 endpoint is past the explicit range, so the slice mixer
-        # reads t_grid
+    @pytest.mark.parametrize("flags", [("--t-grid", "512"), ("--tail-eps", "1e-3")],
+                             ids=["t-grid", "tail-eps"])
+    def test_fixed_grid_flags_rejected(self, capsys, tmp_path, flags):
+        # the slice grid's knot count and tail are constants, not settings
         code = main(["sample", "--n", "10", "--c", repr(math.log(9) / math.pi), "--count", "10",
-                     "--t-grid", "16", "--out", str(tmp_path / "x.csv")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: rate trapezoid mass ")
-        assert "t_grid=16 is too coarse, a finer grid is needed" in err
+                     "--out", str(tmp_path / "x.csv"), *flags])
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_center_outside_interval(self, capsys, tmp_path):
@@ -344,7 +338,9 @@ class TestSampleVerify:
         ({"engine": "ra"}, "sidecar engine 'ra'"),
         ({"n": 4}, "sidecar n = 4, but the CSV has 3 x columns"),
         ({"count": 999}, "sidecar count = 999, but the CSV has 500 rows"),
-    ], ids=["engine", "n", "count"])
+        ({"t_grid": 512}, "sidecar t_grid = 512, not this version's 2048"),
+        ({"tail_eps": 1e-3}, "sidecar tail_eps = 0.001, not this version's 0.0001"),
+    ], ids=["engine", "n", "count", "t_grid", "tail_eps"])
     def test_verify_rejects_sidecar_not_matching_mixer_csv(self, capsys, tmp_path,
                                                          edit, message):
         out = tmp_path / "rows.csv"
@@ -359,12 +355,13 @@ class TestSampleVerify:
 
     @pytest.mark.parametrize("n,c,stream", [(3, 0.15, 2), (10, math.log(9) / math.pi, None)],
                              ids=["explicit", "constructive"])
-    def test_verify_reads_the_sidecar_stream(self, capsys, tmp_path, n, c, stream):
+    def test_verify_reads_the_sidecar_stream(self, capsys, tmp_path, slice_grid, n, c, stream):
         # explicit files carry stream 2; files of stream 1 carry no key, so a
         # (3, 0.15) sidecar without one names rows this version does not draw
+        slice_grid(512)
         out = tmp_path / "rows.csv"
         code, _ = run_cli(capsys, "sample", "--n", str(n), "--c", repr(c), "--count", "500",
-                          "--seed", "3", "--t-grid", "512", "--out", str(out))
+                          "--seed", "3", "--out", str(out))
         assert code == 0
         sidecar = tmp_path / "rows.csv.meta.json"
         meta = json.loads(sidecar.read_text())
@@ -408,7 +405,8 @@ class TestSampleVerify:
         assert captured.out == "" and repr(key) in captured.err
 
     @pytest.mark.parametrize("key,value", [
-        ("t_grid", 512.9),
+        ("t_grid", 2048.9),
+        ("tail_eps", "0.0001"),
         ("seed", 3.5),
         ("c", "0.15"),
         ("ra_grid_m", "512"),
@@ -416,16 +414,16 @@ class TestSampleVerify:
         ("count", 2000.7),
         ("mass_deficit", repr),
         ("stream", 2.0),
-    ], ids=["t_grid", "seed", "c", "ra_grid_m", "count-string", "count-fraction",
+    ], ids=["t_grid", "tail_eps", "seed", "c", "ra_grid_m", "count-string", "count-fraction",
             "mass_deficit-string", "stream"])
     def test_verify_rejects_sidecar_value_of_wrong_type(self, capsys, tmp_path,
                                                         key, value):
-        # each value would read back as the sample's own (512, 3, 0.15, 512,
-        # 2000 rows, and its mass deficit as the string of its repr) if it
-        # were truncated or parsed, so the rows would verify
+        # each value would read back as the sample's own (2048, 1e-4, 3, 0.15,
+        # 512, 2000 rows, and its mass deficit as the string of its repr) if
+        # it were truncated or parsed, so the rows would verify
         out = tmp_path / "rows.csv"
         code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0.15", "--count", "2000",
-                          "--seed", "3", "--t-grid", "512", "--out", str(out))
+                          "--seed", "3", "--out", str(out))
         assert code == 0
         sidecar = tmp_path / "rows.csv.meta.json"
         meta = json.loads(sidecar.read_text())
@@ -462,7 +460,7 @@ class TestSampleVerify:
         # x1 moved while its recorded row_sum did not must fail verify
         out = tmp_path / "rows.csv"
         code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0.15", "--count", "8000",
-                          "--seed", "7", "--t-grid", "512", "--out", str(out))
+                          "--seed", "7", "--out", str(out))
         assert code == 0
         lines = out.read_bytes().split(b"\r\n")
         fields = lines[6].split(b",")  # data row 5, counted from 0
@@ -512,13 +510,14 @@ class TestSampleVerify:
     @pytest.mark.parametrize("n,c", [(3, 0.15), (10, math.log(9) / math.pi)],
                              ids=["explicit", "constructive"])
     @pytest.mark.parametrize("count", [2000, 60_000])
-    def test_verify_thresholds_pinned(self, capsys, tmp_path, count, n, c):
+    def test_verify_thresholds_pinned(self, capsys, tmp_path, slice_grid, count, n, c):
         # every gate of verify, on either side of the pairwise KS floor of
         # 0.01, for both mixers at c > 0. Gates only tighten: one that
         # tightens updates this pin
+        slice_grid(512)
         out = str(tmp_path / "rows.csv")
         code, _ = run_cli(capsys, "sample", "--n", str(n), "--c", repr(c), "--count", str(count),
-                          "--t-grid", "512", "--out", out)
+                          "--out", out)
         assert code == 0
         _, payload = run_json(capsys, "verify", out)
         want = {f"ks_coordinate_{j + 1}": 0.01 + 1.628 / math.sqrt(count) for j in range(n)}
@@ -730,7 +729,7 @@ class TestScipyFree:
             for n, c in ((3, 0.15), (3, -0.15), (4, 0.0)):
                 csv = f"{out}/rows_{n}_{c}.csv"
                 argv = ["sample", "--n", str(n), "--c", repr(c), "--count", "3000",
-                        "--t-grid", "512", "--seed", "7", "--out", csv]
+                        "--seed", "7", "--out", csv]
                 assert cli.main(argv) == 0, argv
                 assert cli.main(["verify", csv, "--out", csv + ".json"]) == 0, csv
             loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")

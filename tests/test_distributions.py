@@ -554,6 +554,26 @@ class TestPowerTwoGeometric:
             want = self.brute_survival(parts, a, b)
             assert_allclose(mix.survival_integral(a, b), float(want), rtol=1e-13)
 
+    # the atoms of (2 nu + gamma)/3, the points between them, and beyond both ends
+    CDF_POINTS = [1.0, 2.0, 4.0, 2.0 ** 40, -2.0, -4.0, -2.0 ** 40, 0.0, 1.5, 3.0, -1.0,
+                  -3.0, 2.0 ** 40 + 1, -2.0 ** 40 - 1, -2.5 * 2.0 ** 50, 2.5 * 2.0 ** 50]
+
+    def test_mixture_cdf_exact(self):
+        # P(X <= x) against the exact Fraction sum over the atoms; the atoms
+        # beyond index kmax lie far above x (nu, nothing) or far below it
+        # (gamma, all of that tail)
+        kmax = 200
+        parts = [(w, PowerTwoGeometric(sign)) for w, sign in EX01_WEIGHTS]
+        for x in self.CDF_POINTS:
+            want = Fraction(0)
+            for w, law in parts:
+                want += w * sum(p for v, p in law.pmf_fractions(kmax) if v <= x)
+                if law.sign == "negative":
+                    want += w * Fraction(1, 2 ** (kmax + 1))
+            assert_allclose(ex01_mixture().cdf(x), float(want), rtol=1e-15, atol=1e-17)
+        assert_allclose(ex01_mixture().cdf(self.CDF_POINTS),
+                        [ex01_mixture().cdf(x) for x in self.CDF_POINTS], rtol=0, atol=0)
+
     def test_survival_integral_needs_finite_ends(self):
         for b in (math.inf, math.nan, 1e308):
             with pytest.raises(DomainError):
@@ -735,6 +755,37 @@ class TestReflection:
 
     def test_mean_status_flip(self):
         assert reflect(Pareto(0.5)).mean_status == "-inf"
+
+
+class TestReflectedCdf:
+    """P(-X <= x) = 1 - P(X < -x), at the base law's atoms and between them."""
+
+    # AtomUniform(0, 1, 0.2) reflected: an atom of 0.2 at 0 over a uniform
+    # 0.8 on [-1, 0]
+    ATOM_UNIFORM = [(-2.0, 0.0), (-1.0, 0.0), (-0.5, 0.4), (-1e-300, 0.8), (0.0, 1.0),
+                    (1e-300, 1.0), (0.5, 1.0)]
+
+    def test_atom_uniform(self):
+        law = Reflected(AtomUniform(0.0, 1.0, 0.2))
+        for x, want in self.ATOM_UNIFORM:
+            assert_allclose(law.cdf(x), want, rtol=0, atol=1e-15)
+        xs, want = zip(*self.ATOM_UNIFORM)
+        assert_allclose(law.cdf(np.array(xs)), want, rtol=0, atol=1e-15)
+        assert reflect(AtomUniform(0.0, 1.0, 0.2)).cdf(0.0) == 1.0
+
+    @pytest.mark.parametrize("sign", ["positive", "negative"])
+    def test_power_two_matches_exact_sum(self, sign):
+        # P(X >= -x) as an exact Fraction sum; the atoms beyond index kmax
+        # lie far above -x (positive law, all of that tail) or far below
+        kmax = 200
+        law = PowerTwoGeometric(sign)
+        for x in [1.0, 2.0, 4.0, 2.0 ** 40, -1.0, -2.0, -4.0, -2.0 ** 40, 0.0, 1.5, -1.5,
+                  3.0, -3.0, 0.5, -0.5]:
+            want = sum(p for v, p in law.pmf_fractions(kmax) if v >= -x)
+            if sign == "positive":
+                want += Fraction(1, 2 ** (kmax + 1))
+            assert_allclose(Reflected(law).cdf(x), float(want), rtol=0, atol=1e-15)
+        assert reflect(PowerTwoGeometric("positive")).cdf(-1.0) == 1.0
 
 
 class TestReflectedSurvivalIntegral:

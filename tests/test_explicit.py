@@ -109,10 +109,11 @@ def _mp_cdfs(n, c, x):
 
 class TestAdmissibility:
     @pytest.mark.parametrize("n", [4, 10])
-    def test_refuses_just_past_c_sym_and_accepts_just_below(self, n):
+    def test_refuses_just_past_c_sym_and_accepts_just_below(self, n, slice_grid):
         cs = c_sym(n)
-        assert isinstance(build_mixer(MixerConfig(n=n, c=0.999 * cs, t_grid=256)), ExplicitMixer)
-        past = build_mixer(MixerConfig(n=n, c=1.001 * cs, t_grid=256))
+        slice_grid(256)
+        assert isinstance(build_mixer(MixerConfig(n=n, c=0.999 * cs)), ExplicitMixer)
+        past = build_mixer(MixerConfig(n=n, c=1.001 * cs))
         assert isinstance(past, ConstructiveMixer)
         with pytest.raises(DomainError, match="outside the explicit range"):
             ExplicitMixer(MixerConfig(n=n, c=1.001 * cs))
@@ -142,10 +143,10 @@ class TestAdmissibility:
         assert cauchy_mix._ExplicitGrid(Cauchy(), 3, 0.15).admissible
         assert not cauchy_mix._ExplicitGrid(Cauchy(), 10, endpoint(10)).admissible
 
-    def test_generic_kernel_keeps_the_slice_mixer(self):
+    def test_generic_kernel_keeps_the_slice_mixer(self, slice_grid):
         from mixcenter.anchors import cauchy_like_density
-        mixer = build_mixer(MixerConfig(n=3, c=0.15, t_grid=64, tail_eps=5e-2),
-                            cauchy_like_density())
+        slice_grid(64, 5e-2)
+        mixer = build_mixer(MixerConfig(n=3, c=0.15), cauchy_like_density())
         assert isinstance(mixer, ConstructiveMixer)
 
 
@@ -281,5 +282,5 @@ class TestCenterNearZero:
 
     def test_slice_mixer_keeps_its_limit(self):
         # built directly, the slice mixer still cannot resolve such a center
-        with pytest.raises(ConstructionError, match="too coarse"):
+        with pytest.raises(ConstructionError, match="rate trapezoid mass .* beyond calibration"):
             ConstructiveMixer(MixerConfig(n=3, c=1e-40))

@@ -118,12 +118,13 @@ CERTIFY_DIGESTS = {
     "feasible-uniform9-c13": "9e626dc714171c56d8310ce43dbee904b29e4921bda1fd67923fcc5a488d7150",
     "interval-n10": "7bceb303c7ea287bc252343c4fdeb60ecfb8741e57c9927290d62cb3a1a05781",
     "interval-n3": "deb02da21d44444595aa5f72ccf61b2eabdefd0e3ee77aaadb27ade02d11b47e",
-    "repro": "60f5d0709f56d192db0d55ebe4a1e94a363e675e0257c62525115b364d052ead",
-    "repro-seed7": "c079f0a899fa8a6b959a2617ce57a7ff672d2a4a8ae0e159a037dba45de8adf4",
+    "repro": "5e2472739353073240e3e53fe055a9a2150786387e8d6d80c629e4482a4ed6b9",
+    "repro-seed7": "98e319e8c025566ad2bc07ce1eb4c58bae14286f91ac9bb99029c024b226c64e",
 }
 
 # library draws of 200,001 rows: more than three 65,536-row draw chunks, so
-# each draw crosses chunk boundaries; t_grid=512 keeps the cold builds cheap
+# each draw crosses chunk boundaries; a 512-knot slice grid keeps the cold
+# builds cheap
 DRAW_ROWS = 200_001
 DRAW_FIELDS = ("values", "t", "branch", "row_bound")
 DRAW_CENTERS = {
@@ -133,7 +134,7 @@ DRAW_CENTERS = {
     "n4-c0": (4, 0.0),
 }
 
-# the same draws at the default config (t_grid 2048), as the library-warm
+# the same draws at the default config and the fixed grid, as the library-warm
 # benchmark builds its mixers
 DEFAULT_DRAW_CENTERS = {
     "n3-c0.15-default": (3, 0.15),
@@ -321,11 +322,12 @@ def certify_digest(tmp_path, name):
 
 
 def _draw_mixer(case):
-    """A freshly built mixer for ``case``: one of ``DRAW_CENTERS`` (t_grid
-    512), one of ``DEFAULT_DRAW_CENTERS`` (the default config), or "convex",
-    0.25 of (3, 0.2) and 0.75 of the reflected (3, -0.1)."""
+    """A freshly built mixer for ``case``: one of ``DRAW_CENTERS`` (on 512
+    slice knots), one of ``DEFAULT_DRAW_CENTERS`` (the default config), or
+    "convex", 0.25 of (3, 0.2) and 0.75 of the reflected (3, -0.1)."""
     def build(n, c):
-        return build_mixer(MixerConfig(n=n, c=c, t_grid=512, seed=7))
+        with mock.patch.object(cauchy_mix, "T_GRID", 512):
+            return build_mixer(MixerConfig(n=n, c=c, seed=7))
 
     if case == "convex":
         return ConvexCombinationSampler(build(3, 0.2), build(3, -0.1), 0.25)

@@ -102,11 +102,11 @@ def test_halves_call_no_traced_function(layers, capsys, tmp_path, cli):
         if cli:
             out = str(tmp_path / "rows.csv")
             assert mixcenter.cli.main(["sample", "--n", "3", "--c", "0.15", "--count", "2000",
-                                       "--seed", "7", "--t-grid", "512", "--out", out]) == 0
+                                       "--seed", "7", "--out", out]) == 0
             mixcenter.cli.main(["verify", out])
             capsys.readouterr()
         else:
-            mixer = mixcenter.cauchy_mix.build_mixer(MixerConfig(n=3, c=0.15, t_grid=512, seed=7))
+            mixer = mixcenter.cauchy_mix.build_mixer(MixerConfig(n=3, c=0.15, seed=7))
             mixer.sample(2000, np.random.default_rng(7))
     finally:
         rec.uninstall()

@@ -1,10 +1,12 @@
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from mixcenter import cauchy_mix
 from mixcenter.cauchy_mix import ConstructiveMixer, MixerConfig, build_mixer
 from mixcenter.discrete_mix import zero_one_couplings
 from mixcenter.distributions import Cauchy, PowerTwoGeometric
@@ -27,7 +29,8 @@ from mixcenter.verify import (
 @pytest.fixture(scope="module")
 def mixer():
     # build_mixer draws (3, 0.15) explicitly; the slice mixer's suite is built directly
-    return ConstructiveMixer(MixerConfig(n=3, c=0.15, t_grid=512, seed=7))
+    with mock.patch.object(cauchy_mix, "T_GRID", 512):
+        return ConstructiveMixer(MixerConfig(n=3, c=0.15, seed=7))
 
 
 class TestKsDistance:
@@ -160,7 +163,7 @@ class TestInvariantSuite:
 
     def test_reflected_unwraps(self):
         # (3, 0.1) is drawn by the explicit mixer
-        reflected = build_mixer(MixerConfig(n=3, c=-0.1, t_grid=512, seed=2))
+        reflected = build_mixer(MixerConfig(n=3, c=-0.1, seed=2))
         rows = run_invariant_suite(reflected)
         assert tuple(r.name for r in rows) == EXPLICIT_MIXER_INVARIANTS
         assert all(r.passed for r in rows)
@@ -183,7 +186,7 @@ class TestInvariantSuite:
             run_invariant_suite(42)
 
     def test_suite_determinism(self):
-        cfg = MixerConfig(n=3, c=0.12, t_grid=512, seed=3)
+        cfg = MixerConfig(n=3, c=0.12, seed=3)
         rows_a = [r.to_dict() for r in run_invariant_suite(build_mixer(cfg))]
         rows_b = [r.to_dict() for r in run_invariant_suite(build_mixer(cfg))]
         assert rows_a == rows_b
