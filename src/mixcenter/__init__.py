@@ -15,7 +15,6 @@ from .cauchy_mix import (
     MixerConfig,
     ReflectedMixer,
     SampleBatch,
-    SymmetricMixer,
     build_mixer,
 )
 from .center_bounds import (
@@ -65,7 +64,6 @@ from .verify import (
     COUPLING_INVARIANTS,
     EXPLICIT_MIXER_INVARIANTS,
     MIXER_INVARIANTS,
-    SYMMETRIC_MIXER_INVARIANTS,
     ks_distance,
     ks_threshold,
     ks_two_sample,

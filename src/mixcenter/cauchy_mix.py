@@ -14,13 +14,13 @@ n-tuple coupling with constant sum n*c:
   residual of each row folded back into one in-range uniform coordinate so
   emitted sums are exact.
 
-c = 0 is handled by a separate exact construction (the law is a scale
-mixture of centered uniforms, and centered uniforms combine into constant
-sums by antithetic pairs plus an explicit three-block map); c < 0 by
-reflection of the mixer for -c. For 0 < c <= c_sym(n), ``build_mixer``
-uses ``ExplicitMixer`` instead of the slices: cyclic rows carry the part
-of the law that is not symmetric about c, and the c = 0 block rows, scaled
-and shifted by c, carry the rest, with no cells and no rearrangement.
+For 0 <= c <= c_sym(n), ``build_mixer`` uses ``ExplicitMixer`` instead of
+the slices: cyclic rows carry the part of the law that is not symmetric
+about c, and block rows carry the rest, with no cells and no
+rearrangement. The symmetric rest is a scale mixture of uniforms about c,
+and centered uniforms combine into constant sums by antithetic pairs plus
+an explicit three-block map. At c = 0 there are no cyclic rows. c < 0 is
+the reflection of the mixer for -c.
 
 The slice machinery is driven by the clip level h(t): the unique level
 below the density value at c+t for which the level-clipped density over
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,8 @@ class MixerConfig:
     The slice grid is fixed (``T_GRID``, ``TAIL_EPS``). ``ra_grid_m`` is the
     discretization size of the per-slice rearrangement couplings, and
     ``seed`` drives their deterministic initial shuffles. Raises DomainError
-    unless c is finite, n and ra_grid_m are at least 2 and seed >= 0.
+    unless c is finite and 0 or normal (a subnormal c rounds the cyclic
+    fraction), n and ra_grid_m are at least 2 and seed >= 0.
     """
 
     n: int
@@ -110,6 +112,8 @@ class MixerConfig:
     def __post_init__(self):
         if not math.isfinite(self.c):
             raise DomainError(f"need a finite c, got {self.c}")
+        if 0.0 < abs(self.c) < sys.float_info.min:
+            raise DomainError(f"need c = 0 or |c| >= {sys.float_info.min!r}, got {self.c!r}")
         for name in ("n", "ra_grid_m"):
             if getattr(self, name) < 2:
                 raise DomainError(f"need {name} >= 2, got {getattr(self, name)}")
@@ -123,9 +127,9 @@ class SampleBatch:
 
     values: np.ndarray          # (count, n)
     t: np.ndarray               # mixing parameter per row
-    # 1 = exact row (cyclic at c != 0, every row at c = 0), 2 = coupling
-    # row, 3 = convex combination of two batches (t is nan), 4 = explicit
-    # row symmetric about c (t is its radius R)
+    # 1 = cyclic row, 2 = coupling row, 3 = convex combination of two
+    # batches (t is nan), 4 = explicit row symmetric about c (t is its
+    # radius R; every row at c = 0)
     branch: np.ndarray
     row_bound: np.ndarray       # guaranteed |row sum - n*c| bound per row
     target_sum: float
@@ -165,52 +169,6 @@ def _chunks(count):
     """Slices of [0, count) of ``_DRAW_CHUNK_ROWS`` rows (the last may be short)."""
     step = _DRAW_CHUNK_ROWS
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
-
-
-class SymmetricMixer:
-    """Exact center-0 sampler for a symmetric unimodal kernel.
-
-    Draw a radius from the centered-uniform scale mixture of the density,
-    then an exact constant-sum tuple of U(-a, a) coordinates. Marginals
-    are exact (no discretization or truncation) and row sums vanish to
-    machine precision.
-    """
-
-    stream = 1
-
-    def __init__(self, config: MixerConfig, kernel=None):
-        if config.c != 0.0:
-            raise DomainError("symmetric construction only covers c = 0")
-        self.config = config
-        self.kernel = kernel or Cauchy()
-        self.kernel.center_limit(config.n)   # refuses a kernel the mixers cannot serve
-        self.n = config.n
-        self.c = 0.0
-        self.mass_deficit = 0.0
-
-    def sample(self, count, rng) -> SampleBatch:
-        n = self.n
-        radius = rng.random(count)   # each u becomes its radius, a chunk at a time
-        for rows in _chunks(count):
-            radius[rows] = self.kernel.radius_quantile(radius[rows])
-        # (2 * rows - 1) * radius, formed in place
-        values = _uniform_block_rows(n, count, rng)
-        values *= 2.0
-        values -= 1.0
-        values *= radius[:, None]
-        rng.permuted(values, axis=1, out=values)   # unshuffled, column pairs differ in law
-        branch = np.ones(count, dtype=np.int8)
-        return SampleBatch(
-            values=values,
-            t=radius,
-            branch=branch,
-            row_bound=self.row_bound_for(radius, branch),
-            target_sum=0.0,
-        )
-
-    def row_bound_for(self, t, branch):
-        """Per-row sum bound at radius ``t``: n coordinates in [-t, t]."""
-        return _exact_row_bound(self.n, np.asarray(t, dtype=float))
 
 
 @dataclass
@@ -892,7 +850,7 @@ def _grid_steps(q):
 
 
 class ExplicitMixer:
-    """Exact sampler for 0 < c <= c_sym(n): cyclic rows plus block rows
+    """Exact sampler for 0 <= c <= c_sym(n): cyclic rows plus block rows
     symmetric about c, with no cells and no rearrangement.
 
     A cyclic row at t is (c - t, ..., c - t, c + (n-1)t), permuted; it sums
@@ -917,6 +875,10 @@ class ExplicitMixer:
     Draws read two inverse tables built here, for t and for R; ``u_error``
     holds each one's worst u-error, measured against the closed forms at
     the midpoints of the knots and one period past their ends.
+
+    At c = 0 the odd part is empty: P = 0, every row is a block row, no grid
+    or table is built, and R is the kernel's own ``radius_quantile`` (any
+    symmetric unimodal kernel with ``radius_cdf`` and ``center_limit``).
     """
 
     stream = 2
@@ -924,21 +886,24 @@ class ExplicitMixer:
     def __init__(self, config: MixerConfig, kernel=None, grid=None):
         kernel = kernel or Cauchy()
         n, c = config.n, config.c
-        limit = kernel.center_limit(n)
-        if n < 3 or not 0.0 < c <= limit:
-            raise DomainError(f"the explicit route needs n >= 3 and 0 < c <= {limit:.10g}, "
+        limit = kernel.center_limit(n)   # refuses a kernel the mixers cannot serve
+        if not 0.0 <= c <= limit:
+            raise DomainError(f"the explicit route needs 0 <= c <= {limit:.10g}, "
                               f"got n={n}, c={c}")
         self.config, self.kernel, self.n, self.c = config, kernel, n, c
         self.mass_deficit = 0.0
+        self.cyclic_fraction, self.u_error = 0.0, {}
+        # a cyclic row's coordinates, before the scale t and the shift c
+        self._pattern = np.full(n, -1.0)
+        self._pattern[-1] = n - 1.0
+        if c == 0.0:
+            return
         self._grid = grid or _ExplicitGrid(kernel, n, c)
         if not self._grid.admissible:
             raise DomainError(f"center {c} is outside the explicit range at n={n}: the "
                               f"symmetric remainder is not unimodal near x={self._grid.worst:.6g}")
         self.cyclic_fraction = n / (n - 2) * kernel.cdf_diff(-c, c)
         self._t_of_v, self._r_of_w, self.u_error = self._grid.tables(self.cyclic_fraction)
-        # a cyclic row's coordinates, before the scale t and the shift c
-        self._pattern = np.full(n, -1.0)
-        self._pattern[-1] = n - 1.0
 
     def t_cdf(self, t):
         """The cyclic rows' t-law cdf, M(t) / P, at any t >= 0."""
@@ -946,6 +911,8 @@ class ExplicitMixer:
 
     def radius_cdf(self, s):
         """The symmetric rows' radius cdf G at any s >= 0."""
+        if self.c == 0.0:
+            return self.kernel.radius_cdf(s)
         s = np.asarray(s, dtype=float)
         mu, cdf = self._grid.series.at(s / (self.n - 1))
         return self._grid.radius_mass(s, mu, cdf) / (1.0 - self.cyclic_fraction)
@@ -962,10 +929,13 @@ class ExplicitMixer:
             u = scale[rows]
             cyclic = u < p
             branch[rows] = np.where(cyclic, 1, 4)
-            idx = np.flatnonzero(cyclic)
-            u[idx] = self._t_of_v(u[idx] / p)
-            idx = np.flatnonzero(~cyclic)
-            u[idx] = self._r_of_w((u[idx] - p) / (1.0 - p))
+            if p == 0.0:    # c = 0: the radius in the kernel's closed form
+                u[:] = self.kernel.radius_quantile(u)
+            else:
+                idx = np.flatnonzero(cyclic)
+                u[idx] = self._t_of_v(u[idx] / p)
+                idx = np.flatnonzero(~cyclic)
+                u[idx] = self._r_of_w((u[idx] - p) / (1.0 - p))
             # 2B - 1 on symmetric rows, the cyclic pattern on cyclic ones
             v = values[rows]
             v *= 2.0
@@ -974,7 +944,7 @@ class ExplicitMixer:
             v *= u[:, None]
             v += c
             bound[rows] = self.row_bound_for(u, branch[rows])
-        rng.permuted(values, axis=1, out=values)
+        rng.permuted(values, axis=1, out=values)   # unshuffled, column pairs differ in law
         return SampleBatch(values=values, t=scale, branch=branch, row_bound=bound,
                            target_sum=n * c)
 
@@ -984,6 +954,11 @@ class ExplicitMixer:
         t = np.asarray(t, dtype=float)
         return _exact_row_bound(self.n, self.c + t * np.where(np.asarray(branch) == 1,
                                                                 self.n - 1.0, 1.0))
+
+
+# the name perfbench/layers.py traces the explicit mixer's sample and
+# row_bound_for under
+SymmetricMixer = ExplicitMixer
 
 
 class _ExplicitGrid:
@@ -1069,8 +1044,8 @@ class ReflectedMixer:
 
 
 def build_mixer(config: MixerConfig, kernel=None):
-    """The mixer for (n, c): ``SymmetricMixer`` at c = 0, ``ExplicitMixer``
-    at 0 < c where the kernel has the odd part's closed forms and the
+    """The mixer for (n, c): ``ExplicitMixer`` at c = 0 (block rows alone)
+    and at 0 < c where the kernel has the odd part's closed forms and the
     admissibility check passes (c <= c_sym(n)), ``ConstructiveMixer`` at
     other c > 0, and the reflection of the mixer for -c at c < 0. Rejects
     centers outside the kernel's interval, ``|c| <= kernel.center_limit(n)``
@@ -1083,7 +1058,7 @@ def build_mixer(config: MixerConfig, kernel=None):
             f"center {c} outside the admissible interval [-{limit:.10g}, {limit:.10g}] for n={n}"
         )
     if c == 0.0:
-        return SymmetricMixer(config, kernel)
+        return ExplicitMixer(config, kernel)
     if c < 0.0:
         return ReflectedMixer(build_mixer(dataclasses.replace(config, c=-c), kernel))
     if hasattr(kernel, "skew"):

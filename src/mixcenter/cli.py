@@ -605,7 +605,7 @@ def main(argv=None) -> int:
             _emit({"schema": f"mixcenter.{args.command}/{SCHEMA_VERSION}", **payload},
                   _out_path(args.out))
         return code
-    except (DomainError, ConstructionError, SizeError, QuadratureError) as exc:
+    except (DomainError, ConstructionError, SizeError, QuadratureError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

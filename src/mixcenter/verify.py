@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cauchy_mix
 from ._halves import two_halves
-from .cauchy_mix import ROOT_TOL, ConstructiveMixer, ExplicitMixer, ReflectedMixer, SymmetricMixer
+from .cauchy_mix import ROOT_TOL, ConstructiveMixer, ExplicitMixer, ReflectedMixer
 from .discrete_mix import Coupling
 from .distributions import AtomUniform
 from .rearrangement import discretize
@@ -160,13 +160,9 @@ MIXER_INVARIANTS = (
     "coupling_cells_valid",
 )
 
-SYMMETRIC_MIXER_INVARIANTS = (
-    "radius_mass",
-    "block_rows_exact",
-)
-
 EXPLICIT_MIXER_INVARIANTS = (
     "inverse_u_error",
+    "radius_mass",
     "explicit_rows_exact",
 )
 
@@ -293,21 +289,12 @@ def _constructive_suite(mixer: ConstructiveMixer) -> list:
     return res
 
 
-def _symmetric_suite(mixer: SymmetricMixer) -> list:
-    res = []
-    tail = 1.0 - float(mixer.kernel.radius_cdf(1e12))
-    res.append(InvariantResult("radius_mass", abs(tail) <= 1e-9, tail, 1e-9))
-    rng = np.random.default_rng(np.random.SeedSequence(mixer.config.seed))
-    batch = mixer.sample(4096, rng)
-    dev = float(np.abs(batch.row_sums()).max())
-    bound = float(batch.row_bound.max())
-    res.append(InvariantResult("block_rows_exact", dev <= bound, dev, bound))
-    return res
-
-
 def _explicit_suite(mixer: ExplicitMixer) -> list:
-    worst = max(mixer.u_error.values())
+    # no table at c = 0, so no u-error
+    worst = max(mixer.u_error.values(), default=0.0)
     res = [InvariantResult("inverse_u_error", worst <= U_ERROR_TOL, worst, U_ERROR_TOL)]
+    tail = 1.0 - float(mixer.radius_cdf(np.array([1e12]))[0])
+    res.append(InvariantResult("radius_mass", abs(tail) <= 1e-9, tail, 1e-9))
     rng = np.random.default_rng(np.random.SeedSequence(mixer.config.seed))
     batch = mixer.sample(4096, rng)
     excess = float(np.max(np.abs(batch.row_sums() - batch.target_sum) - batch.row_bound))
@@ -347,16 +334,14 @@ def run_invariant_suite(target, marginals=None, center=None) -> list:
     """Every structural invariant applicable to the target, as a list of
     ``InvariantResult`` rows in the order of its manifest.
 
-    Accepts a built mixer (constructive, explicit, symmetric, or reflected,
-    which checks its base) or a Coupling. Failures are rows with
+    Accepts a built mixer (constructive, explicit, which covers c = 0, or
+    reflected, which checks its base) or a Coupling. Failures are rows with
     ``passed=False``; the function never raises on a failed check.
     """
     if isinstance(target, ReflectedMixer):
         return run_invariant_suite(target.base)
     if isinstance(target, ConstructiveMixer):
         return _constructive_suite(target)
-    if isinstance(target, SymmetricMixer):
-        return _symmetric_suite(target)
     if isinstance(target, ExplicitMixer):
         return _explicit_suite(target)
     if isinstance(target, Coupling):

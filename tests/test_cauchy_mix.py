@@ -20,9 +20,9 @@ from mixcenter.cauchy_mix import (
     T_MIN,
     ConstructiveMixer,
     ConvexCombinationSampler,
+    ExplicitMixer,
     MixerConfig,
     ReflectedMixer,
-    SymmetricMixer,
     build_mixer,
 )
 from mixcenter.distributions import Cauchy, GenericDensity, generic_admissibility
@@ -337,9 +337,9 @@ class TestSliceKernelProtocol:
             build_mixer(MixerConfig(n=3, c=c, seed=7), Cauchy(2.0))
 
     def test_symmetric_mixer_refuses_scaled_cauchy(self):
-        # built directly, without build_mixer's check of the center
+        # the c = 0 mixer built directly, without build_mixer's check
         with pytest.raises(DomainError, match="standard law, got scale 2.0"):
-            SymmetricMixer(MixerConfig(n=3, c=0.0, seed=7), Cauchy(2.0))
+            ExplicitMixer(MixerConfig(n=3, c=0.0, seed=7), Cauchy(2.0))
 
 
 class TestPchipOracle:
@@ -584,7 +584,7 @@ class TestSampling:
             build_mixer(MixerConfig(n=3, c=-0.3))
 
     def test_n2_only_zero(self):
-        assert isinstance(build_mixer(MixerConfig(n=2, c=0.0)), SymmetricMixer)
+        assert isinstance(build_mixer(MixerConfig(n=2, c=0.0)), ExplicitMixer)
         with pytest.raises(DomainError):
             build_mixer(MixerConfig(n=2, c=0.05))
 
@@ -1055,14 +1055,14 @@ class TestDrawChunks:
 @pytest.mark.parametrize("c,direct", [(0.15, True), (0.15, False), (-0.15, False),
                                       (0.0, False)])
 def test_drawn_row_bounds_equal_row_bound_for(c, direct, slice_grid):
-    # verify recomputes the bound of cyclic (c != 0) and symmetric (c = 0,
-    # and branch 4 of the explicit mixer) rows from their recorded t;
-    # coupling rows keep their cell's bound
+    # verify recomputes the bound of cyclic (branch 1) and symmetric (branch
+    # 4, every row at c = 0) rows from their recorded t; coupling rows keep
+    # their cell's bound
     slice_grid(512)
     config = MixerConfig(n=3, c=c, seed=7)
     mixer = ConstructiveMixer(config) if direct else build_mixer(config)
     batch = mixer.sample(4000, substream(12, "row-bound"))
-    rows = batch.branch % 2 == 1
+    rows = batch.branch != 2
     assert rows.sum() > 100
     recomputed = mixer.row_bound_for(batch.t, batch.branch)
     assert batch.row_bound[rows].tobytes() == recomputed[rows].tobytes()

@@ -13,7 +13,7 @@ from mixcenter.anchors import (
     cauchy_like_density,
     ex01_mixture,
 )
-from mixcenter.cauchy_mix import ConvexCombinationSampler, MixerConfig, SymmetricMixer
+from mixcenter.cauchy_mix import ConvexCombinationSampler, ExplicitMixer, MixerConfig
 from mixcenter.center_bounds import (
     JmBoundsInput,
     cauchy_avg_quantile_upper,
@@ -396,8 +396,8 @@ class TestInfiniteMeanClassifier:
 
 
 def _convex(n_b, alpha):
-    return ConvexCombinationSampler(SymmetricMixer(MixerConfig(3, 0.0)),
-                                    SymmetricMixer(MixerConfig(n_b, 0.0)), alpha)
+    return ConvexCombinationSampler(ExplicitMixer(MixerConfig(3, 0.0)),
+                                    ExplicitMixer(MixerConfig(n_b, 0.0)), alpha)
 
 
 @pytest.mark.parametrize("call, message", [

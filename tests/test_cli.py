@@ -264,7 +264,9 @@ class TestSampleVerify:
         assert code == 0
         meta = json.loads((tmp_path / "rows.csv.meta.json").read_text())
         assert {f.name for f in dataclasses.fields(MixerConfig)} <= set(meta)
-        # and verify requires every key sample writes
+        # and verify requires every key sample writes, but the stream, which
+        # a c = 0 sample writes as 2 and a file without it reads as 1
+        assert meta.pop("stream") == 2
         assert set(meta) == set(SCHEMAS["mixcenter.sample_meta/1"]["required"])
 
     def test_csv_round_trips_doubles(self, capsys, tmp_path):
@@ -295,6 +297,41 @@ class TestSampleVerify:
         assert code == 0
         code, payload = run_json(capsys, "verify", out)
         assert code == 0 and payload["all_pass"]
+        # every c = 0 row is symmetric (branch 4), and its recorded radius is
+        # tested against the kernel's radius law; there are no cyclic rows
+        assert set(cli._read_csv(out)[2]) == {4}
+        rows = {r["name"]: r for r in payload["checks"]}
+        assert rows["radius_law_ks"]["passed"] and rows["radius_law_ks"]["measured"] > 0.0
+        assert rows["cyclic_t_law_ks"]["measured"] == rows["cyclic_branch_count"]["measured"] == 0.0
+        assert rows["inverse_u_error"]["measured"] == 0.0
+
+    @pytest.mark.parametrize("c", ["1e-320", "-1e-320", "5e-324"])
+    def test_subnormal_center_rejected(self, capsys, tmp_path, c):
+        # a subnormal c would round the cyclic fraction, and with it the t-law
+        code = main(["sample", "--n", "3", f"--c={c}", "--count", "50",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: need c = 0 or |c| >= ")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_smallest_normal_center_verifies(self, capsys, tmp_path):
+        out = str(tmp_path / "rows.csv")
+        code, _ = run_cli(capsys, "sample", "--n", "3", "--c", repr(sys.float_info.min),
+                          "--count", "2000", "--out", out)
+        assert code == 0
+        code, payload = run_json(capsys, "verify", out)
+        assert code == 0 and payload["all_pass"]
+
+    def test_allocation_failure_is_an_error(self, capsys, tmp_path, slice_grid):
+        # 2**40 atoms per cell: the cell table (160 PiB at n = 10) is beyond
+        # any address space, so numpy refuses it before touching memory
+        slice_grid(512)
+        code = main(["sample", "--n", "10", "--c", "0.69", "--count", "10",
+                     "--ra-grid-m", str(2 ** 40), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_engine_flag_rejected(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0", "--count", "10",
@@ -353,11 +390,13 @@ class TestSampleVerify:
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
 
-    @pytest.mark.parametrize("n,c,stream", [(3, 0.15, 2), (10, math.log(9) / math.pi, None)],
-                             ids=["explicit", "constructive"])
+    @pytest.mark.parametrize("n,c,stream", [(3, 0.15, 2), (4, 0.0, 2),
+                                            (10, math.log(9) / math.pi, None)],
+                             ids=["explicit", "center-zero", "constructive"])
     def test_verify_reads_the_sidecar_stream(self, capsys, tmp_path, slice_grid, n, c, stream):
-        # explicit files carry stream 2; files of stream 1 carry no key, so a
-        # (3, 0.15) sidecar without one names rows this version does not draw
+        # explicit files, c = 0 ones included, carry stream 2; files of
+        # stream 1 carry no key, so a (3, 0.15) or c = 0 sidecar without one
+        # names rows this version does not draw
         slice_grid(512)
         out = tmp_path / "rows.csv"
         code, _ = run_cli(capsys, "sample", "--n", str(n), "--c", repr(c), "--count", "500",
@@ -535,6 +574,7 @@ class TestSampleVerify:
                 "radius_law_ks": 0.01 + 1.628 / math.sqrt(np.count_nonzero(branch == 4)),
                 "cyclic_branch_count": 0.01 + 2.5758 * math.sqrt(p * (1 - p) / count),
                 "inverse_u_error": 1e-6,
+                "radius_mass": 1e-9,
                 "explicit_rows_exact": 0.0,
             })
         else:

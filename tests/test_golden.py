@@ -48,12 +48,12 @@ SAMPLE_DIGESTS = {
     (3, "0.15", 7): {
         "csv": "787519a9cefaea2371062e539688cceede814ed178777a1a1c228dedfddf6e60",
         "meta": "70643b66e2b0e0e8cdbc2ece20b8faca7c307fde0eca3e8dac4fa9525a717ca3",
-        "verify": "61e99665a18c30387270963c5d490719e95d5a1eb471db633bba962a308b17fd",
+        "verify": "3dde912a97eb25706cc9f5e2a249afc7e55b4f551baf7dbd2711d79b26e2ed8f",
     },
     (3, "0.15", 11): {
         "csv": "b6ea10c843a1a2b6e0fe05d3c9772e222ad5039fac49296bb5be0a164cd6c656",
         "meta": "57491f2b082236fd909cd2ca85b1840fbeafcdb8446a00494c94f21a6bfda310",
-        "verify": "23eb78801bf586e704d5ccfcbd79b0afe4562258fedb3380968c99530a74ce71",
+        "verify": "5028b4d70eadb9d68e566889bdb9d6bdb44dad855da6b2687b9ad8708854e381",
     },
     (10, "0.6993983051321196", 7): {
         "csv": "c074869d11effe1ec67b76986f948026ce7e43041e529bb1a08e369ebe594653",
@@ -68,32 +68,32 @@ SAMPLE_DIGESTS = {
     (3, "-0.15", 7): {
         "csv": "e75df0d468debf5592cd98a97ce775e8d29081ab770369f654358109620cb22e",
         "meta": "661653da7bbb25bb7650c2a40295a8f55482c53f5f645522138fd20dc9e1b0ea",
-        "verify": "12e30a449276ef893175d932558a2a83ad18a697ced3b8c2d674e08ab7123a3e",
+        "verify": "c7572ae21dbb67e2e5f3ee819ba3f988154c4425b356132ab4d430a4de078b30",
     },
     (3, "-0.15", 11): {
         "csv": "92454d6b4c9cb9f0928ffab950b089a9f99c96c2a4c5843496600af812002d27",
         "meta": "64ec44698d3ae0db8e6bff86b16aa92357f3c3054e245439b2acf176db355b53",
-        "verify": "dd24093ae4f82de28c8eca198851a151833ae4d5640fd3fcc6d5e7b9df56492f",
+        "verify": "9752eec54c4ca39ab9f14f802300b82b9b5ecb21a5d4a8a33475ee1e25ad2ead",
     },
     (4, "0.0", 7): {
-        "csv": "f51fd70099f94c81623f299a836b48582e8cba0b4a2d09bdbf63277c203b3cbb",
-        "meta": "cb5f91f9a7945e32779a108e017f937d37ecc64db4d888a72a325197e69c2faa",
-        "verify": "ba5b4a44d7031747827e26a46356e5c0bfafeb52e856cffd1d450e069650914b",
+        "csv": "520035161c0d495696ae709cca9e6165f34623e85f97a8b933289d6086281617",
+        "meta": "a2514ec1027b9f2ef21ccfaf32032be814c69a4c01c5268a81e011a7aa7a876e",
+        "verify": "98335839cb8e6f21e0c10d72add2c57aa4d753f65a8da340158b0d392aaea7b3",
     },
     (4, "0.0", 11): {
-        "csv": "7d76bf8cb0836185aab0b0a1a2df67d16000b64a6cf39a775867eb444b53074b",
-        "meta": "ec59496978b9c4b8df9b9a7c62ba44be008546f3aeb530f53d4b7918fe26be30",
-        "verify": "c6febbf639b7456653d4daee998e300ddbfe03a9263c9463a98e439f86745c66",
+        "csv": "cc454aef9f438a328bf72b801ae33c4227091a3fc916e3833948a719d39809c8",
+        "meta": "fe7a90dd9b7ec6ffec385038b5198d77e5ea17b0eae413d45e8a173d73ed24b8",
+        "verify": "311fc909a3a39f8fd1fe5901d2629fcefae767fac24a44d4817542827195af5d",
     },
     (5, "0.3", 7): {
         "csv": "729c95f7bb2853b6eb095a808078d7e5acd7a18f60bc6494961fb515a1591bee",
         "meta": "6aa7723275931b6e33f5a9f80890eb9c8f5d88791b8aac21a628bca8cec00745",
-        "verify": "ab80d5e064be2be3c04df9112c597f6abe7ea23e61afdb67123de051d92703f3",
+        "verify": "35a67416fdceba18362bf87ec0f4050513426cd571236b03b88128ee5a400778",
     },
     (5, "0.3", 11): {
         "csv": "4bc2e84b65cd012e42d82ef80e4b5058da5452a85577c086c7a6d39d17dc5083",
         "meta": "b0ea83335a66d731dc86bd6f2275dc46e6caad12ae5cd83423e77f8c3574eb01",
-        "verify": "ebe58d860de36b62e834987a849a54bff32ce177ad72b051bdbbda3619d363ed",
+        "verify": "6f781c5cc05d5f8f3912e4b3a7983beacefad4d5e9fab47545f520681fe4dec4",
     },
 }
 
@@ -161,13 +161,13 @@ DRAW_DIGESTS = {
         "cold": {
             "values": "d7676d7969a837ae886a89fa8e495abb97a3d2665871f602183fad910985bb24",
             "t": "0190fac29f5648c92ec9309c4fcceb962e17001dad6b590a743fd2db1b592853",
-            "branch": "9e0cec517573ad60217de0e8225360fdfa550b7c03719a42950e90f2e1fbcd2f",
+            "branch": "19a46fabf5ddea22dada35718373c9a6641ca4f7589cb76e306232b3b8d65ef7",
             "row_bound": "d77f8494a385a665b6a89f4b1cda96fba949615657eb5fa5ed15c3a209350f3d",
         },
         "warm": {
             "values": "b040fdbe4c36e57eeed1570539a33e7ce97f76d4c64aa5abe5c76ed5f8aaf448",
             "t": "e3f655cda35f8a39982665af7d0aac555d3b965b741b2c47aad080c78597f37b",
-            "branch": "9e0cec517573ad60217de0e8225360fdfa550b7c03719a42950e90f2e1fbcd2f",
+            "branch": "19a46fabf5ddea22dada35718373c9a6641ca4f7589cb76e306232b3b8d65ef7",
             "row_bound": "260f9709af8936e948f10e657128ffae560a79ecc36753fead84b2ee32b77f33",
         },
     },
@@ -231,13 +231,13 @@ DRAW_DIGESTS = {
         "cold": {
             "values": "9a4148bebfe4ffa8db4b27a2824123492e991266fe80c60f3033f265d7799c90",
             "t": "eac885eff21fff9a2b92c8f073352949e6b10393ee6651afad5f8a2180527f56",
-            "branch": "9e0cec517573ad60217de0e8225360fdfa550b7c03719a42950e90f2e1fbcd2f",
+            "branch": "19a46fabf5ddea22dada35718373c9a6641ca4f7589cb76e306232b3b8d65ef7",
             "row_bound": "e5dafda87171001fa9bb9ce50004c1f12d38e12778016af108ce75628558760f",
         },
         "warm": {
             "values": "e0ea5f19185121d0ecf4d3be6ce4163d326b6516e28b6e6ddfa1cf0196691362",
             "t": "c84d86739c620513b4de91edf9a3e54b43a74d7da3757bb5fc5a62a9af790d3d",
-            "branch": "9e0cec517573ad60217de0e8225360fdfa550b7c03719a42950e90f2e1fbcd2f",
+            "branch": "19a46fabf5ddea22dada35718373c9a6641ca4f7589cb76e306232b3b8d65ef7",
             "row_bound": "8fa5150c48c711603e33791e2dd5035905d336ab2ab5548b010e097198da1c6f",
         },
     },

@@ -47,6 +47,9 @@ def test_install_finds_every_hooked_name(layers, cli):
     rec = _StubRecorder()
     layers.install(rec, cli=cli)
     assert "ConstructiveMixer.clip_level" in rec.hooked
+    # by the name SymmetricMixer, which the explicit mixer keeps for this
+    assert "ExplicitMixer.sample" in rec.hooked
+    assert "ExplicitMixer.row_bound_for" in rec.hooked
     assert "ConstructiveMixer.cell_coupling" in rec.hooked
     assert ("mixcenter.cli.build_mixer" in rec.hooked) == cli
 

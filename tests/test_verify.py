@@ -15,7 +15,6 @@ from mixcenter.verify import (
     COUPLING_INVARIANTS,
     EXPLICIT_MIXER_INVARIANTS,
     MIXER_INVARIANTS,
-    SYMMETRIC_MIXER_INVARIANTS,
     InvariantResult,
     ks_distance,
     ks_threshold,
@@ -152,8 +151,10 @@ class TestInvariantSuite:
         assert len(names) == len(set(names))
 
     def test_symmetric_manifest(self):
+        # c = 0 is drawn by the explicit mixer, with no table
         rows = run_invariant_suite(build_mixer(MixerConfig(n=3, c=0.0, seed=1)))
-        assert tuple(r.name for r in rows) == SYMMETRIC_MIXER_INVARIANTS
+        assert tuple(r.name for r in rows) == EXPLICIT_MIXER_INVARIANTS
+        assert rows[0].measured == 0.0
         assert all(r.passed for r in rows)
 
     def test_explicit_manifest(self):
