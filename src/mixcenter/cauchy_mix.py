@@ -31,9 +31,7 @@ live in one table, filled on first use; a draw reads its rows by one gather.
 
 A draw makes its RNG calls over the whole batch, then does the per-row work
 in chunks of ``_DRAW_CHUNK_ROWS`` rows, so its temporaries stay a few MB
-whatever the batch size. The chunks give the same bytes as one pass. Each
-row's knot interval is found once, from a bucket table over the mixing cdf,
-and serves as the checked guess of its cell and of its level's cubic piece.
+whatever the batch size. The chunks give the same bytes as one pass.
 
 The module needs numpy only and writes no law down itself. A mixer runs on
 any slice kernel: the closed-form standard ``distributions.Cauchy`` by
@@ -65,6 +63,8 @@ ROOT_TOL = 1e-12
 T_MIN = 1e-6
 T_GRID = 2048
 TAIL_EPS = 1e-4
+# atoms of each coupling cell's discretization
+RA_GRID_M = 512
 # entries (cells * m * n) of one block of coupling cells built together:
 # large enough to amortize the per-sweep numpy calls, small enough that the
 # block's temporaries stay a few MB
@@ -97,16 +97,15 @@ class MixerConfig:
 
     ``c`` is the per-variable center; admissible range |c| <=
     ``kernel.center_limit(n)``, log(n-1)/pi for the default standard Cauchy.
-    The slice grid is fixed (``T_GRID``, ``TAIL_EPS``). ``ra_grid_m`` is the
-    discretization size of the per-slice rearrangement couplings, and
-    ``seed`` drives their deterministic initial shuffles. Raises DomainError
-    unless c is finite and 0 or normal (a subnormal c rounds the cyclic
-    fraction), n and ra_grid_m are at least 2 and seed >= 0.
+    The slice grid (``T_GRID``, ``TAIL_EPS``) and the coupling cells'
+    discretization size (``RA_GRID_M``) are fixed; ``seed`` drives the cells'
+    deterministic initial shuffles. Raises DomainError unless c is finite
+    and 0 or normal (a subnormal c rounds the cyclic fraction), n >= 2 and
+    seed >= 0.
     """
 
     n: int
     c: float
-    ra_grid_m: int = 512
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
@@ -114,9 +113,8 @@ class MixerConfig:
             raise DomainError(f"need a finite c, got {self.c}")
         if 0.0 < abs(self.c) < sys.float_info.min:
             raise DomainError(f"need c = 0 or |c| >= {sys.float_info.min!r}, got {self.c!r}")
-        for name in ("n", "ra_grid_m"):
-            if getattr(self, name) < 2:
-                raise DomainError(f"need {name} >= 2, got {getattr(self, name)}")
+        if self.n < 2:
+            raise DomainError(f"need n >= 2, got {self.n}")
         if self.seed < 0:
             raise DomainError(f"need seed >= 0, got {self.seed}")
 
@@ -194,35 +192,15 @@ def _raise_at(t, bad, message, value=None):
         raise ConstructionError(f"{text} at t={float(t[i])}")
 
 
-class _Intervals:
-    """The interval of a sorted grid that holds each x:
-    ``clip(searchsorted(grid, x, "right") - 1, 0, len(grid) - 2)``, so the
-    end intervals extend outward.
-
-    Given a guess of each interval, the guess is checked against the
-    interval's two ends and searched for only where it fails.
-    """
-
-    def __init__(self, grid):
-        self.grid = grid
-        # ends of each interval, the outer ends of the end intervals open
-        self.lo = np.concatenate([[-np.inf], grid[1:-1]])
-        self.hi = np.concatenate([grid[1:-1], [np.inf]])
-
-    def __call__(self, x, guess=None):
-        """The intervals of ``x``; a ``guess`` array is corrected in place
-        and returned."""
-        if guess is None:
-            return np.clip(np.searchsorted(self.grid, x, side="right") - 1, 0, self.grid.size - 2)
-        miss = np.flatnonzero(~((self.lo[guess] <= x) & (x < self.hi[guess])))
-        if miss.size:
-            guess[miss] = self(x[miss])
-        return guess
+def _interval(grid, x):
+    """The interval of the sorted ``grid`` that holds each x, the end
+    intervals extended outward."""
+    return np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
 
 
 class _CdfInverse:
     """``np.interp(u, cdf, knots)`` for u in [0, 1], by np.interp's own
-    arithmetic, and the interval of ``knots`` each result lies in.
+    arithmetic.
 
     With j + 1 = #(cdf <= u), np.interp returns ``slope[j]*(u - cdf[j]) +
     knots[j]`` with ``slope = diff(knots) / diff(cdf)``, ``knots[j]`` where
@@ -236,7 +214,6 @@ class _CdfInverse:
 
     def __init__(self, cdf, knots):
         self.cdf = cdf
-        self.knots = knots
         # a flat piece of the cdf holds no u; on a piece of subnormal width
         # the slope is infinite, and only its left end takes the knot itself
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -255,9 +232,7 @@ class _CdfInverse:
         self.edge[one] = cdf[first[one]]
 
     def invert(self, u):
-        """Overwrite ``u`` with its t, one ``_DRAW_CHUNK_ROWS`` chunk at a
-        time; returns each row's knot interval clipped to the cells, int32."""
-        cells = np.empty(u.size, dtype=np.int32)
+        """Overwrite ``u`` with its t, one ``_DRAW_CHUNK_ROWS`` chunk at a time."""
         for rows in _chunks(u.size):
             x = u[rows]
             bucket = (x * self.buckets).astype(np.intp)
@@ -274,9 +249,6 @@ class _CdfInverse:
             t += knot
             np.copyto(t, knot, where=x == cdf)
             u[rows] = t
-            j1 -= 1
-            np.clip(j1, 0, self.knots.size - 2, out=cells[rows])
-        return cells
 
 
 class _Pchip:
@@ -306,7 +278,6 @@ class _Pchip:
             d[-1] = self._end_slope(h[-1], h[-2], m[-1], m[-2])
         t = (d[:-1] + d[1:] - 2 * m) / h
         self.x = x
-        self._pieces = _Intervals(x)
         # power-sum coefficients of s^3, s^2, s and 1 on each piece
         self.coef = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
 
@@ -321,11 +292,10 @@ class _Pchip:
             return 3.0 * m0
         return d
 
-    def __call__(self, x, piece=None):
-        """The cubic at ``x``; ``piece``, a guess of each x's piece, is
-        checked and corrected in place."""
+    def __call__(self, x):
+        """The cubic at ``x``."""
         x = np.asarray(x, dtype=float)
-        i = self._pieces(x, piece)
+        i = _interval(self.x, x)
         s = x - self.x[i]
         c3, c2, c1, c0 = (np.take(c, i) for c in self.coef)
         # summed from 0.0 upward in powers of s, as scipy's evaluation does
@@ -366,7 +336,7 @@ def _cell_blocks(law, ids):
     residual is folded into the coordinate with the most room. A cell
     does not depend on which other cells share its block.
     """
-    n, c, m, seed = law.n, law.c, law.config.ra_grid_m, law.config.seed
+    n, c, m, seed = law.n, law.c, law.ra_grid_m, law.config.seed
     per_block = max(1, _CELL_BLOCK_ENTRIES // (m * n))
     for start in range(0, len(ids), per_block):
         block = np.asarray(ids[start:start + per_block], dtype=int)
@@ -416,7 +386,7 @@ class _CellTable:
 
     def __init__(self, law):
         cells = len(law.knots) - 1
-        self.rows = np.empty((cells, law.config.ra_grid_m, law.n))
+        self.rows = np.empty((cells, law.ra_grid_m, law.n))
         self.t_hat = np.empty(cells)
         self.bound = np.empty(cells)
         self.built = np.zeros(cells, dtype=bool)
@@ -440,14 +410,16 @@ class ConstructiveMixer:
         if n < 3:
             raise DomainError("the constructive route needs n >= 3 (n = 2 only admits c = 0)")
         limit = kernel.center_limit(n)
-        if not 0.0 < c <= limit + 1e-12:
+        if not 0.0 < c <= limit:
             raise DomainError(
-                f"center {c} outside the admissible interval (0, {limit:.10g}] for n={n}"
+                f"center {c} outside the admissible interval (0, {limit}] for n={n}"
             )
         self.config = config
         self.kernel = kernel
         self.n = n
-        self.c = min(c, limit)
+        self.c = c
+        # read once, so a mixer's cells all share one m
+        self.ra_grid_m = RA_GRID_M
         self._build()
         self._coupling = _CellTable(self)
 
@@ -589,13 +561,11 @@ class ConstructiveMixer:
                                     f"closed form {self.raw_mass} beyond calibration")
         self.mixing_cdf = cdf / self.raw_mass
         self._t_of_u = _CdfInverse(self.mixing_cdf, self.knots)
-        self._cells = _Intervals(self.knots)
 
-    def level_at(self, t, piece=None):
-        """Tabulated clip level (monotone cubic through the solved knots);
-        ``piece``, a guess of each t's knot interval, is checked before use."""
+    def level_at(self, t):
+        """Tabulated clip level (monotone cubic through the solved knots)."""
         t_arr = np.clip(np.asarray(t, dtype=float), self.knots[0], self.knots[-1])
-        out = np.clip(self._level_interp(np.log(t_arr), piece), 0.0, None)
+        out = np.clip(self._level_interp(np.log(t_arr)), 0.0, None)
         return float(out) if out.ndim == 0 else out
 
     def _slice_cut(self, t, level):
@@ -632,24 +602,24 @@ class ConstructiveMixer:
         return _CellCoupling(**{k: v[0] if v.ndim == 3 else float(v[0])
                                 for k, v in built.items()})
 
-    def _sample_at(self, ts, rng, cells) -> SampleBatch:
+    def _sample_at(self, ts, rng) -> SampleBatch:
         """Rows at the drawn mixing parameters ``ts``, a float array that
-        becomes the batch's ``t``: coupling rows snap theirs in place.
-        ``cells``, an int32 guess of each row's cell, becomes its cell."""
+        becomes the batch's ``t``: coupling rows snap theirs in place."""
         n, c, table = self.n, self.c, self._coupling
         count = len(ts)
         coin = rng.random(count)
         hot = rng.integers(0, n, size=count)
-        row_idx = rng.integers(0, self.config.ra_grid_m, size=count)
+        row_idx = rng.integers(0, self.ra_grid_m, size=count)
 
         # each row's cell and branch; the cells of coupling rows are wanted
+        cells = np.empty(count, dtype=np.int32)
         branch = np.empty(count, dtype=np.int8)
         wanted = np.zeros(table.built.size, dtype=bool)
         for rows in _chunks(count):
             t = ts[rows]
-            # a row's cell is its level's cubic piece, up to rounding of the log
-            cell = self._cells(t, cells[rows])
-            w = self.weights_at(t, self.level_at(t, cell.copy()))
+            cell = _interval(self.knots, t)
+            cells[rows] = cell
+            w = self.weights_at(t)
             with np.errstate(divide="ignore", invalid="ignore"):
                 p_cyclic = np.clip(n * w["w_hi"] / np.maximum(w["rate"], 1e-300), 0.0, 1.0)
             is_cyclic = coin[rows] < p_cyclic
@@ -689,7 +659,8 @@ class ConstructiveMixer:
     def sample(self, count, rng) -> SampleBatch:
         """``count`` rows with standard-Cauchy coordinates summing to n*c."""
         ts = rng.random(count)
-        return self._sample_at(ts, rng, self._t_of_u.invert(ts))
+        self._t_of_u.invert(ts)
+        return self._sample_at(ts, rng)
 
     def _cyclic_bound(self, t):
         """Sum bound of a cyclic row at ``t``: its coordinates are <= |c| + (n-1)t."""
@@ -705,7 +676,7 @@ class ConstructiveMixer:
         for rows in _chunks(t.size):
             t_rows = t[rows]
             lo, cut = self._slice_cut(t_rows, self.level_at(t_rows))
-            coupling = self.n * (cut - lo) / self.config.ra_grid_m
+            coupling = self.n * (cut - lo) / self.ra_grid_m
             out[rows] = np.where(branch[rows] == 1, self._cyclic_bound(t_rows), coupling)
         return out
 
@@ -1053,9 +1024,9 @@ def build_mixer(config: MixerConfig, kernel=None):
     kernel = kernel or Cauchy()
     n, c = config.n, config.c
     limit = kernel.center_limit(n)
-    if abs(c) > limit + 1e-12:
+    if abs(c) > limit:
         raise DomainError(
-            f"center {c} outside the admissible interval [-{limit:.10g}, {limit:.10g}] for n={n}"
+            f"center {c} outside the admissible interval [-{limit}, {limit}] for n={n}"
         )
     if c == 0.0:
         return ExplicitMixer(config, kernel)

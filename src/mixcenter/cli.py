@@ -57,8 +57,10 @@ _JSON_TYPES = {int: "integer", float: "number"}
 
 
 def _build_facts():
-    """The slice grid's fixed knots and tail, which ``sample`` records and ``verify`` requires."""
-    return {"t_grid": cauchy_mix.T_GRID, "tail_eps": cauchy_mix.TAIL_EPS}
+    """The slice grid's fixed knots and tail and the coupling cells' size,
+    which ``sample`` records and ``verify`` requires."""
+    return {"t_grid": cauchy_mix.T_GRID, "tail_eps": cauchy_mix.TAIL_EPS,
+            "ra_grid_m": cauchy_mix.RA_GRID_M}
 
 
 SCHEMAS = {

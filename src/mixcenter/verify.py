@@ -273,7 +273,7 @@ def _constructive_suite(mixer: ConstructiveMixer) -> list:
     for idx in (0, len(knots) // 2, len(knots) - 2):
         cell = mixer.cell_coupling(int(idx))
         column = np.sort(discretize(AtomUniform(cell.lo, cell.cut, cell.atom_weight),
-                                    mixer.config.ra_grid_m))
+                                    mixer.ra_grid_m))
         for j in range(mixer.n):
             col_dev = max(col_dev, float(np.max(np.abs(
                 np.sort(cell.raw_matrix[:, j]) - column

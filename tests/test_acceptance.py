@@ -93,7 +93,7 @@ def test_criterion_04_duality_consistency():
 def test_criterion_05_mixer_end_to_end(c):
     t0 = time.perf_counter()
     n, count = 3, 100_000
-    mixer = build_mixer(MixerConfig(n=n, c=c, ra_grid_m=512, seed=7))
+    mixer = build_mixer(MixerConfig(n=n, c=c, seed=7))
     batch = mixer.sample(count, substream(7, "acceptance", f"c={c}"))
     cdf = Cauchy().cdf
     worst_ks = max(ks_distance(batch.values[:, j], cdf) for j in range(n))

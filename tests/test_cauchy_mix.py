@@ -342,6 +342,36 @@ class TestSliceKernelProtocol:
             ExplicitMixer(MixerConfig(n=3, c=0.0, seed=7), Cauchy(2.0))
 
 
+class TestCenterEndpoint:
+    """log(n-1)/pi itself is admitted, and no center past it: one ulp out is
+    refused, not clamped onto the endpoint."""
+
+    @pytest.mark.parametrize("build,n,c", [
+        (build_mixer, 3, math.nextafter(LOG2_PI, 1.0)),
+        (ConstructiveMixer, 3, math.nextafter(LOG2_PI, 1.0)),
+        (build_mixer, 3, 0.2206356001531516),
+        (ConstructiveMixer, 3, 0.2206356001531516),
+        (build_mixer, 2, 1e-13),
+    ], ids=["n3-one-ulp", "n3-one-ulp-constructive", "n3-5e-13", "n3-5e-13-constructive",
+            "n2"])
+    def test_past_the_endpoint_refused(self, build, n, c):
+        limit = Cauchy().center_limit(n)
+        with pytest.raises(DomainError) as info:
+            build(MixerConfig(n, c))
+        message = str(info.value)
+        assert message.startswith(f"center {c!r} outside the admissible interval ")
+        assert f"{limit!r}] for n={n}" in message
+
+    def test_reflection_past_the_endpoint_refused(self):
+        with pytest.raises(DomainError, match="outside the admissible interval"):
+            build_mixer(MixerConfig(3, -math.nextafter(LOG2_PI, 1.0)))
+
+    def test_exact_endpoint_builds(self, slice_grid):
+        slice_grid(512)
+        for c in (LOG2_PI, -LOG2_PI):
+            assert build_mixer(MixerConfig(3, c)).c == c
+
+
 class TestPchipOracle:
     """The numpy PCHIP of the level table against scipy's PchipInterpolator."""
 
@@ -439,8 +469,8 @@ class TestBatchedCells:
     @given(nc=_centers(), entries=st.sampled_from([1, 700, 1 << 18]))
     def test_batched_cells_equal_single_builds(self, nc, entries):
         n, c = nc
-        with mock.patch.object(cauchy_mix, "T_GRID", 512):
-            mixer = ConstructiveMixer(MixerConfig(n=n, c=c, ra_grid_m=32, seed=3))
+        with mock.patch.multiple(cauchy_mix, T_GRID=512, RA_GRID_M=32):
+            mixer = ConstructiveMixer(MixerConfig(n=n, c=c, seed=3))
         table = mixer._coupling
         with mock.patch.object(cauchy_mix, "_CELL_BLOCK_ENTRIES", entries):
             mixer.sample(400, substream(3, "cells"))
@@ -533,7 +563,7 @@ class TestSliceWeights:
         ends = [first, last, np.nextafter(first, 0.0), np.nextafter(last, np.inf)]
         t = np.concatenate([inside, mixer.knots, ends])
         w = mixer.weights_at(t)
-        want = mixer.n * (w["cut"] - w["lo"]) / mixer.config.ra_grid_m
+        want = mixer.n * (w["cut"] - w["lo"]) / mixer.ra_grid_m
         got = mixer.row_bound_for(t, np.full(t.size, 2))
         assert got.tobytes() == want.tobytes()
         # across chunk boundaries: two chunks and one row of both branches,
@@ -544,7 +574,7 @@ class TestSliceWeights:
         branch = rng.integers(1, 3, size).astype(np.int8)
         w = mixer.weights_at(t)
         want = np.where(branch == 1, mixer._cyclic_bound(t),
-                        mixer.n * (w["cut"] - w["lo"]) / mixer.config.ra_grid_m)
+                        mixer.n * (w["cut"] - w["lo"]) / mixer.ra_grid_m)
         assert mixer.row_bound_for(t, branch).tobytes() == want.tobytes()
 
 
@@ -663,7 +693,7 @@ class TestSampling:
     def test_slice_sampler_sums(self, mixer):
         rng = substream(6, "test", "slice")
         for t in (0.02, 1.1, 55.0):
-            row = mixer._sample_at(np.array([t]), rng, np.zeros(1, dtype=np.int32)).values[0]
+            row = mixer._sample_at(np.array([t]), rng).values[0]
             assert abs(row.sum() - 0.45) <= max(1e-9, 3 * (mixer.c + 3 * t) * 1e-12)
 
     def test_reflection_row_by_row(self):
@@ -858,11 +888,11 @@ def _fresh_mixer(kind):
     """A newly built mixer of ``kind``, its cell table empty; build_mixer
     draws (3, 0.2) explicitly, so the slice mixer there is built directly."""
     def build(n, c):
-        return build_mixer(MixerConfig(n=n, c=c, ra_grid_m=32, seed=5))
+        return build_mixer(MixerConfig(n=n, c=c, seed=5))
 
     def constructive():
-        with mock.patch.object(cauchy_mix, "T_GRID", 256):
-            return ConstructiveMixer(MixerConfig(n=3, c=0.2, ra_grid_m=32, seed=5))
+        with mock.patch.multiple(cauchy_mix, T_GRID=256, RA_GRID_M=32):
+            return ConstructiveMixer(MixerConfig(n=3, c=0.2, seed=5))
 
     if kind == "convex":
         return ConvexCombinationSampler(build(3, 0.0), build(3, -0.2), 0.4)
@@ -885,24 +915,15 @@ def _lookup_mixer(n, c, t_grid):
 
 
 class TestCdfLookup:
-    """A row's t, cell and level piece from one bucket lookup equal
-    ``np.interp`` and ``searchsorted`` on the knots, bit for bit."""
+    """A row's t from one bucket lookup equals ``np.interp`` on the knots,
+    bit for bit."""
 
     @staticmethod
     def _check(mixer, u):
         u = np.asarray(u, dtype=float)
         t = u.copy()
-        cells = mixer._t_of_u.invert(t)
+        mixer._t_of_u.invert(t)
         assert t.tobytes() == np.interp(u, mixer.mixing_cdf, mixer.knots).tobytes()
-        last = mixer.knots.size - 2
-        pieces = cells.copy()
-        want = np.clip(np.searchsorted(mixer.knots, t, side="right") - 1, 0, last)
-        assert np.array_equal(mixer._cells(t, cells), want)
-        x = np.log(np.clip(t, mixer.knots[0], mixer.knots[-1]))
-        grid = mixer._level_interp.x
-        want = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, last)
-        assert np.array_equal(mixer._level_interp._pieces(x, pieces.copy()), want)
-        assert mixer.level_at(t, pieces).tobytes() == mixer.level_at(t).tobytes()
 
     @pytest.mark.parametrize("t_grid", LOOKUP_GRIDS)
     @pytest.mark.parametrize("n,c", LOOKUP_CENTERS)
@@ -947,10 +968,8 @@ class TestCdfLookup:
         u = np.concatenate([u, [0.0, 1.0], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
         u = u[(u >= 0.0) & (u <= 1.0)]
         t = u.copy()
-        cells = lookup.invert(t)
+        lookup.invert(t)
         assert t.tobytes() == np.interp(u, cdf, knots).tobytes()
-        j = np.searchsorted(cdf, u, side="right") - 1
-        assert np.array_equal(cells, np.clip(j, 0, knots.size - 2))
 
 
 def _cell_law_p(mixer, t):
@@ -1125,8 +1144,8 @@ class TestConvexCombination:
 
 @pytest.fixture(scope="module")
 def generic_mixer():
-    with mock.patch.multiple(cauchy_mix, T_GRID=256, TAIL_EPS=5e-3):
-        return build_mixer(MixerConfig(n=3, c=0.15, ra_grid_m=64, seed=0), cauchy_like_density())
+    with mock.patch.multiple(cauchy_mix, T_GRID=256, TAIL_EPS=5e-3, RA_GRID_M=64):
+        return build_mixer(MixerConfig(n=3, c=0.15, seed=0), cauchy_like_density())
 
 
 class TestGenericDensityRoute:

@@ -322,12 +322,11 @@ class TestSampleVerify:
         code, payload = run_json(capsys, "verify", out)
         assert code == 0 and payload["all_pass"]
 
-    def test_allocation_failure_is_an_error(self, capsys, tmp_path, slice_grid):
-        # 2**40 atoms per cell: the cell table (160 PiB at n = 10) is beyond
-        # any address space, so numpy refuses it before touching memory
-        slice_grid(512)
-        code = main(["sample", "--n", "10", "--c", "0.69", "--count", "10",
-                     "--ra-grid-m", str(2 ** 40), "--out", str(tmp_path / "x.csv")])
+    def test_allocation_failure_is_an_error(self, capsys, tmp_path):
+        # 2**55 rows: the draw's first uniforms (256 PiB) are beyond any
+        # 57-bit address space, so numpy refuses them before touching memory
+        code = main(["sample", "--n", "4", "--c", "0", "--count", str(2 ** 55),
+                     "--out", str(tmp_path / "x.csv")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate") and "Traceback" not in err
@@ -340,7 +339,6 @@ class TestSampleVerify:
 
     @pytest.mark.parametrize("flags", [
         ("--n", "1"),
-        ("--ra-grid-m", "0"),
         ("--seed", "-1"),
     ], ids=lambda flags: "".join(flags).lstrip("-"))
     def test_config_outside_domain_rejected(self, capsys, tmp_path, flags):
@@ -351,10 +349,12 @@ class TestSampleVerify:
         assert capsys.readouterr().err.startswith("error: need ")
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("flags", [("--t-grid", "512"), ("--tail-eps", "1e-3")],
-                             ids=["t-grid", "tail-eps"])
+    @pytest.mark.parametrize("flags", [("--t-grid", "512"), ("--tail-eps", "1e-3"),
+                                       ("--ra-grid-m", "512")],
+                             ids=["t-grid", "tail-eps", "ra-grid-m"])
     def test_fixed_grid_flags_rejected(self, capsys, tmp_path, flags):
-        # the slice grid's knot count and tail are constants, not settings
+        # the slice grid's knot count and tail and the cells' size are
+        # constants, not settings
         code = main(["sample", "--n", "10", "--c", repr(math.log(9) / math.pi), "--count", "10",
                      "--out", str(tmp_path / "x.csv"), *flags])
         assert code == 2
@@ -365,6 +365,20 @@ class TestSampleVerify:
         code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0.3", "--count",
                           "10", "--out", str(tmp_path / "x.csv"))
         assert code == 1
+
+    @pytest.mark.parametrize("n,c", [(2, "1e-13"), (3, "0.2206356001531516")],
+                             ids=["n2", "n3-past-endpoint"])
+    def test_center_past_the_endpoint_refused(self, capsys, tmp_path, n, c):
+        # a center past log(n-1)/pi by less than 1e-12 is refused too: at
+        # n = 2 no slice law exists, and at n = 3 a clamped build would draw
+        # at another c than the sidecar records
+        code = main(["sample", "--n", str(n), "--c", c, "--count", "20000", "--seed", "1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: center {c} outside the admissible interval ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_zero_count_rejected(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "sample", "--n", "3", "--c", "0", "--count",
@@ -377,7 +391,8 @@ class TestSampleVerify:
         ({"count": 999}, "sidecar count = 999, but the CSV has 500 rows"),
         ({"t_grid": 512}, "sidecar t_grid = 512, not this version's 2048"),
         ({"tail_eps": 1e-3}, "sidecar tail_eps = 0.001, not this version's 0.0001"),
-    ], ids=["engine", "n", "count", "t_grid", "tail_eps"])
+        ({"ra_grid_m": 256}, "sidecar ra_grid_m = 256, not this version's 512"),
+    ], ids=["engine", "n", "count", "t_grid", "tail_eps", "ra_grid_m"])
     def test_verify_rejects_sidecar_not_matching_mixer_csv(self, capsys, tmp_path,
                                                          edit, message):
         out = tmp_path / "rows.csv"
